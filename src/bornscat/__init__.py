@@ -42,6 +42,7 @@ from .scalar import (
     VerificationReport,
     amplitude_contribution,
     amplitude_factor,
+    born_orders,
     born_series,
     born_step,
     exactness_order,
@@ -49,6 +50,7 @@ from .scalar import (
     incident_term,
     make_scatter_config,
     on_shell_numerator,
+    propagate,
     verify_convolution_support,
     verify_exactness,
     verify_order_bands,

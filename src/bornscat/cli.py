@@ -5,11 +5,15 @@ of incident wavenumbers and the tolerances.  Each sweep point runs the
 matching engine, emits per-order on-shell records (CSV) and a verification
 report (JSON), and contributes one row to a summary table.  Exit codes:
 0 all verifications passed, 1 some verification failed, 2 configuration
-error, 3 series divergence.
+error (every invalid config, with a diagnostic on stderr), 3 series
+divergence.  Point artifacts are written only once the whole sweep has
+succeeded.
 """
 
 import argparse
+import cmath
 import json
+import math
 import os
 import sys
 import tempfile
@@ -19,16 +23,16 @@ from pathlib import Path
 import numpy as np
 
 from .em import (
+    EM_VALUE_PREFIXES,
     MaterialTensors,
     default_polarization,
     em_born_series,
+    em_on_shell_numerator,
     material_from_entries,
     material_from_scalar,
     verify_em_exactness,
     verify_em_order_bands,
     verify_em_spectral_floor,
-    em_on_shell_numerator,
-    write_em_on_shell_csv,
 )
 from .grids import SampledField, Space, load_field, make_grid, nudft, save_field
 from .oracle import quad_second_order, slow_dft
@@ -57,6 +61,8 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
+# What reading a malformed JSON value can raise.
+PARSE_ERRORS = (ValueError, TypeError, KeyError, AttributeError, OverflowError)
 
 
 @dataclass
@@ -132,7 +138,9 @@ def load_config(path, out=None, tol=None, seed=None):
 def validate(config):
     """Return the list of problems that make a config unrunnable.
 
-    An empty list means the config is runnable; nothing is raised.
+    An empty list means the config is runnable; nothing is raised.  The grid
+    and each sweep point's scatter config are built with the engine's own
+    constructors, whose ValueError texts become the diagnostics.
     """
     problems = []
     if config.mode not in MODES:
@@ -146,10 +154,11 @@ def validate(config):
             f"mode {config.mode} needs a {dim}-component grid "
             f"(extents has {len(config.extents)}, counts has {len(config.counts)})"
         )
-    if any(L <= 0 for L in config.extents):
-        problems.append("grid extents must be positive")
-    if any(n < 8 for n in config.counts):
-        problems.append("grid counts must be at least 8 per axis")
+    else:
+        try:
+            grid = make_grid(dim, config.extents, config.counts)
+        except ValueError as exc:
+            problems.append(f"grid: {exc}")
     if config.potential is None and not (
         config.mode == "em3d" and _has_material_entries(config)
     ):
@@ -159,96 +168,135 @@ def validate(config):
             f"potential axis u has {len(config.potential.u)} components, "
             f"mode {config.mode} needs {dim}"
         )
+    if config.mode == "em3d":
+        try:
+            _material_args(config)
+        except PARSE_ERRORS as exc:
+            problems.append(f"materials block: {exc!r}")
     if not config.k_sweep:
         problems.append("k sweep is empty")
-    if any(k <= 0 for k in config.k_sweep):
-        problems.append("k sweep values must be positive")
-    if config.epsilon is not None and not config.epsilon > 0:
-        problems.append("epsilon must be positive")
-    if not config.eps_cells > 0:
-        problems.append("eps_cells must be positive")
-    if config.n_orders is not None and config.n_orders < 1:
-        problems.append("n_orders must be at least 1")
+    if not all(0 < k < math.inf for k in config.k_sweep):
+        problems.append("k sweep values must be positive and finite")
+    if config.epsilon is not None and not _is_positive_number(config.epsilon):
+        problems.append("epsilon must be a positive finite number")
+    if not _is_positive_number(config.eps_cells):
+        problems.append("eps_cells must be a positive finite number")
+    if config.n_orders is not None and not (
+        _is_positive_number(config.n_orders) and isinstance(config.n_orders, int)
+    ):
+        problems.append("n_orders must be an integer of at least 1")
     if config.direction_count < 1:
         problems.append("direction_count must be at least 1")
     if not config.tol > 0:
         problems.append("tol must be positive")
+    if problems:
+        return problems
+    u, alpha = _support_axis(config)
+    for index, k in enumerate(config.k_sweep):
+        try:
+            _make_config(config, grid, k, u, alpha)
+        except ValueError as exc:
+            problems.append(f"k sweep point {index}: {exc}")
     return problems
+
+
+def _is_positive_number(value):
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and 0 < value < math.inf
+    )
 
 
 def _has_material_entries(config):
     block = config.materials
-    return bool(block) and bool(
+    return isinstance(block, dict) and bool(
         block.get("eps_entries") or block.get("mu_entries")
     )
 
 
-def _atomic_write_text(path, text):
+def _print_problems(problems):
+    """Report each problem on stderr; True when there was any."""
+    for p in problems:
+        print(f"config error: {p}", file=sys.stderr)
+    return bool(problems)
+
+
+def _atomic_write(path, write):
+    """Call write(tmp) on a temporary sibling of path, then move it into place."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write_text(path, text):
+    _atomic_write(path, lambda tmp: Path(tmp).write_text(text, newline=""))
 
 
 def _atomic_write_json(path, payload):
     _atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _atomic_csv(path, records, writer):
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    os.close(fd)
-    try:
-        writer(tmp, records)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _material_args(config):
+    """Keyword arguments for the material builder the materials block names.
+
+    With eps/mu entries: eps_entries and mu_entries for material_from_entries.
+    Otherwise: which and scale for material_from_scalar.  Raises on a block
+    that names no buildable medium.
+    """
+    block = config.materials or {}
+    if not isinstance(block, dict):
+        raise ValueError("materials must be a JSON object")
+    if not _has_material_entries(config):
+        which = block.get("which", "eps")
+        if which not in ("eps", "mu", "both"):
+            raise ValueError("which must be 'eps', 'mu' or 'both'")
+        scale = block.get("scale", 1.0)
+        if isinstance(scale, dict):
+            scale = complex(scale.get("re", 0.0), scale.get("im", 0.0))
+        scale = complex(scale)
+        if not cmath.isfinite(scale):
+            raise ValueError("materials scale must be finite")
+        return {"which": which, "scale": scale}
+    args = {}
+    for name in ("eps_entries", "mu_entries"):
+        args[name] = {}
+        for item in block.get(name) or ():
+            i, j = int(item["i"]), int(item["j"])
+            if not (0 <= i < 3 and 0 <= j < 3):
+                raise ValueError(f"tensor index {(i, j)} out of range")
+            spec = spec_from_dict(item["spec"])
+            if spec.dim != 3:
+                raise ValueError(f"{name} spec axis u must have 3 components")
+            args[name][(i, j)] = spec
+    return args
 
 
 def _build_materials(config, grid):
-    block = config.materials or {}
-    if _has_material_entries(config):
-        def read_entries(name):
-            entries = {}
-            for item in block.get(name) or ():
-                entries[(int(item["i"]), int(item["j"]))] = spec_from_dict(
-                    item["spec"]
-                )
-            return entries
-        return material_from_entries(
-            grid,
-            eps_entries=read_entries("eps_entries"),
-            mu_entries=read_entries("mu_entries"),
-        )
-    which = block.get("which", "eps")
-    scale_block = block.get("scale", 1.0)
-    if isinstance(scale_block, dict):
-        scale = complex(scale_block.get("re", 0.0), scale_block.get("im", 0.0))
-    else:
-        scale = complex(scale_block)
-    return material_from_scalar(config.potential, grid, which=which, scale=scale)
+    args = _material_args(config)
+    if "which" in args:
+        return material_from_scalar(config.potential, grid, **args)
+    return material_from_entries(grid, **args)
 
 
 def _support_axis(config):
     if config.potential is not None:
         return tuple(config.potential.u), float(config.potential.alpha_min)
-    block = config.materials
-    for name in ("eps_entries", "mu_entries"):
-        for item in block.get(name) or ():
-            spec = spec_from_dict(item["spec"])
-            return tuple(spec.u), float(spec.alpha)
+    args = _material_args(config)
+    for entries in args.values():
+        for spec in entries.values():
+            return tuple(spec.u), float(spec.alpha_min)
     raise ValueError("config carries no interaction to take u, alpha from")
 
 
-def _make_config(config, grid, k, u, alpha):
+def _make_config(config, grid, k, u, alpha, n_orders=None):
     return make_scatter_config(
         grid,
         k,
@@ -256,22 +304,18 @@ def _make_config(config, grid, k, u, alpha):
         alpha=alpha,
         epsilon=config.epsilon,
         eps_cells=config.eps_cells,
-        n_orders=config.n_orders,
+        n_orders=config.n_orders if n_orders is None else n_orders,
         direction_count=config.direction_count,
     )
 
 
-def _sweep_point_scalar(config, grid, v_field, k_req, u, alpha):
+def _sweep_point(config, grid, interaction, k_req, u, alpha):
+    """Report payload and shell records of one sweep point, in either mode."""
     cfg = _make_config(config, grid, k_req, u, alpha)
-    needed = cfg.exact_order + 1
-    if cfg.n_orders < needed:
+    if cfg.n_orders <= cfg.exact_order:
         cfg = _make_config(
-            RunConfig(**{**config.__dict__, "n_orders": needed}),
-            grid, k_req, u, alpha,
+            config, grid, k_req, u, alpha, n_orders=cfg.exact_order + 1
         )
-    series = born_series(cfg, v_field)
-    report = verify_exactness(cfg, series, tol=config.tol)
-    records = [on_shell_numerator(t, cfg) for t in series[1:]]
     payload = {
         "schema_version": SCHEMA_VERSION,
         "mode": config.mode,
@@ -282,55 +326,51 @@ def _sweep_point_scalar(config, grid, v_field, k_req, u, alpha):
         "n_orders": cfg.n_orders,
         "exact_order": cfg.exact_order,
         "thresholds": {"half_alpha": cfg.alpha / 2.0, "alpha": cfg.alpha},
-        "exactness": report.to_dict(),
     }
+    # engine functions are looked up at call time, so a wrapper placed on a
+    # module attribute (as perfbench's traced run does) sees every call
+    if config.mode == "em3d":
+        e0 = default_polarization(cfg.k_hat, cfg.u)
+        payload["polarization"] = [float(c) for c in e0]
+        series = em_born_series(cfg, interaction, e0=e0)
+        exactness, floor_check, band_check, shell = (
+            verify_em_exactness, verify_em_spectral_floor,
+            verify_em_order_bands, em_on_shell_numerator,
+        )
+    else:
+        series = born_series(cfg, interaction)
+        exactness, floor_check, band_check, shell = (
+            verify_exactness, verify_spectral_floor,
+            verify_order_bands, on_shell_numerator,
+        )
+    report = exactness(cfg, series, tol=config.tol)
+    records = [shell(t, cfg) for t in series[1:]]
+    payload["exactness"] = report.to_dict()
     passed = report.passed
     if config.spectral_checks:
-        floor = verify_spectral_floor(series, cfg.u, cfg.k, tol=config.tol)
-        bands = verify_order_bands(series, cfg.u, cfg.k, cfg.alpha, tol=config.tol)
+        floor = floor_check(series, cfg.u, cfg.k, tol=config.tol)
+        bands = band_check(series, cfg.u, cfg.k, cfg.alpha, tol=config.tol)
         payload["spectral_floor"] = floor.to_dict()
         payload["order_bands"] = bands.to_dict()
         passed = passed and floor.passed and bands.passed
     payload["pass"] = bool(passed)
-    return payload, records, write_on_shell_csv
+    return payload, records
 
 
-def _sweep_point_em(config, grid, materials, k_req, u, alpha):
-    cfg = _make_config(config, grid, k_req, u, alpha)
-    needed = cfg.exact_order + 1
-    if cfg.n_orders < needed:
-        cfg = _make_config(
-            RunConfig(**{**config.__dict__, "n_orders": needed}),
-            grid, k_req, u, alpha,
-        )
-    e0 = default_polarization(cfg.k_hat, cfg.u)
-    series = em_born_series(cfg, materials, e0=e0)
-    report = verify_em_exactness(cfg, series, tol=config.tol)
-    records = [em_on_shell_numerator(t, cfg) for t in series[1:]]
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "mode": config.mode,
-        "k_requested": k_req,
-        "k": cfg.k,
-        "alpha": cfg.alpha,
-        "epsilon": cfg.epsilon,
-        "n_orders": cfg.n_orders,
-        "exact_order": cfg.exact_order,
-        "thresholds": {"half_alpha": cfg.alpha / 2.0, "alpha": cfg.alpha},
-        "polarization": [float(c) for c in e0],
-        "exactness": report.to_dict(),
-    }
-    passed = report.passed
-    if config.spectral_checks:
-        floor = verify_em_spectral_floor(series, cfg.u, cfg.k, tol=config.tol)
-        bands = verify_em_order_bands(
-            series, cfg.u, cfg.k, cfg.alpha, tol=config.tol
-        )
-        payload["spectral_floor"] = floor.to_dict()
-        payload["order_bands"] = bands.to_dict()
-        passed = passed and floor.passed and bands.passed
-    payload["pass"] = bool(passed)
-    return payload, records, write_em_on_shell_csv
+def _sweep(config, grid, interaction, u, alpha):
+    """(payload, records) for every sweep point; None when one diverged."""
+    points = []
+    for index, k_req in enumerate(config.k_sweep):
+        try:
+            points.append(_sweep_point(config, grid, interaction, k_req, u, alpha))
+        except DivergenceError as exc:
+            print(
+                f"sweep point {index} (k_requested = {k_req:g}) diverged "
+                f"at order {exc.order}",
+                file=sys.stderr,
+            )
+            return None
+    return points
 
 
 def _summary_lines(config, alpha, rows):
@@ -355,41 +395,29 @@ def _summary_lines(config, alpha, rows):
 
 def run(config):
     """Run the full sweep; emit CSV / JSON artifacts and a summary table."""
-    problems = validate(config)
-    if problems:
-        for p in problems:
-            print(f"config error: {p}", file=sys.stderr)
+    if _print_problems(validate(config)):
         return EXIT_CONFIG
-    outdir = Path(config.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     dim = MODE_DIM[config.mode]
     grid = make_grid(dim, config.extents, config.counts)
     u, alpha = _support_axis(config)
     if config.mode == "em3d":
-        interaction = _build_materials(config, grid)
-        point = _sweep_point_em
+        interaction, prefixes = _build_materials(config, grid), EM_VALUE_PREFIXES
     else:
-        interaction = sample_potential(config.potential, grid)
-        point = _sweep_point_scalar
-    rows = []
-    ok = True
-    for index, k_req in enumerate(config.k_sweep):
-        try:
-            payload, records, csv_writer = point(
-                config, grid, interaction, k_req, u, alpha
-            )
-        except DivergenceError as exc:
-            print(
-                f"sweep point {index} (k_requested = {k_req:g}) diverged "
-                f"at order {exc.order}",
-                file=sys.stderr,
-            )
-            return EXIT_DIVERGENCE
+        interaction, prefixes = sample_potential(config.potential, grid), ("",)
+    points = _sweep(config, grid, interaction, u, alpha)
+    if points is None:
+        return EXIT_DIVERGENCE
+    outdir = Path(config.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for index, (payload, records) in enumerate(points):
         stem = f"point_{index:02d}"
-        _atomic_csv(outdir / f"{stem}_on_shell.csv", records, csv_writer)
+        _atomic_write(
+            outdir / f"{stem}_on_shell.csv",
+            lambda tmp: write_on_shell_csv(tmp, records, prefixes),
+        )
         _atomic_write_json(outdir / f"{stem}_report.json", payload)
-        rows.append(payload)
-        ok = ok and payload["pass"]
+    rows = [payload for payload, _ in points]
+    ok = all(row["pass"] for row in rows)
     lines = _summary_lines(config, alpha, rows)
     _atomic_write_text(outdir / "summary.txt", "\n".join(lines) + "\n")
     _atomic_write_json(
@@ -425,25 +453,14 @@ def make_potential(config):
     ]
     if config.potential is None:
         problems.append("make-potential needs a potential spec")
-    if problems:
-        for p in sorted(set(problems)):
-            print(f"config error: {p}", file=sys.stderr)
+    if _print_problems(sorted(set(problems))):
         return EXIT_CONFIG
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
     dim = MODE_DIM[config.mode]
     grid = make_grid(dim, config.extents, config.counts)
     sampled = sample_potential(config.potential, grid)
-    field_path = outdir / "potential.field"
-    fd, tmp = tempfile.mkstemp(dir=outdir, prefix="potential.field.")
-    os.close(fd)
-    try:
-        save_field(tmp, sampled)
-        os.replace(tmp, field_path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(outdir / "potential.field", lambda tmp: save_field(tmp, sampled))
     report = verify_support(config.potential, grid=grid, tol=config.tol)
     _atomic_write_json(
         outdir / "support_report.json",
@@ -463,11 +480,20 @@ def make_potential(config):
 
 
 def verify(config):
-    """Re-run verification reports from a stored field, no resampling."""
+    """Re-run verification reports from a stored field, no resampling.
+
+    For em3d the medium is rebuilt as delta-eps = v * I from the stored
+    field, so any materials block naming another medium is rejected.
+    """
     problems = validate(config)
-    if problems:
-        for p in problems:
-            print(f"config error: {p}", file=sys.stderr)
+    if not problems and config.mode == "em3d" and _material_args(config) != {
+        "which": "eps", "scale": 1,
+    }:
+        problems.append(
+            "verify rebuilds the em3d medium as delta-eps = v * I from the "
+            f"stored field and cannot check materials {config.materials!r}"
+        )
+    if _print_problems(problems):
         return EXIT_CONFIG
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -475,16 +501,22 @@ def verify(config):
     if not field_path.exists():
         print(f"config error: no stored field at {field_path}", file=sys.stderr)
         return EXIT_CONFIG
-    sampled = load_field(field_path)
-    if sampled.grid.dim != MODE_DIM[config.mode]:
+    try:
+        sampled = load_field(field_path)
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"config error: cannot read {field_path}: {exc!r}", file=sys.stderr)
+        return EXIT_CONFIG
+    grid = make_grid(MODE_DIM[config.mode], config.extents, config.counts)
+    if sampled.grid != grid:
         print(
-            f"config error: stored field is {sampled.grid.dim}D, "
-            f"mode {config.mode} needs {MODE_DIM[config.mode]}D",
+            f"config error: stored field grid {sampled.grid} differs from "
+            f"the config grid {grid}",
             file=sys.stderr,
         )
         return EXIT_CONFIG
     u, alpha = _support_axis(config)
     support = verify_support(sampled, u=u, alpha=alpha, tol=config.tol)
+    interaction = sampled
     if config.mode == "em3d":
         eye = np.eye(3)[(...,) + (np.newaxis,) * sampled.grid.dim]
         interaction = MaterialTensors(
@@ -492,26 +524,11 @@ def verify(config):
             eye * sampled.values[np.newaxis, np.newaxis],
             np.zeros((3, 3) + sampled.grid.shape),
         )
-        point = _sweep_point_em
-    else:
-        interaction = sampled
-        point = _sweep_point_scalar
-    rows = []
-    ok = support.passed
-    for index, k_req in enumerate(config.k_sweep):
-        try:
-            payload, _, _ = point(
-                config, sampled.grid, interaction, k_req, u, alpha
-            )
-        except DivergenceError as exc:
-            print(
-                f"sweep point {index} (k_requested = {k_req:g}) diverged "
-                f"at order {exc.order}",
-                file=sys.stderr,
-            )
-            return EXIT_DIVERGENCE
-        rows.append(payload)
-        ok = ok and payload["pass"]
+    points = _sweep(config, grid, interaction, u, alpha)
+    if points is None:
+        return EXIT_DIVERGENCE
+    rows = [payload for payload, _ in points]
+    ok = support.passed and all(row["pass"] for row in rows)
     _atomic_write_json(
         outdir / "verify_report.json",
         {
@@ -532,15 +549,24 @@ def verify(config):
 def oracle_check(config, quad_tol=None):
     """Cross-check the pipeline against literal-sum oracles on an 8^d grid."""
     problems = [p for p in validate(config) if "grid" not in p and "sweep" not in p]
-    if problems:
-        for p in problems:
-            print(f"config error: {p}", file=sys.stderr)
+    if config.potential is None:
+        problems.append("oracle mode needs a potential spec")
+    if _print_problems(problems):
+        return EXIT_CONFIG
+    dim = MODE_DIM[config.mode]
+    grid = make_grid(dim, (8.0,) * dim, (8,) * dim)
+    u, alpha = _support_axis(config)
+    try:
+        cfg = make_scatter_config(
+            grid, 0.8 * alpha, u=u, alpha=alpha, eps_cells=config.eps_cells,
+            n_orders=2, direction_count=8,
+        )
+    except ValueError as exc:
+        _print_problems([f"oracle grid {grid.counts}: {exc}"])
         return EXIT_CONFIG
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    dim = MODE_DIM[config.mode]
     quad_tol = 1e-8 if quad_tol is None else float(quad_tol)
-    grid = make_grid(dim, (8.0,) * dim, (8,) * dim)
     rng = np.random.default_rng(config.seed)
     # literal-DFT check on a random field
     noise = SampledField(
@@ -554,20 +580,7 @@ def oracle_check(config, quad_tol=None):
         / np.max(np.abs(nudft(noise, points)))
     )
     # order-2 check against the nested-quadrature oracle
-    u, alpha = _support_axis(config)
-    k = 0.8 * alpha
-    cfg = make_scatter_config(
-        grid, k, u=u, alpha=alpha, eps_cells=config.eps_cells,
-        n_orders=2, direction_count=8,
-    )
-    if config.potential is not None and len(config.potential.u) == dim:
-        spec = config.potential
-    else:
-        spec = None
-    if spec is None:
-        print("config error: oracle mode needs a potential spec", file=sys.stderr)
-        return EXIT_CONFIG
-    v_field = sample_potential(spec, grid)
+    v_field = sample_potential(config.potential, grid)
     series = born_series(cfg, v_field)
     nodes = np.stack(
         [
@@ -644,7 +657,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config, out=args.out, tol=args.tol, seed=args.seed)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, *PARSE_ERRORS) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.command == "run":

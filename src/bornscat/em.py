@@ -13,10 +13,17 @@ multiplies by the same regularized propagator as the scalar engine, and
 transforms back.  Interactions whose tensor entries all have spectra in the
 half-space u.p >= alpha obey the same shell-vanishing structure as scalar
 ones, which verify_em_exactness certifies order by order.
+
+This module holds only the EM physics: the six-field, the material tensors,
+their product, the momentum kernel, the incident six-vector and the kernel
+at shell points.  Iteration, propagation, the divergence guard, the
+verification reports and the CSV writer are bornscat.scalar's; the public
+step, series, verify and CSV names below are entry points into them.
 """
 
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -25,21 +32,21 @@ from .grids import (
     SampledField,
     Space,
     fft_values,
-    ifft_values,
     nudft_values,
     plane_wave,
     transverse_basis,
 )
 from .potentials import BOUNDARY_WARN_RATIO, sample_potential, verify_support
 from .scalar import (
-    DIVERGENCE_RATIO,
-    DivergenceError,
-    ExactnessReport,
-    ShellCheck,
-    VerificationReport,
-    _band_check,
-    exactness_order,
-    green_factor,
+    BornTerm,
+    OnShellRecord,
+    born_orders,
+    propagate,
+    shell_record,
+    verify_exactness,
+    verify_order_bands,
+    verify_spectral_floor,
+    write_on_shell_csv,
 )
 
 __all__ = [
@@ -63,7 +70,17 @@ __all__ = [
     "verify_em_order_bands",
     "em_divergence_diagnostic",
     "write_em_on_shell_csv",
+    "EM_VALUE_PREFIXES",
 ]
+
+# CSV value-column prefixes of the six components, E over H.
+EM_VALUE_PREFIXES = tuple(
+    f"{block}_{axis}_" for block in ("e", "h") for axis in ("x", "y", "z")
+)
+
+# One term and one record type serve both engines.
+EMBornTerm = BornTerm
+EMOnShellRecord = OnShellRecord
 
 
 @dataclass
@@ -278,26 +295,6 @@ def em_kernel_apply(w, k):
     return SixField(grid, out, Space.MOMENTUM)
 
 
-@dataclass
-class EMBornTerm:
-    """One order of the six-component series; layout mirrors BornTerm."""
-
-    order: int
-    field: SixField
-    source: SixField = None
-    numerator: SixField = None
-
-    def __post_init__(self):
-        if self.field.space is not Space.POSITION:
-            raise ValueError("term field must be position-space")
-        if (self.source is None) != (self.numerator is None):
-            raise ValueError("source and numerator must be set together")
-        if self.order == 0 and self.source is not None:
-            raise ValueError("order 0 carries no source")
-        if self.order >= 1 and self.source is None:
-            raise ValueError("orders >= 1 need source and numerator")
-
-
 def em_incident_term(config, psi0):
     """Order-0 term psi0 * exp(i k.x) for a six-vector amplitude psi0."""
     psi0 = np.asarray(psi0, dtype=complex)
@@ -305,7 +302,7 @@ def em_incident_term(config, psi0):
         raise ValueError("incident amplitude must be a six-vector")
     wave = plane_wave(config.grid, config.k_vec)
     values = psi0.reshape((6,) + (1,) * config.grid.dim) * wave
-    return EMBornTerm(order=0, field=SixField(config.grid, values, Space.POSITION))
+    return BornTerm(order=0, field=SixField(config.grid, values, Space.POSITION))
 
 
 def em_born_step(prev, materials, config, reference_scale=None):
@@ -316,12 +313,8 @@ def em_born_step(prev, materials, config, reference_scale=None):
     source = apply_material(materials, prev.field)
     w = SixField(grid, fft_values(source.values, grid), Space.MOMENTUM)
     numerator = em_kernel_apply(w, config.k)
-    propagator = green_factor(grid.momentum_sq, config.k, config.epsilon)
-    field_values = ifft_values(propagator * numerator.values, grid)
-    magnitude = float(np.max(np.abs(field_values)))
-    if reference_scale is not None and magnitude > DIVERGENCE_RATIO * reference_scale:
-        raise DivergenceError(prev.order + 1, magnitude, reference_scale)
-    return EMBornTerm(
+    field_values = propagate(numerator.values, config, prev.order + 1, reference_scale)
+    return BornTerm(
         order=prev.order + 1,
         field=SixField(grid, field_values, Space.POSITION),
         source=source,
@@ -337,33 +330,9 @@ def em_born_series(config, materials, e0=None):
     """
     if e0 is None:
         e0 = default_polarization(config.k_hat, config.u)
-    psi0 = incident_six_field(e0, config.k_hat)
-    terms = [em_incident_term(config, psi0)]
-    reference = None
-    for _ in range(config.n_orders):
-        term = em_born_step(terms[-1], materials, config, reference_scale=reference)
-        if term.order == 1:
-            reference = term.field.max_abs()
-        terms.append(term)
-    return terms
-
-
-@dataclass
-class EMOnShellRecord:
-    """Shell samples of one order's six-component numerator."""
-
-    order: int
-    k: float
-    directions: np.ndarray
-    values: np.ndarray  # (count, 6)
-
-    @property
-    def norms(self):
-        return np.linalg.norm(self.values, axis=1)
-
-    @property
-    def max_norm(self):
-        return float(np.max(self.norms))
+    first = em_incident_term(config, incident_six_field(e0, config.k_hat))
+    orders = born_orders(first, em_born_step, materials, config)
+    return list(islice(orders, config.n_orders + 1))
 
 
 def em_on_shell_numerator(term, config, directions=None):
@@ -371,40 +340,24 @@ def em_on_shell_numerator(term, config, directions=None):
 
     The stored source is the position-space tensor product; its direct
     transform at the shell points is multiplied by the same pointwise kernel
-    as on the grid, evaluated at each shell momentum.
+    as on the grid, evaluated at each shell momentum.  Values have shape
+    (count, 6).
     """
-    if term.order < 1 or term.source is None:
-        raise ValueError("on-shell evaluation needs a term of order >= 1")
-    dirs = config.directions if directions is None else directions
-    if abs(dirs.k - config.k) > 1e-9 * config.k:
-        raise ValueError("direction set wavenumber disagrees with config k")
-    points = dirs.momenta
-    w = np.stack(
-        [
-            nudft_values(term.source.values[c], config.grid, points)
-            for c in range(6)
-        ],
-        axis=1,
-    )  # (count, 6)
     k = config.k
-    values = np.empty_like(w)
-    for s, p in enumerate(points):
-        w_e, w_h = w[s, :3], w[s, 3:]
-        values[s, :3] = -k * k * w_e + p * (p @ w_e) + k * np.cross(p, w_h)
-        values[s, 3:] = -k * k * w_h + p * (p @ w_h) - k * np.cross(p, w_e)
-    return EMOnShellRecord(
-        order=term.order,
-        k=dirs.k,
-        directions=np.array(dirs.unit_vectors, copy=True),
-        values=values,
-    )
 
+    def kernel_at_points(source, points):
+        w = np.stack(
+            [nudft_values(source.values[c], config.grid, points) for c in range(6)],
+            axis=1,
+        )
+        values = np.empty_like(w)
+        for s, p in enumerate(points):
+            w_e, w_h = w[s, :3], w[s, 3:]
+            values[s, :3] = -k * k * w_e + p * (p @ w_e) + k * np.cross(p, w_h)
+            values[s, 3:] = -k * k * w_h + p * (p @ w_h) - k * np.cross(p, w_e)
+        return values
 
-def _em_numerator_terms(series):
-    terms = [t for t in series if t.order >= 1]
-    if not terms:
-        raise ValueError("series holds no terms beyond the incident wave")
-    return terms
+    return shell_record(term, config, directions, kernel_at_points)
 
 
 def verify_em_exactness(config, series_or_materials, tol=1e-2, e0=None, directions=None):
@@ -414,76 +367,22 @@ def verify_em_exactness(config, series_or_materials, tol=1e-2, e0=None, directio
     with the max node norm of the same order's numerator on the momentum
     grid; orders above floor(2k/alpha) must vanish.
     """
-    if isinstance(series_or_materials, MaterialTensors):
-        series = em_born_series(config, series_or_materials, e0=e0)
-    else:
-        series = list(series_or_materials)
-    n_exact = config.exact_order
-    if series[-1].order < n_exact + 1:
-        raise ValueError(
-            f"series reaches order {series[-1].order} but testing exactness at "
-            f"N = {n_exact} needs at least order {n_exact + 1}"
-        )
-    shell_label = f"|p| = {config.k:.6g}"
-    checks = []
-    records = []
-    for term in _em_numerator_terms(series):
-        record = em_on_shell_numerator(term, config, directions=directions)
-        records.append(record)
-        checks.append(
-            ShellCheck(
-                order=term.order,
-                shell=shell_label,
-                on_shell_max=record.max_norm,
-                reference_max=float(np.max(term.numerator.node_norms())),
-                must_vanish=term.order > n_exact,
-            )
-        )
-    return ExactnessReport(
-        k=config.k,
-        alpha=config.alpha,
-        exact_order=n_exact,
-        tol=float(tol),
-        checks=tuple(checks),
-        records=tuple(records),
+    series = series_or_materials
+    if isinstance(series, MaterialTensors):
+        series = em_born_series(config, series, e0=e0)
+    return verify_exactness(
+        config, series, tol, directions, shell=em_on_shell_numerator
     )
 
 
 def verify_em_spectral_floor(series, u, k, tol=1e-2):
     """Six-component version of the u.p < -k floor check."""
-    checks = []
-    for term in _em_numerator_terms(series):
-        grid = term.numerator.grid
-        p_par = grid.momentum_parallel(u)
-        checks.append(
-            _band_check(
-                term.numerator.node_norms(),
-                p_par < -k,
-                term.order,
-                f"u.p < {-k:.6g}",
-            )
-        )
-    return VerificationReport("em-spectral-floor", float(tol), tuple(checks))
+    return verify_spectral_floor(series, u, k, tol, name="em-spectral-floor")
 
 
 def verify_em_order_bands(series, u, k, alpha, tol=1e-2):
     """Six-component version of the per-order band check."""
-    n_exact = exactness_order(k, alpha)
-    checks = []
-    for term in _em_numerator_terms(series):
-        grid = term.numerator.grid
-        p_par = grid.momentum_parallel(u)
-        upper = k - (n_exact - term.order + 1) * alpha
-        mask = (p_par >= -k) & (p_par <= upper)
-        checks.append(
-            _band_check(
-                term.numerator.node_norms(),
-                mask,
-                term.order,
-                f"{-k:.6g} <= u.p <= {upper:.6g}",
-            )
-        )
-    return VerificationReport("em-order-bands", float(tol), tuple(checks))
+    return verify_order_bands(series, u, k, alpha, tol, name="em-order-bands")
 
 
 def em_divergence_diagnostic(materials, six):
@@ -514,20 +413,4 @@ def em_divergence_diagnostic(materials, six):
 
 def write_em_on_shell_csv(path, records):
     """CSV rows: order, direction components, then re/im for all six components."""
-    import csv
-
-    records = list(records)
-    if not records:
-        raise ValueError("no records to write")
-    value_names = []
-    for comp in ("e_x", "e_y", "e_z", "h_x", "h_y", "h_z"):
-        value_names += [f"{comp}_re", f"{comp}_im"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["order", "dir_x", "dir_y", "dir_z", *value_names])
-        for record in records:
-            for direction, six in zip(record.directions, record.values):
-                row = [record.order] + [repr(float(c)) for c in direction]
-                for value in six:
-                    row += [repr(float(value.real)), repr(float(value.imag))]
-                writer.writerow(row)
+    write_on_shell_csv(path, records, EM_VALUE_PREFIXES)

@@ -199,6 +199,10 @@ class SampledField:
     def max_abs(self):
         return float(np.max(np.abs(self.values)))
 
+    def node_norms(self):
+        """Magnitude at every node (the one-component case of SixField's)."""
+        return np.abs(self.values)
+
 
 def fft_values(values, grid):
     """Continuum-normalized forward transform of raw values (trailing grid axes)."""

@@ -9,11 +9,18 @@ shell spectra.  Size caps keep the quadratic costs at toy scale.
 import time
 import warnings
 from dataclasses import dataclass, field as dataclass_field
+from itertools import islice
 
 import numpy as np
 
 from .grids import DirectionSet, SampledField, Space, plane_wave
-from .scalar import DivergenceError, born_step, green_factor, incident_term
+from .scalar import (
+    DivergenceError,
+    born_orders,
+    born_step,
+    green_factor,
+    incident_term,
+)
 
 __all__ = [
     "QUAD_MAX_NODES_PER_AXIS",
@@ -145,11 +152,9 @@ def em_quad_second_order(materials, k_vec, psi0, points, eps):
     """Six-component analog of quad_second_order.
 
     Entry transforms of both tensors are evaluated by slow_dft (cached per
-    distinct entry array); the momentum kernel is applied as an explicit
-    6x6 matrix at each node.
+    tensor entry and point set); the momentum kernel is applied as an
+    explicit 6x6 matrix at each node.
     """
-    from .em import SixField  # local import keeps module layering acyclic
-
     grid = materials.grid
     _check_quad_grid(grid)
     k_vec = np.asarray(k_vec, dtype=float)
@@ -167,25 +172,24 @@ def em_quad_second_order(materials, k_vec, psi0, points, eps):
 
     cache = {}
 
-    def entry_transform(entry, pts):
-        key = id(entry)
+    def entry_transform(tensor, i, j, pts):
+        # keyed on the tensor (alive for the whole call) and the entry index:
+        # the view tensor[i, j] is temporary, so its id can be reused
+        key = (id(tensor), i, j, pts.tobytes())
         if key not in cache:
-            cache[key] = {}
-        stored = cache[key]
-        tag = pts.tobytes()
-        if tag not in stored:
-            stored[tag] = slow_dft(SampledField(grid, entry, Space.POSITION), pts)
-        return stored[tag]
+            cache[key] = slow_dft(
+                SampledField(grid, tensor[i, j], Space.POSITION), pts
+            )
+        return cache[key]
 
     def tensor_product(tensor, pts, vec3):
         """(transform of tensor at pts) . vec3 -> (P, 3), skipping zero entries."""
         out = np.zeros((pts.shape[0], 3), dtype=complex)
         for i in range(3):
             for j in range(3):
-                entry = tensor[i, j]
-                if not np.any(entry):
+                if not np.any(tensor[i, j]):
                     continue
-                out[:, i] += entry_transform(entry, pts) * vec3[j]
+                out[:, i] += entry_transform(tensor, i, j, pts) * vec3[j]
         return out
 
     def kernel_matrix(p):
@@ -217,10 +221,9 @@ def em_quad_second_order(materials, k_vec, psi0, points, eps):
             weighted = g_q[:, None] * m1[:, block : block + 3]
             for i in range(3):
                 for j in range(3):
-                    entry = tensor[i, j]
-                    if not np.any(entry):
+                    if not np.any(tensor[i, j]):
                         continue
-                    v_out = entry_transform(entry, p - q_nodes)
+                    v_out = entry_transform(tensor, i, j, p - q_nodes)
                     w2[block + i] += norm * np.sum(v_out * weighted[:, j])
         value = green_factor(float(p @ p), k, eps) * (kernel_matrix(p) @ w2)
         results.append(
@@ -270,27 +273,23 @@ def converged_solution(config, v_field, series_tol=1e-8, order_cap=32):
         raise ValueError("series_tol must be positive")
     if order_cap < 1:
         raise ValueError("order_cap must be at least 1")
-    term = incident_term(config)
-    total = np.array(term.field.values, copy=True)
+    orders = born_orders(incident_term(config), born_step, v_field, config)
+    total = np.array(next(orders).field.values, copy=True)
     increments = []
-    reference = None
-    for _ in range(order_cap):
-        try:
-            term = born_step(term, v_field, config, reference_scale=reference)
-        except DivergenceError as err:
-            raise SeriesConvergenceError(term.order + 1, err.magnitude) from err
-        if term.order == 1:
-            reference = term.field.max_abs()
-        total += term.field.values
-        increment = term.field.max_abs()
-        increments.append(increment)
-        if increment < series_tol:
-            return ConvergedSolution(
-                field=SampledField(config.grid, total, Space.POSITION),
-                order=term.order - 1,
-                last_increment=increment,
-                increments=tuple(increments),
-            )
+    try:
+        for term in islice(orders, order_cap):
+            total += term.field.values
+            increment = term.field.max_abs()
+            increments.append(increment)
+            if increment < series_tol:
+                return ConvergedSolution(
+                    field=SampledField(config.grid, total, Space.POSITION),
+                    order=term.order - 1,
+                    last_increment=increment,
+                    increments=tuple(increments),
+                )
+    except DivergenceError as err:
+        raise SeriesConvergenceError(err.order, err.magnitude) from err
     raise SeriesConvergenceError(order_cap, increments[-1])
 
 

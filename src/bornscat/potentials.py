@@ -17,6 +17,7 @@ so V(p) = 0 whenever u.p < alpha, which is the property everything
 downstream relies on.  In 2D the z factor is simply dropped.
 """
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -84,16 +85,20 @@ class PotentialSpec:
         if self.m != int(self.m) or self.m < 1:
             raise ValueError("m must be an integer >= 1")
         object.__setattr__(self, "m", int(self.m))
-        if not self.ell_y > 0:
+        if not (self.ell_y > 0 and math.isfinite(self.ell_y)):
             raise ValueError("ell_y must be positive")
-        if self.dim == 3 and not self.ell_z > 0:
+        if self.dim == 3 and not (self.ell_z > 0 and math.isfinite(self.ell_z)):
             raise ValueError("ell_z must be positive for a 3D potential")
         center = self.center if self.center else (0.0,) * self.dim
         center = tuple(float(c) for c in center)
         if len(center) != self.dim:
             raise ValueError("center must match the dimension of u")
+        if not all(math.isfinite(c) for c in center):
+            raise ValueError("center must be finite")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "coupling", complex(self.coupling))
+        if not cmath.isfinite(self.coupling):
+            raise ValueError("coupling must be finite")
 
     @property
     def dim(self):

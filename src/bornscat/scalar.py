@@ -17,11 +17,19 @@ certify, as scale-free ratio tests, that interactions whose spectrum lives
 in the half-space u.p >= alpha produce Born terms whose spectra stay out of
 prescribed momentum regions, and that on-shell contributions vanish for all
 orders above floor(2k/alpha).
+
+This is the one engine for every wave type: the order iterator, the
+propagate-and-guard tail, the term and record types, the verification
+reports and the CSV writer serve scalar fields and the six-component EM
+fields of bornscat.em alike.  A field type only has to provide max_abs() and
+node_norms(); the EM module supplies its material product, kernel and shell
+evaluation and reuses everything else.
 """
 
 import csv
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -32,7 +40,6 @@ from .grids import (
     Space,
     fft_values,
     ifft_values,
-    inverse_ft,
     nudft,
     plane_wave,
     snap_to_momentum_lattice,
@@ -54,7 +61,10 @@ __all__ = [
     "make_scatter_config",
     "incident_term",
     "born_step",
+    "born_orders",
     "born_series",
+    "propagate",
+    "shell_record",
     "on_shell_numerator",
     "amplitude_factor",
     "amplitude_contribution",
@@ -77,9 +87,12 @@ class DivergenceError(RuntimeError):
         self.order = order
         self.magnitude = magnitude
         self.reference = reference
-        super().__init__(
-            f"series diverged at order {order}: max |term| = {magnitude:.3e} "
+        bound = (
+            "is not finite" if not math.isfinite(magnitude) else
             f"exceeds {DIVERGENCE_RATIO:.0e} x first-order scale {reference:.3e}"
+        )
+        super().__init__(
+            f"series diverged at order {order}: max |term| = {magnitude:.3e} {bound}"
         )
 
 
@@ -124,8 +137,8 @@ class ScatterConfig:
     def __post_init__(self):
         if not self.k > 0:
             raise ValueError("k must be positive (wave vector snapped to zero?)")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if self.k >= min(self.grid.nyquist):
             raise ValueError(
                 f"k = {self.k:.4g} must lie below the momentum band edge "
@@ -220,7 +233,8 @@ class BornTerm:
 
     field is B_n(x).  For n >= 1, source is v * B_{n-1} in position space and
     numerator is its transform M_n(p); both are None at order 0, where the
-    term is the bare incident wave.
+    term is the bare incident wave.  The fields are SampledFields for scalar
+    waves and SixFields for EM waves.
     """
 
     order: int
@@ -246,6 +260,24 @@ def incident_term(config):
     return BornTerm(order=0, field=SampledField(config.grid, values, Space.POSITION))
 
 
+def propagate(numerator_values, config, order, reference_scale=None):
+    """Position values of order `order`: inverse transform of G(p) * M_n(p).
+
+    numerator_values may carry leading component axes.  reference_scale,
+    when given, is the first-order max magnitude used by the divergence
+    guard; a non-finite field counts as divergent at any order.
+    """
+    grid = config.grid
+    propagator = green_factor(grid.momentum_sq, config.k, config.epsilon)
+    field_values = ifft_values(propagator * numerator_values, grid)
+    magnitude = float(np.max(np.abs(field_values)))
+    if not math.isfinite(magnitude) or (
+        reference_scale is not None and magnitude > DIVERGENCE_RATIO * reference_scale
+    ):
+        raise DivergenceError(order, magnitude, reference_scale)
+    return field_values
+
+
 def born_step(prev, v_field, config, reference_scale=None):
     """Advance the series by one order.
 
@@ -259,11 +291,7 @@ def born_step(prev, v_field, config, reference_scale=None):
         raise ValueError("term, interaction and config must share one grid")
     source_values = v_field.values * prev.field.values
     numerator_values = fft_values(source_values, grid)
-    propagated = green_factor(grid.momentum_sq, config.k, config.epsilon)
-    field_values = ifft_values(propagated * numerator_values, grid)
-    magnitude = float(np.max(np.abs(field_values)))
-    if reference_scale is not None and magnitude > DIVERGENCE_RATIO * reference_scale:
-        raise DivergenceError(prev.order + 1, magnitude, reference_scale)
+    field_values = propagate(numerator_values, config, prev.order + 1, reference_scale)
     return BornTerm(
         order=prev.order + 1,
         field=SampledField(grid, field_values, Space.POSITION),
@@ -272,21 +300,35 @@ def born_step(prev, v_field, config, reference_scale=None):
     )
 
 
-def born_series(config, v_field):
-    """Terms of orders 0..n_orders for the sampled interaction v_field."""
-    terms = [incident_term(config)]
-    reference = None
-    for _ in range(config.n_orders):
-        term = born_step(terms[-1], v_field, config, reference_scale=reference)
+def born_orders(first, step, *args):
+    """The term `first`, then every later order, without end.
+
+    step(prev, *args, reference_scale=...) advances one order.  Only the
+    latest term is kept alive here.  The iterator owns the divergence
+    reference: the max magnitude of the order-1 field.
+    """
+    term, reference = first, None
+    yield term
+    while True:
+        term = step(term, *args, reference_scale=reference)
         if term.order == 1:
             reference = term.field.max_abs()
-        terms.append(term)
-    return terms
+        yield term
+
+
+def born_series(config, v_field):
+    """Terms of orders 0..n_orders for the sampled interaction v_field."""
+    orders = born_orders(incident_term(config), born_step, v_field, config)
+    return list(islice(orders, config.n_orders + 1))
 
 
 @dataclass
 class OnShellRecord:
-    """Shell samples M_n(k * direction) of one order's numerator."""
+    """Shell samples M_n(k * direction) of one order's numerator.
+
+    values holds one number per direction for scalar waves and one row of
+    components per direction, shape (count, 6), for EM waves.
+    """
 
     order: int
     k: float
@@ -294,8 +336,35 @@ class OnShellRecord:
     values: np.ndarray
 
     @property
+    def norms(self):
+        if self.values.ndim == 1:
+            return np.abs(self.values)
+        return np.linalg.norm(self.values, axis=1)
+
+    @property
     def max_abs(self):
-        return float(np.max(np.abs(self.values)))
+        return float(np.max(self.norms))
+
+    max_norm = max_abs
+
+
+def shell_record(term, config, directions, evaluate):
+    """Shell record of evaluate(term.source, momenta) on the direction set.
+
+    directions defaults to config.directions; evaluate maps the stored
+    position-space source to the order's numerator at the shell momenta.
+    """
+    if term.order < 1 or term.source is None:
+        raise ValueError("on-shell evaluation needs a term of order >= 1")
+    dirs = config.directions if directions is None else directions
+    if abs(dirs.k - config.k) > 1e-9 * config.k:
+        raise ValueError("direction set wavenumber disagrees with config k")
+    return OnShellRecord(
+        order=term.order,
+        k=dirs.k,
+        directions=np.array(dirs.unit_vectors, copy=True),
+        values=evaluate(term.source, dirs.momenta),
+    )
 
 
 def on_shell_numerator(term, config, directions=None):
@@ -304,18 +373,7 @@ def on_shell_numerator(term, config, directions=None):
     Uses the exact direct Fourier sum of the stored position-space source, so
     no interpolation touches the values.
     """
-    if term.order < 1 or term.source is None:
-        raise ValueError("on-shell evaluation needs a term of order >= 1")
-    dirs = config.directions if directions is None else directions
-    if abs(dirs.k - config.k) > 1e-9 * config.k:
-        raise ValueError("direction set wavenumber disagrees with config k")
-    values = nudft(term.source, dirs.momenta)
-    return OnShellRecord(
-        order=term.order,
-        k=dirs.k,
-        directions=np.array(dirs.unit_vectors, copy=True),
-        values=values,
-    )
+    return shell_record(term, config, directions, nudft)
 
 
 def amplitude_factor(dim, k):
@@ -416,31 +474,29 @@ def _numerator_terms(series):
     return terms
 
 
-def verify_spectral_floor(series, u, k, tol=1e-3):
+def verify_spectral_floor(series, u, k, tol=1e-3, name="spectral-floor"):
     """Check that every order's spectrum avoids the floor u.p < -k.
 
     Interactions supported in u.p >= alpha with alpha > 0 can only push
     spectral weight toward larger u.p, so no order reaches below -k (the
     lowest component of the incident wave).  Each check compares the max
-    magnitude below the floor with the order's global max.
+    node magnitude below the floor with the order's global max.
     """
     checks = []
     for term in _numerator_terms(series):
-        grid = term.numerator.grid
-        p_par = grid.momentum_parallel(u)
-        mask = p_par < -k
+        p_par = term.numerator.grid.momentum_parallel(u)
         checks.append(
             _band_check(
-                np.abs(term.numerator.values),
-                mask,
+                term.numerator.node_norms(),
+                p_par < -k,
                 term.order,
                 f"u.p < {-k:.6g}",
             )
         )
-    return VerificationReport("spectral-floor", float(tol), tuple(checks))
+    return VerificationReport(name, float(tol), tuple(checks))
 
 
-def verify_order_bands(series, u, k, alpha, tol=1e-3):
+def verify_order_bands(series, u, k, alpha, tol=1e-3, name="order-bands"):
     """Check the per-order forbidden bands around the shell.
 
     With N = floor(2k/alpha), the order-m spectrum must vanish on
@@ -451,19 +507,18 @@ def verify_order_bands(series, u, k, alpha, tol=1e-3):
     n_exact = exactness_order(k, alpha)
     checks = []
     for term in _numerator_terms(series):
-        grid = term.numerator.grid
-        p_par = grid.momentum_parallel(u)
+        p_par = term.numerator.grid.momentum_parallel(u)
         upper = k - (n_exact - term.order + 1) * alpha
         mask = (p_par >= -k) & (p_par <= upper)
         checks.append(
             _band_check(
-                np.abs(term.numerator.values),
+                term.numerator.node_norms(),
                 mask,
                 term.order,
                 f"{-k:.6g} <= u.p <= {upper:.6g}",
             )
         )
-    return VerificationReport("order-bands", float(tol), tuple(checks))
+    return VerificationReport(name, float(tol), tuple(checks))
 
 
 def verify_convolution_support(
@@ -579,18 +634,21 @@ class ExactnessReport:
         }
 
 
-def verify_exactness(config, series_or_v, tol=1e-3, directions=None):
+def verify_exactness(config, series_or_v, tol=1e-3, directions=None,
+                     shell=None):
     """Shell-vanishing report for all orders above floor(2k/alpha).
 
     Accepts either a precomputed series (list of BornTerm) or a sampled
     interaction, in which case the series is computed here.  Each order's
-    numerator is sampled on the shell by direct Fourier sums and compared,
-    as a ratio, against its own global momentum-grid max.
+    numerator is sampled on the shell by `shell` (default
+    on_shell_numerator) and its largest shell norm is compared, as a ratio,
+    against the largest node norm of the numerator on the momentum grid.
     """
     if isinstance(series_or_v, SampledField):
         series = born_series(config, series_or_v)
     else:
         series = list(series_or_v)
+    shell = on_shell_numerator if shell is None else shell
     n_exact = config.exact_order
     if series[-1].order < n_exact + 1:
         raise ValueError(
@@ -601,14 +659,14 @@ def verify_exactness(config, series_or_v, tol=1e-3, directions=None):
     checks = []
     records = []
     for term in _numerator_terms(series):
-        record = on_shell_numerator(term, config, directions=directions)
+        record = shell(term, config, directions=directions)
         records.append(record)
         checks.append(
             ShellCheck(
                 order=term.order,
                 shell=shell_label,
                 on_shell_max=record.max_abs,
-                reference_max=term.numerator.max_abs(),
+                reference_max=float(np.max(term.numerator.node_norms())),
                 must_vanish=term.order > n_exact,
             )
         )
@@ -622,20 +680,26 @@ def verify_exactness(config, series_or_v, tol=1e-3, directions=None):
     )
 
 
-def write_on_shell_csv(path, records):
-    """Write shell records as CSV: order, direction components, re, im."""
+def write_on_shell_csv(path, records, prefixes=("",)):
+    """Write shell records as CSV: order, direction components, then re/im.
+
+    Each value component gets the columns <prefix>re and <prefix>im, one
+    prefix per component: the default single empty prefix gives the scalar
+    columns re, im.
+    """
     records = list(records)
     if not records:
         raise ValueError("no records to write")
     dim = records[0].directions.shape[1]
-    axis_names = ["dir_x", "dir_y", "dir_z"][:dim]
+    header = ["order", *["dir_x", "dir_y", "dir_z"][:dim]]
+    for prefix in prefixes:
+        header += [f"{prefix}re", f"{prefix}im"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["order", *axis_names, "re", "im"])
+        writer.writerow(header)
         for record in records:
             for direction, value in zip(record.directions, record.values):
-                writer.writerow(
-                    [record.order]
-                    + [repr(float(c)) for c in direction]
-                    + [repr(float(value.real)), repr(float(value.imag))]
-                )
+                row = [record.order] + [repr(float(c)) for c in direction]
+                for component in np.atleast_1d(value):
+                    row += [repr(float(component.real)), repr(float(component.imag))]
+                writer.writerow(row)

@@ -63,17 +63,30 @@ FAMILY3D = PotentialSpec(
     ell_y=2.0, ell_z=2.0,
 )
 
-_CACHE = {}
+# The shared 2D runs of the family potential on L = 60:
+# name -> (grid counts, requested k, orders).
+SCALAR_RUNS = {
+    "k045": ((512, 512), 0.45, 4),
+    "k080": ((512, 512), 0.8, 4),
+    "k130": ((640, 640), 1.3, 5),
+}
 
 
-def scalar_run(name, counts, k_req, n_orders):
-    """Build (and cache) one 2D run of the family potential on L=60."""
-    if name not in _CACHE:
-        grid = make_grid(2, (60.0, 60.0), counts)
-        cfg = make_scatter_config(grid, k_req, FAMILY2D, n_orders=n_orders)
-        series = born_series(cfg, sample_potential(FAMILY2D, grid))
-        _CACHE[name] = (cfg, series)
-    return _CACHE[name]
+@pytest.fixture(scope="module")
+def scalar_run():
+    """scalar_run(name) -> (config, series), each run built once per module."""
+    cache = {}
+
+    def run(name):
+        if name not in cache:
+            counts, k_req, n_orders = SCALAR_RUNS[name]
+            grid = make_grid(2, (60.0, 60.0), counts)
+            cfg = make_scatter_config(grid, k_req, FAMILY2D, n_orders=n_orders)
+            series = born_series(cfg, sample_potential(FAMILY2D, grid))
+            cache[name] = (cfg, series)
+        return cache[name]
+
+    return run
 
 
 def report_line(capsys, number, name, passed, detail):
@@ -110,9 +123,9 @@ def test_01_support_certification(capsys):
     assert elapsed <= 10.0
 
 
-def test_02_no_scattering_below_half_threshold(capsys):
+def test_02_no_scattering_below_half_threshold(capsys, scalar_run):
     t0 = time.monotonic()
-    cfg, series = scalar_run("k045", (512, 512), 0.45, 4)
+    cfg, series = scalar_run("k045")
     report = verify_exactness(cfg, series, tol=1e-3)
     transfers = cfg.directions.momenta - np.array(cfg.k_vec)
     gate = potential_spectrum(FAMILY2D, transfers)
@@ -136,9 +149,9 @@ def test_02_no_scattering_below_half_threshold(capsys):
     assert elapsed <= 30.0
 
 
-def test_03_first_order_exactness_window(capsys):
+def test_03_first_order_exactness_window(capsys, scalar_run):
     t0 = time.monotonic()
-    cfg, series = scalar_run("k080", (512, 512), 0.8, 4)
+    cfg, series = scalar_run("k080")
     report = verify_exactness(cfg, series, tol=1e-3)
     first = report.check_for(1).ratio
     elapsed = time.monotonic() - t0
@@ -160,8 +173,8 @@ def test_03_first_order_exactness_window(capsys):
     assert elapsed <= 60.0
 
 
-def test_04_second_order_staircase_step(capsys):
-    cfg, series = scalar_run("k130", (640, 640), 1.3, 5)
+def test_04_second_order_staircase_step(capsys, scalar_run):
+    cfg, series = scalar_run("k130")
     report = verify_exactness(cfg, series, tol=1e-3)
     second = report.check_for(2).ratio
     refinement = []
@@ -192,10 +205,10 @@ def test_04_second_order_staircase_step(capsys):
     assert gain >= 2.0
 
 
-def test_05_one_sided_spectral_bands(capsys):
+def test_05_one_sided_spectral_bands(capsys, scalar_run):
     worst = 0.0
-    for name in ("k045", "k080", "k130"):
-        cfg, series = _CACHE[name]
+    for name in SCALAR_RUNS:
+        cfg, series = scalar_run(name)
         floor = verify_spectral_floor(series, cfg.u, cfg.k, tol=1e-3)
         bands = verify_order_bands(series, cfg.u, cfg.k, cfg.alpha, tol=1e-3)
         assert floor.passed and bands.passed, (name, floor.to_dict())

@@ -4,8 +4,14 @@ import csv
 import json
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from bornscat import cli
+
+FAMILY3D = {
+    "alpha": 1.0, "u": [1.0, 0.0, 0.0], "a": 1.0, "m": 2,
+    "coupling": {"re": 1.0, "im": 0.0}, "ell_y": 2.0, "ell_z": 2.0,
+}
 
 
 def base_config(tmp_path, **overrides):
@@ -154,10 +160,7 @@ class TestRun:
         path = base_config(
             tmp_path,
             mode="em3d",
-            potential={
-                "alpha": 1.0, "u": [1.0, 0.0, 0.0], "a": 1.0, "m": 2,
-                "coupling": {"re": 1.0, "im": 0.0}, "ell_y": 2.0, "ell_z": 2.0,
-            },
+            potential=FAMILY3D,
             materials={"which": "eps"},
             grid={"extents": [14.0, 6.0, 6.0], "counts": [48, 16, 16]},
             k_sweep=[0.8],
@@ -174,6 +177,120 @@ class TestRun:
         assert len(header) == 4 + 12
 
 
+ODD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=2), st.integers(-2, 4),
+    st.floats(-1.0, 30.0), st.sampled_from([float("nan"), float("inf")]),
+)
+FUZZ_FIELDS = (
+    "mode", "potential", "materials", "k_sweep", "grid", "n_orders",
+    "epsilon", "eps_cells", "direction_count", "tol",
+)
+
+
+@st.composite
+def fuzz_configs(draw):
+    """A runnable config on a tiny grid with up to two fields made odd."""
+    mode = draw(st.sampled_from(cli.MODES))
+    dim = cli.MODE_DIM[mode]
+    potential = dict(FAMILY3D, u=[1.0, 0.0, 0.0][:dim])
+    if dim == 2:
+        del potential["ell_z"]
+    config = {
+        "schema_version": 1,
+        "mode": mode,
+        "potential": potential,
+        "materials": {"which": "eps"},
+        "k_sweep": draw(st.lists(st.sampled_from([0.8, 1.6, 2.4]),
+                                 min_size=1, max_size=2)),
+        "grid": {"extents": [8.0] * dim,
+                 "counts": draw(st.lists(st.sampled_from([8, 10, 12]),
+                                         min_size=dim, max_size=dim))},
+        "n_orders": draw(st.sampled_from([None, 1, 2])),
+        "tol": 1e-2,
+        "direction_count": 4,
+        "spectral_checks": draw(st.booleans()),
+    }
+    entry = st.fixed_dictionaries({
+        "i": st.integers(-1, 3), "j": st.integers(0, 2),
+        "spec": st.sampled_from([potential, FAMILY3D, {"alpha": 1.0}]),
+    })
+    odd = {
+        "mode": st.one_of(ODD_VALUES, st.sampled_from(cli.MODES)),
+        "potential": st.one_of(ODD_VALUES, st.sampled_from([
+            FAMILY3D, dict(potential, alpha=-1.0),
+            dict(potential, coupling={"re": float("nan")}),
+            dict(potential, coupling={"re": 1e300}),
+        ])),
+        "materials": st.one_of(
+            ODD_VALUES,
+            st.fixed_dictionaries({
+                "which": st.sampled_from(["eps", "mu", "both", "x"]),
+                "scale": ODD_VALUES,
+            }),
+            st.fixed_dictionaries({"eps_entries": st.lists(entry, max_size=2),
+                                   "mu_entries": st.lists(entry, max_size=1)}),
+        ),
+        "k_sweep": st.one_of(ODD_VALUES, st.lists(ODD_VALUES, max_size=3)),
+        "grid": st.one_of(ODD_VALUES, st.fixed_dictionaries({
+            "extents": st.lists(st.sampled_from([-1.0, 0.0, 8.0, float("inf")]),
+                                min_size=1, max_size=4),
+            "counts": st.lists(st.integers(6, 12), min_size=1, max_size=4),
+        })),
+    }
+    for key in draw(st.sets(st.sampled_from(FUZZ_FIELDS), max_size=2)):
+        config[key] = draw(odd.get(key, ODD_VALUES))
+    return config
+
+
+class TestInvalidConfigs:
+    @pytest.mark.parametrize("overrides,needle", [
+        ({"grid": {"extents": [60.0, 60.0], "counts": [255, 256]}},
+         "grid: counts must be even"),
+        ({"k_sweep": [0.8, 20.0]}, "k sweep point 1: k = 20"),
+        ({"k_sweep": [0.01]}, "k sweep point 0: k = 0.01 snaps"),
+        ({"k_sweep": [float("nan")]}, "positive and finite"),
+        ({"n_orders": "4"}, "n_orders must be an integer"),
+        ({"epsilon": "small"}, "epsilon"),
+    ])
+    def test_exit_2_with_diagnostic_and_no_artifacts(
+        self, tmp_path, capsys, overrides, needle
+    ):
+        path = base_config(tmp_path, **overrides)
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert needle in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_and_grid_problems_do_not_block_make_potential(self, tmp_path):
+        path = base_config(tmp_path, k_sweep=[0.01, 20.0])
+        assert cli.main(["make-potential", "--config", str(path)]) == 0
+
+    def test_oracle_support_threshold_beyond_its_grid(self, tmp_path, capsys):
+        potential = json.loads(base_config(tmp_path).read_text())["potential"]
+        path = base_config(tmp_path, potential=dict(potential, alpha=50.0))
+        assert cli.main(["oracle", "--config", str(path)]) == 2
+        assert "oracle grid" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings(
+        "ignore:potential magnitude", "ignore:material magnitude"
+    )
+    @settings(max_examples=80, deadline=None)
+    @given(config=fuzz_configs(), command=st.sampled_from(
+        ["run", "run", "make-potential", "verify"]))
+    def test_any_config_ends_in_a_defined_exit_code(
+        self, tmp_path_factory, config, command
+    ):
+        workdir = tmp_path_factory.mktemp("fuzz")
+        path = workdir / "config.json"
+        path.write_text(json.dumps(config))
+        out = workdir / "out"
+        code = cli.main([command, "--config", str(path), "--out", str(out)])
+        event(f"{command} exit {code}")
+        assert code in (0, 1, 2, 3)
+        if code in (2, 3):
+            assert not list(out.glob("point_*"))
+
+
 class TestMakePotentialAndVerify:
     def test_round_trip(self, tmp_path):
         path = base_config(tmp_path, k_sweep=[0.8], n_orders=2)
@@ -186,6 +303,27 @@ class TestMakePotentialAndVerify:
         report = json.loads((out / "verify_report.json").read_text())
         assert report["pass"] is True
         assert report["points"][0]["exact_order"] == 1
+
+    @pytest.mark.filterwarnings(
+        "ignore:potential magnitude", "ignore:material magnitude"
+    )
+    def test_verify_em3d_only_for_the_medium_it_rebuilds(self, tmp_path, capsys):
+        em3d = dict(
+            mode="em3d", potential=FAMILY3D, k_sweep=[0.8], n_orders=2, tol=5e-2,
+            grid={"extents": [14.0, 6.0, 6.0], "counts": [48, 16, 16]},
+        )
+        path = base_config(tmp_path, materials={"which": "eps"}, **em3d)
+        assert cli.main(["make-potential", "--config", str(path)]) == 0
+        assert cli.main(["verify", "--config", str(path)]) == 0
+        capsys.readouterr()
+        for materials in (
+            {"which": "mu"},
+            {"which": "eps", "scale": 2.0},
+            {"eps_entries": [{"i": 0, "j": 1, "spec": FAMILY3D}]},
+        ):
+            path = base_config(tmp_path, materials=materials, **em3d)
+            assert cli.main(["verify", "--config", str(path)]) == 2
+            assert "cannot check materials" in capsys.readouterr().err
 
     def test_verify_without_stored_field(self, tmp_path):
         path = base_config(tmp_path)

@@ -10,6 +10,7 @@ from bornscat.em import (
     default_polarization,
     em_born_series,
     incident_six_field,
+    material_from_entries,
     material_from_scalar,
 )
 from bornscat.grids import (
@@ -163,27 +164,53 @@ class TestQuadSecondOrder:
         assert len(payload["value_re"]) == len(payload["value_im"]) == 1
 
 
+def em_oracle_errors(materials, cfg, nodes):
+    """Relative oracle-vs-pipeline error of the order-2 term at grid nodes."""
+    grid = materials.grid
+    e0 = default_polarization(cfg.k_hat, cfg.u)
+    series = em_born_series(cfg, materials, e0=e0)
+    propagator = green_factor(grid.momentum_sq, cfg.k, cfg.epsilon)
+    axes = [grid.momentum_axis(i) for i in range(3)]
+    points = np.array([[axes[i][n[i]] for i in range(3)] for n in nodes])
+    results = em_quad_second_order(
+        materials, cfg.k_vec, incident_six_field(e0, cfg.k_hat),
+        points, cfg.epsilon,
+    )
+    errors = []
+    for result, node in zip(results, nodes):
+        assert result.value.shape == (6,)
+        ref = propagator[node] * series[2].numerator.values[(slice(None),) + node]
+        errors.append(np.max(np.abs(result.value - ref)) / np.max(np.abs(ref)))
+    return errors
+
+
 class TestEmQuadSecondOrder:
     def test_matches_em_pipeline_at_nodes(self):
         grid = toy_grid(3)
         spec = toy_spec(3)
         cfg = make_scatter_config(grid, 0.9, spec, n_orders=2)
         materials = material_from_scalar(spec, grid, which="eps")
-        e0 = default_polarization(cfg.k_hat, cfg.u)
-        series = em_born_series(cfg, materials, e0=e0)
-        propagator = green_factor(grid.momentum_sq, cfg.k, cfg.epsilon)
-        nodes = [(1, 3, 2), (5, 2, 7)]
-        axes = [grid.momentum_axis(i) for i in range(3)]
-        points = np.array([[axes[i][n[i]] for i in range(3)] for n in nodes])
-        results = em_quad_second_order(
-            materials, cfg.k_vec, incident_six_field(e0, cfg.k_hat),
-            points, cfg.epsilon,
+        errors = em_oracle_errors(materials, cfg, [(1, 3, 2), (5, 2, 7)])
+        assert max(errors) <= 1e-6
+
+    def test_matches_em_pipeline_anisotropic_magnetic(self):
+        # distinct entries in both tensors: an oracle cache that confuses
+        # one tensor entry with another shows up here, not in the
+        # isotropic case where all diagonal entries are equal
+        grid = toy_grid(3)
+        spec = toy_spec(3)
+        cfg = make_scatter_config(grid, 0.9, spec, n_orders=2)
+        entry = lambda coupling: toy_spec(3, coupling=coupling)  # noqa: E731
+        materials = material_from_entries(
+            grid,
+            eps_entries={
+                (0, 0): entry(1.0), (1, 1): entry(0.8), (2, 2): entry(0.6),
+                (0, 1): entry(0.3 + 0.1j), (1, 0): entry(0.3 - 0.1j),
+            },
+            mu_entries={(1, 1): entry(0.5), (2, 1): entry(0.2 + 0.2j)},
         )
-        for result, node in zip(results, nodes):
-            ref = propagator[node] * series[2].numerator.values[(slice(None),) + node]
-            rel = np.max(np.abs(result.value - ref)) / np.max(np.abs(ref))
-            assert rel <= 1e-6
-            assert result.value.shape == (6,)
+        errors = em_oracle_errors(materials, cfg, [(2, 0, 1), (7, 6, 3)])
+        assert max(errors) <= 1e-6
 
     def test_rejects_bad_psi0(self):
         grid = toy_grid(3)
