@@ -63,6 +63,7 @@ EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
 # What reading a malformed JSON value can raise.
 PARSE_ERRORS = (ValueError, TypeError, KeyError, AttributeError, OverflowError)
+JSON_TYPES = {dict: "object", list: "array"}
 
 
 @dataclass
@@ -104,17 +105,14 @@ def load_config(path, out=None, tol=None, seed=None):
         "tol", "spectral_checks", "out", "seed", "field_file",
     }
     extra = {key: data[key] for key in data if key not in known}
-    grid_block = data.get("grid", {})
-    potential = data.get("potential")
-    if potential is not None:
-        potential = spec_from_dict(potential)
+    extents, counts = _block(data, "grid", (dict,), _grid_axes, ((), ()))
     config = RunConfig(
         mode=data.get("mode", ""),
-        potential=potential,
-        materials=data.get("materials"),
-        k_sweep=tuple(float(k) for k in data.get("k_sweep", ())),
-        extents=tuple(float(L) for L in grid_block.get("extents", ())),
-        counts=tuple(int(n) for n in grid_block.get("counts", ())),
+        potential=_block(data, "potential", (dict, list), spec_from_dict, None),
+        materials=_block(data, "materials", (dict,), dict, None),
+        k_sweep=_block(data, "k_sweep", (list,), lambda ks: tuple(float(k) for k in ks), ()),
+        extents=extents,
+        counts=counts,
         epsilon=data.get("epsilon"),
         eps_cells=float(data.get("eps_cells", 2.0)),
         n_orders=data.get("n_orders"),
@@ -133,6 +131,27 @@ def load_config(path, out=None, tol=None, seed=None):
     if seed is not None:
         config.seed = int(seed)
     return config
+
+
+def _block(data, key, kinds, parse, absent):
+    """parse(data[key]) for an optional object or array; errors name the key."""
+    value = data.get(key)
+    if value is None:
+        return absent
+    if not isinstance(value, kinds):
+        expected = " or ".join(JSON_TYPES[kind] for kind in kinds)
+        raise ValueError(f"{key}: expected a JSON {expected}, got {type(value).__name__}")
+    try:
+        return parse(value)
+    except PARSE_ERRORS as exc:
+        raise ValueError(f"{key}: {exc}") from exc
+
+
+def _grid_axes(block):
+    return (
+        tuple(float(L) for L in block.get("extents", ())),
+        tuple(int(n) for n in block.get("counts", ())),
+    )
 
 
 def validate(config):
@@ -191,7 +210,10 @@ def validate(config):
         problems.append("tol must be positive")
     if problems:
         return problems
-    u, alpha = _support_axis(config)
+    try:
+        u, alpha = _support_axis(config)
+    except ValueError as exc:
+        return [f"materials block: {exc}"]
     for index, k in enumerate(config.k_sweep):
         try:
             _make_config(config, grid, k, u, alpha)
@@ -287,13 +309,21 @@ def _build_materials(config, grid):
 
 
 def _support_axis(config):
+    """The axis u and the smallest alpha of the interaction.
+
+    Without a potential, the em3d material entries must share one axis; the
+    medium's threshold is then their smallest alpha.
+    """
     if config.potential is not None:
         return tuple(config.potential.u), float(config.potential.alpha_min)
-    args = _material_args(config)
-    for entries in args.values():
-        for spec in entries.values():
-            return tuple(spec.u), float(spec.alpha_min)
-    raise ValueError("config carries no interaction to take u, alpha from")
+    specs = [spec for entries in _material_args(config).values() for spec in entries.values()]
+    if not specs:
+        raise ValueError("config carries no interaction to take u, alpha from")
+    u = specs[0].u
+    for spec in specs[1:]:
+        if np.linalg.norm(np.subtract(spec.u, u)) > 1e-12:
+            raise ValueError(f"material entries must share one axis u, got {u} and {spec.u}")
+    return tuple(u), float(min(spec.alpha_min for spec in specs))
 
 
 def _make_config(config, grid, k, u, alpha, n_orders=None):

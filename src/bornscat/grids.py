@@ -16,6 +16,8 @@ which makes the two grid operations exactly inverse to each other.
 
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -204,16 +206,142 @@ class SampledField:
         return np.abs(self.values)
 
 
+# fft_values and ifft_values compute, bit for bit, what the single-threaded
+#     out = np.fft.fftn(values, axes); out * (cell_volume * phase)
+#     np.fft.ifftn(values * np.conj(phase), axes) / cell_volume
+# compute, but on every usable CPU.  fftn is a chain of 1-D passes, last axis
+# first; each pass transforms every line on its own and releases the GIL.  So
+# each pass here runs the same 1-D transform on disjoint blocks of lines in a
+# thread pool, and the elementwise factors go on C-contiguous blocks of the
+# leading grid axis.  Every line and element passes through the same numpy
+# kernel whatever the blocking, so the result does not depend on the number
+# of threads.  Arrays of at most _BLOCK_BYTES run in the calling thread.
+_BLOCK_BYTES = 2 << 20
+# numpy's NPY_MIN_ELIDE_BYTES: `a * temp` with a temporary at least this
+# large and of a's shape is evaluated in place as `temp * a`.
+_ELIDE_BYTES = 256 * 1024
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _executor():
+    """The transform thread pool, one thread per usable CPU, made on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # Imported here: concurrent.futures takes ~10 ms to import.
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="bornscat-fft")
+        return _pool
+
+
+def _forget_executor():
+    # A forked child inherits the pool and its lock but none of its threads.
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_executor)
+
+
+def _in_blocks(task, n, nbytes):
+    """Run task(slice) on disjoint slices covering range(n), ~_BLOCK_BYTES each."""
+    parts = max(1, min(n, -(-nbytes // _BLOCK_BYTES)))
+    slices = [slice(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
+    if parts == 1:
+        task(slices[0])
+        return
+    from concurrent.futures import wait
+
+    futures = [_executor().submit(task, s) for s in slices]
+    wait(futures)  # every block is done before an error propagates
+    for future in futures:
+        future.result()
+
+
+def _passes(transform, src, out, grid):
+    """fftn's 1-D passes of `transform`, last grid axis first, from src into out.
+
+    Each pass splits its lines along the largest other axis; the passes after
+    the first run in place on out.
+    """
+    for axis in range(out.ndim - 1, out.ndim - 1 - grid.dim, -1):
+        split = max((a for a in range(out.ndim) if a != axis), key=lambda a: out.shape[a])
+
+        def task(block, src=src, axis=axis, split=split):
+            index = (slice(None),) * split + (block,)
+            transform(src[index], axis=axis, out=out[index])
+
+        _in_blocks(task, out.shape[split], out.nbytes)
+        src = out
+
+
+def _rows(task, out, grid):
+    """Run task(index, rows) on C-contiguous blocks of the leading grid axis."""
+    lead = (slice(None),) * (out.ndim - grid.dim)
+    _in_blocks(lambda rows: task(lead + (rows,), rows), grid.counts[0], out.nbytes)
+
+
+def _factor_first(values, grid):
+    """Whether numpy evaluates `values * temp`, temp a temporary like the phase, as `temp * values`.
+
+    numpy reuses the temporary when values has its shape and it is at least
+    _ELIDE_BYTES.  With FMA the two orders round the imaginary part
+    differently, so the blocks must use the same order.
+    """
+    return values.shape == grid.shape and grid._forward_phase.nbytes >= _ELIDE_BYTES
+
+
+def _multiply(values, factor, out, factor_first):
+    np.multiply(*((factor, values) if factor_first else (values, factor)), out=out)
+
+
 def fft_values(values, grid):
     """Continuum-normalized forward transform of raw values (trailing grid axes)."""
-    out = np.fft.fftn(values, axes=tuple(range(-grid.dim, 0)))
-    return out * (grid.cell_volume * grid._forward_phase)
+    values = np.asarray(values)
+    out = np.empty(values.shape, dtype=complex)
+    _passes(np.fft.fft, values, out, grid)
+    cell_volume = grid.cell_volume
+    phase = grid._forward_phase
+    factor_first = _factor_first(out, grid)
+
+    def weigh(index, rows):
+        block = out[index]
+        _multiply(block, cell_volume * phase[rows], block, factor_first)
+
+    _rows(weigh, out, grid)
+    return out
 
 
 def ifft_values(values, grid):
     """Inverse of :func:`fft_values` on raw values (trailing grid axes)."""
-    out = np.fft.ifftn(values * np.conj(grid._forward_phase), axes=tuple(range(-grid.dim, 0)))
-    return out / grid.cell_volume
+    values = np.asarray(values)
+    out = np.empty(values.shape, dtype=complex)
+    cell_volume = grid.cell_volume
+    phase = grid._forward_phase
+    factor_first = _factor_first(values, grid)
+
+    def unphase(index, rows):
+        _multiply(values[index], np.conj(phase[rows]), out[index], factor_first)
+
+    def unweigh(index, rows):
+        block = out[index]
+        np.divide(block, cell_volume, out=block)
+
+    _rows(unphase, out, grid)
+    _passes(np.fft.ifft, out, out, grid)
+    _rows(unweigh, out, grid)
+    return out
 
 
 def forward_ft(field):

@@ -176,6 +176,27 @@ class TestRun:
             header = next(csv.reader(fh))
         assert len(header) == 4 + 12
 
+    @pytest.mark.filterwarnings("ignore:material magnitude")
+    @pytest.mark.parametrize("step", [1, -1], ids=["alpha-1-first", "alpha-0.5-first"])
+    def test_em3d_entries_certify_their_smallest_alpha(self, tmp_path, step):
+        entries = [
+            {"i": 0, "j": 0, "spec": FAMILY3D},
+            {"i": 1, "j": 1, "spec": dict(FAMILY3D, alpha=0.5)},
+        ]
+        path = base_config(
+            tmp_path,
+            mode="em3d",
+            potential=None,
+            materials={"eps_entries": entries[::step]},
+            grid={"extents": [28.0, 12.0, 12.0], "counts": [96, 32, 32]},
+            k_sweep=[0.8],
+            n_orders=3,
+            direction_count=8,
+        )
+        assert cli.main(["run", "--config", str(path)]) == 0
+        report = json.loads((tmp_path / "out" / "point_00_report.json").read_text())
+        assert (report["alpha"], report["exact_order"], report["n_orders"]) == (0.5, 3, 4)
+
 
 ODD_VALUES = st.one_of(
     st.none(), st.booleans(), st.text(max_size=2), st.integers(-2, 4),
@@ -251,6 +272,20 @@ class TestInvalidConfigs:
         ({"k_sweep": [float("nan")]}, "positive and finite"),
         ({"n_orders": "4"}, "n_orders must be an integer"),
         ({"epsilon": "small"}, "epsilon"),
+        ({"potential": 1.5},
+         "config error: potential: expected a JSON object or array, got float"),
+        ({"grid": [60.0, 60.0]}, "config error: grid: expected a JSON object, got list"),
+        ({"materials": "eps"}, "config error: materials: expected a JSON object, got str"),
+        ({"k_sweep": 0.8}, "config error: k_sweep: expected a JSON array, got float"),
+        ({"k_sweep": ["fast"]}, "config error: k_sweep: could not convert"),
+        ({"grid": {"extents": [60.0, 60.0], "counts": ["x", 8]}},
+         "config error: grid: invalid literal for int()"),
+        ({"mode": "em3d", "potential": None,
+          "grid": {"extents": [8.0, 8.0, 8.0], "counts": [8, 8, 8]},
+          "materials": {"eps_entries": [
+              {"i": 0, "j": 0, "spec": FAMILY3D},
+              {"i": 1, "j": 1, "spec": dict(FAMILY3D, u=[0.0, 1.0, 0.0])}]}},
+         "materials block: material entries must share one axis u"),
     ])
     def test_exit_2_with_diagnostic_and_no_artifacts(
         self, tmp_path, capsys, overrides, needle

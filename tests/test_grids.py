@@ -5,15 +5,22 @@ F(p) = (2 pi)^(d/2) exp(-|p|^2/2); on a box that is wide enough the grid
 transform must reproduce it to high accuracy.
 """
 
+import multiprocessing
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from bornscat import grids
 from bornscat.grids import (
     DirectionSet,
     Grid,
     SampledField,
     Space,
+    fft_values,
     forward_ft,
+    ifft_values,
     inverse_ft,
     load_field,
     make_grid,
@@ -173,6 +180,80 @@ class TestForwardInverse:
         values[0, 0] = np.nan
         with pytest.raises(ValueError):
             SampledField(grid, values, Space.POSITION)
+
+
+def numpy_fft_values(values, grid):
+    # The single-threaded numpy form the transforms must match bit for bit.
+    # Binding the fftn result to a name matters: written as one expression,
+    # numpy reuses the fftn temporary and multiplies in the other order.
+    out = np.fft.fftn(values, axes=tuple(range(-grid.dim, 0)))
+    return out * (grid.cell_volume * grid._forward_phase)
+
+
+def numpy_ifft_values(values, grid):
+    out = np.fft.ifftn(values * np.conj(grid._forward_phase), axes=tuple(range(-grid.dim, 0)))
+    return out / grid.cell_volume
+
+
+@pytest.fixture(params=[None, 1, 3], ids=["cpus", "1-worker", "3-workers"])
+def pool_workers(request, monkeypatch):
+    """The default pool and blocks, or a pool of 1 or 3 threads and 64 KiB
+    blocks, so that every shape below splits into several blocks."""
+    if request.param is None:
+        yield
+        return
+    pool = ThreadPoolExecutor(request.param)
+    monkeypatch.setattr(grids, "_pool", pool)
+    monkeypatch.setattr(grids, "_BLOCK_BYTES", 64 * 1024)
+    yield
+    pool.shutdown()
+
+
+class TestThreadedTransforms:
+    # 2-D shapes on both sides of numpy's 256 KiB temporary-elision size,
+    # 3-D scalars (16x128x96 splits its first pass along the second axis),
+    # and six-component stacks.
+    @pytest.mark.parametrize("lead,counts", [
+        ((), (16, 10)), ((), (128, 128)), ((), (182, 182)), ((), (512, 512)),
+        ((), (16, 16, 16)), ((), (16, 128, 96)),
+        ((6,), (8, 8, 8)), ((6,), (32, 32, 32)),
+    ])
+    def test_bit_identical_to_numpy(self, pool_workers, lead, counts):
+        rng = np.random.default_rng(sum(counts))
+        grid = make_grid(len(counts), tuple(0.37 * n for n in counts), counts)
+        shape = lead + counts
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        before = values.copy()
+        for threaded, reference in (
+            (fft_values, numpy_fft_values),
+            (ifft_values, numpy_ifft_values),
+        ):
+            got = threaded(values, grid)
+            want = reference(values, grid)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(values, before), "input was modified"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_gets_a_working_pool(self):
+        # 512^2 is larger than one block, so the child needs the pool; a
+        # forked child inherits the pool object but not its threads.
+        grid = make_grid(2, (10.0, 10.0), (512, 512))
+        values = np.ones(grid.shape, dtype=complex)
+        want = fft_values(values, grid)
+        context = multiprocessing.get_context("fork")
+        queue = context.Queue()
+        child = context.Process(
+            target=lambda: queue.put(fft_values(values, grid).tobytes())
+        )
+        child.start()
+        try:
+            assert queue.get(timeout=60) == want.tobytes()
+            child.join(timeout=60)
+            assert not child.is_alive()
+        finally:
+            child.kill()
 
 
 class TestNudft:
