@@ -31,7 +31,10 @@ from .grids import (
     Grid,
     SampledField,
     Space,
+    all_finite,
+    blockwise,
     fft_values,
+    max_abs,
     nudft_values,
     plane_wave,
     transverse_basis,
@@ -97,7 +100,7 @@ class SixField:
             raise ValueError(
                 f"six-field shape {values.shape} does not match (6,)+{self.grid.shape}"
             )
-        if not np.all(np.isfinite(values)):
+        if not all_finite(values):
             raise ValueError("six-field values must be finite")
         self.values = values
 
@@ -110,11 +113,16 @@ class SixField:
         return self.values[3:]
 
     def max_abs(self):
-        return float(np.max(np.abs(self.values)))
+        return max_abs(self.values)
 
     def node_norms(self):
         """Euclidean length of the six-vector at every node."""
-        return np.sqrt(np.sum(np.abs(self.values) ** 2, axis=0))
+
+        def norms(values, out):
+            # the six squares add in component order within any grid block
+            np.sqrt(np.sum(np.abs(values) ** 2, axis=0), out=out)
+
+        return blockwise(norms, np.empty(self.grid.shape), self.values)
 
 
 @dataclass
@@ -282,16 +290,18 @@ def em_kernel_apply(w, k):
     if w.space is not Space.MOMENTUM:
         raise ValueError("kernel acts on momentum-space fields")
     grid = w.grid
-    p_mesh = grid.momentum_mesh()
-    out = np.empty_like(w.values)
-    for offset, sign in ((0, 1.0), (3, -1.0)):
-        block = w.values[offset : offset + 3]
-        other = w.values[3 - offset : 6 - offset]
-        p_dot = sum(p_mesh[i] * block[i] for i in range(3))
-        longitudinal = np.stack([p_mesh[i] * p_dot for i in range(3)])
-        out[offset : offset + 3] = (
-            -k * k * block + longitudinal + sign * k * _mesh_cross(p_mesh, other)
-        )
+
+    def kernel(values, *p_mesh, out):
+        for offset, sign in ((0, 1.0), (3, -1.0)):
+            block = values[offset : offset + 3]
+            other = values[3 - offset : 6 - offset]
+            p_dot = sum(p_mesh[i] * block[i] for i in range(3))
+            longitudinal = np.stack([p_mesh[i] * p_dot for i in range(3)])
+            out[offset : offset + 3] = (
+                -k * k * block + longitudinal + sign * k * _mesh_cross(p_mesh, other)
+            )
+
+    out = blockwise(kernel, np.empty_like(w.values), w.values, *grid.momentum_mesh(), axis=1)
     return SixField(grid, out, Space.MOMENTUM)
 
 
@@ -301,7 +311,10 @@ def em_incident_term(config, psi0):
     if psi0.shape != (6,):
         raise ValueError("incident amplitude must be a six-vector")
     wave = plane_wave(config.grid, config.k_vec)
-    values = psi0.reshape((6,) + (1,) * config.grid.dim) * wave
+    values = blockwise(
+        np.multiply, np.empty((6,) + config.grid.shape, dtype=complex),
+        psi0.reshape((6,) + (1,) * config.grid.dim), wave, axis=1,
+    )
     return BornTerm(order=0, field=SixField(config.grid, values, Space.POSITION))
 
 

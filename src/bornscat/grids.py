@@ -40,6 +40,10 @@ __all__ = [
     "sphere_directions",
     "transverse_basis",
     "plane_wave",
+    "plane_wave_at",
+    "max_abs",
+    "all_finite",
+    "blockwise",
     "snap_to_momentum_lattice",
     "save_field",
     "load_field",
@@ -194,16 +198,16 @@ class SampledField:
             raise ValueError(
                 f"field shape {values.shape} does not match grid {self.grid.shape}"
             )
-        if not np.all(np.isfinite(values)):
+        if not all_finite(values):
             raise ValueError("field values must be finite")
         self.values = values
 
     def max_abs(self):
-        return float(np.max(np.abs(self.values)))
+        return max_abs(self.values)
 
     def node_norms(self):
         """Magnitude at every node (the one-component case of SixField's)."""
-        return np.abs(self.values)
+        return blockwise(np.absolute, np.empty(self.grid.shape), self.values)
 
 
 # fft_values and ifft_values compute, bit for bit, what the single-threaded
@@ -212,11 +216,20 @@ class SampledField:
 # compute, but on every usable CPU.  fftn is a chain of 1-D passes, last axis
 # first; each pass transforms every line on its own and releases the GIL.  So
 # each pass here runs the same 1-D transform on disjoint blocks of lines in a
-# thread pool, and the elementwise factors go on C-contiguous blocks of the
-# leading grid axis.  Every line and element passes through the same numpy
-# kernel whatever the blocking, so the result does not depend on the number
-# of threads.  Arrays of at most _BLOCK_BYTES run in the calling thread.
+# thread pool.  Every line passes through the same numpy kernel whatever the
+# blocking, so the result does not depend on the number of threads.
+#
+# The per-node passes of a Born order (the elementwise factors, products and
+# reductions) run on the same pool through blockwise, _reduce and
+# _row_blocks: each element goes through the same numpy loop with the same
+# operand order whatever block holds it, so they too compute bit for bit
+# what the whole-array expression computes.  Arrays of at most _BLOCK_BYTES
+# run in the calling thread.
 _BLOCK_BYTES = 2 << 20
+# Per-node passes walk their rows in sub-blocks of at most this many bytes,
+# so the temporaries a block expression makes stay small in every thread's
+# malloc arena.
+_SUB_BLOCK_BYTES = 512 * 1024
 # numpy's NPY_MIN_ELIDE_BYTES: `a * temp` with a temporary at least this
 # large and of a's shape is evaluated in place as `temp * a`.
 _ELIDE_BYTES = 256 * 1024
@@ -232,14 +245,14 @@ def _usable_cpus():
 
 
 def _executor():
-    """The transform thread pool, one thread per usable CPU, made on first use."""
+    """The grid thread pool, one thread per usable CPU, made on first use."""
     global _pool
     with _pool_lock:
         if _pool is None:
             # Imported here: concurrent.futures takes ~10 ms to import.
             from concurrent.futures import ThreadPoolExecutor
 
-            _pool = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="bornscat-fft")
+            _pool = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="bornscat-grid")
         return _pool
 
 
@@ -254,6 +267,16 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_executor)
 
 
+def _gather(fn, calls):
+    """[fn(*args) for args in calls], each call a task on the pool."""
+    from concurrent.futures import wait
+
+    pool = _executor()
+    futures = [pool.submit(fn, *args) for args in calls]
+    wait(futures)  # every task is done before an error propagates
+    return [future.result() for future in futures]
+
+
 def _in_blocks(task, n, nbytes):
     """Run task(slice) on disjoint slices covering range(n), ~_BLOCK_BYTES each."""
     parts = max(1, min(n, -(-nbytes // _BLOCK_BYTES)))
@@ -261,12 +284,82 @@ def _in_blocks(task, n, nbytes):
     if parts == 1:
         task(slices[0])
         return
-    from concurrent.futures import wait
+    _gather(task, [(s,) for s in slices])
 
-    futures = [_executor().submit(task, s) for s in slices]
-    wait(futures)  # every block is done before an error propagates
-    for future in futures:
-        future.result()
+
+def _row_blocks(task, n, nbytes):
+    """[task(rows) for rows in consecutive slices covering range(n)], in order.
+
+    nbytes is the size of the largest array the task touches over all of
+    range(n).  Up to _BLOCK_BYTES, task runs once on the whole range in the
+    calling thread.  Beyond that, range(n) splits into one contiguous span
+    per pool thread, and each thread walks its span in sub-blocks of at most
+    _SUB_BLOCK_BYTES (and at least one row).
+    """
+    if nbytes <= _BLOCK_BYTES:
+        return [task(slice(0, n))]
+    spans = min(n, _usable_cpus())
+    step = max(1, n * _SUB_BLOCK_BYTES // nbytes)
+
+    def walk(start, stop):
+        return [task(slice(i, min(i + step, stop))) for i in range(start, stop, step)]
+
+    bounds = [(n * i // spans, n * (i + 1) // spans) for i in range(spans)]
+    return [result for span in _gather(walk, bounds) for result in span]
+
+
+def _block_of(operand, rows, axis):
+    """The part of a broadcast operand that meets rows of the output's axis.
+
+    axis counts from the end, so operands line up as in broadcasting; an
+    operand without that axis, or of length 1 along it, is used whole.
+    """
+    if not isinstance(operand, np.ndarray) or operand.ndim < -axis:
+        return operand
+    if operand.shape[axis] == 1:
+        return operand
+    return operand[(slice(None),) * (operand.ndim + axis) + (rows,)]
+
+
+def blockwise(fn, out, *operands, axis=0):
+    """Fill out with fn(*operands, out=out) block by block; return out.
+
+    The blocks split out's axis `axis` (its leading grid axis, for a field
+    with component axes in front); each operand is cut to the rows it
+    contributes there and broadcast as usual.  fn must write each element
+    from the same elements of the operands only, with numpy calls; it then
+    gives bit for bit the whole-array result for any number of threads.
+    """
+    axis -= out.ndim
+    nbytes = max(a.nbytes for a in (out,) + operands if isinstance(a, np.ndarray))
+
+    def task(rows):
+        blocks = [_block_of(operand, rows, axis) for operand in operands]
+        fn(*blocks, out=_block_of(out, rows, axis))
+
+    _row_blocks(task, out.shape[axis], nbytes)
+    return out
+
+
+def _reduce(fn, values):
+    """fn of each block of values, cut along its longest axis, in one array."""
+    values = np.asarray(values)
+    axis = int(np.argmax(values.shape))
+    lead = (slice(None),) * axis
+    return np.array(
+        _row_blocks(lambda rows: fn(values[lead + (rows,)]), values.shape[axis], values.nbytes)
+    )
+
+
+def max_abs(values):
+    """float(np.max(np.abs(values))) on the grid thread pool; nan if any value is nan."""
+    # np.max, not the builtin max, over the blocks' maxima: max([1.0, nan]) is 1.0.
+    return float(np.max(_reduce(lambda block: np.max(np.abs(block)), values)))
+
+
+def all_finite(values):
+    """bool(np.all(np.isfinite(values))) on the grid thread pool."""
+    return bool(np.all(_reduce(lambda block: np.all(np.isfinite(block)), values)))
 
 
 def _passes(transform, src, out, grid):
@@ -284,12 +377,6 @@ def _passes(transform, src, out, grid):
 
         _in_blocks(task, out.shape[split], out.nbytes)
         src = out
-
-
-def _rows(task, out, grid):
-    """Run task(index, rows) on C-contiguous blocks of the leading grid axis."""
-    lead = (slice(None),) * (out.ndim - grid.dim)
-    _in_blocks(lambda rows: task(lead + (rows,), rows), grid.counts[0], out.nbytes)
 
 
 def _factor_first(values, grid):
@@ -312,15 +399,12 @@ def fft_values(values, grid):
     out = np.empty(values.shape, dtype=complex)
     _passes(np.fft.fft, values, out, grid)
     cell_volume = grid.cell_volume
-    phase = grid._forward_phase
     factor_first = _factor_first(out, grid)
 
-    def weigh(index, rows):
-        block = out[index]
-        _multiply(block, cell_volume * phase[rows], block, factor_first)
+    def weigh(block, phase, out):
+        _multiply(block, cell_volume * phase, out, factor_first)
 
-    _rows(weigh, out, grid)
-    return out
+    return blockwise(weigh, out, out, grid._forward_phase, axis=out.ndim - grid.dim)
 
 
 def ifft_values(values, grid):
@@ -328,20 +412,18 @@ def ifft_values(values, grid):
     values = np.asarray(values)
     out = np.empty(values.shape, dtype=complex)
     cell_volume = grid.cell_volume
-    phase = grid._forward_phase
     factor_first = _factor_first(values, grid)
+    axis = values.ndim - grid.dim
 
-    def unphase(index, rows):
-        _multiply(values[index], np.conj(phase[rows]), out[index], factor_first)
+    def unphase(block, phase, out):
+        _multiply(block, np.conj(phase), out, factor_first)
 
-    def unweigh(index, rows):
-        block = out[index]
-        np.divide(block, cell_volume, out=block)
+    def unweigh(block, out):
+        np.divide(block, cell_volume, out=out)
 
-    _rows(unphase, out, grid)
+    blockwise(unphase, out, values, grid._forward_phase, axis=axis)
     _passes(np.fft.ifft, out, out, grid)
-    _rows(unweigh, out, grid)
-    return out
+    return blockwise(unweigh, out, out, axis=axis)
 
 
 def forward_ft(field):
@@ -497,13 +579,40 @@ def sphere_directions(dim, k, count, incident_direction):
     return DirectionSet(k=float(k), unit_vectors=vecs)
 
 
+def _wave_vector(grid, k_vec):
+    k_vec = np.asarray(k_vec, dtype=float)
+    if k_vec.shape != (grid.dim,):
+        raise ValueError(f"wave vector must have {grid.dim} components, got shape {k_vec.shape}")
+    return k_vec
+
+
+def _phase(k_vec, coords):
+    # k.x accumulated as 0.0 + k_0 x_0 + k_1 x_1 (+ k_2 x_2), in this order,
+    # wherever the incident wave is evaluated.
+    phase = 0.0
+    for ki, x in zip(k_vec, coords):
+        phase = phase + ki * x
+    return phase
+
+
 def plane_wave(grid, k_vec):
     """exp(i k.x) sampled on the grid."""
-    k_vec = np.asarray(k_vec, dtype=float)
-    phase = np.zeros(grid.shape)
-    for ki, x in zip(k_vec, grid.position_mesh()):
-        phase = phase + ki * x
-    return np.exp(1j * phase)
+    k_vec = _wave_vector(grid, k_vec)
+
+    def wave(*mesh, out):
+        np.exp(1j * _phase(k_vec, mesh), out=out)
+
+    return blockwise(wave, np.empty(grid.shape, dtype=complex), *grid.position_mesh())
+
+
+def plane_wave_at(grid, k_vec, nodes):
+    """plane_wave(grid, k_vec)[node] for each row of node indices, shape (M, dim)."""
+    k_vec = _wave_vector(grid, k_vec)
+    nodes = np.asarray(nodes)
+    if nodes.ndim != 2 or nodes.shape[1] != grid.dim:
+        raise ValueError(f"nodes must have shape (M, {grid.dim})")
+    coords = [grid.position_axis(i)[nodes[:, i]] for i in range(grid.dim)]
+    return np.exp(1j * _phase(k_vec, coords))
 
 
 def snap_to_momentum_lattice(grid, k_vec):

@@ -13,7 +13,7 @@ from itertools import islice
 
 import numpy as np
 
-from .grids import DirectionSet, SampledField, Space, plane_wave
+from .grids import DirectionSet, SampledField, Space, blockwise, plane_wave_at
 from .scalar import (
     DivergenceError,
     born_orders,
@@ -278,7 +278,7 @@ def converged_solution(config, v_field, series_tol=1e-8, order_cap=32):
     increments = []
     try:
         for term in islice(orders, order_cap):
-            total += term.field.values
+            blockwise(np.add, total, total, term.field.values)
             increment = term.field.max_abs()
             increments.append(increment)
             if increment < series_tol:
@@ -350,22 +350,27 @@ def asymptotic_fit(psi, k_vec, fit_radius, directions, fit_wavenumber=None,
             f"{grid.extents} with one-cell margin"
         )
 
-    residual = psi.values - plane_wave(grid, k_vec)
+    nodes = np.array([
+        [
+            [int(np.clip(round((radius * u[i] + 0.5 * grid.extents[i]) / grid.spacing[i]),
+                         0, grid.counts[i] - 1))
+             for i in range(dim)]
+            for u in directions
+        ]
+        for radius in radii
+    ])
+    # The incident wave is needed only at the fit nodes.
+    incident = plane_wave_at(grid, k_vec, nodes.reshape(-1, dim)).reshape(nodes.shape[:2])
     axes = [grid.position_axis(i) for i in range(dim)]
     per_radius = np.zeros((2, directions.shape[0]), dtype=complex)
     node_directions = np.zeros((2, directions.shape[0], dim))
-    for row, radius in enumerate(radii):
-        for col, u in enumerate(directions):
-            idx = tuple(
-                int(np.clip(round((radius * u[i] + 0.5 * grid.extents[i]) / grid.spacing[i]),
-                            0, grid.counts[i] - 1))
-                for i in range(dim)
-            )
-            x_node = np.array([axes[i][idx[i]] for i in range(dim)])
-            r_node = float(np.linalg.norm(x_node))
-            node_directions[row, col] = x_node / r_node
-            outgoing = np.exp(1j * k_fit * r_node) / r_node ** (0.5 * (dim - 1))
-            per_radius[row, col] = residual[idx] / outgoing
+    for row, col in np.ndindex(per_radius.shape):
+        idx = tuple(nodes[row, col])
+        x_node = np.array([axes[i][idx[i]] for i in range(dim)])
+        r_node = float(np.linalg.norm(x_node))
+        node_directions[row, col] = x_node / r_node
+        outgoing = np.exp(1j * k_fit * r_node) / r_node ** (0.5 * (dim - 1))
+        per_radius[row, col] = (psi.values[idx] - incident[row, col]) / outgoing
 
     values = per_radius.mean(axis=0)
     scale = float(np.max(np.abs(values)))

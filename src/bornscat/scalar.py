@@ -38,8 +38,10 @@ from .grids import (
     Grid,
     SampledField,
     Space,
+    blockwise,
     fft_values,
     ifft_values,
+    max_abs,
     nudft,
     plane_wave,
     snap_to_momentum_lattice,
@@ -100,7 +102,14 @@ def green_factor(p_sq, k, eps):
     """Regularized free propagator 1/(k^2 - p_sq + i*eps)."""
     if not eps > 0:
         raise ValueError("eps must be positive")
-    return 1.0 / (k * k - np.asarray(p_sq) + 1j * eps)
+    p_sq = np.asarray(p_sq)
+    if p_sq.ndim == 0:
+        return 1.0 / (k * k - p_sq + 1j * eps)
+
+    def factor(p_sq, out):
+        np.divide(1.0, k * k - p_sq + 1j * eps, out=out)
+
+    return blockwise(factor, np.empty(p_sq.shape, dtype=complex), p_sq)
 
 
 def exactness_order(k, alpha):
@@ -269,8 +278,15 @@ def propagate(numerator_values, config, order, reference_scale=None):
     """
     grid = config.grid
     propagator = green_factor(grid.momentum_sq, config.k, config.epsilon)
-    field_values = ifft_values(propagator * numerator_values, grid)
-    magnitude = float(np.max(np.abs(field_values)))
+    # G broadcasts over leading component axes; the product is freed as soon
+    # as the inverse transform returns.
+    product = blockwise(
+        np.multiply, np.empty(numerator_values.shape, dtype=complex),
+        propagator, numerator_values, axis=numerator_values.ndim - grid.dim,
+    )
+    field_values = ifft_values(product, grid)
+    del product
+    magnitude = max_abs(field_values)
     if not math.isfinite(magnitude) or (
         reference_scale is not None and magnitude > DIVERGENCE_RATIO * reference_scale
     ):
@@ -289,7 +305,9 @@ def born_step(prev, v_field, config, reference_scale=None):
         raise ValueError("v_field must be position-space")
     if v_field.grid != grid or prev.field.grid != grid:
         raise ValueError("term, interaction and config must share one grid")
-    source_values = v_field.values * prev.field.values
+    source_values = blockwise(
+        np.multiply, np.empty(grid.shape, dtype=complex), v_field.values, prev.field.values
+    )
     numerator_values = fft_values(source_values, grid)
     field_values = propagate(numerator_values, config, prev.order + 1, reference_scale)
     return BornTerm(

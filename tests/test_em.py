@@ -26,13 +26,15 @@ from bornscat.em import (
     verify_em_spectral_floor,
     write_em_on_shell_csv,
 )
-from bornscat.grids import Space, make_grid, plane_wave
+from bornscat.grids import Space, ifft_values, make_grid, plane_wave
 from bornscat.potentials import PotentialSpec, sample_potential
 from bornscat.scalar import (
     DivergenceError,
     make_scatter_config,
     on_shell_numerator,
     born_series,
+    green_factor,
+    propagate,
     verify_exactness,
 )
 
@@ -83,6 +85,81 @@ class TestSixField:
         bad[0, 0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             SixField(grid, bad, Space.POSITION)
+
+
+# Six-component stacks the threaded passes are checked on.
+SIX_SHAPES = [(8, 8, 8), (32, 32, 32)]
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+def single_threaded_kernel(w, k):
+    # em_kernel_apply as whole-array expressions
+    p_mesh = w.grid.momentum_mesh()
+    out = np.empty_like(w.values)
+    for offset, sign in ((0, 1.0), (3, -1.0)):
+        block = w.values[offset : offset + 3]
+        other = w.values[3 - offset : 6 - offset]
+        p_dot = sum(p_mesh[i] * block[i] for i in range(3))
+        longitudinal = np.stack([p_mesh[i] * p_dot for i in range(3)])
+        cross = np.stack([
+            p_mesh[1] * other[2] - p_mesh[2] * other[1],
+            p_mesh[2] * other[0] - p_mesh[0] * other[2],
+            p_mesh[0] * other[1] - p_mesh[1] * other[0],
+        ])
+        out[offset : offset + 3] = -k * k * block + longitudinal + sign * k * cross
+    return out
+
+
+class TestThreadedPasses:
+    @pytest.mark.parametrize("counts", SIX_SHAPES)
+    def test_kernel(self, pool_workers, counts):
+        grid = make_grid(3, tuple(0.37 * n for n in counts), counts)
+        w = random_six(grid, seed=sum(counts))
+        before = w.values.copy()
+        assert_same_bits(em_kernel_apply(w, 1.7).values, single_threaded_kernel(w, 1.7))
+        assert np.array_equal(w.values, before), "input was modified"
+
+    @pytest.mark.parametrize("counts", SIX_SHAPES)
+    def test_norms_and_max(self, pool_workers, counts):
+        grid = make_grid(3, tuple(0.37 * n for n in counts), counts)
+        six = random_six(grid, seed=sum(counts))
+        before = six.values.copy()
+        assert_same_bits(six.node_norms(), np.sqrt(np.sum(np.abs(six.values) ** 2, axis=0)))
+        assert six.max_abs() == float(np.max(np.abs(six.values)))
+        assert np.array_equal(six.values, before), "input was modified"
+
+    @pytest.mark.parametrize("counts", SIX_SHAPES)
+    def test_propagate_broadcasts_the_propagator(self, pool_workers, counts):
+        grid = make_grid(3, tuple(0.37 * n for n in counts), counts)
+        cfg = make_scatter_config(grid, 2.0, u=(1.0, 0.0, 0.0), alpha=1.0, n_orders=2)
+        numerator = random_six(grid, seed=sum(counts)).values
+        before = numerator.copy()
+        propagator = green_factor(grid.momentum_sq, cfg.k, cfg.epsilon)
+        want = ifft_values(propagator * numerator, grid)
+        assert_same_bits(propagate(numerator, cfg, 1), want)
+        assert np.array_equal(numerator, before), "input was modified"
+
+    @pytest.mark.parametrize("counts", SIX_SHAPES)
+    def test_incident_term(self, pool_workers, counts):
+        grid = make_grid(3, tuple(0.37 * n for n in counts), counts)
+        cfg = make_scatter_config(grid, 2.0, u=(1.0, 0.0, 0.0), alpha=1.0, n_orders=2)
+        psi0 = incident_six_field(default_polarization(cfg.k_hat, cfg.u), cfg.k_hat)
+        want = psi0.reshape((6, 1, 1, 1)) * plane_wave(grid, cfg.k_vec)
+        assert_same_bits(em_incident_term(cfg, psi0).field.values, want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_in_the_last_block(self, pool_workers, bad):
+        # (6,) + 32^3 complex values are 3 MiB: more than one block for every pool
+        grid = make_grid(3, (12.0, 12.0, 12.0), (32, 32, 32))
+        values = np.ones((6,) + grid.shape, dtype=complex)
+        values[-1, -1, -1, -1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SixField(grid, values, Space.POSITION)
 
 
 class TestMaterialTensors:

@@ -5,9 +5,9 @@ F(p) = (2 pi)^(d/2) exp(-|p|^2/2); on a box that is wide enough the grid
 transform must reproduce it to high accuracy.
 """
 
+import math
 import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,14 +18,17 @@ from bornscat.grids import (
     Grid,
     SampledField,
     Space,
+    all_finite,
     fft_values,
     forward_ft,
     ifft_values,
     inverse_ft,
     load_field,
     make_grid,
+    max_abs,
     nudft,
     plane_wave,
+    plane_wave_at,
     save_field,
     snap_to_momentum_lattice,
     sphere_directions,
@@ -195,20 +198,6 @@ def numpy_ifft_values(values, grid):
     return out / grid.cell_volume
 
 
-@pytest.fixture(params=[None, 1, 3], ids=["cpus", "1-worker", "3-workers"])
-def pool_workers(request, monkeypatch):
-    """The default pool and blocks, or a pool of 1 or 3 threads and 64 KiB
-    blocks, so that every shape below splits into several blocks."""
-    if request.param is None:
-        yield
-        return
-    pool = ThreadPoolExecutor(request.param)
-    monkeypatch.setattr(grids, "_pool", pool)
-    monkeypatch.setattr(grids, "_BLOCK_BYTES", 64 * 1024)
-    yield
-    pool.shutdown()
-
-
 class TestThreadedTransforms:
     # 2-D shapes on both sides of numpy's 256 KiB temporary-elision size,
     # 3-D scalars (16x128x96 splits its first pass along the second axis),
@@ -254,6 +243,110 @@ class TestThreadedTransforms:
             assert not child.is_alive()
         finally:
             child.kill()
+
+
+# Shapes every threaded per-node pass is checked on: 2-D and 3-D grids on
+# both sides of one block, a tall thin grid, and six-component stacks.
+GRID_SHAPES = [(16, 10), (128, 128), (512, 512), (3072, 64), (16, 128, 96), (144, 48, 48)]
+STACKS = [((), counts) for counts in GRID_SHAPES] + [((6,), (8, 8, 8)), ((6,), (32, 32, 32))]
+
+
+def grid_of(counts):
+    return make_grid(len(counts), tuple(0.37 * n for n in counts), counts)
+
+
+def random_values(shape, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+def single_threaded_plane_wave(grid, k_vec):
+    # plane_wave as one whole-array expression
+    k_vec = np.asarray(k_vec, dtype=float)
+    phase = np.zeros(grid.shape)
+    for ki, x in zip(k_vec, grid.position_mesh()):
+        phase = phase + ki * x
+    return np.exp(1j * phase)
+
+
+# off the momentum lattice, so the phases round in every last bit
+K_VEC = (0.731, -1.29, 0.377)
+
+
+class TestThreadedPerNodePasses:
+    @pytest.mark.parametrize("counts", GRID_SHAPES)
+    def test_plane_wave(self, pool_workers, counts):
+        grid = grid_of(counts)
+        k_vec = K_VEC[: grid.dim]
+        assert_same_bits(plane_wave(grid, k_vec), single_threaded_plane_wave(grid, k_vec))
+
+    @pytest.mark.parametrize("lead,counts", STACKS)
+    def test_reductions(self, pool_workers, lead, counts):
+        values = random_values(lead + counts, sum(counts))
+        before = values.copy()
+        got = max_abs(values)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(np.max(np.abs(values))).tobytes()
+        assert all_finite(values) is True
+        assert np.array_equal(values, before), "input was modified"
+
+    @pytest.mark.parametrize("counts", GRID_SHAPES)
+    def test_field_norms_and_max(self, pool_workers, counts):
+        grid = grid_of(counts)
+        values = random_values(counts, sum(counts))
+        before = values.copy()
+        field = SampledField(grid, values, Space.POSITION)
+        assert_same_bits(field.node_norms(), np.abs(values))
+        assert field.max_abs() == float(np.max(np.abs(values)))
+        assert np.array_equal(values, before), "input was modified"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_in_the_last_block(self, pool_workers, bad):
+        # 512^2 complex values are 4 MiB: more than one block for every pool
+        grid = make_grid(2, (10.0, 10.0), (512, 512))
+        values = np.ones(grid.shape, dtype=complex)
+        values[-1, -1] = bad
+        got = max_abs(values)
+        assert math.isnan(got) if math.isnan(bad) else got == math.inf
+        assert all_finite(values) is False
+        with pytest.raises(ValueError, match="finite"):
+            SampledField(grid, values, Space.POSITION)
+
+    def test_nan_wins_over_inf_in_an_earlier_block(self, pool_workers):
+        values = np.ones((512, 512), dtype=complex)
+        values[0, 0] = np.inf
+        values[-1, -1] = np.nan
+        assert math.isnan(max_abs(values))
+
+    @pytest.mark.parametrize("counts", [(16, 10), (12, 8, 10)])
+    def test_plane_wave_at_nodes(self, counts):
+        grid = grid_of(counts)
+        k_vec = K_VEC[: grid.dim]
+        nodes = np.array(list(np.ndindex(grid.shape)))
+        want = single_threaded_plane_wave(grid, k_vec)
+        assert_same_bits(plane_wave_at(grid, k_vec, nodes), want[tuple(nodes.T)])
+        assert_same_bits(plane_wave_at(grid, k_vec, nodes[-3:]), want[tuple(nodes[-3:].T)])
+
+    def test_plane_wave_at_rejects_bad_nodes(self):
+        grid = make_grid(2, (6.0, 6.0), (8, 8))
+        with pytest.raises(ValueError, match="nodes"):
+            plane_wave_at(grid, (1.0, 2.0), np.zeros((4, 3), dtype=int))
+        with pytest.raises(ValueError, match="nodes"):
+            plane_wave_at(grid, (1.0, 2.0), np.zeros(2, dtype=int))
+
+    @pytest.mark.parametrize("k_vec", [(1.0, 2.0, 3.0), (1.0,)])
+    def test_plane_wave_rejects_wave_vector_of_wrong_length(self, k_vec):
+        grid = make_grid(2, (6.0, 6.0), (8, 8))
+        with pytest.raises(ValueError, match="2 components"):
+            plane_wave(grid, k_vec)
+        with pytest.raises(ValueError, match="2 components"):
+            plane_wave_at(grid, k_vec, np.zeros((1, 2), dtype=int))
 
 
 class TestNudft:

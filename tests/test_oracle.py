@@ -21,6 +21,7 @@ from bornscat.grids import (
     make_grid,
     nudft_values,
     plane_wave,
+    sphere_directions,
 )
 from bornscat.oracle import (
     QUAD_MAX_NODES_PER_AXIS,
@@ -261,6 +262,21 @@ class TestConvergedSolution:
         np.testing.assert_allclose(solution.field.values, total,
                                    rtol=1e-13, atol=1e-13)
 
+    @pytest.mark.parametrize("n", [128, 512])
+    def test_running_sum_is_bit_identical(self, pool_workers, n):
+        grid = make_grid(2, (60.0, 60.0), (n, n))
+        probe = make_scatter_config(grid, 0.8, toy_spec(2), n_orders=1)
+        spec = toy_spec(2, coupling=0.05 * probe.k**2)
+        cfg = make_scatter_config(grid, 0.8, spec, n_orders=1)
+        v = sample_potential(spec, grid)
+        solution = converged_solution(cfg, v, series_tol=1e-6)
+        replay = make_scatter_config(grid, 0.8, spec, n_orders=solution.order + 1)
+        series = born_series(replay, v)
+        total = np.array(series[0].field.values, copy=True)
+        for term in series[1:]:
+            total += term.field.values
+        assert solution.field.values.tobytes() == total.tobytes()
+
     def test_strong_coupling_raises(self):
         grid = make_grid(2, (24.0, 24.0), (64, 64))
         spec = toy_spec(2, coupling=1e8)
@@ -298,9 +314,41 @@ def synthetic_outgoing(grid, k_vec, pattern, wavenumber):
     return SampledField(grid, plane_wave(grid, k_vec) + out, Space.POSITION)
 
 
+def whole_grid_per_radius(psi, k_vec, radii, directions):
+    # asymptotic_fit's amplitudes, read off the full-grid residual
+    grid = psi.grid
+    k = float(np.linalg.norm(k_vec))
+    residual = psi.values - plane_wave(grid, k_vec)
+    axes = [grid.position_axis(i) for i in range(grid.dim)]
+    out = np.zeros((2, len(directions)), dtype=complex)
+    for row, radius in enumerate(radii):
+        for col, u in enumerate(directions):
+            idx = tuple(
+                int(np.clip(round((radius * u[i] + 0.5 * grid.extents[i]) / grid.spacing[i]),
+                            0, grid.counts[i] - 1))
+                for i in range(grid.dim)
+            )
+            x_node = np.array([axes[i][idx[i]] for i in range(grid.dim)])
+            r_node = float(np.linalg.norm(x_node))
+            outgoing = np.exp(1j * k * r_node) / r_node ** (0.5 * (grid.dim - 1))
+            out[row, col] = residual[idx] / outgoing
+    return out
+
+
 class TestAsymptoticFit:
     def grid(self):
         return make_grid(2, (100.0, 100.0), (512, 512))
+
+    @pytest.mark.filterwarnings("ignore:amplitude estimates")  # random psi is not outgoing
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_reads_the_incident_wave_only_at_fit_nodes(self, dim):
+        grid = make_grid(dim, (20.0,) * dim, (32,) * dim)
+        k_vec = np.array([-0.73, 0.41, 0.2][:dim])
+        psi = random_field(grid, seed=dim)
+        dirs = sphere_directions(dim, 1.0, 12, -k_vec)
+        fit = asymptotic_fit(psi, k_vec, 7.0, dirs)
+        want = whole_grid_per_radius(psi, k_vec, fit.radii, fit.directions)
+        assert fit.per_radius.tobytes() == want.tobytes()
 
     def test_recovers_constant_amplitude_exactly(self):
         grid = self.grid()

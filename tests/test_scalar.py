@@ -12,10 +12,13 @@ import warnings
 import numpy as np
 import pytest
 
+from bornscat import scalar
 from bornscat.grids import (
     SampledField,
     Space,
+    fft_values,
     forward_ft,
+    ifft_values,
     make_grid,
     nudft,
     sphere_directions,
@@ -40,6 +43,7 @@ from bornscat.scalar import (
     incident_term,
     make_scatter_config,
     on_shell_numerator,
+    propagate,
     verify_convolution_support,
     verify_exactness,
     verify_order_bands,
@@ -84,6 +88,99 @@ class TestGreenFactor:
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):
             green_factor(0.0, 1.0, 0.0)
+
+
+# Shapes the threaded passes of a Born step are checked on: 2-D and 3-D
+# grids on both sides of one block and a tall thin grid.
+GRID_SHAPES = [(16, 10), (128, 128), (512, 512), (3072, 64), (16, 128, 96), (144, 48, 48)]
+
+
+def config_of(counts, n_orders=2):
+    grid = make_grid(len(counts), tuple(0.37 * n for n in counts), counts)
+    u = (1.0,) + (0.0,) * (grid.dim - 1)
+    return make_scatter_config(grid, 2.0, u=u, alpha=1.0, n_orders=n_orders)
+
+
+def random_values(shape, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+def single_threaded_green_factor(p_sq, k, eps):
+    return 1.0 / (k * k - np.asarray(p_sq) + 1j * eps)
+
+
+def single_threaded_propagate(numerator_values, config):
+    # the propagator bound to a name, so numpy multiplies in the order G * M
+    propagator = single_threaded_green_factor(
+        config.grid.momentum_sq, config.k, config.epsilon
+    )
+    return ifft_values(propagator * numerator_values, config.grid)
+
+
+class TestThreadedStep:
+    @pytest.mark.parametrize("counts", GRID_SHAPES)
+    def test_green_factor(self, pool_workers, counts):
+        cfg = config_of(counts)
+        p_sq = cfg.grid.momentum_sq
+        before = p_sq.copy()
+        assert_same_bits(
+            green_factor(p_sq, cfg.k, cfg.epsilon),
+            single_threaded_green_factor(p_sq, cfg.k, cfg.epsilon),
+        )
+        assert np.array_equal(p_sq, before), "input was modified"
+
+    def test_green_factor_of_a_scalar_stays_a_scalar(self):
+        got = green_factor(np.float64(0.3), 1.0, 0.01)
+        want = single_threaded_green_factor(np.float64(0.3), 1.0, 0.01)
+        assert type(got) is type(want) and got == want
+
+    @pytest.mark.parametrize("counts", GRID_SHAPES)
+    def test_born_step(self, pool_workers, counts):
+        cfg = config_of(counts)
+        grid = cfg.grid
+        v = SampledField(grid, random_values(counts, 1), Space.POSITION)
+        prev = BornTerm(0, SampledField(grid, random_values(counts, 2), Space.POSITION))
+        v_before, prev_before = v.values.copy(), prev.field.values.copy()
+        term = born_step(prev, v, cfg)
+        source = v.values * prev.field.values
+        assert_same_bits(term.source.values, source)
+        numerator = fft_values(source, grid)
+        assert_same_bits(term.numerator.values, numerator)
+        assert_same_bits(term.field.values, single_threaded_propagate(numerator, cfg))
+        assert np.array_equal(v.values, v_before), "interaction was modified"
+        assert np.array_equal(prev.field.values, prev_before), "term was modified"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("reference", [None, 1.0])
+    def test_guard_sees_nonfinite_in_the_last_block(
+        self, pool_workers, monkeypatch, bad, reference
+    ):
+        # Without the inverse transform, which would spread the bad value
+        # over the whole field, the guard must find it in the last block.
+        monkeypatch.setattr(scalar, "ifft_values", lambda values, grid: values)
+        cfg = config_of((512, 512))
+        numerator = np.full(cfg.grid.shape, 1e-3, dtype=complex)
+        numerator[-1, -1] = bad
+        with pytest.raises(DivergenceError, match="not finite") as info:
+            propagate(numerator, cfg, 1, reference)
+        assert info.value.order == 1
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_numerator_diverges_at_order_one(self, pool_workers, bad):
+        cfg = config_of((512, 512))
+        numerator = random_values(cfg.grid.shape)
+        numerator[-1, -1] = bad
+        with pytest.raises(DivergenceError) as info:
+            propagate(numerator, cfg, 1)
+        assert info.value.order == 1 and info.value.reference is None
 
 
 class TestExactnessOrder:
