@@ -220,15 +220,19 @@ class SampledField:
 # blocking, so the result does not depend on the number of threads.
 #
 # The per-node passes of a Born order (the elementwise factors, products and
-# reductions) run on the same pool through blockwise, _reduce and
-# _row_blocks: each element goes through the same numpy loop with the same
-# operand order whatever block holds it, so they too compute bit for bit
-# what the whole-array expression computes.  Arrays of at most _BLOCK_BYTES
-# run in the calling thread.
+# reductions) run on the same pool through blockwise and _reduce: each
+# element goes through the same numpy loop with the same operand order
+# whatever block holds it, so they too compute bit for bit what the
+# whole-array expression computes.  The transform passes and the per-node
+# passes split their work with the one helper _row_blocks.  Arrays of at
+# most _BLOCK_BYTES run in the calling thread.
 _BLOCK_BYTES = 2 << 20
-# Per-node passes walk their rows in sub-blocks of at most this many bytes,
-# so the temporaries a block expression makes stay small in every thread's
-# malloc arena.
+# Larger arrays are walked in sub-blocks.  A per-node pass takes sub-blocks of
+# at most this many bytes, so the temporaries its block expression makes stay
+# small in every thread's malloc arena.  A transform pass writes through out=
+# and makes no block-sized temporary, so it takes sub-blocks of _BLOCK_BYTES:
+# each sub-block costs one np.fft call, and 512 KiB ones made a 3072^2
+# fft_values + ifft_values pair 6-7% slower on a 2-vCPU VM (numpy 2.4.6).
 _SUB_BLOCK_BYTES = 512 * 1024
 # numpy's NPY_MIN_ELIDE_BYTES: `a * temp` with a temporary at least this
 # large and of a's shape is evaluated in place as `temp * a`.
@@ -277,29 +281,19 @@ def _gather(fn, calls):
     return [future.result() for future in futures]
 
 
-def _in_blocks(task, n, nbytes):
-    """Run task(slice) on disjoint slices covering range(n), ~_BLOCK_BYTES each."""
-    parts = max(1, min(n, -(-nbytes // _BLOCK_BYTES)))
-    slices = [slice(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
-    if parts == 1:
-        task(slices[0])
-        return
-    _gather(task, [(s,) for s in slices])
-
-
-def _row_blocks(task, n, nbytes):
+def _row_blocks(task, n, nbytes, sub_block_bytes):
     """[task(rows) for rows in consecutive slices covering range(n)], in order.
 
     nbytes is the size of the largest array the task touches over all of
     range(n).  Up to _BLOCK_BYTES, task runs once on the whole range in the
     calling thread.  Beyond that, range(n) splits into one contiguous span
     per pool thread, and each thread walks its span in sub-blocks of at most
-    _SUB_BLOCK_BYTES (and at least one row).
+    sub_block_bytes (and at least one row).
     """
     if nbytes <= _BLOCK_BYTES:
         return [task(slice(0, n))]
     spans = min(n, _usable_cpus())
-    step = max(1, n * _SUB_BLOCK_BYTES // nbytes)
+    step = max(1, n * sub_block_bytes // nbytes)
 
     def walk(start, stop):
         return [task(slice(i, min(i + step, stop))) for i in range(start, stop, step)]
@@ -337,7 +331,7 @@ def blockwise(fn, out, *operands, axis=0):
         blocks = [_block_of(operand, rows, axis) for operand in operands]
         fn(*blocks, out=_block_of(out, rows, axis))
 
-    _row_blocks(task, out.shape[axis], nbytes)
+    _row_blocks(task, out.shape[axis], nbytes, _SUB_BLOCK_BYTES)
     return out
 
 
@@ -347,7 +341,10 @@ def _reduce(fn, values):
     axis = int(np.argmax(values.shape))
     lead = (slice(None),) * axis
     return np.array(
-        _row_blocks(lambda rows: fn(values[lead + (rows,)]), values.shape[axis], values.nbytes)
+        _row_blocks(
+            lambda rows: fn(values[lead + (rows,)]),
+            values.shape[axis], values.nbytes, _SUB_BLOCK_BYTES,
+        )
     )
 
 
@@ -375,7 +372,7 @@ def _passes(transform, src, out, grid):
             index = (slice(None),) * split + (block,)
             transform(src[index], axis=axis, out=out[index])
 
-        _in_blocks(task, out.shape[split], out.nbytes)
+        _row_blocks(task, out.shape[split], out.nbytes, _BLOCK_BYTES)
         src = out
 
 

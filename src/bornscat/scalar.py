@@ -278,14 +278,11 @@ def propagate(numerator_values, config, order, reference_scale=None):
     """
     grid = config.grid
     propagator = green_factor(grid.momentum_sq, config.k, config.epsilon)
-    # G broadcasts over leading component axes; the product is freed as soon
-    # as the inverse transform returns.
-    product = blockwise(
+    # G broadcasts over leading component axes.
+    field_values = ifft_values(blockwise(
         np.multiply, np.empty(numerator_values.shape, dtype=complex),
         propagator, numerator_values, axis=numerator_values.ndim - grid.dim,
-    )
-    field_values = ifft_values(product, grid)
-    del product
+    ), grid)
     magnitude = max_abs(field_values)
     if not math.isfinite(magnitude) or (
         reference_scale is not None and magnitude > DIVERGENCE_RATIO * reference_scale

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from bit_identity import assert_same_bits
 
 from bornscat.em import (
     EMBornTerm,
@@ -89,12 +90,6 @@ class TestSixField:
 
 # Six-component stacks the threaded passes are checked on.
 SIX_SHAPES = [(8, 8, 8), (32, 32, 32)]
-
-
-def assert_same_bits(got, want):
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert np.array_equal(got, want)
-    assert got.tobytes() == want.tobytes()
 
 
 def single_threaded_kernel(w, k):

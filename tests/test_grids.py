@@ -11,6 +11,7 @@ import os
 
 import numpy as np
 import pytest
+from bit_identity import GRID_SHAPES, assert_same_bits, random_values
 
 from bornscat import grids
 from bornscat.grids import (
@@ -245,25 +246,12 @@ class TestThreadedTransforms:
             child.kill()
 
 
-# Shapes every threaded per-node pass is checked on: 2-D and 3-D grids on
-# both sides of one block, a tall thin grid, and six-component stacks.
-GRID_SHAPES = [(16, 10), (128, 128), (512, 512), (3072, 64), (16, 128, 96), (144, 48, 48)]
+# Every grid shape alone and six-component stacks.
 STACKS = [((), counts) for counts in GRID_SHAPES] + [((6,), (8, 8, 8)), ((6,), (32, 32, 32))]
 
 
 def grid_of(counts):
     return make_grid(len(counts), tuple(0.37 * n for n in counts), counts)
-
-
-def random_values(shape, seed=0):
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def assert_same_bits(got, want):
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert np.array_equal(got, want)
-    assert got.tobytes() == want.tobytes()
 
 
 def single_threaded_plane_wave(grid, k_vec):

@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+from bit_identity import GRID_SHAPES, assert_same_bits, random_values
 
 from bornscat import scalar
 from bornscat.grids import (
@@ -90,26 +91,10 @@ class TestGreenFactor:
             green_factor(0.0, 1.0, 0.0)
 
 
-# Shapes the threaded passes of a Born step are checked on: 2-D and 3-D
-# grids on both sides of one block and a tall thin grid.
-GRID_SHAPES = [(16, 10), (128, 128), (512, 512), (3072, 64), (16, 128, 96), (144, 48, 48)]
-
-
 def config_of(counts, n_orders=2):
     grid = make_grid(len(counts), tuple(0.37 * n for n in counts), counts)
     u = (1.0,) + (0.0,) * (grid.dim - 1)
     return make_scatter_config(grid, 2.0, u=u, alpha=1.0, n_orders=n_orders)
-
-
-def random_values(shape, seed=0):
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def assert_same_bits(got, want):
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert np.array_equal(got, want)
-    assert got.tobytes() == want.tobytes()
 
 
 def single_threaded_green_factor(p_sq, k, eps):
