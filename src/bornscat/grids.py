@@ -162,16 +162,6 @@ class Grid:
             out = out + ui * p
         return out
 
-    @cached_property
-    def _forward_phase(self):
-        # exp(-i p.x0) with x0 the box corner; turns the raw FFT into the
-        # centered-box transform.
-        out = np.ones(self.shape, dtype=complex)
-        for i in range(self.dim):
-            x0 = -0.5 * self.extents[i]
-            out = out * self._bcast(np.exp(-1j * self.momentum_axis(i) * x0), i)
-        return out
-
 
 def make_grid(dim, extents, counts):
     """Build a Grid, rejecting inconsistent or under-resolved requests."""
@@ -210,9 +200,11 @@ class SampledField:
         return blockwise(np.absolute, np.empty(self.grid.shape), self.values)
 
 
-# fft_values and ifft_values compute, bit for bit, what the single-threaded
-#     out = np.fft.fftn(values, axes); out * (cell_volume * phase)
-#     np.fft.ifftn(values * np.conj(phase), axes) / cell_volume
+# The centering phase exp(-i p.x0), x0 = -L/2 the box corner, is exactly
+# sign = (-1)^(m_1 + ... + m_d) at momentum node m.  fft_values and
+# ifft_values compute, bit for bit, what the single-threaded
+#     np.fft.fftn(values, axes) * (cell_volume * sign)
+#     np.fft.ifftn(values * (sign / cell_volume), axes)
 # compute, but on every usable CPU.  fftn is a chain of 1-D passes, last axis
 # first; each pass transforms every line on its own and releases the GIL.  So
 # each pass here runs the same 1-D transform on disjoint blocks of lines in a
@@ -234,9 +226,6 @@ _BLOCK_BYTES = 2 << 20
 # each sub-block costs one np.fft call, and 512 KiB ones made a 3072^2
 # fft_values + ifft_values pair 6-7% slower on a 2-vCPU VM (numpy 2.4.6).
 _SUB_BLOCK_BYTES = 512 * 1024
-# numpy's NPY_MIN_ELIDE_BYTES: `a * temp` with a temporary at least this
-# large and of a's shape is evaluated in place as `temp * a`.
-_ELIDE_BYTES = 256 * 1024
 
 _pool = None
 _pool_lock = threading.Lock()
@@ -376,18 +365,31 @@ def _passes(transform, src, out, grid):
         src = out
 
 
-def _factor_first(values, grid):
-    """Whether numpy evaluates `values * temp`, temp a temporary like the phase, as `temp * values`.
+def _product(*factors, out=None):
+    """factors[0] * factors[1] * ..., broadcast and multiplied left to right."""
+    product = factors[0]
+    for factor in factors[1:-1]:
+        product = product * factor
+    return np.multiply(product, factors[-1], out=out)
 
-    numpy reuses the temporary when values has its shape and it is at least
-    _ELIDE_BYTES.  With FMA the two orders round the imaginary part
-    differently, so the blocks must use the same order.
+
+def _centering(grid, scale):
+    """Real per-axis factors whose broadcast product is scale * sign.
+
+    sign = (-1)^m per axis: p_m x0 = (2 pi m / L)(-L/2) = -pi m, and n is
+    even, so an FFT index and its fftfreq label have the same parity.
     """
-    return values.shape == grid.shape and grid._forward_phase.nbytes >= _ELIDE_BYTES
+    factors = [grid._bcast(np.where(np.arange(n) % 2, -1.0, 1.0), i)
+               for i, n in enumerate(grid.counts)]
+    factors[0] = scale * factors[0]
+    return factors
 
 
-def _multiply(values, factor, out, factor_first):
-    np.multiply(*((factor, values) if factor_first else (values, factor)), out=out)
+def _weigh(values, grid, scale, out):
+    # values * (scale * sign) into out; an exact real factor gives the same
+    # product in either operand order.
+    axis = out.ndim - grid.dim
+    return blockwise(_product, out, *_centering(grid, scale), values, axis=axis)
 
 
 def fft_values(values, grid):
@@ -395,32 +397,15 @@ def fft_values(values, grid):
     values = np.asarray(values)
     out = np.empty(values.shape, dtype=complex)
     _passes(np.fft.fft, values, out, grid)
-    cell_volume = grid.cell_volume
-    factor_first = _factor_first(out, grid)
-
-    def weigh(block, phase, out):
-        _multiply(block, cell_volume * phase, out, factor_first)
-
-    return blockwise(weigh, out, out, grid._forward_phase, axis=out.ndim - grid.dim)
+    return _weigh(out, grid, grid.cell_volume, out)
 
 
 def ifft_values(values, grid):
     """Inverse of :func:`fft_values` on raw values (trailing grid axes)."""
     values = np.asarray(values)
-    out = np.empty(values.shape, dtype=complex)
-    cell_volume = grid.cell_volume
-    factor_first = _factor_first(values, grid)
-    axis = values.ndim - grid.dim
-
-    def unphase(block, phase, out):
-        _multiply(block, np.conj(phase), out, factor_first)
-
-    def unweigh(block, out):
-        np.divide(block, cell_volume, out=out)
-
-    blockwise(unphase, out, values, grid._forward_phase, axis=axis)
+    out = _weigh(values, grid, 1.0 / grid.cell_volume, np.empty(values.shape, dtype=complex))
     _passes(np.fft.ifft, out, out, grid)
-    return blockwise(unweigh, out, out, axis=axis)
+    return out
 
 
 def forward_ft(field):
@@ -576,40 +561,27 @@ def sphere_directions(dim, k, count, incident_direction):
     return DirectionSet(k=float(k), unit_vectors=vecs)
 
 
-def _wave_vector(grid, k_vec):
+def _axis_waves(grid, k_vec):
+    """exp(i k_i x_i) along each axis; their product is exp(i k.x)."""
     k_vec = np.asarray(k_vec, dtype=float)
     if k_vec.shape != (grid.dim,):
         raise ValueError(f"wave vector must have {grid.dim} components, got shape {k_vec.shape}")
-    return k_vec
-
-
-def _phase(k_vec, coords):
-    # k.x accumulated as 0.0 + k_0 x_0 + k_1 x_1 (+ k_2 x_2), in this order,
-    # wherever the incident wave is evaluated.
-    phase = 0.0
-    for ki, x in zip(k_vec, coords):
-        phase = phase + ki * x
-    return phase
+    return [np.exp(1j * (ki * grid.position_axis(i))) for i, ki in enumerate(k_vec)]
 
 
 def plane_wave(grid, k_vec):
     """exp(i k.x) sampled on the grid."""
-    k_vec = _wave_vector(grid, k_vec)
-
-    def wave(*mesh, out):
-        np.exp(1j * _phase(k_vec, mesh), out=out)
-
-    return blockwise(wave, np.empty(grid.shape, dtype=complex), *grid.position_mesh())
+    waves = [grid._bcast(wave, i) for i, wave in enumerate(_axis_waves(grid, k_vec))]
+    return blockwise(_product, np.empty(grid.shape, dtype=complex), *waves)
 
 
 def plane_wave_at(grid, k_vec, nodes):
     """plane_wave(grid, k_vec)[node] for each row of node indices, shape (M, dim)."""
-    k_vec = _wave_vector(grid, k_vec)
+    waves = _axis_waves(grid, k_vec)
     nodes = np.asarray(nodes)
     if nodes.ndim != 2 or nodes.shape[1] != grid.dim:
         raise ValueError(f"nodes must have shape (M, {grid.dim})")
-    coords = [grid.position_axis(i)[nodes[:, i]] for i in range(grid.dim)]
-    return np.exp(1j * _phase(k_vec, coords))
+    return _product(*(wave[nodes[:, i]] for i, wave in enumerate(waves)))
 
 
 def snap_to_momentum_lattice(grid, k_vec):

@@ -236,7 +236,7 @@ def sample_potential(subject, grid):
         edge = 0.0
         for axis in range(grid.dim):
             for index in (0, -1):
-                face = np.take(np.abs(values), index, axis=axis)
+                face = np.abs(np.take(values, index, axis=axis))
                 edge = max(edge, float(np.max(face)))
         if edge > BOUNDARY_WARN_RATIO * overall:
             warnings.warn(

@@ -186,23 +186,65 @@ class TestForwardInverse:
             SampledField(grid, values, Space.POSITION)
 
 
+def centering_sign(grid):
+    # exp(-i p.x0) with x0 = -L/2 the box corner: (-1)^(m_1 + ... + m_d)
+    return (-1.0) ** np.indices(grid.shape).sum(axis=0)
+
+
 def numpy_fft_values(values, grid):
     # The single-threaded numpy form the transforms must match bit for bit.
-    # Binding the fftn result to a name matters: written as one expression,
-    # numpy reuses the fftn temporary and multiplies in the other order.
-    out = np.fft.fftn(values, axes=tuple(range(-grid.dim, 0)))
-    return out * (grid.cell_volume * grid._forward_phase)
+    axes = tuple(range(-grid.dim, 0))
+    return np.fft.fftn(values, axes=axes) * (grid.cell_volume * centering_sign(grid))
 
 
 def numpy_ifft_values(values, grid):
-    out = np.fft.ifftn(values * np.conj(grid._forward_phase), axes=tuple(range(-grid.dim, 0)))
-    return out / grid.cell_volume
+    axes = tuple(range(-grid.dim, 0))
+    return np.fft.ifftn(values * (centering_sign(grid) / grid.cell_volume), axes=axes)
+
+
+def complex_phase_transforms(grid):
+    # The transform pair as once written, with the centering phase computed
+    # as a complex exponential: it is (-1)^m only up to rounding.
+    phase = np.ones(grid.shape, dtype=complex)
+    for i, p in enumerate(grid.momentum_mesh()):
+        phase = phase * np.exp(-1j * p * (-0.5 * grid.extents[i]))
+    axes = tuple(range(-grid.dim, 0))
+
+    def forward(values):
+        return np.fft.fftn(values, axes=axes) * (grid.cell_volume * phase)
+
+    def inverse(values):
+        return np.fft.ifftn(values * np.conj(phase), axes=axes) / grid.cell_volume
+
+    return forward, inverse
+
+
+class TestCenteringSign:
+    @pytest.mark.parametrize("lead,counts", [
+        ((), (512, 512)), ((), (3072, 64)), ((), (16, 128, 96)), ((6,), (32, 32, 32)),
+    ])
+    def test_spike_at_origin_transforms_to_cell_volume(self, lead, counts):
+        # exp(-i p.0) = 1 at every momentum node, with no rounding left over
+        grid = make_grid(len(counts), tuple(0.37 * n for n in counts), counts)
+        values = np.zeros(lead + counts, dtype=complex)
+        values[(...,) + tuple(n // 2 for n in counts)] = 1.0
+        assert grid.position_axis(0)[counts[0] // 2] == 0.0
+        out = fft_values(values, grid)
+        assert np.array_equal(out, np.full(values.shape, grid.cell_volume))
+
+    @pytest.mark.parametrize("counts", [(512, 512), (16, 128, 96)])
+    def test_agrees_with_complex_phase_transform(self, counts):
+        grid = make_grid(len(counts), tuple(0.37 * n for n in counts), counts)
+        values = random_values(counts, sum(counts))
+        forward, inverse = complex_phase_transforms(grid)
+        for got, want in ((fft_values(values, grid), forward(values)),
+                          (ifft_values(values, grid), inverse(values))):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestThreadedTransforms:
-    # 2-D shapes on both sides of numpy's 256 KiB temporary-elision size,
-    # 3-D scalars (16x128x96 splits its first pass along the second axis),
-    # and six-component stacks.
+    # 2-D shapes small and large, 3-D scalars (16x128x96 splits its first
+    # pass along the second axis), and six-component stacks.
     @pytest.mark.parametrize("lead,counts", [
         ((), (16, 10)), ((), (128, 128)), ((), (182, 182)), ((), (512, 512)),
         ((), (16, 16, 16)), ((), (16, 128, 96)),
@@ -255,12 +297,13 @@ def grid_of(counts):
 
 
 def single_threaded_plane_wave(grid, k_vec):
-    # plane_wave as one whole-array expression
-    k_vec = np.asarray(k_vec, dtype=float)
-    phase = np.zeros(grid.shape)
-    for ki, x in zip(k_vec, grid.position_mesh()):
-        phase = phase + ki * x
-    return np.exp(1j * phase)
+    # plane_wave as one whole-array expression: the per-axis waves
+    # multiplied in axis order
+    waves = [np.exp(1j * (ki * x)) for ki, x in zip(k_vec, grid.position_mesh())]
+    out = waves[0]
+    for wave in waves[1:]:
+        out = out * wave
+    return out
 
 
 # off the momentum lattice, so the phases round in every last bit
