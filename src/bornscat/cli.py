@@ -548,12 +548,7 @@ def verify(config):
     support = verify_support(sampled, u=u, alpha=alpha, tol=config.tol)
     interaction = sampled
     if config.mode == "em3d":
-        eye = np.eye(3)[(...,) + (np.newaxis,) * sampled.grid.dim]
-        interaction = MaterialTensors(
-            sampled.grid,
-            eye * sampled.values[np.newaxis, np.newaxis],
-            np.zeros((3, 3) + sampled.grid.shape),
-        )
+        interaction = MaterialTensors.isotropic(sampled.grid, sampled.values)
     points = _sweep(config, grid, interaction, u, alpha)
     if points is None:
         return EXIT_DIVERGENCE

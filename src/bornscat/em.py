@@ -23,7 +23,8 @@ step, series, verify and CSV names below are entry points into them.
 
 import warnings
 from dataclasses import dataclass
-from itertools import islice
+from functools import partial
+from itertools import groupby, islice
 
 import numpy as np
 
@@ -125,41 +126,83 @@ class SixField:
         return blockwise(norms, np.empty(self.grid.shape), self.values)
 
 
-@dataclass
+# Names of the two tensors, indexed by the block of a material entry key.
+_TENSORS = ("eps", "mu")
+
+
 class MaterialTensors:
-    """3x3 complex tensor fields delta-eps and delta-mu on one 3D grid."""
+    """3x3 complex tensor fields delta-eps and delta-mu on one 3D grid.
 
-    grid: Grid
-    eps: np.ndarray
-    mu: np.ndarray
+    Only the nonzero entries are stored: `entries` maps (block, i, j), with
+    block 0 for delta-eps and 1 for delta-mu, to that entry's values on the
+    grid, in ascending key order.  Entries may share one array, as the three
+    diagonal entries of an isotropic medium do.  MaterialTensors(grid, eps,
+    mu) keeps the nonzero entries of dense (3, 3) + grid.shape tensors.
+    """
 
-    def __post_init__(self):
-        if self.grid.dim != 3:
-            raise ValueError("material tensors need a 3D grid")
-        shaped = []
-        for name, tensor in (("eps", self.eps), ("mu", self.mu)):
+    def __init__(self, grid, eps, mu):
+        entries = {}
+        for block, tensor in enumerate((eps, mu)):
             tensor = np.asarray(tensor, dtype=complex)
-            if tensor.shape != (3, 3) + self.grid.shape:
+            if tensor.shape != (3, 3) + grid.shape:
                 raise ValueError(
-                    f"{name} must have shape (3, 3) + {self.grid.shape}"
+                    f"{_TENSORS[block]} must have shape (3, 3) + {grid.shape}"
                 )
-            if not np.all(np.isfinite(tensor)):
-                raise ValueError(f"{name} entries must be finite")
-            shaped.append(tensor)
-        self.eps, self.mu = shaped
-        self._warn_on_truncation()
+            for i, j in np.ndindex(3, 3):
+                if np.any(tensor[i, j]):
+                    entries[(block, i, j)] = tensor[i, j].copy()
+        self._keep(grid, entries)
 
-    def _warn_on_truncation(self):
-        overall = max(np.max(np.abs(self.eps)), np.max(np.abs(self.mu)))
+    @classmethod
+    def from_entries(cls, grid, entries):
+        """Tensors from a {(block, i, j): values} map; absent entries are zero."""
+        materials = cls.__new__(cls)
+        materials._keep(grid, entries)
+        return materials
+
+    @classmethod
+    def isotropic(cls, grid, values, which="eps"):
+        """values * identity in delta-eps, delta-mu or both, as one shared array."""
+        blocks = {"eps": (0,), "mu": (1,), "both": (0, 1)}.get(which)
+        if blocks is None:
+            raise ValueError("which must be 'eps', 'mu' or 'both'")
+        return cls.from_entries(
+            grid, {(block, i, i): values for block in blocks for i in range(3)}
+        )
+
+    def _keep(self, grid, entries):
+        # Checks each distinct array once and drops the all-zero ones.
+        if grid.dim != 3:
+            raise ValueError("material tensors need a 3D grid")
+        arrays, peaks = {}, {}
+        for (block, i, j), values in entries.items():
+            if not (block in (0, 1) and 0 <= i < 3 and 0 <= j < 3):
+                raise ValueError(f"tensor index {(block, i, j)} out of range")
+            if id(values) in arrays:
+                continue
+            array = np.asarray(values, dtype=complex)
+            if array.shape != grid.shape:
+                raise ValueError(
+                    f"{_TENSORS[block]}[{i},{j}] must have shape {grid.shape}"
+                )
+            if not all_finite(array):
+                raise ValueError(f"{_TENSORS[block]} entries must be finite")
+            arrays[id(values)], peaks[id(values)] = array, max_abs(array)
+        self.grid = grid
+        self.entries = {
+            key: arrays[id(values)] for key, values in sorted(entries.items())
+            if peaks[id(values)] > 0.0
+        }
+        self._warn_on_truncation(max(peaks.values(), default=0.0))
+
+    def _warn_on_truncation(self, overall):
         if overall == 0.0:
             return
-        boundary = 0.0
-        for tensor in (self.eps, self.mu):
-            for axis in range(3):
-                face = 2 + axis
-                lo = np.take(tensor, 0, axis=face)
-                hi = np.take(tensor, -1, axis=face)
-                boundary = max(boundary, np.max(np.abs(lo)), np.max(np.abs(hi)))
+        distinct = {id(values): values for values in self.entries.values()}
+        boundary = max(
+            np.max(np.abs(np.take(values, end, axis=axis)))
+            for values in distinct.values() for axis in range(3) for end in (0, -1)
+        )
         if boundary > BOUNDARY_WARN_RATIO * overall:
             warnings.warn(
                 f"material magnitude at the box boundary is {boundary:.3e}, more "
@@ -168,9 +211,26 @@ class MaterialTensors:
                 stacklevel=3,
             )
 
+    def _dense(self, block):
+        tensor = np.zeros((3, 3) + self.grid.shape, dtype=complex)
+        for (b, i, j), values in self.entries.items():
+            if b == block:
+                tensor[i, j] = values
+        return tensor
+
+    @property
+    def eps(self):
+        """delta-eps as a new dense (3, 3) + grid.shape array."""
+        return self._dense(0)
+
+    @property
+    def mu(self):
+        """delta-mu as a new dense (3, 3) + grid.shape array."""
+        return self._dense(1)
+
     @property
     def is_magnetic(self):
-        return bool(np.any(self.mu != 0))
+        return any(block == 1 for block, _, _ in self.entries)
 
 
 def incident_six_field(e0, k_hat):
@@ -202,22 +262,10 @@ def default_polarization(k_hat, u):
     return out / np.linalg.norm(out)
 
 
-def _zero_tensor(grid):
-    return np.zeros((3, 3) + grid.shape, dtype=complex)
-
-
 def material_from_scalar(potential, grid, which="eps", scale=1.0):
     """Isotropic tensors scale * v(x) * identity from a scalar family spec."""
-    if which not in ("eps", "mu", "both"):
-        raise ValueError("which must be 'eps', 'mu' or 'both'")
     v = sample_potential(potential, grid).values * scale
-    eps = _zero_tensor(grid)
-    mu = _zero_tensor(grid)
-    targets = {"eps": (eps,), "mu": (mu,), "both": (eps, mu)}[which]
-    for tensor in targets:
-        for i in range(3):
-            tensor[i, i] = v
-    return MaterialTensors(grid=grid, eps=eps, mu=mu)
+    return MaterialTensors.isotropic(grid, v, which)
 
 
 def material_from_entries(grid, eps_entries=None, mu_entries=None):
@@ -226,83 +274,107 @@ def material_from_entries(grid, eps_entries=None, mu_entries=None):
     eps_entries and mu_entries map (row, col) index pairs to PotentialSpec /
     PotentialSum objects; unmentioned entries stay zero.
     """
-    eps = _zero_tensor(grid)
-    mu = _zero_tensor(grid)
-    for entries, tensor in ((eps_entries, eps), (mu_entries, mu)):
-        for (i, j), potential in (entries or {}).items():
-            if not (0 <= i < 3 and 0 <= j < 3):
-                raise ValueError(f"tensor index {(i, j)} out of range")
-            tensor[i, j] = sample_potential(potential, grid).values
-    return MaterialTensors(grid=grid, eps=eps, mu=mu)
+    entries = {}
+    for block, chosen in enumerate((eps_entries, mu_entries)):
+        for (i, j), potential in (chosen or {}).items():
+            entries[(block, i, j)] = sample_potential(potential, grid).values
+    return MaterialTensors.from_entries(grid, entries)
 
 
 def certify_materials(materials, u, alpha, tol=1e-3):
     """Support reports for every nonzero tensor entry.
 
     Returns a dict keyed like "eps[0,1]"; identically zero entries are
-    skipped (nothing to certify).  All reports passing certifies the whole
-    medium for the half-space u.p >= alpha.
+    skipped (nothing to certify), and entries sharing one array share one
+    report.  All reports passing certifies the whole medium for the
+    half-space u.p >= alpha.
     """
-    reports = {}
-    for name, tensor in (("eps", materials.eps), ("mu", materials.mu)):
-        for i in range(3):
-            for j in range(3):
-                entry = tensor[i, j]
-                if not np.any(entry):
-                    continue
-                field = SampledField(materials.grid, entry, Space.POSITION)
-                reports[f"{name}[{i},{j}]"] = verify_support(
-                    field, u=u, alpha=alpha, tol=tol
-                )
+    reports, by_array = {}, {}
+    for (block, i, j), values in materials.entries.items():
+        if id(values) not in by_array:
+            field = SampledField(materials.grid, values, Space.POSITION)
+            by_array[id(values)] = verify_support(field, u=u, alpha=alpha, tol=tol)
+        reports[f"{_TENSORS[block]}[{i},{j}]"] = by_array[id(values)]
     return reports
 
 
+def _sum_of_products(*operands, out):
+    """operands[0] * operands[1] + operands[2] * operands[3] + ..., left to right."""
+    np.multiply(operands[0], operands[1], out=out)
+    for factor, values in zip(operands[2::2], operands[3::2]):
+        out += factor * values
+
+
 def apply_material(materials, six):
-    """Blockwise tensor product (delta-eps . E, delta-mu . H) in position space."""
+    """Blockwise tensor product (delta-eps . E, delta-mu . H) in position space.
+
+    Each output row is the sum, in ascending column, of its stored entries
+    times the field components they meet.  Rows without a stored entry,
+    such as the whole H block when delta-mu = 0, stay zero and are never
+    written.
+    """
     if six.space is not Space.POSITION:
         raise ValueError("material product acts on position-space fields")
     if six.grid != materials.grid:
         raise ValueError("field and materials must share one grid")
-    out = np.empty_like(six.values)
-    out[:3] = np.einsum("ij...,j...->i...", materials.eps, six.e_block)
-    out[3:] = np.einsum("ij...,j...->i...", materials.mu, six.h_block)
+    # np.zeros leaves the rows no entry writes to the lazily zeroed pages.
+    out = np.zeros(six.values.shape, dtype=complex)
+    rows = groupby(materials.entries.items(), key=lambda item: item[0][:2])
+    for (block, i), terms in rows:
+        operands = [
+            operand for (_, _, j), values in terms
+            for operand in (values, six.values[3 * block + j])
+        ]
+        blockwise(_sum_of_products, out[3 * block + i], *operands)
     return SixField(six.grid, out, Space.POSITION)
 
 
-def _mesh_cross(p_mesh, block):
+def _mesh_cross(p, block):
     """p x block at every node, for broadcastable momentum component arrays."""
     return np.stack(
         [
-            p_mesh[1] * block[2] - p_mesh[2] * block[1],
-            p_mesh[2] * block[0] - p_mesh[0] * block[2],
-            p_mesh[0] * block[1] - p_mesh[1] * block[0],
+            p[1] * block[2] - p[2] * block[1],
+            p[2] * block[0] - p[0] * block[2],
+            p[0] * block[1] - p[1] * block[0],
         ]
     )
 
 
-def em_kernel_apply(w, k):
+def _longitudinal(p, block):
+    """p (p . block) at every node."""
+    p_dot = sum(p[i] * block[i] for i in range(3))
+    return np.stack([p[i] * p_dot for i in range(3)])
+
+
+def _kernel(k, w, *p, out):
+    """The momentum kernel applied to W at momenta p, written into out.
+
+    w holds W_E over W_H along its first axis, or W_E alone when W_H = 0,
+    whose terms are then dropped; p is three momentum component arrays that
+    broadcast against one component of w.  The one kernel on the grid and
+    at the shell points.
+    """
+    w_e, w_h = w[:3], w[3:]
+    out[:3] = -k * k * w_e + _longitudinal(p, w_e)
+    out[3:] = -k * _mesh_cross(p, w_e)
+    if len(w_h):
+        out[:3] += k * _mesh_cross(p, w_h)
+        out[3:] += -k * k * w_h + _longitudinal(p, w_h)
+
+
+def em_kernel_apply(w, grid, k):
     """Pointwise momentum kernel on transformed material products.
 
-    For each momentum node p, with W = (W_E, W_H):
+    w holds the raw momentum-space values of W = (W_E, W_H), shape
+    (6,) + grid.shape, or of W_E alone, shape (3,) + grid.shape, when
+    W_H = 0.  Returns the (6,) + grid.shape values, for each momentum node p:
     out_E = -k^2 W_E + p (p.W_E) + k p x W_H and
     out_H = -k p x W_E - k^2 W_H + p (p.W_H).
     """
-    if w.space is not Space.MOMENTUM:
-        raise ValueError("kernel acts on momentum-space fields")
-    grid = w.grid
-
-    def kernel(values, *p_mesh, out):
-        for offset, sign in ((0, 1.0), (3, -1.0)):
-            block = values[offset : offset + 3]
-            other = values[3 - offset : 6 - offset]
-            p_dot = sum(p_mesh[i] * block[i] for i in range(3))
-            longitudinal = np.stack([p_mesh[i] * p_dot for i in range(3)])
-            out[offset : offset + 3] = (
-                -k * k * block + longitudinal + sign * k * _mesh_cross(p_mesh, other)
-            )
-
-    out = blockwise(kernel, np.empty_like(w.values), w.values, *grid.momentum_mesh(), axis=1)
-    return SixField(grid, out, Space.MOMENTUM)
+    if w.shape not in ((3,) + grid.shape, (6,) + grid.shape):
+        raise ValueError(f"kernel input shape {w.shape} is not (3,) or (6,) + {grid.shape}")
+    out = np.empty((6,) + grid.shape, dtype=complex)
+    return blockwise(partial(_kernel, k), out, w, *grid.momentum_mesh(), axis=1)
 
 
 def em_incident_term(config, psi0):
@@ -324,8 +396,11 @@ def em_born_step(prev, materials, config, reference_scale=None):
     if prev.field.grid != grid or materials.grid != grid:
         raise ValueError("term, materials and config must share one grid")
     source = apply_material(materials, prev.field)
-    w = SixField(grid, fft_values(source.values, grid), Space.MOMENTUM)
-    numerator = em_kernel_apply(w, config.k)
+    # With delta-mu = 0 the source's H block is zero, and so is W_H.
+    rows = source.values if materials.is_magnetic else source.e_block
+    numerator = SixField(
+        grid, em_kernel_apply(fft_values(rows, grid), grid, config.k), Space.MOMENTUM
+    )
     field_values = propagate(numerator.values, config, prev.order + 1, reference_scale)
     return BornTerm(
         order=prev.order + 1,
@@ -356,19 +431,11 @@ def em_on_shell_numerator(term, config, directions=None):
     as on the grid, evaluated at each shell momentum.  Values have shape
     (count, 6).
     """
-    k = config.k
-
     def kernel_at_points(source, points):
-        w = np.stack(
-            [nudft_values(source.values[c], config.grid, points) for c in range(6)],
-            axis=1,
-        )
+        w = np.stack([nudft_values(values, config.grid, points) for values in source.values])
         values = np.empty_like(w)
-        for s, p in enumerate(points):
-            w_e, w_h = w[s, :3], w[s, 3:]
-            values[s, :3] = -k * k * w_e + p * (p @ w_e) + k * np.cross(p, w_h)
-            values[s, 3:] = -k * k * w_h + p * (p @ w_h) - k * np.cross(p, w_e)
-        return values
+        _kernel(config.k, w, *points.T, out=values)
+        return values.T
 
     return shell_record(term, config, directions, kernel_at_points)
 
@@ -411,13 +478,10 @@ def em_divergence_diagnostic(materials, six):
     grid = six.grid
     p_mesh = grid.momentum_mesh()
     p_norm = np.sqrt(grid.momentum_sq)
+    flux = six.values + apply_material(materials, six).values
     out = {}
-    for name, tensor, block in (
-        ("electric", materials.eps, six.e_block),
-        ("magnetic", materials.mu, six.h_block),
-    ):
-        flux = block + np.einsum("ij...,j...->i...", tensor, block)
-        flux_t = fft_values(flux, grid)
+    for name, block in (("electric", flux[:3]), ("magnetic", flux[3:])):
+        flux_t = fft_values(block, grid)
         longitudinal = sum(p_mesh[i] * flux_t[i] for i in range(3))
         denom = np.linalg.norm(p_norm * np.sqrt(np.sum(np.abs(flux_t) ** 2, axis=0)))
         out[name] = float(np.linalg.norm(longitudinal) / denom) if denom > 0 else 0.0

@@ -14,9 +14,11 @@ The transform pair is weighted to approximate the continuum integrals
 which makes the two grid operations exactly inverse to each other.
 """
 
+import functools
 import json
 import math
 import os
+import queue
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
@@ -227,6 +229,67 @@ _BLOCK_BYTES = 2 << 20
 # fft_values + ifft_values pair 6-7% slower on a 2-vCPU VM (numpy 2.4.6).
 _SUB_BLOCK_BYTES = 512 * 1024
 
+
+class _Pool:
+    """Daemon threads that run the tasks put on one queue.
+
+    Built on threading and queue alone: concurrent.futures takes ~10 ms to
+    import, most of it for logging.
+    """
+
+    def __init__(self, workers):
+        self._tasks = queue.SimpleQueue()
+        self._threads = [
+            threading.Thread(target=self._serve, name="bornscat-grid", daemon=True)
+            for _ in range(workers)
+        ]
+        for thread in self._threads:
+            thread.start()
+
+    def _serve(self):
+        while True:
+            task = self._tasks.get()
+            if task is None:
+                return
+            task()
+            # Drop the task now: it holds the caller's arrays until the next
+            # task would replace it.
+            del task
+
+    def map(self, fn, calls):
+        """[fn(*args) for args in calls], each call a task on the pool.
+
+        Every task is done before an error propagates; the error raised is
+        that of the first failing call.
+        """
+        calls = list(calls)
+        outcomes = [None] * len(calls)
+        done = queue.SimpleQueue()
+
+        def run(index, args):
+            try:
+                outcomes[index] = (True, fn(*args))
+            except BaseException as exc:  # handed to the caller below
+                outcomes[index] = (False, exc)
+            done.put(index)
+
+        for index, args in enumerate(calls):
+            self._tasks.put(functools.partial(run, index, args))
+        for _ in calls:
+            done.get()
+        for ok, value in outcomes:
+            if not ok:
+                raise value
+        return [value for _, value in outcomes]
+
+    def shutdown(self, timeout=None):
+        """Stop every thread once the tasks already queued are done."""
+        for _ in self._threads:
+            self._tasks.put(None)
+        for thread in self._threads:
+            thread.join(timeout)
+
+
 _pool = None
 _pool_lock = threading.Lock()
 
@@ -242,10 +305,7 @@ def _executor():
     global _pool
     with _pool_lock:
         if _pool is None:
-            # Imported here: concurrent.futures takes ~10 ms to import.
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="bornscat-grid")
+            _pool = _Pool(_usable_cpus())
         return _pool
 
 
@@ -258,16 +318,6 @@ def _forget_executor():
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_executor)
-
-
-def _gather(fn, calls):
-    """[fn(*args) for args in calls], each call a task on the pool."""
-    from concurrent.futures import wait
-
-    pool = _executor()
-    futures = [pool.submit(fn, *args) for args in calls]
-    wait(futures)  # every task is done before an error propagates
-    return [future.result() for future in futures]
 
 
 def _row_blocks(task, n, nbytes, sub_block_bytes):
@@ -288,7 +338,7 @@ def _row_blocks(task, n, nbytes, sub_block_bytes):
         return [task(slice(i, min(i + step, stop))) for i in range(start, stop, step)]
 
     bounds = [(n * i // spans, n * (i + 1) // spans) for i in range(spans)]
-    return [result for span in _gather(walk, bounds) for result in span]
+    return [result for span in _executor().map(walk, bounds) for result in span]
 
 
 def _block_of(operand, rows, axis):

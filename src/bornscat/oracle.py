@@ -170,6 +170,8 @@ def em_quad_second_order(materials, k_vec, psi0, points, eps):
     cell = float(np.prod(2.0 * np.pi / np.asarray(grid.extents)))
     norm = cell / (2.0 * np.pi) ** grid.dim
 
+    # Dense tensors bound once: each .eps / .mu access builds a new array.
+    eps_tensor, mu_tensor = materials.eps, materials.mu
     cache = {}
 
     def entry_transform(tensor, i, j, pts):
@@ -206,8 +208,8 @@ def em_quad_second_order(materials, k_vec, psi0, points, eps):
     shifts = q_nodes - k_vec
     w1 = np.concatenate(
         [
-            tensor_product(materials.eps, shifts, psi0[:3]),
-            tensor_product(materials.mu, shifts, psi0[3:]),
+            tensor_product(eps_tensor, shifts, psi0[:3]),
+            tensor_product(mu_tensor, shifts, psi0[3:]),
         ],
         axis=1,
     )
@@ -217,7 +219,7 @@ def em_quad_second_order(materials, k_vec, psi0, points, eps):
     for p in points:
         start = time.perf_counter()
         w2 = np.zeros(6, dtype=complex)
-        for block, tensor in ((0, materials.eps), (3, materials.mu)):
+        for block, tensor in ((0, eps_tensor), (3, mu_tensor)):
             weighted = g_q[:, None] * m1[:, block : block + 3]
             for i in range(3):
                 for j in range(3):

@@ -1,7 +1,5 @@
 """Fixtures shared by the grid, scalar and EM tests."""
 
-from concurrent.futures import ThreadPoolExecutor
-
 import pytest
 
 from bornscat import grids
@@ -15,10 +13,10 @@ def pool_workers(request, monkeypatch):
     if request.param is None:
         yield
         return
-    pool = ThreadPoolExecutor(request.param)
+    pool = grids._Pool(request.param)
     monkeypatch.setattr(grids, "_pool", pool)
     monkeypatch.setattr(grids, "_usable_cpus", lambda: request.param)
     monkeypatch.setattr(grids, "_BLOCK_BYTES", 2 * 1024)
     monkeypatch.setattr(grids, "_SUB_BLOCK_BYTES", 1024)
     yield
-    pool.shutdown()
+    pool.shutdown(timeout=60)

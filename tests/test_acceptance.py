@@ -377,12 +377,10 @@ def test_09_electromagnetic_exactness(capsys):
     w_vals = rng.standard_normal((6,) + kgrid.shape) \
         + 1j * rng.standard_normal((6,) + kgrid.shape)
     w_vals[:3] = 0.0
-    from bornscat.em import SixField
-
-    out = em_kernel_apply(SixField(kgrid, w_vals, Space.MOMENTUM), 0.9)
+    out = em_kernel_apply(w_vals, kgrid, 0.9)
     mesh = kgrid.momentum_mesh()
-    dot = sum(mesh[i] * out.values[i] for i in range(3))
-    ortho = float(np.max(np.abs(dot)) / np.max(np.abs(out.values[:3])))
+    dot = sum(mesh[i] * out[i] for i in range(3))
+    ortho = float(np.max(np.abs(dot)) / np.max(np.abs(out[:3])))
     # blockwise first-order identity against the scalar spectrum
     bgrid = make_grid(3, (14.0, 6.0, 6.0), (32, 16, 16))
     bmats = material_from_scalar(FAMILY3D, bgrid, which="eps")

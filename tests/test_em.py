@@ -27,7 +27,7 @@ from bornscat.em import (
     verify_em_spectral_floor,
     write_em_on_shell_csv,
 )
-from bornscat.grids import Space, ifft_values, make_grid, plane_wave
+from bornscat.grids import Space, fft_values, ifft_values, make_grid, plane_wave
 from bornscat.potentials import PotentialSpec, sample_potential
 from bornscat.scalar import (
     DivergenceError,
@@ -110,14 +110,66 @@ def single_threaded_kernel(w, k):
     return out
 
 
+def dense_medium(grid, seed=0):
+    rng = np.random.default_rng(seed)
+    eps, mu = (rng.standard_normal((3, 3) + grid.shape)
+               + 1j * rng.standard_normal((3, 3) + grid.shape) for _ in range(2))
+    return MaterialTensors(grid, eps, mu)
+
+
+def isotropic_medium(grid, seed=0):
+    return MaterialTensors.isotropic(grid, random_six(grid, seed).values[0])
+
+
+def magnetic_medium(grid, seed=0):
+    values = random_six(grid, seed).values
+    return MaterialTensors.from_entries(grid, {
+        (0, 0, 0): values[0], (0, 0, 2): values[1], (0, 2, 1): values[2],
+        (1, 1, 1): values[3], (1, 2, 0): values[4], (1, 2, 2): values[3],
+    })
+
+
+def zero_medium(grid, seed=0):
+    shape = (3, 3) + grid.shape
+    return MaterialTensors(grid, np.zeros(shape), np.zeros(shape))
+
+
+MEDIA = [dense_medium, isotropic_medium, magnetic_medium, zero_medium]
+
+
+def whole_array_material_product(materials, six):
+    # apply_material as whole-array expressions: each row's stored entries
+    # times the components they meet, summed left to right in ascending column
+    rows = {}
+    for (block, i, j), values in materials.entries.items():
+        product = values * six.values[3 * block + j]
+        row = 3 * block + i
+        rows[row] = rows[row] + product if row in rows else product
+    out = np.zeros_like(six.values)
+    for row, values in rows.items():
+        out[row] = values
+    return out
+
+
 class TestThreadedPasses:
     @pytest.mark.parametrize("counts", SIX_SHAPES)
     def test_kernel(self, pool_workers, counts):
         grid = make_grid(3, tuple(0.37 * n for n in counts), counts)
         w = random_six(grid, seed=sum(counts))
         before = w.values.copy()
-        assert_same_bits(em_kernel_apply(w, 1.7).values, single_threaded_kernel(w, 1.7))
+        assert_same_bits(em_kernel_apply(w.values, grid, 1.7), single_threaded_kernel(w, 1.7))
         assert np.array_equal(w.values, before), "input was modified"
+
+    @pytest.mark.parametrize("medium", MEDIA)
+    @pytest.mark.parametrize("counts", SIX_SHAPES)
+    def test_material_product(self, pool_workers, counts, medium):
+        grid = make_grid(3, tuple(0.37 * n for n in counts), counts)
+        mats = medium(grid, seed=sum(counts))
+        six = random_six(grid, seed=1 + sum(counts), space=Space.POSITION)
+        before = six.values.copy()
+        assert_same_bits(apply_material(mats, six).values,
+                         whole_array_material_product(mats, six))
+        assert np.array_equal(six.values, before), "input was modified"
 
     @pytest.mark.parametrize("counts", SIX_SHAPES)
     def test_norms_and_max(self, pool_workers, counts):
@@ -239,6 +291,41 @@ class TestMaterials:
         with pytest.raises(ValueError, match="which"):
             material_from_scalar(family(), grid, which="nu")
 
+    def test_isotropic_entries_share_one_array(self):
+        grid = make_grid(3, (14.0, 6.0, 6.0), (16, 8, 8))
+        mats = material_from_scalar(family(), grid, which="both", scale=0.5)
+        assert list(mats.entries) == [(b, i, i) for b in (0, 1) for i in range(3)]
+        shared = mats.entries[(0, 0, 0)]
+        assert all(values is shared for values in mats.entries.values())
+        assert shared.shape == grid.shape
+        np.testing.assert_array_equal(
+            shared, 0.5 * sample_potential(family(), grid).values)
+
+    def test_dense_constructor_keeps_nonzero_entries(self):
+        grid = make_grid(3, (4.0, 4.0, 4.0), (8, 8, 8))
+        eps = np.zeros((3, 3) + grid.shape, dtype=complex)
+        mu = np.zeros((3, 3) + grid.shape, dtype=complex)
+        eps[0, 1, 2, 3, 4] = 1.0 - 2.0j
+        mu[2, 2] = 0.5
+        mats = MaterialTensors(grid, eps, mu)
+        assert list(mats.entries) == [(0, 0, 1), (1, 2, 2)]
+        assert mats.is_magnetic
+        np.testing.assert_array_equal(mats.eps, eps)
+        np.testing.assert_array_equal(mats.mu, mu)
+
+    def test_from_entries_validation(self):
+        grid = make_grid(3, (4.0, 4.0, 4.0), (8, 8, 8))
+        bad = np.ones(grid.shape, dtype=complex)
+        bad[-1, -1, -1] = np.inf
+        with pytest.raises(ValueError, match="mu entries must be finite"):
+            MaterialTensors.from_entries(grid, {(1, 0, 2): bad})
+        with pytest.raises(ValueError, match="index"):
+            MaterialTensors.from_entries(grid, {(2, 0, 0): np.ones(grid.shape)})
+        with pytest.raises(ValueError, match="shape"):
+            MaterialTensors.from_entries(grid, {(0, 0, 0): np.ones((8, 8))})
+        zero = MaterialTensors.from_entries(grid, {(1, 0, 0): np.zeros(grid.shape)})
+        assert zero.entries == {} and not zero.is_magnetic
+
     def test_entrywise_assembly(self):
         grid = make_grid(3, (14.0, 6.0, 6.0), (16, 8, 8))
         spec = family()
@@ -278,6 +365,20 @@ class TestApplyMaterial:
         np.testing.assert_allclose(out.h_block[(slice(None),) + node], want_h,
                                    rtol=1e-12)
 
+    @pytest.mark.parametrize("medium", MEDIA)
+    def test_matches_dense_einsum(self, medium):
+        grid = make_grid(3, (4.0, 5.0, 6.0), (16, 8, 12))
+        mats = medium(grid, seed=5)
+        six = random_six(grid, seed=6, space=Space.POSITION)
+        want = np.concatenate([
+            np.einsum("ij...,j...->i...", mats.eps, six.e_block),
+            np.einsum("ij...,j...->i...", mats.mu, six.h_block),
+        ])
+        got = apply_material(mats, six).values
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        if not mats.is_magnetic:
+            assert not np.any(got[3:])
+
     def test_space_and_grid_validation(self):
         grid = make_grid(3, (4.0, 4.0, 4.0), (8, 8, 8))
         shape = (3, 3) + grid.shape
@@ -303,47 +404,47 @@ class TestKernel:
     def test_zero_input(self):
         grid = make_grid(3, (4.0, 4.0, 4.0), (8, 8, 8))
         zero = SixField(grid, np.zeros((6,) + grid.shape), Space.MOMENTUM)
-        out = em_kernel_apply(zero, 0.9)
-        assert not np.any(out.values)
+        out = em_kernel_apply(zero.values, grid, 0.9)
+        assert not np.any(out)
 
     def test_matches_literal_matrix_nodewise(self):
         grid = make_grid(3, (8.0, 8.0, 8.0), (8, 8, 8))
         w = random_six(grid, seed=7)
-        out = em_kernel_apply(w, 0.9)
+        out = em_kernel_apply(w.values, grid, 0.9)
         axes = [grid.momentum_axis(i) for i in range(3)]
         for node in [(0, 0, 0), (3, 5, 1), (7, 7, 7), (4, 2, 6)]:
             p = np.array([axes[i][node[i]] for i in range(3)])
             want = literal_kernel_matrix(p, 0.9) @ w.values[(slice(None),) + node]
-            got = out.values[(slice(None),) + node]
+            got = out[(slice(None),) + node]
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
 
     def test_cross_part_orthogonal_to_p(self):
         grid = make_grid(3, (8.0, 8.0, 8.0), (8, 8, 8))
         w = random_six(grid, seed=3)
         w.values[:3] = 0.0  # only W_H feeds the E-block cross term
-        out = em_kernel_apply(SixField(grid, w.values, Space.MOMENTUM), 0.9)
+        out = em_kernel_apply(w.values, grid, 0.9)
         mesh = grid.momentum_mesh()
-        dot = sum(mesh[i] * out.values[i] for i in range(3))
-        assert np.max(np.abs(dot)) <= 1e-12 * np.max(np.abs(out.values[:3]))
+        dot = sum(mesh[i] * out[i] for i in range(3))
+        assert np.max(np.abs(dot)) <= 1e-12 * np.max(np.abs(out[:3]))
 
     def test_longitudinal_part_lies_along_p(self):
         grid = make_grid(3, (8.0, 8.0, 8.0), (8, 8, 8))
         w = random_six(grid, seed=8)
         w.values[3:] = 0.0
-        out = em_kernel_apply(SixField(grid, w.values, Space.MOMENTUM), 0.9)
+        out = em_kernel_apply(w.values, grid, 0.9)
         # out_E + k^2 W_E = p (p.W_E): cross of that with p vanishes
         mesh = [np.broadcast_to(m, grid.shape) for m in grid.momentum_mesh()]
-        rest = out.values[:3] + 0.81 * w.values[:3]
+        rest = out[:3] + 0.81 * w.values[:3]
         cx = mesh[1] * rest[2] - mesh[2] * rest[1]
         cy = mesh[2] * rest[0] - mesh[0] * rest[2]
         cz = mesh[0] * rest[1] - mesh[1] * rest[0]
         worst = max(np.max(np.abs(c)) for c in (cx, cy, cz))
         assert worst <= 1e-12 * np.max(np.abs(rest))
 
-    def test_requires_momentum_space(self):
+    def test_rejects_wrong_component_count(self):
         grid = make_grid(3, (4.0, 4.0, 4.0), (8, 8, 8))
-        with pytest.raises(ValueError, match="momentum"):
-            em_kernel_apply(random_six(grid, space=Space.POSITION), 0.9)
+        with pytest.raises(ValueError, match="shape"):
+            em_kernel_apply(random_six(grid).values[:4], grid, 0.9)
 
 
 class TestEmBornSeries:
@@ -389,6 +490,30 @@ class TestEmBornSeries:
             want_h = -cfg.k * cross[i] * m1
             np.testing.assert_allclose(em[1].numerator.values[3 + i], want_h,
                                        rtol=0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("medium", ["isotropic", "anisotropic"])
+    def test_nonmagnetic_first_order_matches_literal_kernel(self, medium):
+        # with delta-mu = 0 the step transforms the E block alone and the
+        # kernel drops W_H; the numerator must still be K(p) W at every node
+        grid, spec, cfg = setup(counts=(16, 8, 8), n_orders=1)
+        if medium == "isotropic":
+            mats = material_from_scalar(spec, grid, which="eps", scale=0.7 + 0.2j)
+        else:
+            mats = material_from_entries(grid, eps_entries={(0, 1): spec, (2, 2): spec})
+        assert not mats.is_magnetic
+        psi0 = incident_six_field(default_polarization(cfg.k_hat, cfg.u), cfg.k_hat)
+        first = em_born_step(em_incident_term(cfg, psi0), mats, cfg)
+        assert not np.any(first.source.h_block)
+        w = fft_values(first.source.values, grid)
+        axes = [grid.momentum_axis(i) for i in range(3)]
+        got = first.numerator.values
+        scale = np.max(np.abs(got))
+        assert np.max(np.abs(got[3:])) > 1e-3 * scale
+        for node in np.ndindex(grid.shape):
+            p = np.array([axes[i][node[i]] for i in range(3)])
+            want = literal_kernel_matrix(p, cfg.k) @ w[(slice(None),) + node]
+            np.testing.assert_allclose(got[(slice(None),) + node], want,
+                                       rtol=0, atol=1e-13 * scale)
 
     def test_zero_materials_give_zero_terms(self):
         grid, spec, cfg = setup(counts=(16, 8, 8))

@@ -8,6 +8,10 @@ transform must reproduce it to high accuracy.
 import math
 import multiprocessing
 import os
+import sys
+import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -286,6 +290,74 @@ class TestThreadedTransforms:
             assert not child.is_alive()
         finally:
             child.kill()
+
+
+class TestPool:
+    def run_bounded(self, fn, timeout=60):
+        # fn() on a helper thread that must finish within timeout seconds
+        outcome = {}
+
+        def target():
+            try:
+                outcome["value"] = fn()
+            except Exception as exc:  # checked by the caller
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=target)
+        thread.start()
+        thread.join(timeout)
+        assert not thread.is_alive(), "pool call did not finish"
+        return outcome
+
+    def test_results_in_call_order_under_contention(self):
+        # more threads than cores, switching as often as possible
+        pool = grids._Pool(8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            calls = [(i, i * i) for i in range(500)]
+            outcome = self.run_bounded(lambda: pool.map(lambda a, b: a + b, calls))
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown(timeout=60)
+        assert outcome["value"] == [a + b for a, b in calls]
+        assert not any(thread.is_alive() for thread in pool._threads)
+
+    def test_every_task_finishes_before_an_error_propagates(self):
+        pool = grids._Pool(3)
+        finished = []
+
+        def task(index):
+            if index in (1, 4):
+                raise ValueError(f"task {index} failed")
+            time.sleep(0.01)
+            finished.append(index)
+
+        try:
+            outcome = self.run_bounded(lambda: pool.map(task, [(i,) for i in range(12)]))
+        finally:
+            pool.shutdown(timeout=60)
+        assert str(outcome["error"]) == "task 1 failed"
+        assert sorted(finished) == [i for i in range(12) if i not in (1, 4)]
+
+    def test_a_finished_task_holds_no_reference(self):
+        # a worker keeping its last task alive would keep the caller's
+        # arrays in memory until the next pool call
+        class Marker:
+            pass
+
+        pool = grids._Pool(2)
+        marker = Marker()
+        ref = weakref.ref(marker)
+        try:
+            pool.map(lambda m: None, [(marker,)])
+            del marker
+            deadline = time.monotonic() + 10
+            while ref() is not None and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert ref() is None
+        finally:
+            pool.shutdown(timeout=60)
 
 
 # Every grid shape alone and six-component stacks.
