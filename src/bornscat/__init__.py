@@ -58,8 +58,6 @@ from .scalar import (
     write_on_shell_csv,
 )
 from .em import (
-    EMBornTerm,
-    EMOnShellRecord,
     MaterialTensors,
     SixField,
     apply_material,

@@ -13,11 +13,10 @@ succeeded.
 import argparse
 import cmath
 import json
-import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -64,15 +63,23 @@ EXIT_DIVERGENCE = 3
 # What reading a malformed JSON value can raise.
 PARSE_ERRORS = (ValueError, TypeError, KeyError, AttributeError, OverflowError)
 JSON_TYPES = {dict: "object", list: "array"}
+# The medium of an em3d config without a materials block: delta-eps = v * I.
+DEFAULT_MATERIALS = {"which": "eps", "scale": 1 + 0j}
+ENTRY_KEYS = ("eps_entries", "mu_entries")
 
 
 @dataclass
 class RunConfig:
-    """Everything one batch needs: interaction, grid, sweep and policies."""
+    """Everything one batch needs: interaction, grid, sweep and policies.
+
+    materials holds the keyword arguments of the material builder the
+    materials block names; problems holds what the reader found wrong with
+    the scalar keys.
+    """
 
     mode: str
     potential: object = None
-    materials: dict = None
+    materials: dict = field(default_factory=lambda: dict(DEFAULT_MATERIALS))
     k_sweep: tuple = ()
     extents: tuple = ()
     counts: tuple = ()
@@ -86,6 +93,7 @@ class RunConfig:
     seed: int = 0
     field_file: str = None
     extra: dict = field(default_factory=dict)
+    problems: list = field(default_factory=list)
 
 
 def load_config(path, out=None, tol=None, seed=None):
@@ -95,146 +103,150 @@ def load_config(path, out=None, tol=None, seed=None):
     if not isinstance(data, dict):
         raise ValueError("config must be a JSON object")
     version = data.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if version != SCHEMA_VERSION or isinstance(version, (bool, float)):
         raise ValueError(
             f"config schema_version is {version!r}, this build reads {SCHEMA_VERSION}"
         )
-    known = {
-        "schema_version", "mode", "potential", "materials", "k_sweep",
-        "grid", "epsilon", "eps_cells", "n_orders", "direction_count",
-        "tol", "spectral_checks", "out", "seed", "field_file",
-    }
-    extra = {key: data[key] for key in data if key not in known}
-    extents, counts = _block(data, "grid", (dict,), _grid_axes, ((), ()))
+    overrides = {"out": out, "tol": tol, "seed": seed}
+    data.update((key, value) for key, value in overrides.items() if value is not None)
+    read = _Reader(data)
+    extents, counts = read.block("grid", (dict,), _grid_axes, ((), ()))
     config = RunConfig(
-        mode=data.get("mode", ""),
-        potential=_block(data, "potential", (dict, list), spec_from_dict, None),
-        materials=_block(data, "materials", (dict,), dict, None),
-        k_sweep=_block(data, "k_sweep", (list,), lambda ks: tuple(float(k) for k in ks), ()),
+        mode=read.scalar("mode", _string, "", f"one of {', '.join(MODES)}",
+                         lambda mode: mode in MODES),
+        potential=read.block("potential", (dict, list), spec_from_dict, None),
+        materials=read.block(
+            "materials", (dict,), _material_args, dict(DEFAULT_MATERIALS)
+        ),
+        k_sweep=read.block("k_sweep", (list,), lambda ks: tuple(map(_number, ks)), ()),
         extents=extents,
         counts=counts,
-        epsilon=data.get("epsilon"),
-        eps_cells=float(data.get("eps_cells", 2.0)),
-        n_orders=data.get("n_orders"),
-        direction_count=int(data.get("direction_count", 64)),
-        tol=float(data.get("tol", 1e-3)),
-        spectral_checks=bool(data.get("spectral_checks", False)),
-        out=data.get("out", "."),
-        seed=int(data.get("seed", 0)),
-        field_file=data.get("field_file"),
-        extra=extra,
+        epsilon=read.scalar("epsilon", _number, None, "a number"),
+        eps_cells=read.scalar("eps_cells", _number, 2.0, "a number"),
+        n_orders=read.scalar("n_orders", _integer, None, "an integer of at least 1",
+                             lambda n: n >= 1),
+        direction_count=read.scalar("direction_count", _integer, 64, "an integer"),
+        tol=read.scalar("tol", _number, 1e-3, "a positive number", lambda t: t > 0),
+        spectral_checks=read.scalar("spectral_checks", _flag, False, "true or false"),
+        out=read.scalar("out", _string, ".", "a string"),
+        seed=read.scalar("seed", _integer, 0, "a nonnegative integer", lambda s: s >= 0),
+        field_file=read.scalar("field_file", _string, None, "a string"),
+        problems=read.problems,
     )
-    if out is not None:
-        config.out = str(out)
-    if tol is not None:
-        config.tol = float(tol)
-    if seed is not None:
-        config.seed = int(seed)
+    config.extra = {key: data[key] for key in data if key not in read.keys}
     return config
 
 
-def _block(data, key, kinds, parse, absent):
-    """parse(data[key]) for an optional object or array; errors name the key."""
-    value = data.get(key)
-    if value is None:
-        return absent
-    if not isinstance(value, kinds):
-        expected = " or ".join(JSON_TYPES[kind] for kind in kinds)
-        raise ValueError(f"{key}: expected a JSON {expected}, got {type(value).__name__}")
-    try:
-        return parse(value)
-    except PARSE_ERRORS as exc:
-        raise ValueError(f"{key}: {exc}") from exc
+class _Reader:
+    """Reads each key of a config object once, by its JSON kind.
+
+    A block (object or array) of the wrong kind raises, since nothing can be
+    built from it.  A scalar of the wrong kind or outside its range is
+    recorded in `problems` and read as its default, so that the problems of
+    the other keys and of the objects built from them are reported too.
+    Every diagnostic names its key.  `keys` collects the keys read.
+    """
+
+    def __init__(self, data):
+        self.data = data
+        self.problems = []
+        self.keys = {"schema_version"}
+
+    def block(self, key, kinds, parse, absent):
+        """parse(data[key]) for an optional object or array."""
+        self.keys.add(key)
+        value = self.data.get(key)
+        if value is None:
+            return absent
+        if not isinstance(value, kinds):
+            expected = " or ".join(JSON_TYPES[kind] for kind in kinds)
+            raise ValueError(f"{key}: expected a JSON {expected}, got {type(value).__name__}")
+        try:
+            return parse(value)
+        except PARSE_ERRORS as exc:
+            raise ValueError(f"{key}: {exc}") from exc
+
+    def scalar(self, key, kind, default, requirement, in_range=lambda value: True):
+        """kind(data[key]) when it lies in range; null or absent reads as default."""
+        self.keys.add(key)
+        raw = self.data.get(key)
+        value = default if raw is None else raw
+        if value is None:
+            return None
+        try:
+            value = kind(value)
+            if in_range(value):
+                return value
+        except (ValueError, OverflowError):
+            pass
+        self.problems.append(f"{key} must be {requirement}, got {json.dumps(raw)}")
+        return default
+
+
+def _number(value):
+    """A JSON number as a float; true and false are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"could not convert {json.dumps(value)} to a number")
+    return float(value)
+
+
+def _integer(value):
+    """A JSON integer; 2.7, 2.0 and true are not integers."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"invalid literal for int(): {json.dumps(value)}")
+    return value
+
+
+def _flag(value):
+    if not isinstance(value, bool):
+        raise ValueError("not true or false")
+    return value
+
+
+def _string(value):
+    if not isinstance(value, str):
+        raise ValueError("not a string")
+    return value
 
 
 def _grid_axes(block):
     return (
-        tuple(float(L) for L in block.get("extents", ())),
-        tuple(int(n) for n in block.get("counts", ())),
+        tuple(map(_number, block.get("extents", ()))),
+        tuple(map(_integer, block.get("counts", ()))),
     )
 
 
-def validate(config):
-    """Return the list of problems that make a config unrunnable.
+def _material_args(block):
+    """Keyword arguments for the material builder the materials block names.
 
-    An empty list means the config is runnable; nothing is raised.  The grid
-    and each sweep point's scatter config are built with the engine's own
-    constructors, whose ValueError texts become the diagnostics.
+    With eps/mu entries: eps_entries and mu_entries for material_from_entries.
+    Otherwise: which and scale for material_from_scalar.  Raises on a block
+    that names no buildable medium.
     """
-    problems = []
-    if config.mode not in MODES:
-        problems.append(
-            f"mode must be one of {', '.join(MODES)} (got {config.mode!r})"
-        )
-        return problems
-    dim = MODE_DIM[config.mode]
-    if len(config.extents) != dim or len(config.counts) != dim:
-        problems.append(
-            f"mode {config.mode} needs a {dim}-component grid "
-            f"(extents has {len(config.extents)}, counts has {len(config.counts)})"
-        )
-    else:
-        try:
-            grid = make_grid(dim, config.extents, config.counts)
-        except ValueError as exc:
-            problems.append(f"grid: {exc}")
-    if config.potential is None and not (
-        config.mode == "em3d" and _has_material_entries(config)
-    ):
-        problems.append("config needs a potential spec")
-    elif config.potential is not None and len(config.potential.u) != dim:
-        problems.append(
-            f"potential axis u has {len(config.potential.u)} components, "
-            f"mode {config.mode} needs {dim}"
-        )
-    if config.mode == "em3d":
-        try:
-            _material_args(config)
-        except PARSE_ERRORS as exc:
-            problems.append(f"materials block: {exc!r}")
-    if not config.k_sweep:
-        problems.append("k sweep is empty")
-    if not all(0 < k < math.inf for k in config.k_sweep):
-        problems.append("k sweep values must be positive and finite")
-    if config.epsilon is not None and not _is_positive_number(config.epsilon):
-        problems.append("epsilon must be a positive finite number")
-    if not _is_positive_number(config.eps_cells):
-        problems.append("eps_cells must be a positive finite number")
-    if config.n_orders is not None and not (
-        _is_positive_number(config.n_orders) and isinstance(config.n_orders, int)
-    ):
-        problems.append("n_orders must be an integer of at least 1")
-    if config.direction_count < 1:
-        problems.append("direction_count must be at least 1")
-    if not config.tol > 0:
-        problems.append("tol must be positive")
-    if problems:
-        return problems
-    try:
-        u, alpha = _support_axis(config)
-    except ValueError as exc:
-        return [f"materials block: {exc}"]
-    for index, k in enumerate(config.k_sweep):
-        try:
-            _make_config(config, grid, k, u, alpha)
-        except ValueError as exc:
-            problems.append(f"k sweep point {index}: {exc}")
-    return problems
-
-
-def _is_positive_number(value):
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and 0 < value < math.inf
-    )
-
-
-def _has_material_entries(config):
-    block = config.materials
-    return isinstance(block, dict) and bool(
-        block.get("eps_entries") or block.get("mu_entries")
-    )
+    if not any(block.get(name) for name in ENTRY_KEYS):
+        which = block.get("which", "eps")
+        if which not in ("eps", "mu", "both"):
+            raise ValueError("which must be 'eps', 'mu' or 'both'")
+        scale = block.get("scale", 1.0)
+        if isinstance(scale, dict):
+            scale = complex(_number(scale.get("re", 0.0)), _number(scale.get("im", 0.0)))
+        else:
+            scale = complex(_number(scale))
+        if not cmath.isfinite(scale):
+            raise ValueError("scale must be finite")
+        return {"which": which, "scale": scale}
+    args = {}
+    for name in ENTRY_KEYS:
+        args[name] = {}
+        for item in block.get(name) or ():
+            i, j = _integer(item["i"]), _integer(item["j"])
+            if not (0 <= i < 3 and 0 <= j < 3):
+                raise ValueError(f"tensor index {(i, j)} out of range")
+            spec = spec_from_dict(item["spec"])
+            if spec.dim != 3:
+                raise ValueError(f"{name} spec axis u must have 3 components")
+            args[name][(i, j)] = spec
+    return args
 
 
 def _print_problems(problems):
@@ -266,46 +278,10 @@ def _atomic_write_json(path, payload):
     _atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _material_args(config):
-    """Keyword arguments for the material builder the materials block names.
-
-    With eps/mu entries: eps_entries and mu_entries for material_from_entries.
-    Otherwise: which and scale for material_from_scalar.  Raises on a block
-    that names no buildable medium.
-    """
-    block = config.materials or {}
-    if not isinstance(block, dict):
-        raise ValueError("materials must be a JSON object")
-    if not _has_material_entries(config):
-        which = block.get("which", "eps")
-        if which not in ("eps", "mu", "both"):
-            raise ValueError("which must be 'eps', 'mu' or 'both'")
-        scale = block.get("scale", 1.0)
-        if isinstance(scale, dict):
-            scale = complex(scale.get("re", 0.0), scale.get("im", 0.0))
-        scale = complex(scale)
-        if not cmath.isfinite(scale):
-            raise ValueError("materials scale must be finite")
-        return {"which": which, "scale": scale}
-    args = {}
-    for name in ("eps_entries", "mu_entries"):
-        args[name] = {}
-        for item in block.get(name) or ():
-            i, j = int(item["i"]), int(item["j"])
-            if not (0 <= i < 3 and 0 <= j < 3):
-                raise ValueError(f"tensor index {(i, j)} out of range")
-            spec = spec_from_dict(item["spec"])
-            if spec.dim != 3:
-                raise ValueError(f"{name} spec axis u must have 3 components")
-            args[name][(i, j)] = spec
-    return args
-
-
 def _build_materials(config, grid):
-    args = _material_args(config)
-    if "which" in args:
-        return material_from_scalar(config.potential, grid, **args)
-    return material_from_entries(grid, **args)
+    if "which" in config.materials:
+        return material_from_scalar(config.potential, grid, **config.materials)
+    return material_from_entries(grid, **config.materials)
 
 
 def _support_axis(config):
@@ -316,36 +292,77 @@ def _support_axis(config):
     """
     if config.potential is not None:
         return tuple(config.potential.u), float(config.potential.alpha_min)
-    specs = [spec for entries in _material_args(config).values() for spec in entries.values()]
+    specs = [
+        spec
+        for name in (ENTRY_KEYS if config.mode == "em3d" else ())
+        for spec in config.materials.get(name, {}).values()
+    ]
     if not specs:
-        raise ValueError("config carries no interaction to take u, alpha from")
+        raise ValueError("config needs a potential spec")
     u = specs[0].u
     for spec in specs[1:]:
         if np.linalg.norm(np.subtract(spec.u, u)) > 1e-12:
-            raise ValueError(f"material entries must share one axis u, got {u} and {spec.u}")
+            raise ValueError(f"materials block: material entries must share "
+                             f"one axis u, got {u} and {spec.u}")
     return tuple(u), float(min(spec.alpha_min for spec in specs))
 
 
-def _make_config(config, grid, k, u, alpha, n_orders=None):
-    return make_scatter_config(
-        grid,
-        k,
-        u=u,
-        alpha=alpha,
-        epsilon=config.epsilon,
-        eps_cells=config.eps_cells,
-        n_orders=config.n_orders if n_orders is None else n_orders,
-        direction_count=config.direction_count,
-    )
+@dataclass
+class _Built:
+    """What a command builds from its config, each object once."""
+
+    grid: object = None
+    u: tuple = None
+    alpha: float = None
+    points: list = field(default_factory=list)  # one ScatterConfig per k
 
 
-def _sweep_point(config, grid, interaction, k_req, u, alpha):
+def _build(config, grid=True, sweep=True):
+    """The objects a command uses, and the problems that keep it from running.
+
+    The engine constructors check the values they consume; their ValueError
+    texts, prefixed with where they arose, become the diagnostics.  A command
+    that does not use the grid or the sweep leaves it out, with its problems.
+    """
+    built, problems = _Built(), list(config.problems)
+    if config.mode not in MODE_DIM:  # the reader reported it
+        return built, problems
+    if grid:
+        try:
+            built.grid = make_grid(MODE_DIM[config.mode], config.extents, config.counts)
+        except ValueError as exc:
+            problems.append(f"grid: {exc}")
+    try:
+        built.u, built.alpha = _support_axis(config)
+    except ValueError as exc:
+        problems.append(str(exc))
+    if sweep and not config.k_sweep:
+        problems.append("k sweep is empty")
+    if not sweep or built.grid is None or built.u is None:
+        return built, problems
+    for index, k in enumerate(config.k_sweep):
+        try:
+            cfg = make_scatter_config(
+                built.grid, k, u=built.u, alpha=built.alpha, epsilon=config.epsilon,
+                eps_cells=config.eps_cells, n_orders=config.n_orders,
+                direction_count=config.direction_count,
+            )
+        except ValueError as exc:
+            problems.append(f"k sweep point {index}: {exc}")
+            continue
+        if cfg.n_orders <= cfg.exact_order:
+            cfg = replace(cfg, n_orders=cfg.exact_order + 1)
+        built.points.append(cfg)
+    return built, problems
+
+
+def validate(config):
+    """The problems that keep `run` from running a config; [] when none."""
+    return _build(config)[1]
+
+
+def _sweep_point(config, cfg, interaction, k_req):
     """Report payload and shell records of one sweep point, in either mode."""
-    cfg = _make_config(config, grid, k_req, u, alpha)
-    if cfg.n_orders <= cfg.exact_order:
-        cfg = _make_config(
-            config, grid, k_req, u, alpha, n_orders=cfg.exact_order + 1
-        )
     payload = {
         "schema_version": SCHEMA_VERSION,
         "mode": config.mode,
@@ -387,12 +404,12 @@ def _sweep_point(config, grid, interaction, k_req, u, alpha):
     return payload, records
 
 
-def _sweep(config, grid, interaction, u, alpha):
+def _sweep(config, built, interaction):
     """(payload, records) for every sweep point; None when one diverged."""
     points = []
-    for index, k_req in enumerate(config.k_sweep):
+    for index, (k_req, cfg) in enumerate(zip(config.k_sweep, built.points)):
         try:
-            points.append(_sweep_point(config, grid, interaction, k_req, u, alpha))
+            points.append(_sweep_point(config, cfg, interaction, k_req))
         except DivergenceError as exc:
             print(
                 f"sweep point {index} (k_requested = {k_req:g}) diverged "
@@ -425,16 +442,14 @@ def _summary_lines(config, alpha, rows):
 
 def run(config):
     """Run the full sweep; emit CSV / JSON artifacts and a summary table."""
-    if _print_problems(validate(config)):
+    built, problems = _build(config)
+    if _print_problems(problems):
         return EXIT_CONFIG
-    dim = MODE_DIM[config.mode]
-    grid = make_grid(dim, config.extents, config.counts)
-    u, alpha = _support_axis(config)
     if config.mode == "em3d":
-        interaction, prefixes = _build_materials(config, grid), EM_VALUE_PREFIXES
+        interaction, prefixes = _build_materials(config, built.grid), EM_VALUE_PREFIXES
     else:
-        interaction, prefixes = sample_potential(config.potential, grid), ("",)
-    points = _sweep(config, grid, interaction, u, alpha)
+        interaction, prefixes = sample_potential(config.potential, built.grid), ("",)
+    points = _sweep(config, built, interaction)
     if points is None:
         return EXIT_DIVERGENCE
     outdir = Path(config.out)
@@ -448,6 +463,7 @@ def run(config):
         _atomic_write_json(outdir / f"{stem}_report.json", payload)
     rows = [payload for payload, _ in points]
     ok = all(row["pass"] for row in rows)
+    alpha = built.alpha
     lines = _summary_lines(config, alpha, rows)
     _atomic_write_text(outdir / "summary.txt", "\n".join(lines) + "\n")
     _atomic_write_json(
@@ -458,13 +474,8 @@ def run(config):
             "alpha": alpha,
             "thresholds": {"half_alpha": alpha / 2.0, "alpha": alpha},
             "points": [
-                {
-                    "k_requested": row["k_requested"],
-                    "k": row["k"],
-                    "exact_order": row["exact_order"],
-                    "n_orders": row["n_orders"],
-                    "pass": row["pass"],
-                }
+                {key: row[key]
+                 for key in ("k_requested", "k", "exact_order", "n_orders", "pass")}
                 for row in rows
             ],
             "pass": bool(ok),
@@ -477,21 +488,20 @@ def run(config):
 
 def make_potential(config):
     """Sample the configured potential and certify its spectral support."""
-    problems = [
-        p for p in validate(config)
-        if "sweep" not in p  # sampling a field needs no wavenumbers
-    ]
+    built, problems = _build(config, sweep=False)  # sampling needs no wavenumbers
     if config.potential is None:
         problems.append("make-potential needs a potential spec")
-    if _print_problems(sorted(set(problems))):
+    if _print_problems(problems):
+        return EXIT_CONFIG
+    try:
+        sampled = sample_potential(config.potential, built.grid)
+    except ValueError as exc:
+        _print_problems([f"potential: {exc}"])
         return EXIT_CONFIG
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    dim = MODE_DIM[config.mode]
-    grid = make_grid(dim, config.extents, config.counts)
-    sampled = sample_potential(config.potential, grid)
     _atomic_write(outdir / "potential.field", lambda tmp: save_field(tmp, sampled))
-    report = verify_support(config.potential, grid=grid, tol=config.tol)
+    report = verify_support(sampled, u=built.u, alpha=built.alpha, tol=config.tol)
     _atomic_write_json(
         outdir / "support_report.json",
         {
@@ -515,45 +525,35 @@ def verify(config):
     For em3d the medium is rebuilt as delta-eps = v * I from the stored
     field, so any materials block naming another medium is rejected.
     """
-    problems = validate(config)
-    if not problems and config.mode == "em3d" and _material_args(config) != {
-        "which": "eps", "scale": 1,
-    }:
+    built, problems = _build(config)
+    if config.mode == "em3d" and config.materials != DEFAULT_MATERIALS:
         problems.append(
             "verify rebuilds the em3d medium as delta-eps = v * I from the "
-            f"stored field and cannot check materials {config.materials!r}"
+            'stored field and cannot check materials other than {"which": "eps"}'
         )
     if _print_problems(problems):
         return EXIT_CONFIG
     outdir = Path(config.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     field_path = Path(config.field_file or outdir / "potential.field")
-    if not field_path.exists():
-        print(f"config error: no stored field at {field_path}", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         sampled = load_field(field_path)
     except (OSError, ValueError, KeyError) as exc:
-        print(f"config error: cannot read {field_path}: {exc!r}", file=sys.stderr)
+        _print_problems([f"cannot read {field_path}: {exc!r}"])
         return EXIT_CONFIG
-    grid = make_grid(MODE_DIM[config.mode], config.extents, config.counts)
-    if sampled.grid != grid:
-        print(
-            f"config error: stored field grid {sampled.grid} differs from "
-            f"the config grid {grid}",
-            file=sys.stderr,
-        )
+    if sampled.grid != built.grid:
+        _print_problems([f"stored field grid {sampled.grid} differs from "
+                         f"the config grid {built.grid}"])
         return EXIT_CONFIG
-    u, alpha = _support_axis(config)
-    support = verify_support(sampled, u=u, alpha=alpha, tol=config.tol)
+    support = verify_support(sampled, u=built.u, alpha=built.alpha, tol=config.tol)
     interaction = sampled
     if config.mode == "em3d":
         interaction = MaterialTensors.isotropic(sampled.grid, sampled.values)
-    points = _sweep(config, grid, interaction, u, alpha)
+    points = _sweep(config, built, interaction)
     if points is None:
         return EXIT_DIVERGENCE
     rows = [payload for payload, _ in points]
     ok = support.passed and all(row["pass"] for row in rows)
+    outdir.mkdir(parents=True, exist_ok=True)
     _atomic_write_json(
         outdir / "verify_report.json",
         {
@@ -565,22 +565,25 @@ def verify(config):
             "pass": bool(ok),
         },
     )
-    for line in _summary_lines(config, alpha, rows):
+    for line in _summary_lines(config, built.alpha, rows):
         print(line)
     print(f"support ratio {support.ratio:.3e} ({'pass' if support.passed else 'FAIL'})")
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
 def oracle_check(config, quad_tol=None):
-    """Cross-check the pipeline against literal-sum oracles on an 8^d grid."""
-    problems = [p for p in validate(config) if "grid" not in p and "sweep" not in p]
+    """Cross-check the pipeline against literal-sum oracles on an 8^d grid.
+
+    The config's grid and sweep are not used, so they are not built.
+    """
+    built, problems = _build(config, grid=False, sweep=False)
     if config.potential is None:
         problems.append("oracle mode needs a potential spec")
     if _print_problems(problems):
         return EXIT_CONFIG
     dim = MODE_DIM[config.mode]
     grid = make_grid(dim, (8.0,) * dim, (8,) * dim)
-    u, alpha = _support_axis(config)
+    u, alpha = built.u, built.alpha
     try:
         cfg = make_scatter_config(
             grid, 0.8 * alpha, u=u, alpha=alpha, eps_cells=config.eps_cells,
@@ -591,7 +594,7 @@ def oracle_check(config, quad_tol=None):
         return EXIT_CONFIG
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    quad_tol = 1e-8 if quad_tol is None else float(quad_tol)
+    quad_tol = 1e-8 if quad_tol is None else quad_tol
     rng = np.random.default_rng(config.seed)
     # literal-DFT check on a random field
     noise = SampledField(
@@ -607,25 +610,17 @@ def oracle_check(config, quad_tol=None):
     # order-2 check against the nested-quadrature oracle
     v_field = sample_potential(config.potential, grid)
     series = born_series(cfg, v_field)
-    nodes = np.stack(
-        [
-            np.array([grid.momentum_axis(ax)[i] for ax, i in enumerate(idx)])
-            for idx in rng.integers(0, 8, size=(5, dim))
-        ]
+    indices = rng.integers(0, 8, size=(5, dim))
+    nodes = np.array(
+        [[grid.momentum_axis(ax)[i] for ax, i in enumerate(idx)] for idx in indices]
     )
     quad = quad_second_order(v_field, np.array(cfg.k_vec), nodes, cfg.epsilon)
-    # series[2].numerator is momentum-space; sample it exactly on-grid
-    pipeline = []
-    for node in nodes:
-        index = tuple(
-            int(np.argmin(np.abs(grid.momentum_axis(ax) - node[ax])))
-            for ax in range(dim)
-        )
-        pipeline.append(
-            green_factor(float(node @ node), cfg.k, cfg.epsilon)
-            * series[2].numerator.values[index]
-        )
-    pipeline = np.array(pipeline)
+    # series[2].numerator is momentum-space: read it at the drawn nodes
+    pipeline = np.array([
+        green_factor(float(node @ node), cfg.k, cfg.epsilon)
+        * series[2].numerator.values[tuple(idx)]
+        for node, idx in zip(nodes, indices)
+    ])
     scale = float(np.max(np.abs(pipeline)))
     quad_vals = np.array([q.value for q in quad])
     quad_err = float(np.max(np.abs(quad_vals - pipeline)) / scale)
@@ -685,15 +680,11 @@ def main(argv=None):
     except (OSError, *PARSE_ERRORS) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.command == "run":
-        return run(config)
-    if args.command == "make-potential":
-        return make_potential(config)
-    if args.command == "verify":
-        return verify(config)
     if args.command == "oracle":
         return oracle_check(config, quad_tol=args.tol)
-    raise AssertionError(f"unhandled command {args.command}")
+    # looked up per call, so a wrapper placed on `run` sees the call
+    commands = {"run": run, "make-potential": make_potential, "verify": verify}
+    return commands[args.command](config)
 
 
 if __name__ == "__main__":

@@ -43,7 +43,6 @@ from .grids import (
 from .potentials import BOUNDARY_WARN_RATIO, sample_potential, verify_support
 from .scalar import (
     BornTerm,
-    OnShellRecord,
     born_orders,
     propagate,
     shell_record,
@@ -56,8 +55,6 @@ from .scalar import (
 __all__ = [
     "SixField",
     "MaterialTensors",
-    "EMBornTerm",
-    "EMOnShellRecord",
     "incident_six_field",
     "default_polarization",
     "material_from_scalar",
@@ -81,10 +78,6 @@ __all__ = [
 EM_VALUE_PREFIXES = tuple(
     f"{block}_{axis}_" for block in ("e", "h") for axis in ("x", "y", "z")
 )
-
-# One term and one record type serve both engines.
-EMBornTerm = BornTerm
-EMOnShellRecord = OnShellRecord
 
 
 @dataclass
@@ -440,16 +433,13 @@ def em_on_shell_numerator(term, config, directions=None):
     return shell_record(term, config, directions, kernel_at_points)
 
 
-def verify_em_exactness(config, series_or_materials, tol=1e-2, e0=None, directions=None):
-    """Shell-vanishing report for the six-component series.
+def verify_em_exactness(config, series, tol=1e-2, directions=None):
+    """Shell-vanishing report for the six-component series em_born_series returns.
 
     Per order, the max six-vector norm over shell directions is compared
     with the max node norm of the same order's numerator on the momentum
     grid; orders above floor(2k/alpha) must vanish.
     """
-    series = series_or_materials
-    if isinstance(series, MaterialTensors):
-        series = em_born_series(config, series, e0=e0)
     return verify_exactness(
         config, series, tol, directions, shell=em_on_shell_numerator
     )

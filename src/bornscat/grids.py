@@ -172,7 +172,10 @@ def make_grid(dim, extents, counts):
     extents = tuple(extents)
     counts = tuple(counts)
     if len(extents) != dim or len(counts) != dim:
-        raise ValueError("extents and counts must both have length dim")
+        raise ValueError(
+            f"a {dim}-component grid needs {dim} extents and {dim} counts, "
+            f"got {len(extents)} and {len(counts)}"
+        )
     return Grid(extents=extents, counts=counts)
 
 
@@ -578,7 +581,7 @@ def sphere_directions(dim, k, count, incident_direction):
     if dim not in (2, 3):
         raise ValueError("dim must be 2 or 3")
     if count < 1:
-        raise ValueError("count must be at least 1")
+        raise ValueError(f"direction_count must be at least 1, got {count}")
     inc = np.asarray(incident_direction, dtype=float)
     if inc.shape != (dim,):
         raise ValueError(f"incident direction must have {dim} components")

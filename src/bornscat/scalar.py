@@ -203,10 +203,12 @@ def make_scatter_config(
         alpha = float(potential.alpha_min) if alpha is None else alpha
     if u is None or alpha is None:
         raise ValueError("need a potential or explicit u and alpha")
+    if not 0 < k < math.inf:
+        raise ValueError(f"k = {k} must be positive and finite")
     u = np.asarray(u, dtype=float)
     u = u / np.linalg.norm(u)
     if u.shape != (grid.dim,):
-        raise ValueError("u must match the grid dimension")
+        raise ValueError(f"u has {u.size} components, the grid has {grid.dim} axes")
     if k_hat is None:
         k_hat = -u
     k_hat = np.asarray(k_hat, dtype=float)
@@ -218,6 +220,8 @@ def make_scatter_config(
             f"k = {k} snaps to the zero momentum node on this grid"
         )
     if epsilon is None:
+        if not 0 < eps_cells < math.inf:
+            raise ValueError(f"eps_cells = {eps_cells} must be positive and finite")
         epsilon = eps_cells * k_snapped * max(grid.momentum_spacing)
     if n_orders is None:
         n_orders = exactness_order(k_snapped, alpha) + extra_orders
@@ -359,8 +363,6 @@ class OnShellRecord:
     @property
     def max_abs(self):
         return float(np.max(self.norms))
-
-    max_norm = max_abs
 
 
 def shell_record(term, config, directions, evaluate):
@@ -649,20 +651,14 @@ class ExactnessReport:
         }
 
 
-def verify_exactness(config, series_or_v, tol=1e-3, directions=None,
-                     shell=None):
+def verify_exactness(config, series, tol=1e-3, directions=None, shell=None):
     """Shell-vanishing report for all orders above floor(2k/alpha).
 
-    Accepts either a precomputed series (list of BornTerm) or a sampled
-    interaction, in which case the series is computed here.  Each order's
+    series is the list of BornTerms born_series returns.  Each order's
     numerator is sampled on the shell by `shell` (default
     on_shell_numerator) and its largest shell norm is compared, as a ratio,
     against the largest node norm of the numerator on the momentum grid.
     """
-    if isinstance(series_or_v, SampledField):
-        series = born_series(config, series_or_v)
-    else:
-        series = list(series_or_v)
     shell = on_shell_numerator if shell is None else shell
     n_exact = config.exact_order
     if series[-1].order < n_exact + 1:

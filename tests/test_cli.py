@@ -204,7 +204,8 @@ ODD_VALUES = st.one_of(
 )
 FUZZ_FIELDS = (
     "mode", "potential", "materials", "k_sweep", "grid", "n_orders",
-    "epsilon", "eps_cells", "direction_count", "tol",
+    "epsilon", "eps_cells", "direction_count", "tol", "spectral_checks", "seed",
+    "out", "field_file",
 )
 
 
@@ -286,6 +287,13 @@ class TestInvalidConfigs:
               {"i": 0, "j": 0, "spec": FAMILY3D},
               {"i": 1, "j": 1, "spec": dict(FAMILY3D, u=[0.0, 1.0, 0.0])}]}},
          "materials block: material entries must share one axis u"),
+        ({"spectral_checks": "false"}, "spectral_checks"),
+        ({"direction_count": 2.7}, "direction_count"),
+        ({"seed": 1.5}, "seed"),
+        ({"eps_cells": True}, "eps_cells"),
+        ({"k_sweep": [True]}, "k_sweep"),
+        ({"tol": "x"}, "tol"),
+        ({"out": 5}, "out"),
     ])
     def test_exit_2_with_diagnostic_and_no_artifacts(
         self, tmp_path, capsys, overrides, needle
@@ -294,6 +302,28 @@ class TestInvalidConfigs:
         assert cli.main(["run", "--config", str(path)]) == 2
         assert needle in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_verify_field_file_must_be_a_string(self, tmp_path, capsys):
+        path = base_config(tmp_path, field_file=5)
+        assert cli.main(["verify", "--config", str(path)]) == 2
+        assert "field_file" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore:potential magnitude")
+    def test_oracle_ignores_the_grid_and_the_sweep(self, tmp_path):
+        path = base_config(
+            tmp_path, k_sweep=[], grid={"extents": [60.0, 60.0], "counts": [255, 255]}
+        )
+        assert cli.main(["oracle", "--config", str(path)]) == 0
+
+    def test_independent_problems_are_all_reported(self, tmp_path, capsys):
+        path = base_config(
+            tmp_path, tol=0, grid={"extents": [60.0, 60.0], "counts": [255, 256]}
+        )
+        assert cli.main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "grid: counts must be even" in err
+        assert "tol must be" in err
 
     def test_sweep_and_grid_problems_do_not_block_make_potential(self, tmp_path):
         path = base_config(tmp_path, k_sweep=[0.01, 20.0])

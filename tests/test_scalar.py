@@ -218,6 +218,19 @@ class TestMakeConfig:
         with pytest.raises(ValueError, match="zero"):
             make_scatter_config(grid, 1e-3, family())
 
+    @pytest.mark.parametrize("k", [-0.8, 0.0, float("nan"), float("inf")])
+    def test_rejects_k_not_positive_and_finite(self, k):
+        # a negative k would otherwise flip the incident direction to +u
+        grid = make_grid(2, (60.0, 60.0), (64, 64))
+        with pytest.raises(ValueError, match="positive and finite"):
+            make_scatter_config(grid, k, family())
+
+    @pytest.mark.parametrize("eps_cells", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_eps_cells_not_positive_and_finite(self, eps_cells):
+        grid = make_grid(2, (60.0, 60.0), (64, 64))
+        with pytest.raises(ValueError, match="eps_cells"):
+            make_scatter_config(grid, 0.8, family(), eps_cells=eps_cells)
+
     def test_rejects_k_beyond_band(self):
         grid = make_grid(2, (60.0, 60.0), (64, 64))
         with pytest.raises(ValueError):
@@ -384,7 +397,7 @@ class TestAmplitudes:
 class TestVanishingChecks:
     def test_below_threshold_all_orders_vanish(self):
         spec, grid, v, cfg = standard_setup(n=256, k=0.45)
-        report = verify_exactness(cfg, v, tol=1e-3)
+        report = verify_exactness(cfg, born_series(cfg, v), tol=1e-3)
         assert cfg.exact_order == 0
         assert report.passed
         for check in report.checks:
@@ -403,7 +416,7 @@ class TestVanishingChecks:
     def test_series_too_short(self):
         spec, grid, v, cfg = standard_setup(n=64, k=0.8, n_orders=1)
         with pytest.raises(ValueError, match="exactness"):
-            verify_exactness(cfg, v)
+            verify_exactness(cfg, born_series(cfg, v))
 
     def test_floor_and_bands_pass_for_family(self):
         spec, grid, v, cfg = standard_setup(n=512, k=0.8, n_orders=2)
