@@ -34,8 +34,12 @@ from .em import (
     verify_em_spectral_floor,
 )
 from .grids import SampledField, Space, load_field, make_grid, nudft, save_field
+from .jsonkind import (
+    array_of, complex_number, flag, integer, kind_of, member, number, string, within
+)
 from .oracle import quad_second_order, slow_dft
 from .potentials import (
+    PotentialSum,
     sample_potential,
     spec_from_dict,
     spec_to_dict,
@@ -60,9 +64,6 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
-# What reading a malformed JSON value can raise.
-PARSE_ERRORS = (ValueError, TypeError, KeyError, AttributeError, OverflowError)
-JSON_TYPES = {dict: "object", list: "array"}
 # The medium of an em3d config without a materials block: delta-eps = v * I.
 DEFAULT_MATERIALS = {"which": "eps", "scale": 1 + 0j}
 ENTRY_KEYS = ("eps_entries", "mu_entries")
@@ -72,147 +73,94 @@ ENTRY_KEYS = ("eps_entries", "mu_entries")
 class RunConfig:
     """Everything one batch needs: interaction, grid, sweep and policies.
 
+    load_config is its only constructor and states every default.
     materials holds the keyword arguments of the material builder the
     materials block names; problems holds what the reader found wrong with
-    the scalar keys.
+    the scalar keys; extra holds the keys it did not read.
     """
 
     mode: str
-    potential: object = None
-    materials: dict = field(default_factory=lambda: dict(DEFAULT_MATERIALS))
-    k_sweep: tuple = ()
-    extents: tuple = ()
-    counts: tuple = ()
-    epsilon: float = None
-    eps_cells: float = 2.0
-    n_orders: int = None
-    direction_count: int = 64
-    tol: float = 1e-3
-    spectral_checks: bool = False
-    out: str = "."
-    seed: int = 0
-    field_file: str = None
-    extra: dict = field(default_factory=dict)
-    problems: list = field(default_factory=list)
+    potential: object
+    materials: dict
+    k_sweep: tuple
+    extents: tuple
+    counts: tuple
+    epsilon: float
+    eps_cells: float
+    n_orders: int
+    direction_count: int
+    tol: float
+    spectral_checks: bool
+    out: str
+    seed: int
+    field_file: str
+    problems: list
+    extra: dict
 
 
 def load_config(path, out=None, tol=None, seed=None):
-    """Parse a JSON config file into a RunConfig, applying CLI overrides."""
+    """Parse a JSON config file into a RunConfig, applying CLI overrides.
+
+    Each key is read once, by its JSON kind.  A block (object or array) that
+    cannot be read raises, since nothing can be built from it.  A scalar of
+    the wrong kind or outside its range is recorded in `problems` and read as
+    its default, so that the problems of the other keys and of the objects
+    built from them are reported too.  Every diagnostic names its key.
+    """
     with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("config must be a JSON object")
-    version = data.get("schema_version")
-    if version != SCHEMA_VERSION or isinstance(version, (bool, float)):
-        raise ValueError(
-            f"config schema_version is {version!r}, this build reads {SCHEMA_VERSION}"
-        )
+        data = kind_of(json.load(fh), dict)
+    if member(data, "schema_version", integer, None) != SCHEMA_VERSION:
+        raise ValueError(f"schema_version: this build reads {SCHEMA_VERSION}, "
+                         f"got {json.dumps(data.get('schema_version'))}")
     overrides = {"out": out, "tol": tol, "seed": seed}
     data.update((key, value) for key, value in overrides.items() if value is not None)
-    read = _Reader(data)
-    extents, counts = read.block("grid", (dict,), _grid_axes, ((), ()))
-    config = RunConfig(
-        mode=read.scalar("mode", _string, "", f"one of {', '.join(MODES)}",
-                         lambda mode: mode in MODES),
-        potential=read.block("potential", (dict, list), spec_from_dict, None),
-        materials=read.block(
-            "materials", (dict,), _material_args, dict(DEFAULT_MATERIALS)
-        ),
-        k_sweep=read.block("k_sweep", (list,), lambda ks: tuple(map(_number, ks)), ()),
-        extents=extents,
-        counts=counts,
-        epsilon=read.scalar("epsilon", _number, None, "a number"),
-        eps_cells=read.scalar("eps_cells", _number, 2.0, "a number"),
-        n_orders=read.scalar("n_orders", _integer, None, "an integer of at least 1",
-                             lambda n: n >= 1),
-        direction_count=read.scalar("direction_count", _integer, 64, "an integer"),
-        tol=read.scalar("tol", _number, 1e-3, "a positive number", lambda t: t > 0),
-        spectral_checks=read.scalar("spectral_checks", _flag, False, "true or false"),
-        out=read.scalar("out", _string, ".", "a string"),
-        seed=read.scalar("seed", _integer, 0, "a nonnegative integer", lambda s: s >= 0),
-        field_file=read.scalar("field_file", _string, None, "a string"),
-        problems=read.problems,
-    )
-    config.extra = {key: data[key] for key in data if key not in read.keys}
-    return config
+    keys, problems = {"schema_version"}, []
 
+    def block(key, parse, absent):
+        keys.add(key)
+        return member(data, key, parse, absent)
 
-class _Reader:
-    """Reads each key of a config object once, by its JSON kind.
-
-    A block (object or array) of the wrong kind raises, since nothing can be
-    built from it.  A scalar of the wrong kind or outside its range is
-    recorded in `problems` and read as its default, so that the problems of
-    the other keys and of the objects built from them are reported too.
-    Every diagnostic names its key.  `keys` collects the keys read.
-    """
-
-    def __init__(self, data):
-        self.data = data
-        self.problems = []
-        self.keys = {"schema_version"}
-
-    def block(self, key, kinds, parse, absent):
-        """parse(data[key]) for an optional object or array."""
-        self.keys.add(key)
-        value = self.data.get(key)
-        if value is None:
-            return absent
-        if not isinstance(value, kinds):
-            expected = " or ".join(JSON_TYPES[kind] for kind in kinds)
-            raise ValueError(f"{key}: expected a JSON {expected}, got {type(value).__name__}")
+    def scalar(key, kind, default, requirement, in_range=lambda value: True):
+        keys.add(key)
         try:
-            return parse(value)
-        except PARSE_ERRORS as exc:
-            raise ValueError(f"{key}: {exc}") from exc
-
-    def scalar(self, key, kind, default, requirement, in_range=lambda value: True):
-        """kind(data[key]) when it lies in range; null or absent reads as default."""
-        self.keys.add(key)
-        raw = self.data.get(key)
-        value = default if raw is None else raw
-        if value is None:
-            return None
-        try:
-            value = kind(value)
-            if in_range(value):
+            value = member(data, key, kind, default)
+            if value is None or in_range(value):
                 return value
-        except (ValueError, OverflowError):
+        except ValueError:
             pass
-        self.problems.append(f"{key} must be {requirement}, got {json.dumps(raw)}")
+        problems.append(f"{key} must be {requirement}, got {json.dumps(data.get(key))}")
         return default
 
-
-def _number(value):
-    """A JSON number as a float; true and false are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"could not convert {json.dumps(value)} to a number")
-    return float(value)
-
-
-def _integer(value):
-    """A JSON integer; 2.7, 2.0 and true are not integers."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"invalid literal for int(): {json.dumps(value)}")
-    return value
-
-
-def _flag(value):
-    if not isinstance(value, bool):
-        raise ValueError("not true or false")
-    return value
-
-
-def _string(value):
-    if not isinstance(value, str):
-        raise ValueError("not a string")
-    return value
+    extents, counts = block("grid", _grid_axes, ((), ()))
+    return RunConfig(
+        mode=scalar("mode", string, "", f"one of {', '.join(MODES)}",
+                    lambda mode: mode in MODES),
+        potential=block("potential", spec_from_dict, None),
+        materials=block("materials", _material_args, dict(DEFAULT_MATERIALS)),
+        k_sweep=block("k_sweep", array_of(number), ()),
+        extents=extents,
+        counts=counts,
+        epsilon=scalar("epsilon", number, None, "a number"),
+        eps_cells=scalar("eps_cells", number, 2.0, "a number"),
+        n_orders=scalar("n_orders", integer, None, "an integer of at least 1",
+                        lambda n: n >= 1),
+        direction_count=scalar("direction_count", integer, 64, "an integer"),
+        tol=scalar("tol", number, 1e-3, "a positive number", lambda t: t > 0),
+        spectral_checks=scalar("spectral_checks", flag, False, "true or false"),
+        out=scalar("out", string, ".", "a string"),
+        seed=scalar("seed", integer, 0, "a nonnegative integer", lambda s: s >= 0),
+        field_file=scalar("field_file", string, None, "a string"),
+        problems=problems,
+        # arguments are evaluated in order, so this follows every read
+        extra={key: data[key] for key in data if key not in keys},
+    )
 
 
 def _grid_axes(block):
+    kind_of(block, dict)
     return (
-        tuple(map(_number, block.get("extents", ()))),
-        tuple(map(_integer, block.get("counts", ()))),
+        member(block, "extents", array_of(number), ()),
+        member(block, "counts", array_of(integer), ()),
     )
 
 
@@ -223,37 +171,39 @@ def _material_args(block):
     Otherwise: which and scale for material_from_scalar.  Raises on a block
     that names no buildable medium.
     """
-    if not any(block.get(name) for name in ENTRY_KEYS):
-        which = block.get("which", "eps")
-        if which not in ("eps", "mu", "both"):
-            raise ValueError("which must be 'eps', 'mu' or 'both'")
-        scale = block.get("scale", 1.0)
-        if isinstance(scale, dict):
-            scale = complex(_number(scale.get("re", 0.0)), _number(scale.get("im", 0.0)))
-        else:
-            scale = complex(_number(scale))
-        if not cmath.isfinite(scale):
-            raise ValueError("scale must be finite")
-        return {"which": which, "scale": scale}
-    args = {}
-    for name in ENTRY_KEYS:
-        args[name] = {}
-        for item in block.get(name) or ():
-            i, j = _integer(item["i"]), _integer(item["j"])
-            if not (0 <= i < 3 and 0 <= j < 3):
-                raise ValueError(f"tensor index {(i, j)} out of range")
-            spec = spec_from_dict(item["spec"])
-            if spec.dim != 3:
-                raise ValueError(f"{name} spec axis u must have 3 components")
-            args[name][(i, j)] = spec
-    return args
+    kind_of(block, dict)
+    entries = {
+        name: dict(member(block, name, array_of(_material_entry), ()))
+        for name in ENTRY_KEYS
+    }
+    if any(entries.values()):
+        return entries
+    which = member(block, "which", string, "eps")
+    if which not in ("eps", "mu", "both"):
+        raise ValueError("which must be 'eps', 'mu' or 'both'")
+    scale = member(block, "scale", complex_number, 1 + 0j)
+    if not cmath.isfinite(scale):
+        raise ValueError("scale must be finite")
+    return {"which": which, "scale": scale}
 
 
-def _print_problems(problems):
-    """Report each problem on stderr; True when there was any."""
+def _material_entry(item):
+    """((i, j), spec) for one entry {"i", "j", "spec"} of eps_entries or mu_entries."""
+    kind_of(item, dict)
+    i, j = member(item, "i", integer), member(item, "j", integer)
+    if not (0 <= i < 3 and 0 <= j < 3):
+        raise ValueError(f"tensor index {(i, j)} out of range")
+    spec = member(item, "spec", spec_from_dict)
+    if spec.dim != 3:
+        raise ValueError("spec axis u must have 3 components")
+    return (i, j), spec
+
+
+def _reject(*problems):
+    """Report each problem on stderr; the exit code of a configuration error."""
     for p in problems:
         print(f"config error: {p}", file=sys.stderr)
-    return bool(problems)
+    return EXIT_CONFIG
 
 
 def _atomic_write(path, write):
@@ -287,24 +237,20 @@ def _build_materials(config, grid):
 def _support_axis(config):
     """The axis u and the smallest alpha of the interaction.
 
-    Without a potential, the em3d material entries must share one axis; the
-    medium's threshold is then their smallest alpha.
+    Without a potential, the em3d material entries act as their sum, which
+    must have one axis; the medium's threshold is their smallest alpha.
     """
-    if config.potential is not None:
-        return tuple(config.potential.u), float(config.potential.alpha_min)
-    specs = [
-        spec
-        for name in (ENTRY_KEYS if config.mode == "em3d" else ())
-        for spec in config.materials.get(name, {}).values()
-    ]
-    if not specs:
-        raise ValueError("config needs a potential spec")
-    u = specs[0].u
-    for spec in specs[1:]:
-        if np.linalg.norm(np.subtract(spec.u, u)) > 1e-12:
-            raise ValueError(f"materials block: material entries must share "
-                             f"one axis u, got {u} and {spec.u}")
-    return tuple(u), float(min(spec.alpha_min for spec in specs))
+    interaction = config.potential
+    if interaction is None:
+        specs = tuple(
+            spec
+            for name in (ENTRY_KEYS if config.mode == "em3d" else ())
+            for spec in config.materials.get(name, {}).values()
+        )
+        if not specs:
+            raise ValueError("config needs a potential spec")
+        interaction = within("materials block", PotentialSum, specs)
+    return tuple(interaction.u), float(interaction.alpha_min)
 
 
 @dataclass
@@ -443,12 +389,15 @@ def _summary_lines(config, alpha, rows):
 def run(config):
     """Run the full sweep; emit CSV / JSON artifacts and a summary table."""
     built, problems = _build(config)
-    if _print_problems(problems):
-        return EXIT_CONFIG
-    if config.mode == "em3d":
-        interaction, prefixes = _build_materials(config, built.grid), EM_VALUE_PREFIXES
-    else:
-        interaction, prefixes = sample_potential(config.potential, built.grid), ("",)
+    if problems:
+        return _reject(*problems)
+    try:
+        if config.mode == "em3d":
+            interaction, prefixes = _build_materials(config, built.grid), EM_VALUE_PREFIXES
+        else:
+            interaction, prefixes = sample_potential(config.potential, built.grid), ("",)
+    except ValueError as exc:
+        return _reject(f"interaction: {exc}")
     points = _sweep(config, built, interaction)
     if points is None:
         return EXIT_DIVERGENCE
@@ -491,17 +440,16 @@ def make_potential(config):
     built, problems = _build(config, sweep=False)  # sampling needs no wavenumbers
     if config.potential is None:
         problems.append("make-potential needs a potential spec")
-    if _print_problems(problems):
-        return EXIT_CONFIG
+    if problems:
+        return _reject(*problems)
     try:
         sampled = sample_potential(config.potential, built.grid)
+        report = verify_support(sampled, u=built.u, alpha=built.alpha, tol=config.tol)
     except ValueError as exc:
-        _print_problems([f"potential: {exc}"])
-        return EXIT_CONFIG
+        return _reject(f"potential: {exc}")
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _atomic_write(outdir / "potential.field", lambda tmp: save_field(tmp, sampled))
-    report = verify_support(sampled, u=built.u, alpha=built.alpha, tol=config.tol)
     _atomic_write_json(
         outdir / "support_report.json",
         {
@@ -531,20 +479,18 @@ def verify(config):
             "verify rebuilds the em3d medium as delta-eps = v * I from the "
             'stored field and cannot check materials other than {"which": "eps"}'
         )
-    if _print_problems(problems):
-        return EXIT_CONFIG
+    if problems:
+        return _reject(*problems)
     outdir = Path(config.out)
     field_path = Path(config.field_file or outdir / "potential.field")
     try:
         sampled = load_field(field_path)
-    except (OSError, ValueError, KeyError) as exc:
-        _print_problems([f"cannot read {field_path}: {exc!r}"])
-        return EXIT_CONFIG
-    if sampled.grid != built.grid:
-        _print_problems([f"stored field grid {sampled.grid} differs from "
-                         f"the config grid {built.grid}"])
-        return EXIT_CONFIG
-    support = verify_support(sampled, u=built.u, alpha=built.alpha, tol=config.tol)
+        if sampled.grid != built.grid:
+            raise ValueError(f"its grid {sampled.grid} differs from "
+                             f"the config grid {built.grid}")
+        support = verify_support(sampled, u=built.u, alpha=built.alpha, tol=config.tol)
+    except (OSError, ValueError) as exc:
+        return _reject(f"stored field {field_path}: {exc}")
     interaction = sampled
     if config.mode == "em3d":
         interaction = MaterialTensors.isotropic(sampled.grid, sampled.values)
@@ -579,8 +525,8 @@ def oracle_check(config, quad_tol=None):
     built, problems = _build(config, grid=False, sweep=False)
     if config.potential is None:
         problems.append("oracle mode needs a potential spec")
-    if _print_problems(problems):
-        return EXIT_CONFIG
+    if problems:
+        return _reject(*problems)
     dim = MODE_DIM[config.mode]
     grid = make_grid(dim, (8.0,) * dim, (8,) * dim)
     u, alpha = built.u, built.alpha
@@ -589,9 +535,9 @@ def oracle_check(config, quad_tol=None):
             grid, 0.8 * alpha, u=u, alpha=alpha, eps_cells=config.eps_cells,
             n_orders=2, direction_count=8,
         )
+        v_field = sample_potential(config.potential, grid)
     except ValueError as exc:
-        _print_problems([f"oracle grid {grid.counts}: {exc}"])
-        return EXIT_CONFIG
+        return _reject(f"oracle grid {grid.counts}: {exc}")
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
     quad_tol = 1e-8 if quad_tol is None else quad_tol
@@ -608,7 +554,6 @@ def oracle_check(config, quad_tol=None):
         / np.max(np.abs(nudft(noise, points)))
     )
     # order-2 check against the nested-quadrature oracle
-    v_field = sample_potential(config.potential, grid)
     series = born_series(cfg, v_field)
     indices = rng.integers(0, 8, size=(5, dim))
     nodes = np.array(
@@ -677,9 +622,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config, out=args.out, tol=args.tol, seed=args.seed)
-    except (OSError, *PARSE_ERRORS) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (OSError, ValueError) as exc:
+        return _reject(exc)
     if args.command == "oracle":
         return oracle_check(config, quad_tol=args.tol)
     # looked up per call, so a wrapper placed on `run` sees the call

@@ -43,6 +43,7 @@ from .grids import (
 from .potentials import BOUNDARY_WARN_RATIO, sample_potential, verify_support
 from .scalar import (
     BornTerm,
+    DivergenceError,
     born_orders,
     propagate,
     shell_record,
@@ -388,18 +389,19 @@ def em_born_step(prev, materials, config, reference_scale=None):
     grid = config.grid
     if prev.field.grid != grid or materials.grid != grid:
         raise ValueError("term, materials and config must share one grid")
-    source = apply_material(materials, prev.field)
+    try:
+        source = apply_material(materials, prev.field)
+    except ValueError:  # a position-space term on this grid: the product overflowed
+        raise DivergenceError(prev.order + 1, np.inf, reference_scale) from None
     # With delta-mu = 0 the source's H block is zero, and so is W_H.
     rows = source.values if materials.is_magnetic else source.e_block
-    numerator = SixField(
-        grid, em_kernel_apply(fft_values(rows, grid), grid, config.k), Space.MOMENTUM
-    )
-    field_values = propagate(numerator.values, config, prev.order + 1, reference_scale)
+    numerator_values = em_kernel_apply(fft_values(rows, grid), grid, config.k)
+    field_values = propagate(numerator_values, config, prev.order + 1, reference_scale)
     return BornTerm(
         order=prev.order + 1,
         field=SixField(grid, field_values, Space.POSITION),
         source=source,
-        numerator=numerator,
+        numerator=SixField(grid, numerator_values, Space.MOMENTUM),
     )
 
 

@@ -27,6 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .jsonkind import array_of, integer, kind_of, member, number, string
+
 __all__ = [
     "Space",
     "Grid",
@@ -662,15 +664,22 @@ def save_field(path, sampled):
 
 
 def load_field(path):
-    """Read a field written by :func:`save_field`."""
-    raw = Path(path).read_bytes()
-    newline = raw.index(b"\n")
-    header = json.loads(raw[:newline].decode("ascii"))
-    grid = make_grid(header["dim"], header["extents"], header["counts"])
-    values = np.frombuffer(raw[newline + 1 :], dtype="<c16")
+    """Read a field written by :func:`save_field`; a malformed file raises ValueError.
+
+    The header is read by the JSON-kind rule of bornscat.jsonkind.
+    """
+    line, _, payload = Path(path).read_bytes().partition(b"\n")
+    header = kind_of(json.loads(line), dict)
+    grid = make_grid(
+        member(header, "dim", integer),
+        member(header, "extents", array_of(number)),
+        member(header, "counts", array_of(integer)),
+    )
+    space = member(header, "space", lambda value: Space(string(value)))
+    values = np.frombuffer(payload, dtype="<c16")
     if values.size != grid.size:
         raise ValueError(
             f"payload holds {values.size} values, expected {grid.size}"
         )
     values = values.astype(complex).reshape(grid.shape)
-    return SampledField(grid, values, Space(header["space"]))
+    return SampledField(grid, values, space)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Grid, SampledField, Space, forward_ft, transverse_basis
+from .jsonkind import array_of, complex_number, integer, kind_of, member, number
 
 __all__ = [
     "PotentialSpec",
@@ -75,8 +76,8 @@ class PotentialSpec:
         if u.shape not in ((2,), (3,)):
             raise ValueError("u must have 2 or 3 components")
         norm = np.linalg.norm(u)
-        if not (np.all(np.isfinite(u)) and norm > 0):
-            raise ValueError("u must be a nonzero finite vector")
+        if not 0 < norm < math.inf:  # u = (1e308, 1e308) would normalize to zero
+            raise ValueError("u must be a nonzero vector of finite length")
         object.__setattr__(self, "u", tuple(u / norm))
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise ValueError("alpha must be positive")
@@ -138,7 +139,7 @@ class PotentialSum:
     @property
     def alpha_min(self):
         """Effective support threshold of the superposition."""
-        return min(spec.alpha for spec in self.members)
+        return min(spec.alpha_min for spec in self.members)
 
 
 def _frame(spec):
@@ -335,21 +336,22 @@ def spec_to_dict(subject):
 
 
 def spec_from_dict(data):
-    """Rebuild a PotentialSpec (dict) or PotentialSum (list of dicts)."""
-    if isinstance(data, list):
-        return PotentialSum(tuple(spec_from_dict(d) for d in data))
-    coupling = data["coupling"]
-    if isinstance(coupling, dict):
-        coupling = complex(coupling.get("re", 0.0), coupling.get("im", 0.0))
-    else:
-        coupling = complex(coupling)
+    """Rebuild a PotentialSpec (JSON object) or PotentialSum (array of objects).
+
+    Each value is read by its JSON kind (see bornscat.jsonkind); a ValueError
+    names the key or item that is wrong.
+    """
+    if isinstance(kind_of(data, dict, list), list):
+        members = array_of(lambda item: spec_from_dict(kind_of(item, dict)))
+        return PotentialSum(members(data))
+    numbers = array_of(number)
     return PotentialSpec(
-        alpha=float(data["alpha"]),
-        u=tuple(data["u"]),
-        a=float(data["a"]),
-        m=int(data["m"]),
-        coupling=coupling,
-        ell_y=float(data["ell_y"]),
-        ell_z=float(data.get("ell_z", 0.0)),
-        center=tuple(data.get("center", ())),
+        alpha=member(data, "alpha", number),
+        u=member(data, "u", numbers),
+        a=member(data, "a", number),
+        m=member(data, "m", integer),
+        coupling=member(data, "coupling", complex_number),
+        ell_y=member(data, "ell_y", number),
+        ell_z=member(data, "ell_z", number, 0.0),
+        center=member(data, "center", numbers, ()),
     )

@@ -28,6 +28,7 @@ evaluation and reuses everything else.
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from itertools import islice
 
@@ -121,7 +122,10 @@ def exactness_order(k, alpha):
     """
     if not (k > 0 and alpha > 0):
         raise ValueError("k and alpha must be positive")
-    return int(math.floor(2.0 * k / alpha + 1e-9))
+    ratio = 2.0 * k / alpha + 1e-9
+    if not ratio < sys.maxsize:
+        raise ValueError(f"2k/alpha = {ratio:g} exceeds every series length")
+    return int(math.floor(ratio))
 
 
 @dataclass(frozen=True)
@@ -153,8 +157,8 @@ class ScatterConfig:
                 f"k = {self.k:.4g} must lie below the momentum band edge "
                 f"{min(self.grid.nyquist):.4g}"
             )
-        if self.n_orders < 0:
-            raise ValueError("n_orders must be nonnegative")
+        if not 0 <= self.n_orders < sys.maxsize:  # born_series slices n_orders + 1
+            raise ValueError(f"n_orders = {self.n_orders} must lie in [0, {sys.maxsize})")
         if len(self.k_vec) != self.grid.dim or len(self.u) != self.grid.dim:
             raise ValueError("k_vec and u must match the grid dimension")
         if abs(self.directions.k - self.k) > 1e-9 * self.k:

@@ -3,14 +3,24 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from bornscat import cli
+from bornscat.grids import SampledField, Space, make_grid, save_field
 
 FAMILY3D = {
     "alpha": 1.0, "u": [1.0, 0.0, 0.0], "a": 1.0, "m": 2,
     "coupling": {"re": 1.0, "im": 0.0}, "ell_y": 2.0, "ell_z": 2.0,
+}
+POTENTIAL2D = {
+    "alpha": 1.0, "u": [1.0, 0.0], "a": 1.0, "m": 2,
+    "coupling": {"re": 1.0, "im": 0.0}, "ell_y": 2.0,
+}
+EM3D_ENTRIES = {
+    "mode": "em3d", "potential": None,
+    "grid": {"extents": [8.0, 8.0, 8.0], "counts": [8, 8, 8]},
 }
 
 
@@ -18,14 +28,7 @@ def base_config(tmp_path, **overrides):
     data = {
         "schema_version": 1,
         "mode": "scalar2d",
-        "potential": {
-            "alpha": 1.0,
-            "u": [1.0, 0.0],
-            "a": 1.0,
-            "m": 2,
-            "coupling": {"re": 1.0, "im": 0.0},
-            "ell_y": 2.0,
-        },
+        "potential": POTENTIAL2D,
         "k_sweep": [0.45, 0.8, 1.3],
         "grid": {"extents": [60.0, 60.0], "counts": [256, 256]},
         "n_orders": 4,
@@ -202,6 +205,7 @@ ODD_VALUES = st.one_of(
     st.none(), st.booleans(), st.text(max_size=2), st.integers(-2, 4),
     st.floats(-1.0, 30.0), st.sampled_from([float("nan"), float("inf")]),
 )
+ODD_LEAVES = st.one_of(ODD_VALUES, st.just(10**20))
 FUZZ_FIELDS = (
     "mode", "potential", "materials", "k_sweep", "grid", "n_orders",
     "epsilon", "eps_cells", "direction_count", "tol", "spectral_checks", "seed",
@@ -209,14 +213,32 @@ FUZZ_FIELDS = (
 )
 
 
+def with_odd_leaf(spec):
+    """spec, or spec with the value of one of its keys made odd.
+
+    A positive alpha below 0.05 is valid but asks for N = 2k/alpha orders,
+    which can take hours (see CHANGES.md), so it is not drawn.
+    """
+    def leaf(key):
+        values = ODD_LEAVES.filter(lambda value: key != "alpha" or not (
+            isinstance(value, float) and 0 < value < 0.05))
+        return values.map(lambda value: dict(spec, **{key: value}))
+    return st.one_of(st.just(spec), st.sampled_from(sorted(spec)).flatmap(leaf))
+
+
 @st.composite
 def fuzz_configs(draw):
-    """A runnable config on a tiny grid with up to two fields made odd."""
+    """A runnable config on a tiny grid with up to two fields made odd.
+
+    Independently, one value of the potential block or of a material
+    entry's spec may be made odd.
+    """
     mode = draw(st.sampled_from(cli.MODES))
     dim = cli.MODE_DIM[mode]
     potential = dict(FAMILY3D, u=[1.0, 0.0, 0.0][:dim])
     if dim == 2:
         del potential["ell_z"]
+    potential = draw(with_odd_leaf(potential))
     config = {
         "schema_version": 1,
         "mode": mode,
@@ -234,7 +256,8 @@ def fuzz_configs(draw):
     }
     entry = st.fixed_dictionaries({
         "i": st.integers(-1, 3), "j": st.integers(0, 2),
-        "spec": st.sampled_from([potential, FAMILY3D, {"alpha": 1.0}]),
+        "spec": st.sampled_from([potential, FAMILY3D, {"alpha": 1.0}]).flatmap(
+            with_odd_leaf),
     })
     odd = {
         "mode": st.one_of(ODD_VALUES, st.sampled_from(cli.MODES)),
@@ -278,15 +301,16 @@ class TestInvalidConfigs:
         ({"grid": [60.0, 60.0]}, "config error: grid: expected a JSON object, got list"),
         ({"materials": "eps"}, "config error: materials: expected a JSON object, got str"),
         ({"k_sweep": 0.8}, "config error: k_sweep: expected a JSON array, got float"),
-        ({"k_sweep": ["fast"]}, "config error: k_sweep: could not convert"),
+        ({"k_sweep": ["fast"]},
+         "config error: k_sweep: item 0: expected a JSON number, got str"),
         ({"grid": {"extents": [60.0, 60.0], "counts": ["x", 8]}},
-         "config error: grid: invalid literal for int()"),
+         "config error: grid: counts: item 0: expected a JSON integer, got str"),
         ({"mode": "em3d", "potential": None,
           "grid": {"extents": [8.0, 8.0, 8.0], "counts": [8, 8, 8]},
           "materials": {"eps_entries": [
               {"i": 0, "j": 0, "spec": FAMILY3D},
               {"i": 1, "j": 1, "spec": dict(FAMILY3D, u=[0.0, 1.0, 0.0])}]}},
-         "materials block: material entries must share one axis u"),
+         "materials block: all members must share the same axis u"),
         ({"spectral_checks": "false"}, "spectral_checks"),
         ({"direction_count": 2.7}, "direction_count"),
         ({"seed": 1.5}, "seed"),
@@ -294,14 +318,62 @@ class TestInvalidConfigs:
         ({"k_sweep": [True]}, "k_sweep"),
         ({"tol": "x"}, "tol"),
         ({"out": 5}, "out"),
+        ({"potential": dict(POTENTIAL2D, alpha=True)},
+         "config error: potential: alpha: expected a JSON number, got bool"),
+        ({"potential": dict(POTENTIAL2D, m=2.7)},
+         "config error: potential: m: expected a JSON integer, got float"),
+        ({"potential": dict(POTENTIAL2D, u=[True, False])},
+         "config error: potential: u: item 0: expected a JSON number, got bool"),
+        ({"potential": dict(POTENTIAL2D, a="1")},
+         "config error: potential: a: expected a JSON number, got str"),
+        ({"potential": dict(POTENTIAL2D, coupling="1")},
+         "config error: potential: coupling: expected a JSON number, got str"),
+        ({"potential": dict(POTENTIAL2D, coupling={"re": True})},
+         "config error: potential: coupling: re: expected a JSON number, got bool"),
+        ({"potential": {k: v for k, v in POTENTIAL2D.items() if k != "alpha"}},
+         "config error: potential: alpha: missing"),
+        (dict(EM3D_ENTRIES, materials={"eps_entries": [
+            {"i": True, "j": 0, "spec": FAMILY3D}]}),
+         "config error: materials: eps_entries: item 0: i: expected a JSON integer"),
+        (dict(EM3D_ENTRIES, materials={"eps_entries": [3]}),
+         "config error: materials: eps_entries: item 0: expected a JSON object, got int"),
+        (dict(EM3D_ENTRIES, potential=FAMILY3D, materials={"scale": {"re": True}}),
+         "config error: materials: scale: re: expected a JSON number, got bool"),
+        ({"potential": dict(POTENTIAL2D, m=10**20)},
+         "config error: interaction: field values must be finite"),
+        ({"command": "make-potential",
+          "potential": dict(POTENTIAL2D, coupling={"re": 0})},
+         "config error: potential: potential transform is identically zero"),
+        ({"n_orders": 10**20}, "k sweep point 0: n_orders = 100000000000000000000"),
     ])
     def test_exit_2_with_diagnostic_and_no_artifacts(
         self, tmp_path, capsys, overrides, needle
     ):
+        overrides = dict(overrides)
+        command = overrides.pop("command", "run")  # a case may name another command
         path = base_config(tmp_path, **overrides)
-        assert cli.main(["run", "--config", str(path)]) == 2
+        assert cli.main([command, "--config", str(path)]) == 2
         assert needle in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda head, payload: (b"[" + head + b"]", payload),
+        lambda head, payload: (head.replace(b"[60.0, 60.0]", b'"60"'), payload),
+        lambda head, payload: (head.replace(b"[32, 32]", b"null"), payload),
+        lambda head, payload: (head.replace(b'"position"', b'"momentum"'), payload),
+        lambda head, payload: (head, bytes(len(payload))),
+    ], ids=["array-header", "string-extents", "null-counts", "momentum-space", "all-zero"])
+    def test_verify_rejects_a_malformed_stored_field(self, tmp_path, capsys, edit):
+        stored = tmp_path / "stored.field"
+        path = base_config(tmp_path, k_sweep=[0.8], field_file=str(stored),
+                           grid={"extents": [60.0, 60.0], "counts": [32, 32]})
+        grid = make_grid(2, (60.0, 60.0), (32, 32))
+        save_field(stored, SampledField(grid, np.ones(grid.shape), Space.POSITION))
+        head, payload = edit(*stored.read_bytes().split(b"\n", 1))
+        stored.write_bytes(head + b"\n" + payload)
+        assert cli.main(["verify", "--config", str(path)]) == 2
+        assert f"config error: stored field {stored}: " in capsys.readouterr().err
+        assert not (tmp_path / "out" / "verify_report.json").exists()
 
     def test_verify_field_file_must_be_a_string(self, tmp_path, capsys):
         path = base_config(tmp_path, field_file=5)

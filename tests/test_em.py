@@ -542,6 +542,13 @@ class TestEmBornSeries:
         with pytest.raises(DivergenceError):
             em_born_series(cfg, mats)
 
+    def test_overflowing_material_product_is_divergence(self):
+        # the order-2 product 1e300 * 1e300 overflows before propagate's guard
+        grid, spec, cfg = setup(counts=(16, 8, 8))
+        mats = material_from_scalar(spec, grid, which="eps", scale=1e300)
+        with pytest.raises(DivergenceError):
+            em_born_series(cfg, mats)
+
     def test_grid_mismatch_raises(self):
         grid, spec, cfg = setup(counts=(16, 8, 8))
         other = make_grid(3, (14.0, 6.0, 6.0), (8, 8, 8))

@@ -184,6 +184,11 @@ class TestValidation:
                 alpha=1.0, u=(1.0, 0.0, 0.0), a=1.0, m=1, coupling=1.0, ell_y=2.0
             )  # missing ell_z in 3D
 
+    @pytest.mark.parametrize("u", [(1e308, 1e308), (np.nan, 1.0), (np.inf, 0.0)])
+    def test_rejects_an_axis_of_no_finite_length(self, u):
+        with pytest.raises(ValueError, match="finite length"):
+            family_2d(u=u)
+
     def test_u_is_normalized(self):
         spec = family_2d(u=(2.0, 0.0))
         np.testing.assert_allclose(spec.u, (1.0, 0.0))

@@ -231,6 +231,17 @@ class TestMakeConfig:
         with pytest.raises(ValueError, match="eps_cells"):
             make_scatter_config(grid, 0.8, family(), eps_cells=eps_cells)
 
+    def test_rejects_n_orders_beyond_a_series_length(self):
+        # born_series slices n_orders + 1 terms, an index below sys.maxsize
+        grid = make_grid(2, (60.0, 60.0), (64, 64))
+        with pytest.raises(ValueError, match="n_orders = 100000000000000000000"):
+            make_scatter_config(grid, 0.8, family(), n_orders=10**20)
+
+    def test_rejects_alpha_whose_exact_order_is_beyond_a_series_length(self):
+        grid = make_grid(2, (60.0, 60.0), (64, 64))
+        with pytest.raises(ValueError, match="2k/alpha"):
+            make_scatter_config(grid, 0.8, u=(1.0, 0.0), alpha=5e-324)
+
     def test_rejects_k_beyond_band(self):
         grid = make_grid(2, (60.0, 60.0), (64, 64))
         with pytest.raises(ValueError):
