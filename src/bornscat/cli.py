@@ -17,6 +17,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ import numpy as np
 from .em import (
     EM_VALUE_PREFIXES,
     MaterialTensors,
+    check_entry_index,
     default_polarization,
     em_born_series,
     em_on_shell_numerator,
@@ -32,6 +34,7 @@ from .em import (
     verify_em_exactness,
     verify_em_order_bands,
     verify_em_spectral_floor,
+    which_blocks,
 )
 from .grids import SampledField, Space, load_field, make_grid, nudft, save_field
 from .jsonkind import (
@@ -173,26 +176,24 @@ def _material_args(block):
     """
     kind_of(block, dict)
     entries = {
-        name: dict(member(block, name, array_of(_material_entry), ()))
-        for name in ENTRY_KEYS
+        name: dict(member(block, name, array_of(partial(_material_entry, tensor)), ()))
+        for tensor, name in enumerate(ENTRY_KEYS)
     }
     if any(entries.values()):
         return entries
     which = member(block, "which", string, "eps")
-    if which not in ("eps", "mu", "both"):
-        raise ValueError("which must be 'eps', 'mu' or 'both'")
+    which_blocks(which)  # raises on a medium em cannot build
     scale = member(block, "scale", complex_number, 1 + 0j)
     if not cmath.isfinite(scale):
         raise ValueError("scale must be finite")
     return {"which": which, "scale": scale}
 
 
-def _material_entry(item):
+def _material_entry(tensor, item):
     """((i, j), spec) for one entry {"i", "j", "spec"} of eps_entries or mu_entries."""
     kind_of(item, dict)
     i, j = member(item, "i", integer), member(item, "j", integer)
-    if not (0 <= i < 3 and 0 <= j < 3):
-        raise ValueError(f"tensor index {(i, j)} out of range")
+    check_entry_index(tensor, i, j)
     spec = member(item, "spec", spec_from_dict)
     if spec.dim != 3:
         raise ValueError("spec axis u must have 3 components")
@@ -237,19 +238,24 @@ def _build_materials(config, grid):
 def _support_axis(config):
     """The axis u and the smallest alpha of the interaction.
 
-    Without a potential, the em3d material entries act as their sum, which
+    An em3d medium built from material entries acts as their sum, which
     must have one axis; the medium's threshold is their smallest alpha.
+    Such a medium leaves no use for a potential, so a config giving both
+    is rejected.
     """
-    interaction = config.potential
+    specs = tuple(
+        spec
+        for name in (ENTRY_KEYS if config.mode == "em3d" else ())
+        for spec in config.materials.get(name, {}).values()
+    )
+    if specs and config.potential is not None:
+        raise ValueError("materials: eps_entries and mu_entries build the em3d "
+                         "medium, so the config must not also give a potential")
+    interaction = (
+        within("materials block", PotentialSum, specs) if specs else config.potential
+    )
     if interaction is None:
-        specs = tuple(
-            spec
-            for name in (ENTRY_KEYS if config.mode == "em3d" else ())
-            for spec in config.materials.get(name, {}).values()
-        )
-        if not specs:
-            raise ValueError("config needs a potential spec")
-        interaction = within("materials block", PotentialSum, specs)
+        raise ValueError("config needs a potential spec")
     return tuple(interaction.u), float(interaction.alpha_min)
 
 

@@ -14,14 +14,15 @@ transforms back.  Interactions whose tensor entries all have spectra in the
 half-space u.p >= alpha obey the same shell-vanishing structure as scalar
 ones, which verify_em_exactness certifies order by order.
 
-This module holds only the EM physics: the six-field, the material tensors,
-their product, the momentum kernel, the incident six-vector and the kernel
-at shell points.  Iteration, propagation, the divergence guard, the
-verification reports and the CSV writer are bornscat.scalar's; the public
-step, series, verify and CSV names below are entry points into them.
+This module holds only the EM physics: the six-field, the material tensors
+with the rules of the materials config block (`which_blocks`,
+`check_entry_index`), their product, the momentum kernel, the incident
+six-vector and the kernel at shell points.  Iteration, propagation, the
+divergence guard, the verification reports and the CSV writer are
+bornscat.scalar's; the public step, series, verify and CSV names below are
+entry points into them.
 """
 
-import warnings
 from dataclasses import dataclass
 from functools import partial
 from itertools import groupby, islice
@@ -40,7 +41,7 @@ from .grids import (
     plane_wave,
     transverse_basis,
 )
-from .potentials import BOUNDARY_WARN_RATIO, sample_potential, verify_support
+from .potentials import sample_potential, verify_support
 from .scalar import (
     BornTerm,
     DivergenceError,
@@ -56,6 +57,8 @@ from .scalar import (
 __all__ = [
     "SixField",
     "MaterialTensors",
+    "which_blocks",
+    "check_entry_index",
     "incident_six_field",
     "default_polarization",
     "material_from_scalar",
@@ -124,54 +127,37 @@ class SixField:
 _TENSORS = ("eps", "mu")
 
 
+def which_blocks(which):
+    """The blocks (0 for delta-eps, 1 for delta-mu) an isotropic medium fills."""
+    blocks = {"eps": (0,), "mu": (1,), "both": (0, 1)}.get(which)
+    if blocks is None:
+        raise ValueError("which must be 'eps', 'mu' or 'both'")
+    return blocks
+
+
+def check_entry_index(block, i, j):
+    """Raise unless (block, i, j) names an entry of delta-eps or delta-mu."""
+    if not (block in (0, 1) and 0 <= i < 3 and 0 <= j < 3):
+        raise ValueError(f"tensor index {(block, i, j)} out of range")
+
+
 class MaterialTensors:
     """3x3 complex tensor fields delta-eps and delta-mu on one 3D grid.
 
-    Only the nonzero entries are stored: `entries` maps (block, i, j), with
-    block 0 for delta-eps and 1 for delta-mu, to that entry's values on the
-    grid, in ascending key order.  Entries may share one array, as the three
-    diagonal entries of an isotropic medium do.  MaterialTensors(grid, eps,
-    mu) keeps the nonzero entries of dense (3, 3) + grid.shape tensors.
+    Built from a {(block, i, j): values} map, with block 0 for delta-eps and
+    1 for delta-mu; absent entries are zero.  Only the nonzero entries are
+    stored: `entries` maps each key to that entry's values on the grid, in
+    ascending key order.  Entries may share one array, as the three
+    diagonal entries of an isotropic medium do.
     """
 
-    def __init__(self, grid, eps, mu):
-        entries = {}
-        for block, tensor in enumerate((eps, mu)):
-            tensor = np.asarray(tensor, dtype=complex)
-            if tensor.shape != (3, 3) + grid.shape:
-                raise ValueError(
-                    f"{_TENSORS[block]} must have shape (3, 3) + {grid.shape}"
-                )
-            for i, j in np.ndindex(3, 3):
-                if np.any(tensor[i, j]):
-                    entries[(block, i, j)] = tensor[i, j].copy()
-        self._keep(grid, entries)
-
-    @classmethod
-    def from_entries(cls, grid, entries):
-        """Tensors from a {(block, i, j): values} map; absent entries are zero."""
-        materials = cls.__new__(cls)
-        materials._keep(grid, entries)
-        return materials
-
-    @classmethod
-    def isotropic(cls, grid, values, which="eps"):
-        """values * identity in delta-eps, delta-mu or both, as one shared array."""
-        blocks = {"eps": (0,), "mu": (1,), "both": (0, 1)}.get(which)
-        if blocks is None:
-            raise ValueError("which must be 'eps', 'mu' or 'both'")
-        return cls.from_entries(
-            grid, {(block, i, i): values for block in blocks for i in range(3)}
-        )
-
-    def _keep(self, grid, entries):
+    def __init__(self, grid, entries):
         # Checks each distinct array once and drops the all-zero ones.
         if grid.dim != 3:
             raise ValueError("material tensors need a 3D grid")
         arrays, peaks = {}, {}
         for (block, i, j), values in entries.items():
-            if not (block in (0, 1) and 0 <= i < 3 and 0 <= j < 3):
-                raise ValueError(f"tensor index {(block, i, j)} out of range")
+            check_entry_index(block, i, j)
             if id(values) in arrays:
                 continue
             array = np.asarray(values, dtype=complex)
@@ -187,23 +173,13 @@ class MaterialTensors:
             key: arrays[id(values)] for key, values in sorted(entries.items())
             if peaks[id(values)] > 0.0
         }
-        self._warn_on_truncation(max(peaks.values(), default=0.0))
 
-    def _warn_on_truncation(self, overall):
-        if overall == 0.0:
-            return
-        distinct = {id(values): values for values in self.entries.values()}
-        boundary = max(
-            np.max(np.abs(np.take(values, end, axis=axis)))
-            for values in distinct.values() for axis in range(3) for end in (0, -1)
-        )
-        if boundary > BOUNDARY_WARN_RATIO * overall:
-            warnings.warn(
-                f"material magnitude at the box boundary is {boundary:.3e}, more "
-                f"than {BOUNDARY_WARN_RATIO:g} of its maximum {overall:.3e}; "
-                "enlarge the box to reduce truncation",
-                stacklevel=3,
-            )
+    @classmethod
+    def isotropic(cls, grid, values, which="eps"):
+        """values * identity in delta-eps, delta-mu or both, as one shared array."""
+        return cls(grid, {
+            (block, i, i): values for block in which_blocks(which) for i in range(3)
+        })
 
     def _dense(self, block):
         tensor = np.zeros((3, 3) + self.grid.shape, dtype=complex)
@@ -272,7 +248,7 @@ def material_from_entries(grid, eps_entries=None, mu_entries=None):
     for block, chosen in enumerate((eps_entries, mu_entries)):
         for (i, j), potential in (chosen or {}).items():
             entries[(block, i, j)] = sample_potential(potential, grid).values
-    return MaterialTensors.from_entries(grid, entries)
+    return MaterialTensors(grid, entries)
 
 
 def certify_materials(materials, u, alpha, tol=1e-3):

@@ -151,9 +151,9 @@ def quad_second_order(v_field, k_vec, points, eps):
 def em_quad_second_order(materials, k_vec, psi0, points, eps):
     """Six-component analog of quad_second_order.
 
-    Entry transforms of both tensors are evaluated by slow_dft (cached per
-    tensor entry and point set); the momentum kernel is applied as an
-    explicit 6x6 matrix at each node.
+    The transforms of the stored tensor entries are evaluated by slow_dft
+    (cached per entry array and point set); the momentum kernel is applied
+    as an explicit 6x6 matrix at each node.
     """
     grid = materials.grid
     _check_quad_grid(grid)
@@ -170,29 +170,15 @@ def em_quad_second_order(materials, k_vec, psi0, points, eps):
     cell = float(np.prod(2.0 * np.pi / np.asarray(grid.extents)))
     norm = cell / (2.0 * np.pi) ** grid.dim
 
-    # Dense tensors bound once: each .eps / .mu access builds a new array.
-    eps_tensor, mu_tensor = materials.eps, materials.mu
     cache = {}
 
-    def entry_transform(tensor, i, j, pts):
-        # keyed on the tensor (alive for the whole call) and the entry index:
-        # the view tensor[i, j] is temporary, so its id can be reused
-        key = (id(tensor), i, j, pts.tobytes())
+    def entry_transform(values, pts):
+        # keyed on the stored entry array, alive for the whole call: entries
+        # sharing one array share one transform
+        key = (id(values), pts.tobytes())
         if key not in cache:
-            cache[key] = slow_dft(
-                SampledField(grid, tensor[i, j], Space.POSITION), pts
-            )
+            cache[key] = slow_dft(SampledField(grid, values, Space.POSITION), pts)
         return cache[key]
-
-    def tensor_product(tensor, pts, vec3):
-        """(transform of tensor at pts) . vec3 -> (P, 3), skipping zero entries."""
-        out = np.zeros((pts.shape[0], 3), dtype=complex)
-        for i in range(3):
-            for j in range(3):
-                if not np.any(tensor[i, j]):
-                    continue
-                out[:, i] += entry_transform(tensor, i, j, pts) * vec3[j]
-        return out
 
     def kernel_matrix(p):
         eye = np.eye(3)
@@ -204,29 +190,22 @@ def em_quad_second_order(materials, k_vec, psi0, points, eps):
         bottom = np.hstack([-k * cross, -k * k * eye + ppt])
         return np.vstack([top, bottom])
 
-    # first order at every node q: M1(q) = K(q) (eta~(q-k) psi0)
+    # first order at every node q: M1(q) = K(q) (eta~(q-k) psi0), the
+    # stored entries visited in ascending (block, i, j) order
     shifts = q_nodes - k_vec
-    w1 = np.concatenate(
-        [
-            tensor_product(eps_tensor, shifts, psi0[:3]),
-            tensor_product(mu_tensor, shifts, psi0[3:]),
-        ],
-        axis=1,
-    )
+    w1 = np.zeros((q_nodes.shape[0], 6), dtype=complex)
+    for (block, i, j), values in materials.entries.items():
+        w1[:, 3 * block + i] += entry_transform(values, shifts) * psi0[3 * block + j]
     m1 = np.stack([kernel_matrix(q) @ w1[row] for row, q in enumerate(q_nodes)])
+    weighted = g_q[:, None] * m1
 
     results = []
     for p in points:
         start = time.perf_counter()
         w2 = np.zeros(6, dtype=complex)
-        for block, tensor in ((0, eps_tensor), (3, mu_tensor)):
-            weighted = g_q[:, None] * m1[:, block : block + 3]
-            for i in range(3):
-                for j in range(3):
-                    if not np.any(tensor[i, j]):
-                        continue
-                    v_out = entry_transform(tensor, i, j, p - q_nodes)
-                    w2[block + i] += norm * np.sum(v_out * weighted[:, j])
+        for (block, i, j), values in materials.entries.items():
+            v_out = entry_transform(values, p - q_nodes)
+            w2[3 * block + i] += norm * np.sum(v_out * weighted[:, 3 * block + j])
         value = green_factor(float(p @ p), k, eps) * (kernel_matrix(p) @ w2)
         results.append(
             QuadratureResult(

@@ -82,6 +82,9 @@ __all__ = [
 # factor signals a divergent series (strong coupling), not roundoff.
 DIVERGENCE_RATIO = 1e12
 
+# Orders past N = floor(2k/alpha) that a config without n_orders computes.
+_EXTRA_ORDERS = 2
+
 
 class DivergenceError(RuntimeError):
     """Born series grew past the divergence guard at some order."""
@@ -188,7 +191,6 @@ def make_scatter_config(
     epsilon=None,
     eps_cells=2.0,
     n_orders=None,
-    extra_orders=2,
     direction_count=64,
 ):
     """Assemble a ScatterConfig with the standard defaults.
@@ -228,7 +230,7 @@ def make_scatter_config(
             raise ValueError(f"eps_cells = {eps_cells} must be positive and finite")
         epsilon = eps_cells * k_snapped * max(grid.momentum_spacing)
     if n_orders is None:
-        n_orders = exactness_order(k_snapped, alpha) + extra_orders
+        n_orders = exactness_order(k_snapped, alpha) + _EXTRA_ORDERS
     directions = sphere_directions(
         grid.dim, k_snapped, direction_count, k_vec / k_snapped
     )
@@ -495,6 +497,17 @@ def _numerator_terms(series):
     return terms
 
 
+def _band_report(series, u, tol, name, band):
+    """One band check per order; band(order, p_par) gives its mask and label."""
+    terms = _numerator_terms(series)
+    p_par = terms[0].numerator.grid.momentum_parallel(u)
+    checks = []
+    for term in terms:
+        mask, label = band(term.order, p_par)
+        checks.append(_band_check(term.numerator.node_norms(), mask, term.order, label))
+    return VerificationReport(name, float(tol), tuple(checks))
+
+
 def verify_spectral_floor(series, u, k, tol=1e-3, name="spectral-floor"):
     """Check that every order's spectrum avoids the floor u.p < -k.
 
@@ -503,18 +516,10 @@ def verify_spectral_floor(series, u, k, tol=1e-3, name="spectral-floor"):
     lowest component of the incident wave).  Each check compares the max
     node magnitude below the floor with the order's global max.
     """
-    checks = []
-    for term in _numerator_terms(series):
-        p_par = term.numerator.grid.momentum_parallel(u)
-        checks.append(
-            _band_check(
-                term.numerator.node_norms(),
-                p_par < -k,
-                term.order,
-                f"u.p < {-k:.6g}",
-            )
-        )
-    return VerificationReport(name, float(tol), tuple(checks))
+    def band(order, p_par):
+        return p_par < -k, f"u.p < {-k:.6g}"
+
+    return _band_report(series, u, tol, name, band)
 
 
 def verify_order_bands(series, u, k, alpha, tol=1e-3, name="order-bands"):
@@ -526,20 +531,12 @@ def verify_order_bands(series, u, k, alpha, tol=1e-3, name="order-bands"):
     fallen back down onto the shell band.  Empty bands are reported vacuous.
     """
     n_exact = exactness_order(k, alpha)
-    checks = []
-    for term in _numerator_terms(series):
-        p_par = term.numerator.grid.momentum_parallel(u)
-        upper = k - (n_exact - term.order + 1) * alpha
-        mask = (p_par >= -k) & (p_par <= upper)
-        checks.append(
-            _band_check(
-                term.numerator.node_norms(),
-                mask,
-                term.order,
-                f"{-k:.6g} <= u.p <= {upper:.6g}",
-            )
-        )
-    return VerificationReport(name, float(tol), tuple(checks))
+
+    def band(order, p_par):
+        upper = k - (n_exact - order + 1) * alpha
+        return (p_par >= -k) & (p_par <= upper), f"{-k:.6g} <= u.p <= {upper:.6g}"
+
+    return _band_report(series, u, tol, name, band)
 
 
 def verify_convolution_support(

@@ -51,9 +51,7 @@ from bornscat.scalar import (
     verify_spectral_floor,
 )
 
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:potential magnitude", "ignore:material magnitude"
-)
+pytestmark = pytest.mark.filterwarnings("ignore:potential magnitude")
 
 FAMILY2D = PotentialSpec(
     alpha=1.0, u=(1.0, 0.0), a=1.0, m=2, coupling=1.0, ell_y=2.0

@@ -156,9 +156,7 @@ class TestRun:
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
-    @pytest.mark.filterwarnings(
-        "ignore:potential magnitude", "ignore:material magnitude"
-    )
+    @pytest.mark.filterwarnings("ignore:potential magnitude")
     def test_em3d_sweep(self, tmp_path):
         path = base_config(
             tmp_path,
@@ -179,7 +177,24 @@ class TestRun:
             header = next(csv.reader(fh))
         assert len(header) == 4 + 12
 
-    @pytest.mark.filterwarnings("ignore:material magnitude")
+    @pytest.mark.parametrize("materials,sampled", [
+        ({"which": "eps"}, 1),
+        ({"eps_entries": [{"i": 0, "j": 0, "spec": FAMILY3D},
+                          {"i": 1, "j": 1, "spec": dict(FAMILY3D, coupling=0.5)}]}, 2),
+    ], ids=["isotropic", "two-entries"])
+    def test_em3d_truncation_warns_once_per_sampled_array(
+        self, tmp_path, recwarn, materials, sampled
+    ):
+        path = base_config(
+            tmp_path, mode="em3d", materials=materials,
+            potential=FAMILY3D if "which" in materials else None,
+            grid={"extents": [8.0, 4.0, 4.0], "counts": [16, 8, 8]},
+            k_sweep=[0.8], n_orders=1, direction_count=4,
+        )
+        assert cli.main(["run", "--config", str(path)]) in (0, 1)
+        truncation = [w for w in recwarn if "at the box boundary" in str(w.message)]
+        assert len(truncation) == sampled
+
     @pytest.mark.parametrize("step", [1, -1], ids=["alpha-1-first", "alpha-0.5-first"])
     def test_em3d_entries_certify_their_smallest_alpha(self, tmp_path, step):
         entries = [
@@ -345,6 +360,10 @@ class TestInvalidConfigs:
           "potential": dict(POTENTIAL2D, coupling={"re": 0})},
          "config error: potential: potential transform is identically zero"),
         ({"n_orders": 10**20}, "k sweep point 0: n_orders = 100000000000000000000"),
+        (dict(EM3D_ENTRIES, potential=dict(FAMILY3D, alpha=2.0), materials={
+            "eps_entries": [{"i": 1, "j": 1,
+                             "spec": dict(FAMILY3D, alpha=0.5, u=[0.0, 1.0, 0.0])}]}),
+         "config error: materials: eps_entries and mu_entries build the em3d medium"),
     ])
     def test_exit_2_with_diagnostic_and_no_artifacts(
         self, tmp_path, capsys, overrides, needle
@@ -408,9 +427,7 @@ class TestInvalidConfigs:
         assert "oracle grid" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.filterwarnings(
-        "ignore:potential magnitude", "ignore:material magnitude"
-    )
+    @pytest.mark.filterwarnings("ignore:potential magnitude")
     @settings(max_examples=80, deadline=None)
     @given(config=fuzz_configs(), command=st.sampled_from(
         ["run", "run", "make-potential", "verify"]))
@@ -441,9 +458,7 @@ class TestMakePotentialAndVerify:
         assert report["pass"] is True
         assert report["points"][0]["exact_order"] == 1
 
-    @pytest.mark.filterwarnings(
-        "ignore:potential magnitude", "ignore:material magnitude"
-    )
+    @pytest.mark.filterwarnings("ignore:potential magnitude")
     def test_verify_em3d_only_for_the_medium_it_rebuilds(self, tmp_path, capsys):
         em3d = dict(
             mode="em3d", potential=FAMILY3D, k_sweep=[0.8], n_orders=2, tol=5e-2,

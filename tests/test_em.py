@@ -39,9 +39,7 @@ from bornscat.scalar import (
     verify_exactness,
 )
 
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:potential magnitude", "ignore:material magnitude"
-)
+pytestmark = pytest.mark.filterwarnings("ignore:potential magnitude")
 
 
 def family(**overrides):
@@ -110,11 +108,19 @@ def single_threaded_kernel(w, k):
     return out
 
 
+def from_dense(grid, eps, mu):
+    """The medium of dense (3, 3) + grid.shape tensors, every entry in the map."""
+    return MaterialTensors(grid, {
+        (block, i, j): tensor[i, j]
+        for block, tensor in enumerate((eps, mu)) for i, j in np.ndindex(3, 3)
+    })
+
+
 def dense_medium(grid, seed=0):
     rng = np.random.default_rng(seed)
     eps, mu = (rng.standard_normal((3, 3) + grid.shape)
                + 1j * rng.standard_normal((3, 3) + grid.shape) for _ in range(2))
-    return MaterialTensors(grid, eps, mu)
+    return from_dense(grid, eps, mu)
 
 
 def isotropic_medium(grid, seed=0):
@@ -123,15 +129,14 @@ def isotropic_medium(grid, seed=0):
 
 def magnetic_medium(grid, seed=0):
     values = random_six(grid, seed).values
-    return MaterialTensors.from_entries(grid, {
+    return MaterialTensors(grid, {
         (0, 0, 0): values[0], (0, 0, 2): values[1], (0, 2, 1): values[2],
         (1, 1, 1): values[3], (1, 2, 0): values[4], (1, 2, 2): values[3],
     })
 
 
 def zero_medium(grid, seed=0):
-    shape = (3, 3) + grid.shape
-    return MaterialTensors(grid, np.zeros(shape), np.zeros(shape))
+    return MaterialTensors(grid, {})
 
 
 MEDIA = [dense_medium, isotropic_medium, magnetic_medium, zero_medium]
@@ -212,13 +217,11 @@ class TestThreadedPasses:
 class TestMaterialTensors:
     def test_shape_and_dim_validation(self):
         grid3 = make_grid(3, (4.0, 4.0, 4.0), (8, 8, 8))
-        with pytest.raises(ValueError, match="shape"):
-            MaterialTensors(grid3, np.zeros((3,) + grid3.shape),
-                            np.zeros((3, 3) + grid3.shape))
+        with pytest.raises(ValueError, match=r"mu\[1,2\] must have shape"):
+            MaterialTensors(grid3, {(1, 1, 2): np.ones((3,) + grid3.shape)})
         grid2 = make_grid(2, (4.0, 4.0), (8, 8))
         with pytest.raises(ValueError, match="3D"):
-            MaterialTensors(grid2, np.zeros((3, 3) + grid2.shape),
-                            np.zeros((3, 3) + grid2.shape))
+            MaterialTensors(grid2, {(0, 0, 0): np.ones(grid2.shape)})
 
     def test_boundary_truncation_warning(self):
         grid = make_grid(3, (8.0, 6.0, 6.0), (16, 8, 8))
@@ -227,11 +230,10 @@ class TestMaterialTensors:
 
     def test_zero_tensors_stay_silent(self):
         grid = make_grid(3, (8.0, 6.0, 6.0), (8, 8, 8))
-        shape = (3, 3) + grid.shape
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            mats = MaterialTensors(grid, np.zeros(shape), np.zeros(shape))
-        assert not mats.is_magnetic
+            mats = MaterialTensors(grid, {(1, 2, 2): np.zeros(grid.shape)})
+        assert mats.entries == {} and not mats.is_magnetic
 
 
 class TestIncidentSixField:
@@ -301,29 +303,31 @@ class TestMaterials:
         np.testing.assert_array_equal(
             shared, 0.5 * sample_potential(family(), grid).values)
 
-    def test_dense_constructor_keeps_nonzero_entries(self):
+    def test_map_constructor_keeps_nonzero_entries(self):
         grid = make_grid(3, (4.0, 4.0, 4.0), (8, 8, 8))
         eps = np.zeros((3, 3) + grid.shape, dtype=complex)
         mu = np.zeros((3, 3) + grid.shape, dtype=complex)
         eps[0, 1, 2, 3, 4] = 1.0 - 2.0j
         mu[2, 2] = 0.5
-        mats = MaterialTensors(grid, eps, mu)
+        mats = MaterialTensors(grid, {
+            (1, 2, 2): mu[2, 2], (0, 2, 0): eps[2, 0], (0, 0, 1): eps[0, 1],
+        })
         assert list(mats.entries) == [(0, 0, 1), (1, 2, 2)]
         assert mats.is_magnetic
         np.testing.assert_array_equal(mats.eps, eps)
         np.testing.assert_array_equal(mats.mu, mu)
 
-    def test_from_entries_validation(self):
+    def test_entry_map_validation(self):
         grid = make_grid(3, (4.0, 4.0, 4.0), (8, 8, 8))
         bad = np.ones(grid.shape, dtype=complex)
         bad[-1, -1, -1] = np.inf
         with pytest.raises(ValueError, match="mu entries must be finite"):
-            MaterialTensors.from_entries(grid, {(1, 0, 2): bad})
-        with pytest.raises(ValueError, match="index"):
-            MaterialTensors.from_entries(grid, {(2, 0, 0): np.ones(grid.shape)})
+            MaterialTensors(grid, {(1, 0, 2): bad})
+        with pytest.raises(ValueError, match=r"tensor index \(2, 0, 0\) out of range"):
+            MaterialTensors(grid, {(2, 0, 0): np.ones(grid.shape)})
         with pytest.raises(ValueError, match="shape"):
-            MaterialTensors.from_entries(grid, {(0, 0, 0): np.ones((8, 8))})
-        zero = MaterialTensors.from_entries(grid, {(1, 0, 0): np.zeros(grid.shape)})
+            MaterialTensors(grid, {(0, 0, 0): np.ones((8, 8))})
+        zero = MaterialTensors(grid, {(1, 0, 0): np.zeros(grid.shape)})
         assert zero.entries == {} and not zero.is_magnetic
 
     def test_entrywise_assembly(self):
@@ -353,7 +357,7 @@ class TestApplyMaterial:
         rng = np.random.default_rng(9)
         eps = rng.standard_normal((3, 3) + grid.shape) * (1 + 0j)
         mu = rng.standard_normal((3, 3) + grid.shape) * (1 + 0j)
-        mats = MaterialTensors(grid, eps, mu)
+        mats = from_dense(grid, eps, mu)
         six = random_six(grid, seed=4, space=Space.POSITION)
         out = apply_material(mats, six)
         node = (1, 2, 3)
@@ -381,8 +385,7 @@ class TestApplyMaterial:
 
     def test_space_and_grid_validation(self):
         grid = make_grid(3, (4.0, 4.0, 4.0), (8, 8, 8))
-        shape = (3, 3) + grid.shape
-        mats = MaterialTensors(grid, np.zeros(shape), np.zeros(shape))
+        mats = MaterialTensors(grid, {})
         with pytest.raises(ValueError, match="position"):
             apply_material(mats, random_six(grid, space=Space.MOMENTUM))
         other = make_grid(3, (5.0, 4.0, 4.0), (8, 8, 8))
@@ -517,8 +520,7 @@ class TestEmBornSeries:
 
     def test_zero_materials_give_zero_terms(self):
         grid, spec, cfg = setup(counts=(16, 8, 8))
-        shape = (3, 3) + grid.shape
-        mats = MaterialTensors(grid, np.zeros(shape), np.zeros(shape))
+        mats = MaterialTensors(grid, {})
         series = em_born_series(cfg, mats)
         for term in series[1:]:
             assert term.field.max_abs() == 0.0

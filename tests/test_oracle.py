@@ -35,9 +35,7 @@ from bornscat.oracle import (
 from bornscat.potentials import PotentialSpec, sample_potential
 from bornscat.scalar import born_series, green_factor, make_scatter_config
 
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:potential magnitude", "ignore:material magnitude"
-)
+pytestmark = pytest.mark.filterwarnings("ignore:potential magnitude")
 
 
 def toy_grid(dim):
