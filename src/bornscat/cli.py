@@ -279,6 +279,9 @@ def _build(config, grid=True, sweep=True):
     built, problems = _Built(), list(config.problems)
     if config.mode not in MODE_DIM:  # the reader reported it
         return built, problems
+    if config.mode != "em3d" and config.materials != DEFAULT_MATERIALS:
+        problems.append(f"materials: only em3d builds a medium, so a {config.mode} "
+                        "config must not name one")
     if grid:
         try:
             built.grid = make_grid(MODE_DIM[config.mode], config.extents, config.counts)

@@ -15,6 +15,13 @@ transform factorizes into a gated longitudinal part and slab sinc factors:
 
 so V(p) = 0 whenever u.p < alpha, which is the property everything
 downstream relies on.  In 2D the z factor is simply dropped.
+
+The same factorization makes sampling cheap: for an axis-aligned u,
+sample_potential evaluates the longitudinal profile once along u's grid axis
+and one slab mask per transverse axis, and broadcasts them into the grid; an
+oblique u evaluates the expression at every node.  Both give the same bits.
+The profile multiplies exp(i alpha x_par) by the coupling in that operand
+order (see _profile), so its bits do not depend on the array's size.
 """
 
 import cmath
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, SampledField, Space, forward_ft, transverse_basis
+from .grids import SampledField, Space, blockwise, forward_ft, max_abs, transverse_basis
 from .jsonkind import array_of, complex_number, integer, kind_of, member, number
 
 __all__ = [
@@ -147,16 +154,62 @@ def _frame(spec):
     return (u,) + transverse_basis(u)
 
 
+def _profile(spec, xl):
+    """The longitudinal factor coupling * exp(i alpha xl) / (1 - i xl/a)**(m + 1).
+
+    The coupling is the right operand of its multiply: with FMA, a complex
+    product rounds differently in the other order, and numpy would pick the
+    order by whether it elides the exp temporary (arrays of 256 KiB and up).
+    """
+    core = np.exp(1j * spec.alpha * xl)
+    core *= spec.coupling
+    return core / (1.0 - 1j * xl / spec.a) ** (spec.m + 1)
+
+
 def _single_value(spec, x):
     axes = _frame(spec)
     rel = x - np.asarray(spec.center)
-    xl = rel @ axes[0]
     inside = np.abs(rel @ axes[1]) <= 0.5 * spec.ell_y
     if spec.dim == 3:
         inside = inside & (np.abs(rel @ axes[2]) <= 0.5 * spec.ell_z)
-    core = spec.coupling * np.exp(1j * spec.alpha * xl)
-    core = core / (1.0 - 1j * xl / spec.a) ** (spec.m + 1)
-    return np.where(inside, core, 0.0)
+    return np.where(inside, _profile(spec, rel @ axes[0]), 0.0)
+
+
+def _grid_axis(vector):
+    """(axis, sign) when vector is +-1 along one grid axis and 0 along the others."""
+    nonzero = np.flatnonzero(vector)
+    if len(nonzero) != 1 or abs(vector[nonzero[0]]) != 1.0:
+        return None
+    return int(nonzero[0]), float(vector[nonzero[0]])
+
+
+def _select(inside, values, out):
+    """np.where(inside, values, 0) into out."""
+    out.fill(0)
+    np.copyto(out, values, where=inside)
+
+
+def _sample_member(spec, grid):
+    """One member's values on the grid, bit for bit _single_value's.
+
+    When every frame vector lies along a grid axis, the member is a 1-D
+    profile along u's axis times one 1-D slab mask per transverse axis, and
+    is built from those factors: rel @ axis is then exactly +-rel along that
+    axis.  Each slab width goes with its frame vector, which need not follow
+    the grid axes' order (u = -y puts ell_y along z).  An oblique u takes the
+    whole-grid expression.
+    """
+    axes = [_grid_axis(vector) for vector in _frame(spec)]
+    mesh = grid.position_mesh()
+    if None in axes:
+        return _single_value(spec, np.stack(np.broadcast_arrays(*mesh), axis=-1))
+    rel = [x - c for x, c in zip(mesh, spec.center)]
+    (axis, sign), *slabs = axes
+    profile = _profile(spec, sign * rel[axis])
+    inside = True
+    for (slab_axis, _), ell in zip(slabs, (spec.ell_y, spec.ell_z)):
+        inside = inside & (np.abs(rel[slab_axis]) <= 0.5 * ell)
+    return blockwise(_select, np.empty(grid.shape, dtype=complex), inside, profile)
 
 
 def _sinc(t):
@@ -225,14 +278,18 @@ def potential_spectrum(subject, p):
 
 
 def sample_potential(subject, grid):
-    """Sample the potential on a grid, warning when the box truncates it visibly."""
+    """Sample the potential on a grid, warning when the box truncates it visibly.
+
+    The values are bit for bit potential_value's at the grid nodes; members
+    are added in order, as there.
+    """
     members = _members(subject)
     if members[0].dim != grid.dim:
         raise ValueError("potential and grid dimensions differ")
-    mesh = grid.position_mesh()
-    x = np.stack(np.broadcast_arrays(*mesh), axis=-1)
-    values = potential_value(subject, x)
-    overall = np.max(np.abs(values))
+    values = _sample_member(members[0], grid)
+    for spec in members[1:]:
+        values += _sample_member(spec, grid)
+    overall = max_abs(values)
     if overall > 0:
         edge = 0.0
         for axis in range(grid.dim):

@@ -164,6 +164,15 @@ class ScatterConfig:
             raise ValueError(f"n_orders = {self.n_orders} must lie in [0, {sys.maxsize})")
         if len(self.k_vec) != self.grid.dim or len(self.u) != self.grid.dim:
             raise ValueError("k_vec and u must match the grid dimension")
+        # A grid cannot resolve, so cannot certify, a threshold finer than one
+        # of its momentum cells; this also bounds N = floor(2k/alpha) below
+        # the node count along an axis-aligned u.
+        cell = _momentum_cell_along(self.grid, self.u)
+        if not self.alpha >= cell:
+            raise ValueError(
+                f"alpha = {self.alpha:.4g} must be at least one momentum cell "
+                f"along u, {cell:.4g}, for the grid to resolve it"
+            )
         if abs(self.directions.k - self.k) > 1e-9 * self.k:
             raise ValueError("direction set wavenumber disagrees with config k")
 
@@ -178,6 +187,14 @@ class ScatterConfig:
     @property
     def exact_order(self):
         return exactness_order(self.k, self.alpha)
+
+
+def _momentum_cell_along(grid, u):
+    """Length of the line along unit u across one momentum cell from a corner.
+
+    min over u_i != 0 of dp_i / |u_i|: 2 pi / L_i for u along axis i.
+    """
+    return min(dp / abs(c) for dp, c in zip(grid.momentum_spacing, u) if c != 0)
 
 
 def make_scatter_config(

@@ -229,15 +229,9 @@ FUZZ_FIELDS = (
 
 
 def with_odd_leaf(spec):
-    """spec, or spec with the value of one of its keys made odd.
-
-    A positive alpha below 0.05 is valid but asks for N = 2k/alpha orders,
-    which can take hours (see CHANGES.md), so it is not drawn.
-    """
+    """spec, or spec with the value of one of its keys made odd."""
     def leaf(key):
-        values = ODD_LEAVES.filter(lambda value: key != "alpha" or not (
-            isinstance(value, float) and 0 < value < 0.05))
-        return values.map(lambda value: dict(spec, **{key: value}))
+        return ODD_LEAVES.map(lambda value: dict(spec, **{key: value}))
     return st.one_of(st.just(spec), st.sampled_from(sorted(spec)).flatmap(leaf))
 
 
@@ -364,6 +358,17 @@ class TestInvalidConfigs:
             "eps_entries": [{"i": 1, "j": 1,
                              "spec": dict(FAMILY3D, alpha=0.5, u=[0.0, 1.0, 0.0])}]}),
          "config error: materials: eps_entries and mu_entries build the em3d medium"),
+        ({"materials": {"eps_entries": [
+            {"i": 1, "j": 1, "spec": dict(FAMILY3D, alpha=0.5, u=[0.0, 1.0, 0.0])}]}},
+         "config error: materials: only em3d builds a medium, so a scalar2d config"),
+        ({"mode": "scalar3d", "potential": FAMILY3D, "materials": {"which": "mu"},
+          "grid": {"extents": [8.0, 8.0, 8.0], "counts": [8, 8, 8]}},
+         "config error: materials: only em3d builds a medium, so a scalar3d config"),
+        # one momentum cell along u is 2 pi / 60 = 0.1047
+        ({"potential": dict(POTENTIAL2D, alpha=0.1)},
+         "k sweep point 0: alpha = 0.1 must be at least one momentum cell along u, 0.1047"),
+        ({"command": "oracle", "potential": dict(POTENTIAL2D, alpha=0.5)},
+         "oracle grid (8, 8): alpha = 0.5 must be at least one momentum cell"),
     ])
     def test_exit_2_with_diagnostic_and_no_artifacts(
         self, tmp_path, capsys, overrides, needle

@@ -187,8 +187,9 @@ class TestThreadedPasses:
 
     @pytest.mark.parametrize("counts", SIX_SHAPES)
     def test_propagate_broadcasts_the_propagator(self, pool_workers, counts):
+        # alpha at least one momentum cell along u (2.12 on the 8^3 box)
         grid = make_grid(3, tuple(0.37 * n for n in counts), counts)
-        cfg = make_scatter_config(grid, 2.0, u=(1.0, 0.0, 0.0), alpha=1.0, n_orders=2)
+        cfg = make_scatter_config(grid, 2.0, u=(1.0, 0.0, 0.0), alpha=2.5, n_orders=2)
         numerator = random_six(grid, seed=sum(counts)).values
         before = numerator.copy()
         propagator = green_factor(grid.momentum_sq, cfg.k, cfg.epsilon)
@@ -199,7 +200,7 @@ class TestThreadedPasses:
     @pytest.mark.parametrize("counts", SIX_SHAPES)
     def test_incident_term(self, pool_workers, counts):
         grid = make_grid(3, tuple(0.37 * n for n in counts), counts)
-        cfg = make_scatter_config(grid, 2.0, u=(1.0, 0.0, 0.0), alpha=1.0, n_orders=2)
+        cfg = make_scatter_config(grid, 2.0, u=(1.0, 0.0, 0.0), alpha=2.5, n_orders=2)
         psi0 = incident_six_field(default_polarization(cfg.k_hat, cfg.u), cfg.k_hat)
         want = psi0.reshape((6, 1, 1, 1)) * plane_wave(grid, cfg.k_vec)
         assert_same_bits(em_incident_term(cfg, psi0).field.values, want)

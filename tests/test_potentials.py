@@ -14,6 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
+from bit_identity import GRID_SHAPES, assert_same_bits
 
 from bornscat.grids import Space, forward_ft, make_grid, nudft
 from bornscat.potentials import (
@@ -236,6 +237,104 @@ class TestSamplePotential:
         grid = make_grid(3, (10.0, 10.0, 10.0), (8, 8, 8))
         with pytest.raises(ValueError):
             sample_potential(family_2d(), grid)
+
+
+def whole_grid_value(subject, grid):
+    """potential_value at every node, from the stacked (..., d) positions."""
+    x = np.stack(np.broadcast_arrays(*grid.position_mesh()), axis=-1)
+    return potential_value(subject, x)
+
+
+def spec_along(u, dim, center=(), coupling=1.0, **overrides):
+    params = dict(alpha=0.9, u=tuple(u[:dim]), a=1.3, m=2, coupling=coupling, ell_y=2.0,
+                  ell_z=3.0 if dim == 3 else 0.0, center=tuple(center[:dim]))
+    params.update(overrides)
+    return PotentialSpec(**params)
+
+
+# u along +x, -x, +y and -y; two of them with a nonzero center, two with a
+# complex coupling.
+AXIS_CASES = {
+    "+x": dict(u=(1.0, 0.0, 0.0), center=(0.3, -1.1, 0.7), coupling=0.7 - 0.4j),
+    "-x": dict(u=(-1.0, 0.0, 0.0), center=(0.3, -1.1, 0.7)),
+    "+y": dict(u=(0.0, 1.0, 0.0), coupling=-0.2 + 1.3j),
+    "-y": dict(u=(0.0, -1.0, 0.0)),
+}
+# Every case on the shared grids and 96^3; 3072^2 (the far-field grid) on +x
+# only, since its whole-grid reference takes seconds.
+SEPARABLE_CASES = [
+    pytest.param(shape, axis, id=f"{'x'.join(map(str, shape))}-{axis}")
+    for shape in GRID_SHAPES + [(96, 96, 96)]
+    for axis in AXIS_CASES
+] + [pytest.param((3072, 3072), "+x", id="3072x3072-+x")]
+
+
+def node_grid(shape):
+    """Spacing 0.25, so slab edges and centers fall on nodes."""
+    return make_grid(len(shape), tuple(0.25 * n for n in shape), shape)
+
+
+@pytest.mark.filterwarnings("ignore:potential magnitude")
+class TestSeparableSampling:
+    """sample_potential builds an axis-aligned member from its 1-D factors,
+    bit for bit the whole-grid expression, on any number of pool threads."""
+
+    @pytest.mark.parametrize("shape,axis", SEPARABLE_CASES)
+    def test_axis_aligned_member(self, pool_workers, shape, axis):
+        grid = node_grid(shape)
+        spec = spec_along(dim=grid.dim, **AXIS_CASES[axis])
+        assert_same_bits(sample_potential(spec, grid).values, whole_grid_value(spec, grid))
+
+    @pytest.mark.parametrize("shape", [(128, 128), (16, 128, 96)], ids=str)
+    def test_sum_adds_members_in_order(self, pool_workers, shape):
+        grid = node_grid(shape)
+        dim = grid.dim
+        total = PotentialSum((
+            spec_along((0.0, -1.0, 0.0), dim, coupling=0.5 + 0.5j),
+            spec_along((0.0, -1.0, 0.0), dim, center=(1.0, 0.25, -0.5), alpha=1.7, m=1),
+            spec_along((0.0, -1.0, 0.0), dim, coupling=-1.0, a=0.6, ell_y=1.0),
+        ))
+        assert_same_bits(sample_potential(total, grid).values, whole_grid_value(total, grid))
+
+    @pytest.mark.parametrize("u", [(1.0, 1.0, 0.0), (0.6, 0.0, 0.8), (1.0, 1e-9, 0.0)],
+                             ids=["xy", "xz", "nearly-x"])
+    def test_oblique_axis_takes_the_whole_grid_path(self, pool_workers, u):
+        grid = node_grid((32, 24, 16))
+        spec = spec_along(u, 3, center=(0.1, 0.2, 0.3), coupling=1.0 - 2.0j)
+        assert_same_bits(sample_potential(spec, grid).values, whole_grid_value(spec, grid))
+
+    def test_slab_widths_follow_the_frame(self):
+        # u = -y puts ell_y along z and ell_z along -x.
+        grid = node_grid((32, 32, 32))
+        spec = spec_along((0.0, -1.0, 0.0), 3, ell_y=1.0, ell_z=3.0)
+        support = np.abs(sample_potential(spec, grid).values) > 0
+        x, _, z = (axis.ravel() for axis in grid.position_mesh())
+        assert np.array_equal(support.any(axis=(1, 2)), np.abs(x) <= 1.5)
+        assert np.array_equal(support.any(axis=(0, 1)), np.abs(z) <= 0.5)
+
+    @pytest.mark.parametrize("shape,axis,m", [
+        ((32, 32), "+x", 1), ((32, 32), "-y", 3), ((256, 256), "+y", 3),
+        ((16, 12, 10), "-x", 1), ((48, 48, 48), "+x", 4),
+    ])
+    def test_box_warning_as_for_the_whole_grid(self, shape, axis, m):
+        # The warning's rule and text, applied to the whole-grid values.
+        grid = node_grid(shape)
+        spec = spec_along(dim=grid.dim, m=m, **AXIS_CASES[axis])
+        values = whole_grid_value(spec, grid)
+        overall = float(np.max(np.abs(values)))
+        edge = max(float(np.max(np.abs(np.take(values, index, axis=face_axis))))
+                   for face_axis in range(grid.dim) for index in (0, -1))
+        expected = []
+        if edge > 1e-3 * overall:
+            expected.append(
+                f"potential magnitude at the box boundary is {edge:.3e}, "
+                f"more than 0.001 of its maximum {overall:.3e}; "
+                "enlarge the box to reduce truncation"
+            )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sample_potential(spec, grid)
+        assert [str(w.message) for w in caught] == expected
 
 
 class TestVerifySupport:

@@ -8,6 +8,7 @@ tolerances asserted).
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -94,7 +95,9 @@ class TestGreenFactor:
 def config_of(counts, n_orders=2):
     grid = make_grid(len(counts), tuple(0.37 * n for n in counts), counts)
     u = (1.0,) + (0.0,) * (grid.dim - 1)
-    return make_scatter_config(grid, 2.0, u=u, alpha=1.0, n_orders=n_orders)
+    # alpha at least one momentum cell along u (1.06 for 16 nodes); with
+    # n_orders given, it sets nothing else these tests read
+    return make_scatter_config(grid, 2.0, u=u, alpha=2.5, n_orders=n_orders)
 
 
 def single_threaded_green_factor(p_sq, k, eps):
@@ -241,6 +244,25 @@ class TestMakeConfig:
         grid = make_grid(2, (60.0, 60.0), (64, 64))
         with pytest.raises(ValueError, match="2k/alpha"):
             make_scatter_config(grid, 0.8, u=(1.0, 0.0), alpha=5e-324)
+
+    def test_rejects_alpha_below_one_momentum_cell_along_u(self):
+        # 2 pi / 60 = 0.1047 along x, where u points; the y cell is 1.047
+        grid = make_grid(2, (60.0, 6.0), (64, 64))
+        with pytest.raises(ValueError, match=r"alpha = 0\.1 must be at least one "
+                                             r"momentum cell along u, 0\.1047"):
+            make_scatter_config(grid, 0.8, u=(1.0, 0.0), alpha=0.1)
+        cfg = make_scatter_config(grid, 0.8, u=(-1.0, 0.0), alpha=2 * np.pi / 60.0)
+        assert cfg.exact_order < grid.counts[0]
+        with pytest.raises(ValueError, match="momentum cell"):
+            replace(cfg, alpha=0.1)  # the constructor's own check
+
+    def test_momentum_cell_along_an_oblique_u(self):
+        # min(dp_x, dp_y) * sqrt(2) = (2 pi / 60) * sqrt(2) = 0.1481
+        grid = make_grid(2, (60.0, 30.0), (64, 64))
+        u = (1.0, 1.0)
+        with pytest.raises(ValueError, match="along u, 0.1481"):
+            make_scatter_config(grid, 0.8, u=u, alpha=0.148)
+        assert make_scatter_config(grid, 0.8, u=u, alpha=0.149).alpha == 0.149
 
     def test_rejects_k_beyond_band(self):
         grid = make_grid(2, (60.0, 60.0), (64, 64))
