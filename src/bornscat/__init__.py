@@ -59,7 +59,6 @@ from .scalar import (
 )
 from .em import (
     MaterialTensors,
-    SixField,
     apply_material,
     certify_materials,
     default_polarization,

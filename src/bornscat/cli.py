@@ -273,8 +273,10 @@ def _build(config, grid=True, sweep=True):
     """The objects a command uses, and the problems that keep it from running.
 
     The engine constructors check the values they consume; their ValueError
-    texts, prefixed with where they arose, become the diagnostics.  A command
-    that does not use the grid or the sweep leaves it out, with its problems.
+    texts, prefixed with where they arose, become the diagnostics.  A text
+    shared by every point of a sweep of two or more is reported once.  A
+    command that does not use the grid or the sweep leaves it out, with its
+    problems.
     """
     built, problems = _Built(), list(config.problems)
     if config.mode not in MODE_DIM:  # the reader reported it
@@ -295,6 +297,7 @@ def _build(config, grid=True, sweep=True):
         problems.append("k sweep is empty")
     if not sweep or built.grid is None or built.u is None:
         return built, problems
+    failures = {}
     for index, k in enumerate(config.k_sweep):
         try:
             cfg = make_scatter_config(
@@ -303,11 +306,16 @@ def _build(config, grid=True, sweep=True):
                 direction_count=config.direction_count,
             )
         except ValueError as exc:
-            problems.append(f"k sweep point {index}: {exc}")
+            failures[index] = str(exc)
             continue
         if cfg.n_orders <= cfg.exact_order:
             cfg = replace(cfg, n_orders=cfg.exact_order + 1)
         built.points.append(cfg)
+    texts = set(failures.values())
+    if len(failures) == len(config.k_sweep) >= 2 and len(texts) == 1:
+        problems.append(f"k sweep: {texts.pop()}")
+    else:
+        problems += [f"k sweep point {index}: {text}" for index, text in failures.items()]
     return built, problems
 
 
@@ -529,7 +537,10 @@ def verify(config):
 def oracle_check(config, quad_tol=None):
     """Cross-check the pipeline against literal-sum oracles on an 8^d grid.
 
-    The config's grid and sweep are not used, so they are not built.
+    The grid's extent is 5 pi / alpha per axis, so its momentum cell is
+    0.4 alpha: k = 0.8 alpha is a lattice node below the band edge 1.6 alpha
+    for every alpha.  The config's grid and sweep are not used, so they are
+    not built.
     """
     built, problems = _build(config, grid=False, sweep=False)
     if config.potential is None:
@@ -537,16 +548,17 @@ def oracle_check(config, quad_tol=None):
     if problems:
         return _reject(*problems)
     dim = MODE_DIM[config.mode]
-    grid = make_grid(dim, (8.0,) * dim, (8,) * dim)
     u, alpha = built.u, built.alpha
+    extent = 5.0 * np.pi / alpha
     try:
+        grid = make_grid(dim, (extent,) * dim, (8,) * dim)
         cfg = make_scatter_config(
             grid, 0.8 * alpha, u=u, alpha=alpha, eps_cells=config.eps_cells,
             n_orders=2, direction_count=8,
         )
         v_field = sample_potential(config.potential, grid)
     except ValueError as exc:
-        return _reject(f"oracle grid {grid.counts}: {exc}")
+        return _reject(f"oracle grid {(8,) * dim}: {exc}")
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
     quad_tol = 1e-8 if quad_tol is None else quad_tol
@@ -591,7 +603,7 @@ def oracle_check(config, quad_tol=None):
             "oracle": True,
             "mode": config.mode,
             "seed": config.seed,
-            "grid": {"extents": [8.0] * dim, "counts": [8] * dim},
+            "grid": {"extents": [extent] * dim, "counts": [8] * dim},
             "dft_relative_error": dft_err,
             "dft_tol": 1e-12,
             "order2_relative_error": quad_err,

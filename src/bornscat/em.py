@@ -1,6 +1,7 @@
 """Electromagnetic Born engine on six-component fields.
 
-Fields are stacked as (E, H) with three complex components each.  The
+A field is a SampledField holding the six-vector (E, H) at every node,
+shape (6,) + grid.shape, with three complex components per block.  The
 material deviation enters through two 3x3 tensor fields (delta-epsilon and
 delta-mu); one iteration multiplies the previous term blockwise by the
 tensors, transforms, applies the pointwise momentum kernel
@@ -14,23 +15,20 @@ transforms back.  Interactions whose tensor entries all have spectra in the
 half-space u.p >= alpha obey the same shell-vanishing structure as scalar
 ones, which verify_em_exactness certifies order by order.
 
-This module holds only the EM physics: the six-field, the material tensors
-with the rules of the materials config block (`which_blocks`,
-`check_entry_index`), their product, the momentum kernel, the incident
-six-vector and the kernel at shell points.  Iteration, propagation, the
-divergence guard, the verification reports and the CSV writer are
-bornscat.scalar's; the public step, series, verify and CSV names below are
-entry points into them.
+This module holds only the EM physics: the material tensors with the
+rules of the materials config block (`which_blocks`, `check_entry_index`),
+their product, the momentum kernel, the incident six-vector and the kernel
+at shell points.  Iteration, propagation, the divergence guard, the
+verification reports and the CSV writer are bornscat.scalar's; the public
+step, series, verify and CSV names below are entry points into them.
 """
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import groupby, islice
 
 import numpy as np
 
 from .grids import (
-    Grid,
     SampledField,
     Space,
     all_finite,
@@ -55,7 +53,6 @@ from .scalar import (
 )
 
 __all__ = [
-    "SixField",
     "MaterialTensors",
     "which_blocks",
     "check_entry_index",
@@ -82,45 +79,6 @@ __all__ = [
 EM_VALUE_PREFIXES = tuple(
     f"{block}_{axis}_" for block in ("e", "h") for axis in ("x", "y", "z")
 )
-
-
-@dataclass
-class SixField:
-    """Six complex components per node: E stacked over H."""
-
-    grid: Grid
-    values: np.ndarray
-    space: Space
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
-        if values.shape != (6,) + self.grid.shape:
-            raise ValueError(
-                f"six-field shape {values.shape} does not match (6,)+{self.grid.shape}"
-            )
-        if not all_finite(values):
-            raise ValueError("six-field values must be finite")
-        self.values = values
-
-    @property
-    def e_block(self):
-        return self.values[:3]
-
-    @property
-    def h_block(self):
-        return self.values[3:]
-
-    def max_abs(self):
-        return max_abs(self.values)
-
-    def node_norms(self):
-        """Euclidean length of the six-vector at every node."""
-
-        def norms(values, out):
-            # the six squares add in component order within any grid block
-            np.sqrt(np.sum(np.abs(values) ** 2, axis=0), out=out)
-
-        return blockwise(norms, np.empty(self.grid.shape), self.values)
 
 
 # Names of the two tensors, indexed by the block of a material entry key.
@@ -278,11 +236,13 @@ def _sum_of_products(*operands, out):
 def apply_material(materials, six):
     """Blockwise tensor product (delta-eps . E, delta-mu . H) in position space.
 
-    Each output row is the sum, in ascending column, of its stored entries
-    times the field components they meet.  Rows without a stored entry,
-    such as the whole H block when delta-mu = 0, stay zero and are never
-    written.
+    six is a six-vector field.  Each output row is the sum, in ascending
+    column, of its stored entries times the field components they meet.
+    Rows without a stored entry, such as the whole H block when
+    delta-mu = 0, stay zero and are never written.
     """
+    if six.values.shape != (6,) + six.grid.shape:
+        raise ValueError("material product acts on six-vector fields")
     if six.space is not Space.POSITION:
         raise ValueError("material product acts on position-space fields")
     if six.grid != materials.grid:
@@ -296,7 +256,7 @@ def apply_material(materials, six):
             for operand in (values, six.values[3 * block + j])
         ]
         blockwise(_sum_of_products, out[3 * block + i], *operands)
-    return SixField(six.grid, out, Space.POSITION)
+    return SampledField(six.grid, out, Space.POSITION)
 
 
 def _mesh_cross(p, block):
@@ -357,7 +317,7 @@ def em_incident_term(config, psi0):
         np.multiply, np.empty((6,) + config.grid.shape, dtype=complex),
         psi0.reshape((6,) + (1,) * config.grid.dim), wave, axis=1,
     )
-    return BornTerm(order=0, field=SixField(config.grid, values, Space.POSITION))
+    return BornTerm(order=0, field=SampledField(config.grid, values, Space.POSITION))
 
 
 def em_born_step(prev, materials, config, reference_scale=None):
@@ -370,14 +330,14 @@ def em_born_step(prev, materials, config, reference_scale=None):
     except ValueError:  # a position-space term on this grid: the product overflowed
         raise DivergenceError(prev.order + 1, np.inf, reference_scale) from None
     # With delta-mu = 0 the source's H block is zero, and so is W_H.
-    rows = source.values if materials.is_magnetic else source.e_block
+    rows = source.values if materials.is_magnetic else source.values[:3]
     numerator_values = em_kernel_apply(fft_values(rows, grid), grid, config.k)
     field_values = propagate(numerator_values, config, prev.order + 1, reference_scale)
     return BornTerm(
         order=prev.order + 1,
-        field=SixField(grid, field_values, Space.POSITION),
+        field=SampledField(grid, field_values, Space.POSITION),
         source=source,
-        numerator=SixField(grid, numerator_values, Space.MOMENTUM),
+        numerator=SampledField(grid, numerator_values, Space.MOMENTUM),
     )
 
 
@@ -411,16 +371,14 @@ def em_on_shell_numerator(term, config, directions=None):
     return shell_record(term, config, directions, kernel_at_points)
 
 
-def verify_em_exactness(config, series, tol=1e-2, directions=None):
+def verify_em_exactness(config, series, tol=1e-2):
     """Shell-vanishing report for the six-component series em_born_series returns.
 
     Per order, the max six-vector norm over shell directions is compared
     with the max node norm of the same order's numerator on the momentum
     grid; orders above floor(2k/alpha) must vanish.
     """
-    return verify_exactness(
-        config, series, tol, directions, shell=em_on_shell_numerator
-    )
+    return verify_exactness(config, series, tol, shell=em_on_shell_numerator)
 
 
 def verify_em_spectral_floor(series, u, k, tol=1e-2):

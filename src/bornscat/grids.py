@@ -183,7 +183,11 @@ def make_grid(dim, extents, counts):
 
 @dataclass
 class SampledField:
-    """Complex field values sampled on a grid, in position or momentum space."""
+    """Complex field values sampled on a grid, in position or momentum space.
+
+    values holds one value per node, shape grid.shape, or the six-vector of
+    an EM field, E stacked over H, per node, shape (6,) + grid.shape.
+    """
 
     grid: Grid
     values: np.ndarray
@@ -191,9 +195,10 @@ class SampledField:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
-        if values.shape != self.grid.shape:
+        if values.shape not in (self.grid.shape, (6,) + self.grid.shape):
             raise ValueError(
-                f"field shape {values.shape} does not match grid {self.grid.shape}"
+                f"field shape {values.shape} is neither the grid's {self.grid.shape} "
+                f"nor (6,) + {self.grid.shape}"
             )
         if not all_finite(values):
             raise ValueError("field values must be finite")
@@ -203,8 +208,14 @@ class SampledField:
         return max_abs(self.values)
 
     def node_norms(self):
-        """Magnitude at every node (the one-component case of SixField's)."""
-        return blockwise(np.absolute, np.empty(self.grid.shape), self.values)
+        """Magnitude at every node: |value|, or the six-vector's Euclidean length."""
+        norms = np.absolute if self.values.shape == self.grid.shape else _six_norms
+        return blockwise(norms, np.empty(self.grid.shape), self.values)
+
+
+def _six_norms(values, out):
+    # the six squares add in component order within any grid block
+    np.sqrt(np.sum(np.abs(values) ** 2, axis=0), out=out)
 
 
 # The centering phase exp(-i p.x0), x0 = -L/2 the box corner, is exactly
@@ -649,7 +660,12 @@ def snap_to_momentum_lattice(grid, k_vec):
 
 
 def save_field(path, sampled):
-    """Write a field as a JSON header line plus little-endian (re, im) float64 pairs."""
+    """Write a field as a JSON header line plus little-endian (re, im) float64 pairs.
+
+    The header has no component count, so a six-vector field is rejected.
+    """
+    if sampled.values.shape != sampled.grid.shape:
+        raise ValueError("a field file holds one value per node, not a six-vector field")
     header = {
         "dim": sampled.grid.dim,
         "counts": list(sampled.grid.counts),

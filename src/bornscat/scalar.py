@@ -21,9 +21,9 @@ orders above floor(2k/alpha).
 This is the one engine for every wave type: the order iterator, the
 propagate-and-guard tail, the term and record types, the verification
 reports and the CSV writer serve scalar fields and the six-component EM
-fields of bornscat.em alike.  A field type only has to provide max_abs() and
-node_norms(); the EM module supplies its material product, kernel and shell
-evaluation and reuses everything else.
+fields of bornscat.em alike.  Both are grids.SampledField, with one value or
+one six-vector per node; the EM module supplies its material product,
+kernel and shell evaluation and reuses everything else.
 """
 
 import csv
@@ -269,8 +269,8 @@ class BornTerm:
 
     field is B_n(x).  For n >= 1, source is v * B_{n-1} in position space and
     numerator is its transform M_n(p); both are None at order 0, where the
-    term is the bare incident wave.  The fields are SampledFields for scalar
-    waves and SixFields for EM waves.
+    term is the bare incident wave.  The fields are SampledFields, with one
+    value per node for scalar waves and a six-vector per node for EM waves.
     """
 
     order: int
@@ -669,7 +669,7 @@ class ExactnessReport:
         }
 
 
-def verify_exactness(config, series, tol=1e-3, directions=None, shell=None):
+def verify_exactness(config, series, tol=1e-3, shell=None):
     """Shell-vanishing report for all orders above floor(2k/alpha).
 
     series is the list of BornTerms born_series returns.  Each order's
@@ -688,7 +688,7 @@ def verify_exactness(config, series, tol=1e-3, directions=None, shell=None):
     checks = []
     records = []
     for term in _numerator_terms(series):
-        record = shell(term, config, directions=directions)
+        record = shell(term, config)
         records.append(record)
         checks.append(
             ShellCheck(

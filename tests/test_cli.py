@@ -353,7 +353,9 @@ class TestInvalidConfigs:
         ({"command": "make-potential",
           "potential": dict(POTENTIAL2D, coupling={"re": 0})},
          "config error: potential: potential transform is identically zero"),
-        ({"n_orders": 10**20}, "k sweep point 0: n_orders = 100000000000000000000"),
+        # one sweep point: a problem keeps the point's index
+        ({"n_orders": 10**20, "k_sweep": [0.8]},
+         "k sweep point 0: n_orders = 100000000000000000000"),
         (dict(EM3D_ENTRIES, potential=dict(FAMILY3D, alpha=2.0), materials={
             "eps_entries": [{"i": 1, "j": 1,
                              "spec": dict(FAMILY3D, alpha=0.5, u=[0.0, 1.0, 0.0])}]}),
@@ -365,10 +367,8 @@ class TestInvalidConfigs:
           "grid": {"extents": [8.0, 8.0, 8.0], "counts": [8, 8, 8]}},
          "config error: materials: only em3d builds a medium, so a scalar3d config"),
         # one momentum cell along u is 2 pi / 60 = 0.1047
-        ({"potential": dict(POTENTIAL2D, alpha=0.1)},
+        ({"potential": dict(POTENTIAL2D, alpha=0.1), "k_sweep": [0.8]},
          "k sweep point 0: alpha = 0.1 must be at least one momentum cell along u, 0.1047"),
-        ({"command": "oracle", "potential": dict(POTENTIAL2D, alpha=0.5)},
-         "oracle grid (8, 8): alpha = 0.5 must be at least one momentum cell"),
     ])
     def test_exit_2_with_diagnostic_and_no_artifacts(
         self, tmp_path, capsys, overrides, needle
@@ -412,6 +412,28 @@ class TestInvalidConfigs:
         )
         assert cli.main(["oracle", "--config", str(path)]) == 0
 
+    @pytest.mark.parametrize("overrides,lines", [
+        ({"eps_cells": -1},
+         ["config error: k sweep: eps_cells = -1.0 must be positive and finite"]),
+        # one momentum cell along u is 2 pi / 8 = 0.7854
+        ({"potential": dict(POTENTIAL2D, alpha=1e-5), "k_sweep": [0.8, 1.6],
+          "grid": {"extents": [8.0, 8.0], "counts": [8, 8]}},
+         ["config error: k sweep: alpha = 1e-05 must be at least one momentum cell "
+          "along u, 0.7854"]),
+        ({"k_sweep": [0.01, 20.0]},
+         ["config error: k sweep point 0: k = 0.01 snaps",
+          "config error: k sweep point 1: k = 20"]),
+    ], ids=["eps_cells-3-points", "alpha-2-points", "different-texts"])
+    def test_a_problem_of_every_sweep_point_is_reported_once(
+        self, tmp_path, capsys, overrides, lines
+    ):
+        path = base_config(tmp_path, **overrides)
+        assert cli.main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == len(lines), err
+        assert all(got.startswith(want) for got, want in zip(err, lines)), err
+        assert not (tmp_path / "out").exists()
+
     def test_independent_problems_are_all_reported(self, tmp_path, capsys):
         path = base_config(
             tmp_path, tol=0, grid={"extents": [60.0, 60.0], "counts": [255, 256]}
@@ -424,13 +446,6 @@ class TestInvalidConfigs:
     def test_sweep_and_grid_problems_do_not_block_make_potential(self, tmp_path):
         path = base_config(tmp_path, k_sweep=[0.01, 20.0])
         assert cli.main(["make-potential", "--config", str(path)]) == 0
-
-    def test_oracle_support_threshold_beyond_its_grid(self, tmp_path, capsys):
-        potential = json.loads(base_config(tmp_path).read_text())["potential"]
-        path = base_config(tmp_path, potential=dict(potential, alpha=50.0))
-        assert cli.main(["oracle", "--config", str(path)]) == 2
-        assert "oracle grid" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("ignore:potential magnitude")
     @settings(max_examples=80, deadline=None)
@@ -511,3 +526,14 @@ class TestOracle:
         assert report["seed"] == 3
         assert all("elapsed" not in p for p in report["order2_points"])
         assert all(p["oracle"] is True for p in report["order2_points"])
+
+    @pytest.mark.filterwarnings("ignore:potential magnitude")
+    @pytest.mark.parametrize("alpha", [0.5, 5.0])
+    def test_oracle_grid_follows_alpha(self, tmp_path, alpha):
+        # an 8-long box holds neither: 0.5 is below its momentum cell and
+        # k = 0.8 * 5 lies beyond its band edge
+        path = base_config(tmp_path, potential=dict(POTENTIAL2D, alpha=alpha))
+        assert cli.main(["oracle", "--config", str(path)]) == 0
+        report = json.loads((tmp_path / "out" / "oracle_report.json").read_text())
+        assert report["grid"] == {"extents": [5 * np.pi / alpha] * 2, "counts": [8, 8]}
+        assert report["pass"] is True

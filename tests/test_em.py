@@ -8,7 +8,6 @@ from bit_identity import assert_same_bits
 
 from bornscat.em import (
     MaterialTensors,
-    SixField,
     apply_material,
     certify_materials,
     default_polarization,
@@ -26,7 +25,9 @@ from bornscat.em import (
     verify_em_spectral_floor,
     write_em_on_shell_csv,
 )
-from bornscat.grids import Space, fft_values, ifft_values, make_grid, plane_wave
+from bornscat.grids import (
+    SampledField, Space, fft_values, ifft_values, make_grid, plane_wave
+)
 from bornscat.potentials import PotentialSpec, sample_potential
 from bornscat.scalar import (
     BornTerm,
@@ -60,30 +61,39 @@ def random_six(grid, seed=0, space=Space.MOMENTUM):
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal((6,) + grid.shape) \
         + 1j * rng.standard_normal((6,) + grid.shape)
-    return SixField(grid, vals, space)
+    return SampledField(grid, vals, space)
 
 
 class TestSixField:
     def test_blocks_and_norms(self):
+        # a six-vector field's node norm and maximum combine its E and H blocks
         grid = make_grid(3, (4.0, 4.0, 4.0), (8, 8, 8))
         six = random_six(grid)
-        np.testing.assert_array_equal(six.e_block, six.values[:3])
-        np.testing.assert_array_equal(six.h_block, six.values[3:])
+        e_block, h_block = six.values[:3], six.values[3:]
         norms = six.node_norms()
         assert norms.shape == grid.shape
         np.testing.assert_allclose(
-            norms**2, np.sum(np.abs(six.values) ** 2, axis=0), rtol=1e-12
+            norms**2,
+            np.sum(np.abs(e_block) ** 2, axis=0) + np.sum(np.abs(h_block) ** 2, axis=0),
+            rtol=1e-12,
         )
-        assert six.max_abs() == np.max(np.abs(six.values))
+        assert six.max_abs() == max(np.max(np.abs(e_block)), np.max(np.abs(h_block)))
 
-    def test_validation(self):
+
+class TestSixVectorField:
+    """A SampledField holding the six-vector, E over H, at every node."""
+
+    def test_accepted(self, pool_workers):
+        # (6,) + 32^3 complex values are 3 MiB: more than one block for every pool
+        grid = make_grid(3, (12.0, 12.0, 12.0), (32, 32, 32))
+        values = np.ones((6,) + grid.shape, dtype=complex)
+        assert np.array_equal(SampledField(grid, values, Space.POSITION).values, values)
+
+    @pytest.mark.parametrize("lead", [(6, 6), (3,)], ids=["6x6", "3"])
+    def test_rejects_other_component_counts(self, lead):
         grid = make_grid(3, (4.0, 4.0, 4.0), (8, 8, 8))
         with pytest.raises(ValueError, match="shape"):
-            SixField(grid, np.zeros((3,) + grid.shape), Space.POSITION)
-        bad = np.zeros((6,) + grid.shape, dtype=complex)
-        bad[0, 0, 0, 0] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            SixField(grid, bad, Space.POSITION)
+            SampledField(grid, np.zeros(lead + grid.shape), Space.POSITION)
 
 
 # Six-component stacks the threaded passes are checked on.
@@ -212,7 +222,7 @@ class TestThreadedPasses:
         values = np.ones((6,) + grid.shape, dtype=complex)
         values[-1, -1, -1, -1] = bad
         with pytest.raises(ValueError, match="finite"):
-            SixField(grid, values, Space.POSITION)
+            SampledField(grid, values, Space.POSITION)
 
 
 class TestMaterialTensors:
@@ -363,11 +373,11 @@ class TestApplyMaterial:
         out = apply_material(mats, six)
         node = (1, 2, 3)
         sel = (slice(None), slice(None)) + node
-        want_e = eps[sel] @ six.e_block[(slice(None),) + node]
-        want_h = mu[sel] @ six.h_block[(slice(None),) + node]
-        np.testing.assert_allclose(out.e_block[(slice(None),) + node], want_e,
+        want_e = eps[sel] @ six.values[(slice(0, 3),) + node]
+        want_h = mu[sel] @ six.values[(slice(3, 6),) + node]
+        np.testing.assert_allclose(out.values[(slice(0, 3),) + node], want_e,
                                    rtol=1e-12)
-        np.testing.assert_allclose(out.h_block[(slice(None),) + node], want_h,
+        np.testing.assert_allclose(out.values[(slice(3, 6),) + node], want_h,
                                    rtol=1e-12)
 
     @pytest.mark.parametrize("medium", MEDIA)
@@ -376,8 +386,8 @@ class TestApplyMaterial:
         mats = medium(grid, seed=5)
         six = random_six(grid, seed=6, space=Space.POSITION)
         want = np.concatenate([
-            np.einsum("ij...,j...->i...", mats.eps, six.e_block),
-            np.einsum("ij...,j...->i...", mats.mu, six.h_block),
+            np.einsum("ij...,j...->i...", mats.eps, six.values[:3]),
+            np.einsum("ij...,j...->i...", mats.mu, six.values[3:]),
         ])
         got = apply_material(mats, six).values
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
@@ -393,6 +403,13 @@ class TestApplyMaterial:
         with pytest.raises(ValueError, match="grid"):
             apply_material(mats, random_six(other, space=Space.POSITION))
 
+    def test_rejects_a_one_component_field(self):
+        grid = make_grid(3, (4.0, 4.0, 4.0), (8, 8, 8))
+        mats = MaterialTensors.isotropic(grid, np.ones(grid.shape))
+        one = SampledField(grid, np.ones(grid.shape), Space.POSITION)
+        with pytest.raises(ValueError, match="six-vector"):
+            apply_material(mats, one)
+
 
 def literal_kernel_matrix(p, k):
     eye = np.eye(3)
@@ -407,7 +424,7 @@ def literal_kernel_matrix(p, k):
 class TestKernel:
     def test_zero_input(self):
         grid = make_grid(3, (4.0, 4.0, 4.0), (8, 8, 8))
-        zero = SixField(grid, np.zeros((6,) + grid.shape), Space.MOMENTUM)
+        zero = SampledField(grid, np.zeros((6,) + grid.shape), Space.MOMENTUM)
         out = em_kernel_apply(zero.values, grid, 0.9)
         assert not np.any(out)
 
@@ -464,10 +481,10 @@ class TestEmBornSeries:
 
     def test_term_invariants(self):
         grid, spec, cfg = setup(counts=(16, 8, 8))
-        zero = SixField(grid, np.zeros((6,) + grid.shape), Space.POSITION)
+        zero = SampledField(grid, np.zeros((6,) + grid.shape), Space.POSITION)
         with pytest.raises(ValueError, match="source"):
             BornTerm(order=0, field=zero, source=zero,
-                       numerator=SixField(grid, zero.values, Space.MOMENTUM))
+                       numerator=SampledField(grid, zero.values, Space.MOMENTUM))
         with pytest.raises(ValueError, match="source"):
             BornTerm(order=1, field=zero)
 
@@ -507,7 +524,7 @@ class TestEmBornSeries:
         assert not mats.is_magnetic
         psi0 = incident_six_field(default_polarization(cfg.k_hat, cfg.u), cfg.k_hat)
         first = em_born_step(em_incident_term(cfg, psi0), mats, cfg)
-        assert not np.any(first.source.h_block)
+        assert not np.any(first.source.values[3:])
         w = fft_values(first.source.values, grid)
         axes = [grid.momentum_axis(i) for i in range(3)]
         got = first.numerator.values
@@ -684,14 +701,14 @@ class TestVerification:
         grid, spec, cfg = setup(counts=(32, 16, 16), n_orders=2)
         mats = material_from_scalar(spec, grid, which="eps", scale=0.05)
         series = em_born_series(cfg, mats)
-        total = SixField(grid, sum(t.field.values for t in series),
-                         Space.POSITION)
+        total = SampledField(grid, sum(t.field.values for t in series),
+                             Space.POSITION)
         diag = em_divergence_diagnostic(mats, total)
         assert set(diag) == {"electric", "magnetic"}
         assert all(np.isfinite(v) and v >= 0.0 for v in diag.values())
         with pytest.raises(ValueError, match="position"):
-            em_divergence_diagnostic(mats, SixField(grid, total.values,
-                                                    Space.MOMENTUM))
+            em_divergence_diagnostic(mats, SampledField(grid, total.values,
+                                                        Space.MOMENTUM))
 
 
 class TestCsv:

@@ -601,6 +601,15 @@ class TestFieldIO:
         assert header["space"] == "position"
         assert header["counts"] == [8, 8, 8]
 
+    def test_rejects_a_six_vector_field(self, tmp_path):
+        # the header has no component count to read the payload back by
+        grid = make_grid(3, (4.0, 4.0, 4.0), (8, 8, 8))
+        f = SampledField(grid, np.ones((6,) + grid.shape), Space.POSITION)
+        path = tmp_path / "field.bin"
+        with pytest.raises(ValueError, match="six-vector"):
+            save_field(path, f)
+        assert not path.exists()
+
     def test_truncated_payload_rejected(self, tmp_path):
         grid = make_grid(2, (4.0, 4.0), (8, 8))
         f = SampledField(grid, np.ones(grid.shape), Space.POSITION)
