@@ -29,6 +29,7 @@ from .em import (
     default_polarization,
     em_born_series,
     em_on_shell_numerator,
+    incident_six_field,
     material_from_entries,
     material_from_scalar,
     verify_em_exactness,
@@ -40,7 +41,7 @@ from .grids import SampledField, Space, load_field, make_grid, nudft, save_field
 from .jsonkind import (
     array_of, complex_number, flag, integer, kind_of, member, number, string, within
 )
-from .oracle import quad_second_order, slow_dft
+from .oracle import em_quad_second_order, quad_second_order, slow_dft
 from .potentials import (
     PotentialSum,
     sample_potential,
@@ -235,6 +236,13 @@ def _build_materials(config, grid):
     return material_from_entries(grid, **config.materials)
 
 
+def _interaction(config, grid):
+    """The interaction a mode runs on: the em3d medium, else the sampled potential."""
+    if config.mode == "em3d":
+        return _build_materials(config, grid)
+    return sample_potential(config.potential, grid)
+
+
 def _support_axis(config):
     """The axis u and the smallest alpha of the interaction.
 
@@ -409,12 +417,10 @@ def run(config):
     if problems:
         return _reject(*problems)
     try:
-        if config.mode == "em3d":
-            interaction, prefixes = _build_materials(config, built.grid), EM_VALUE_PREFIXES
-        else:
-            interaction, prefixes = sample_potential(config.potential, built.grid), ("",)
+        interaction = _interaction(config, built.grid)
     except ValueError as exc:
         return _reject(f"interaction: {exc}")
+    prefixes = EM_VALUE_PREFIXES if config.mode == "em3d" else ("",)
     points = _sweep(config, built, interaction)
     if points is None:
         return EXIT_DIVERGENCE
@@ -539,12 +545,12 @@ def oracle_check(config, quad_tol=None):
 
     The grid's extent is 5 pi / alpha per axis, so its momentum cell is
     0.4 alpha: k = 0.8 alpha is a lattice node below the band edge 1.6 alpha
-    for every alpha.  The config's grid and sweep are not used, so they are
-    not built.
+    for every alpha.  The order-2 check runs the mode's own interaction (the
+    em3d medium, else the potential) at five momentum nodes drawn where the
+    pipeline's order-2 term is nonzero.  The config's grid and sweep are not
+    used, so they are not built.
     """
     built, problems = _build(config, grid=False, sweep=False)
-    if config.potential is None:
-        problems.append("oracle mode needs a potential spec")
     if problems:
         return _reject(*problems)
     dim = MODE_DIM[config.mode]
@@ -556,11 +562,9 @@ def oracle_check(config, quad_tol=None):
             grid, 0.8 * alpha, u=u, alpha=alpha, eps_cells=config.eps_cells,
             n_orders=2, direction_count=8,
         )
-        v_field = sample_potential(config.potential, grid)
+        interaction = _interaction(config, grid)
     except ValueError as exc:
         return _reject(f"oracle grid {(8,) * dim}: {exc}")
-    outdir = Path(config.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     quad_tol = 1e-8 if quad_tol is None else quad_tol
     rng = np.random.default_rng(config.seed)
     # literal-DFT check on a random field
@@ -575,27 +579,36 @@ def oracle_check(config, quad_tol=None):
         / np.max(np.abs(nudft(noise, points)))
     )
     # order-2 check against the nested-quadrature oracle
-    series = born_series(cfg, v_field)
-    indices = rng.integers(0, 8, size=(5, dim))
+    if config.mode == "em3d":
+        e0 = default_polarization(cfg.k_hat, cfg.u)
+        series = em_born_series(cfg, interaction, e0=e0)
+        quadrature = partial(em_quad_second_order, interaction, cfg.k_vec,
+                             incident_six_field(e0, cfg.k_hat))
+    else:
+        series = born_series(cfg, interaction)
+        quadrature = partial(quad_second_order, interaction, cfg.k_vec)
+    # series[2].numerator is momentum-space: read it at nodes where it is
+    # nonzero, so the error's scale is too (G never vanishes)
+    nonzero = np.argwhere(series[2].numerator.node_norms() > 0.0)
+    if not nonzero.size:
+        return _reject("oracle: the order-2 term is zero on the oracle grid, "
+                       "so there is nothing to compare")
+    indices = nonzero[rng.integers(0, len(nonzero), size=5)]
     nodes = np.array(
         [[grid.momentum_axis(ax)[i] for ax, i in enumerate(idx)] for idx in indices]
     )
-    quad = quad_second_order(v_field, np.array(cfg.k_vec), nodes, cfg.epsilon)
-    # series[2].numerator is momentum-space: read it at the drawn nodes
+    quad = quadrature(nodes, cfg.epsilon)
     pipeline = np.array([
         green_factor(float(node @ node), cfg.k, cfg.epsilon)
-        * series[2].numerator.values[tuple(idx)]
+        * series[2].numerator.values[(...,) + tuple(idx)]
         for node, idx in zip(nodes, indices)
     ])
     scale = float(np.max(np.abs(pipeline)))
     quad_vals = np.array([q.value for q in quad])
     quad_err = float(np.max(np.abs(quad_vals - pipeline)) / scale)
     ok = dft_err <= 1e-12 and quad_err <= quad_tol
-    point_dicts = []
-    for q in quad:
-        entry = q.to_dict()
-        entry.pop("elapsed", None)  # wall time would break byte-determinism
-        point_dicts.append(entry)
+    outdir = Path(config.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     _atomic_write_json(
         outdir / "oracle_report.json",
         {
@@ -608,7 +621,7 @@ def oracle_check(config, quad_tol=None):
             "dft_tol": 1e-12,
             "order2_relative_error": quad_err,
             "order2_tol": quad_tol,
-            "order2_points": point_dicts,
+            "order2_points": [q.to_dict() for q in quad],
             "pass": bool(ok),
         },
     )

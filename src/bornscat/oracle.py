@@ -6,7 +6,6 @@ and far-field amplitudes are read off position-space solutions instead of
 shell spectra.  Size caps keep the quadratic costs at toy scale.
 """
 
-import time
 import warnings
 from dataclasses import dataclass, field as dataclass_field
 from itertools import islice
@@ -66,13 +65,12 @@ def slow_dft(field, points):
 
 @dataclass
 class QuadratureResult:
-    """One oracle evaluation: where, which order, what value, how long."""
+    """One oracle evaluation: where, which order, what value."""
 
     point: np.ndarray
     order: int
     value: np.ndarray
     grid_shape: tuple
-    elapsed: float
 
     def __post_init__(self):
         self.point = np.asarray(self.point, dtype=float)
@@ -89,16 +87,7 @@ class QuadratureResult:
             "value_re": [float(v.real) for v in flat],
             "value_im": [float(v.imag) for v in flat],
             "grid_shape": list(self.grid_shape),
-            "elapsed": self.elapsed,
         }
-
-
-def _check_quad_grid(grid):
-    if max(grid.counts) > QUAD_MAX_NODES_PER_AXIS:
-        raise ValueError(
-            f"quadrature oracle is capped at {QUAD_MAX_NODES_PER_AXIS} nodes "
-            f"per axis; got {grid.counts}"
-        )
 
 
 def _momentum_nodes(grid):
@@ -107,60 +96,24 @@ def _momentum_nodes(grid):
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def quad_second_order(v_field, k_vec, points, eps):
-    """Second-order values G(p) (2pi)^-d sum_q dq ṽ(p-q) G(q) ṽ(q-k).
+def _second_order(grid, entries, kernel, psi0, k_vec, points, eps):
+    """G(p) K(p) (2pi)^-d sum_q sum_ij ṽ_ij(p-q) [G(q) K(q) w1(q)]_j at each p.
 
-    A direct double Riemann sum over the momentum nodes q, with every
-    transform of v evaluated by slow_dft.  Matches the transform of the
-    pipeline's order-2 position term at any momentum node p.
+    A direct double Riemann sum over the momentum nodes q.  entries maps
+    (row, col) to position-space values on grid, w1(q)_i is
+    sum_j ṽ_ij(q-k) psi0_j, and kernel(k, p) is the momentum kernel as a
+    matrix.  Every transform is evaluated by slow_dft, once per entry array
+    and point set.  Returns one QuadratureResult per point, whose value has
+    psi0's shape.
     """
-    grid = v_field.grid
-    _check_quad_grid(grid)
-    if v_field.space is not Space.POSITION:
-        raise ValueError("the interaction must be sampled in position space")
+    if max(grid.counts) > QUAD_MAX_NODES_PER_AXIS:
+        raise ValueError(
+            f"quadrature oracle is capped at {QUAD_MAX_NODES_PER_AXIS} nodes "
+            f"per axis; got {grid.counts}"
+        )
     k_vec = np.asarray(k_vec, dtype=float)
     if k_vec.shape != (grid.dim,):
         raise ValueError(f"k_vec must have {grid.dim} components")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    k = float(np.linalg.norm(k_vec))
-    q_nodes = _momentum_nodes(grid)
-    g_q = green_factor(np.sum(q_nodes**2, axis=1), k, eps)
-    v_in = slow_dft(v_field, q_nodes - k_vec)
-    cell = float(np.prod(2.0 * np.pi / np.asarray(grid.extents)))
-    norm = cell / (2.0 * np.pi) ** grid.dim
-    results = []
-    for p in points:
-        start = time.perf_counter()
-        v_out = slow_dft(v_field, p - q_nodes)
-        total = norm * np.sum(v_out * g_q * v_in)
-        value = green_factor(float(p @ p), k, eps) * total
-        results.append(
-            QuadratureResult(
-                point=p,
-                order=2,
-                value=value,
-                grid_shape=grid.shape,
-                elapsed=time.perf_counter() - start,
-            )
-        )
-    return results
-
-
-def em_quad_second_order(materials, k_vec, psi0, points, eps):
-    """Six-component analog of quad_second_order.
-
-    The transforms of the stored tensor entries are evaluated by slow_dft
-    (cached per entry array and point set); the momentum kernel is applied
-    as an explicit 6x6 matrix at each node.
-    """
-    grid = materials.grid
-    _check_quad_grid(grid)
-    k_vec = np.asarray(k_vec, dtype=float)
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (6,):
-        raise ValueError("psi0 must be a six-vector")
     if eps <= 0:
         raise ValueError("eps must be positive")
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -172,51 +125,78 @@ def em_quad_second_order(materials, k_vec, psi0, points, eps):
 
     cache = {}
 
-    def entry_transform(values, pts):
-        # keyed on the stored entry array, alive for the whole call: entries
+    def transform(values, pts):
+        # keyed on the entry array, alive for the whole call: entries
         # sharing one array share one transform
         key = (id(values), pts.tobytes())
         if key not in cache:
             cache[key] = slow_dft(SampledField(grid, values, Space.POSITION), pts)
         return cache[key]
 
-    def kernel_matrix(p):
-        eye = np.eye(3)
-        ppt = np.outer(p, p)
-        cross = np.array(
-            [[0.0, -p[2], p[1]], [p[2], 0.0, -p[0]], [-p[1], p[0], 0.0]]
-        )
-        top = np.hstack([-k * k * eye + ppt, k * cross])
-        bottom = np.hstack([-k * cross, -k * k * eye + ppt])
-        return np.vstack([top, bottom])
-
-    # first order at every node q: M1(q) = K(q) (eta~(q-k) psi0), the
-    # stored entries visited in ascending (block, i, j) order
+    # first order at every node q, the entries visited in their map's order
     shifts = q_nodes - k_vec
-    w1 = np.zeros((q_nodes.shape[0], 6), dtype=complex)
-    for (block, i, j), values in materials.entries.items():
-        w1[:, 3 * block + i] += entry_transform(values, shifts) * psi0[3 * block + j]
-    m1 = np.stack([kernel_matrix(q) @ w1[row] for row, q in enumerate(q_nodes)])
+    w1 = np.zeros((q_nodes.shape[0], psi0.size), dtype=complex)
+    for (row, col), values in entries.items():
+        w1[:, row] += transform(values, shifts) * psi0.flat[col]
+    m1 = np.stack([kernel(k, q) @ w1[node] for node, q in enumerate(q_nodes)])
     weighted = g_q[:, None] * m1
 
     results = []
     for p in points:
-        start = time.perf_counter()
-        w2 = np.zeros(6, dtype=complex)
-        for (block, i, j), values in materials.entries.items():
-            v_out = entry_transform(values, p - q_nodes)
-            w2[3 * block + i] += norm * np.sum(v_out * weighted[:, 3 * block + j])
-        value = green_factor(float(p @ p), k, eps) * (kernel_matrix(p) @ w2)
-        results.append(
-            QuadratureResult(
-                point=p,
-                order=2,
-                value=value,
-                grid_shape=grid.shape,
-                elapsed=time.perf_counter() - start,
-            )
-        )
+        w2 = np.zeros(psi0.size, dtype=complex)
+        for (row, col), values in entries.items():
+            v_out = transform(values, p - q_nodes)
+            w2[row] += norm * np.sum(v_out * weighted[:, col])
+        value = green_factor(float(p @ p), k, eps) * (kernel(k, p) @ w2)
+        results.append(QuadratureResult(
+            point=p, order=2, value=value.reshape(psi0.shape), grid_shape=grid.shape
+        ))
     return results
+
+
+def quad_second_order(v_field, k_vec, points, eps):
+    """Second-order values G(p) (2pi)^-d sum_q dq ṽ(p-q) G(q) ṽ(q-k).
+
+    The one-component case of the quadrature: one entry, the identity
+    kernel and a 0-d unit amplitude, so each value is 0-d.  Matches the
+    transform of the pipeline's order-2 position term at any momentum node p.
+    """
+    if v_field.space is not Space.POSITION:
+        raise ValueError("the interaction must be sampled in position space")
+    return _second_order(
+        v_field.grid, {(0, 0): v_field.values}, lambda k, p: np.eye(1),
+        np.ones((), dtype=complex), k_vec, points, eps,
+    )
+
+
+def _em_kernel_matrix(k, p):
+    """The six-component momentum kernel at p as an explicit 6x6 matrix."""
+    eye = np.eye(3)
+    ppt = np.outer(p, p)
+    cross = np.array(
+        [[0.0, -p[2], p[1]], [p[2], 0.0, -p[0]], [-p[1], p[0], 0.0]]
+    )
+    top = np.hstack([-k * k * eye + ppt, k * cross])
+    bottom = np.hstack([-k * cross, -k * k * eye + ppt])
+    return np.vstack([top, bottom])
+
+
+def em_quad_second_order(materials, k_vec, psi0, points, eps):
+    """Six-component analog of quad_second_order.
+
+    Each stored tensor entry (block, i, j) is the entry (3 block + i,
+    3 block + j) of the six-by-six interaction, visited in ascending key
+    order; the momentum kernel is applied as an explicit 6x6 matrix at
+    each node.
+    """
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (6,):
+        raise ValueError("psi0 must be a six-vector")
+    entries = {
+        (3 * block + i, 3 * block + j): values
+        for (block, i, j), values in materials.entries.items()
+    }
+    return _second_order(materials.grid, entries, _em_kernel_matrix, psi0, k_vec, points, eps)
 
 
 class SeriesConvergenceError(RuntimeError):

@@ -248,6 +248,9 @@ def make_scatter_config(
         epsilon = eps_cells * k_snapped * max(grid.momentum_spacing)
     if n_orders is None:
         n_orders = exactness_order(k_snapped, alpha) + _EXTRA_ORDERS
+    if direction_count > grid.size:  # so a shell record is no larger than a field
+        raise ValueError(f"direction_count = {direction_count} exceeds the grid's "
+                         f"node count, {grid.size}")
     directions = sphere_directions(
         grid.dim, k_snapped, direction_count, k_vec / k_snapped
     )

@@ -423,7 +423,12 @@ class TestInvalidConfigs:
         ({"k_sweep": [0.01, 20.0]},
          ["config error: k sweep point 0: k = 0.01 snaps",
           "config error: k sweep point 1: k = 20"]),
-    ], ids=["eps_cells-3-points", "alpha-2-points", "different-texts"])
+        # rejected before any direction is built: 10**15 of them would not fit
+        ({"direction_count": 10**15},
+         ["config error: k sweep: direction_count = 1000000000000000 exceeds the "
+          "grid's node count, 65536"]),
+    ], ids=["eps_cells-3-points", "alpha-2-points", "different-texts",
+            "huge-direction_count"])
     def test_a_problem_of_every_sweep_point_is_reported_once(
         self, tmp_path, capsys, overrides, lines
     ):
@@ -537,3 +542,40 @@ class TestOracle:
         report = json.loads((tmp_path / "out" / "oracle_report.json").read_text())
         assert report["grid"] == {"extents": [5 * np.pi / alpha] * 2, "counts": [8, 8]}
         assert report["pass"] is True
+
+    @pytest.mark.filterwarnings("ignore:potential magnitude")
+    def test_em3d_checks_the_medium_built_from_entries(self, tmp_path):
+        # two distinct arrays: each takes several seconds of literal sums
+        path = base_config(tmp_path, **dict(EM3D_ENTRIES, materials={
+            "eps_entries": [{"i": 0, "j": 1, "spec": FAMILY3D}],
+            "mu_entries": [{"i": 1, "j": 1, "spec": dict(FAMILY3D, coupling=0.5)}],
+        }))
+        assert cli.main(["oracle", "--config", str(path)]) == 0
+        report = json.loads((tmp_path / "out" / "oracle_report.json").read_text())
+        assert report["mode"] == "em3d"
+        assert [len(p["value_re"]) for p in report["order2_points"]] == [6] * 5
+        assert report["order2_relative_error"] <= 1e-8
+
+    @pytest.mark.filterwarnings("ignore:potential magnitude")
+    def test_nodes_are_drawn_where_order_two_is_nonzero(self, tmp_path):
+        # the slab covers the whole 5 pi / 50 box, so order 2 is nonzero
+        # only at p_y = 0
+        path = base_config(tmp_path, potential=dict(POTENTIAL2D, alpha=50.0))
+        assert cli.main(["oracle", "--config", str(path)]) == 0
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        report = json.loads((tmp_path / "out" / "oracle_report.json").read_text(),
+                            parse_constant=reject)
+        assert report["order2_relative_error"] <= 1e-8
+        assert all(p["point"][1] == 0.0 for p in report["order2_points"])
+
+    def test_a_zero_order_two_term_exits_2(self, tmp_path, capsys):
+        path = base_config(tmp_path, potential=dict(POTENTIAL2D, coupling=0))
+        assert cli.main(["oracle", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: oracle: the order-2 term is zero on the oracle grid, "
+            "so there is nothing to compare\n"
+        )
+        assert not (tmp_path / "out").exists()
