@@ -65,7 +65,6 @@ from .em import (
     em_born_series,
     em_born_step,
     em_divergence_diagnostic,
-    em_incident_term,
     em_kernel_apply,
     em_on_shell_numerator,
     incident_six_field,

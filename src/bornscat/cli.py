@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from .em import (
-    EM_VALUE_PREFIXES,
     MaterialTensors,
     check_entry_index,
     default_polarization,
@@ -209,8 +208,9 @@ def _reject(*problems):
 
 
 def _atomic_write(path, write):
-    """Call write(tmp) on a temporary sibling of path, then move it into place."""
+    """Make path's directory, call write(tmp) on a temporary sibling, move it into place."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     os.close(fd)
     try:
@@ -287,6 +287,12 @@ def _build(config, grid=True, sweep=True):
     problems.
     """
     built, problems = _Built(), list(config.problems)
+    # a file at out or at its nearest existing ancestor would fail the
+    # first write, after all the work; report it before any
+    out = Path(config.out)
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        problems.append(f"out: {existing} exists and is not a directory")
     if config.mode not in MODE_DIM:  # the reader reported it
         return built, problems
     if config.mode != "em3d" and config.materials != DEFAULT_MATERIALS:
@@ -420,17 +426,14 @@ def run(config):
         interaction = _interaction(config, built.grid)
     except ValueError as exc:
         return _reject(f"interaction: {exc}")
-    prefixes = EM_VALUE_PREFIXES if config.mode == "em3d" else ("",)
     points = _sweep(config, built, interaction)
     if points is None:
         return EXIT_DIVERGENCE
     outdir = Path(config.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     for index, (payload, records) in enumerate(points):
         stem = f"point_{index:02d}"
         _atomic_write(
-            outdir / f"{stem}_on_shell.csv",
-            lambda tmp: write_on_shell_csv(tmp, records, prefixes),
+            outdir / f"{stem}_on_shell.csv", lambda tmp: write_on_shell_csv(tmp, records)
         )
         _atomic_write_json(outdir / f"{stem}_report.json", payload)
     rows = [payload for payload, _ in points]
@@ -471,7 +474,6 @@ def make_potential(config):
     except ValueError as exc:
         return _reject(f"potential: {exc}")
     outdir = Path(config.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     _atomic_write(outdir / "potential.field", lambda tmp: save_field(tmp, sampled))
     _atomic_write_json(
         outdir / "support_report.json",
@@ -522,7 +524,6 @@ def verify(config):
         return EXIT_DIVERGENCE
     rows = [payload for payload, _ in points]
     ok = support.passed and all(row["pass"] for row in rows)
-    outdir.mkdir(parents=True, exist_ok=True)
     _atomic_write_json(
         outdir / "verify_report.json",
         {
@@ -574,19 +575,21 @@ def oracle_check(config, quad_tol=None):
         Space.POSITION,
     )
     points = rng.uniform(-2.0, 2.0, size=(5, dim))
-    dft_err = float(
-        np.max(np.abs(slow_dft(noise, points) - nudft(noise, points)))
-        / np.max(np.abs(nudft(noise, points)))
-    )
+    fast = nudft(noise, points)
+    dft_err = float(np.max(np.abs(slow_dft(noise, points) - fast)) / np.max(np.abs(fast)))
     # order-2 check against the nested-quadrature oracle
-    if config.mode == "em3d":
-        e0 = default_polarization(cfg.k_hat, cfg.u)
-        series = em_born_series(cfg, interaction, e0=e0)
-        quadrature = partial(em_quad_second_order, interaction, cfg.k_vec,
-                             incident_six_field(e0, cfg.k_hat))
-    else:
-        series = born_series(cfg, interaction)
-        quadrature = partial(quad_second_order, interaction, cfg.k_vec)
+    try:
+        if config.mode == "em3d":
+            e0 = default_polarization(cfg.k_hat, cfg.u)
+            series = em_born_series(cfg, interaction, e0=e0)
+            quadrature = partial(em_quad_second_order, interaction, cfg.k_vec,
+                                 incident_six_field(e0, cfg.k_hat))
+        else:
+            series = born_series(cfg, interaction)
+            quadrature = partial(quad_second_order, interaction, cfg.k_vec)
+    except DivergenceError as exc:
+        print(f"oracle: the series diverged at order {exc.order}", file=sys.stderr)
+        return EXIT_DIVERGENCE
     # series[2].numerator is momentum-space: read it at nodes where it is
     # nonzero, so the error's scale is too (G never vanishes)
     nonzero = np.argwhere(series[2].numerator.node_norms() > 0.0)
@@ -607,10 +610,8 @@ def oracle_check(config, quad_tol=None):
     quad_vals = np.array([q.value for q in quad])
     quad_err = float(np.max(np.abs(quad_vals - pipeline)) / scale)
     ok = dft_err <= 1e-12 and quad_err <= quad_tol
-    outdir = Path(config.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     _atomic_write_json(
-        outdir / "oracle_report.json",
+        Path(config.out) / "oracle_report.json",
         {
             "schema_version": SCHEMA_VERSION,
             "oracle": True,

@@ -18,7 +18,7 @@ ones, which verify_em_exactness certifies order by order.
 This module holds only the EM physics: the material tensors with the
 rules of the materials config block (`which_blocks`, `check_entry_index`),
 their product, the momentum kernel, the incident six-vector and the kernel
-at shell points.  Iteration, propagation, the divergence guard, the
+at shell points.  The incident term, iteration, every step's tail, the
 verification reports and the CSV writer are bornscat.scalar's; the public
 step, series, verify and CSV names below are entry points into them.
 """
@@ -36,15 +36,13 @@ from .grids import (
     fft_values,
     max_abs,
     nudft_values,
-    plane_wave,
     transverse_basis,
 )
 from .potentials import sample_potential, verify_support
 from .scalar import (
-    BornTerm,
-    DivergenceError,
     born_orders,
-    propagate,
+    born_term,
+    incident_term,
     shell_record,
     verify_exactness,
     verify_order_bands,
@@ -63,7 +61,6 @@ __all__ = [
     "certify_materials",
     "apply_material",
     "em_kernel_apply",
-    "em_incident_term",
     "em_born_step",
     "em_born_series",
     "em_on_shell_numerator",
@@ -72,13 +69,7 @@ __all__ = [
     "verify_em_order_bands",
     "em_divergence_diagnostic",
     "write_em_on_shell_csv",
-    "EM_VALUE_PREFIXES",
 ]
-
-# CSV value-column prefixes of the six components, E over H.
-EM_VALUE_PREFIXES = tuple(
-    f"{block}_{axis}_" for block in ("e", "h") for axis in ("x", "y", "z")
-)
 
 
 # Names of the two tensors, indexed by the block of a material entry key.
@@ -307,37 +298,16 @@ def em_kernel_apply(w, grid, k):
     return blockwise(partial(_kernel, k), out, w, *grid.momentum_mesh(), axis=1)
 
 
-def em_incident_term(config, psi0):
-    """Order-0 term psi0 * exp(i k.x) for a six-vector amplitude psi0."""
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (6,):
-        raise ValueError("incident amplitude must be a six-vector")
-    wave = plane_wave(config.grid, config.k_vec)
-    values = blockwise(
-        np.multiply, np.empty((6,) + config.grid.shape, dtype=complex),
-        psi0.reshape((6,) + (1,) * config.grid.dim), wave, axis=1,
-    )
-    return BornTerm(order=0, field=SampledField(config.grid, values, Space.POSITION))
-
-
 def em_born_step(prev, materials, config, reference_scale=None):
     """Advance the six-component series by one order."""
     grid = config.grid
     if prev.field.grid != grid or materials.grid != grid:
         raise ValueError("term, materials and config must share one grid")
-    try:
-        source = apply_material(materials, prev.field)
-    except ValueError:  # a position-space term on this grid: the product overflowed
-        raise DivergenceError(prev.order + 1, np.inf, reference_scale) from None
     # With delta-mu = 0 the source's H block is zero, and so is W_H.
-    rows = source.values if materials.is_magnetic else source.values[:3]
-    numerator_values = em_kernel_apply(fft_values(rows, grid), grid, config.k)
-    field_values = propagate(numerator_values, config, prev.order + 1, reference_scale)
-    return BornTerm(
-        order=prev.order + 1,
-        field=SampledField(grid, field_values, Space.POSITION),
-        source=source,
-        numerator=SampledField(grid, numerator_values, Space.MOMENTUM),
+    rows = slice(None) if materials.is_magnetic else slice(3)
+    return born_term(
+        prev, config, reference_scale, lambda: apply_material(materials, prev.field),
+        lambda source: em_kernel_apply(fft_values(source[rows], grid), grid, config.k),
     )
 
 
@@ -349,7 +319,7 @@ def em_born_series(config, materials, e0=None):
     """
     if e0 is None:
         e0 = default_polarization(config.k_hat, config.u)
-    first = em_incident_term(config, incident_six_field(e0, config.k_hat))
+    first = incident_term(config, incident_six_field(e0, config.k_hat))
     orders = born_orders(first, em_born_step, materials, config)
     return list(islice(orders, config.n_orders + 1))
 
@@ -416,4 +386,4 @@ def em_divergence_diagnostic(materials, six):
 
 def write_em_on_shell_csv(path, records):
     """CSV rows: order, direction components, then re/im for all six components."""
-    write_on_shell_csv(path, records, EM_VALUE_PREFIXES)
+    write_on_shell_csv(path, records)

@@ -33,6 +33,7 @@ __all__ = [
     "Space",
     "Grid",
     "SampledField",
+    "NonFiniteError",
     "DirectionSet",
     "make_grid",
     "forward_ft",
@@ -181,6 +182,10 @@ def make_grid(dim, extents, counts):
     return Grid(extents=extents, counts=counts)
 
 
+class NonFiniteError(ValueError):
+    """Field values that are not all finite."""
+
+
 @dataclass
 class SampledField:
     """Complex field values sampled on a grid, in position or momentum space.
@@ -201,7 +206,7 @@ class SampledField:
                 f"nor (6,) + {self.grid.shape}"
             )
         if not all_finite(values):
-            raise ValueError("field values must be finite")
+            raise NonFiniteError("field values must be finite")
         self.values = values
 
     def max_abs(self):

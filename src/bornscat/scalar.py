@@ -18,12 +18,12 @@ in the half-space u.p >= alpha produce Born terms whose spectra stay out of
 prescribed momentum regions, and that on-shell contributions vanish for all
 orders above floor(2k/alpha).
 
-This is the one engine for every wave type: the order iterator, the
-propagate-and-guard tail, the term and record types, the verification
-reports and the CSV writer serve scalar fields and the six-component EM
-fields of bornscat.em alike.  Both are grids.SampledField, with one value or
-one six-vector per node; the EM module supplies its material product,
-kernel and shell evaluation and reuses everything else.
+This is the one engine for every wave type: the incident term, the order
+iterator, every step's tail (overflow rule, propagation, divergence guard),
+the term and record types, the verification reports and the CSV writer
+serve scalar fields and the six-component EM fields of bornscat.em alike.
+Both are grids.SampledField, with one value or one six-vector per node; the
+EM module supplies its material product, kernel and shell evaluation.
 """
 
 import csv
@@ -37,6 +37,7 @@ import numpy as np
 from .grids import (
     DirectionSet,
     Grid,
+    NonFiniteError,
     SampledField,
     Space,
     blockwise,
@@ -63,6 +64,7 @@ __all__ = [
     "exactness_order",
     "make_scatter_config",
     "incident_term",
+    "born_term",
     "born_step",
     "born_orders",
     "born_series",
@@ -81,6 +83,9 @@ __all__ = [
 # A term whose position-space magnitude exceeds the first-order term by this
 # factor signals a divergent series (strong coupling), not roundoff.
 DIVERGENCE_RATIO = 1e12
+
+# CSV value-column prefixes by the shape of one shell value: a scalar, or E over H.
+_VALUE_PREFIXES = {(): ("",), (6,): tuple(f"{b}_{a}_" for b in "eh" for a in "xyz")}
 
 # Orders past N = floor(2k/alpha) that a config without n_orders computes.
 _EXTRA_ORDERS = 2
@@ -293,10 +298,19 @@ class BornTerm:
             raise ValueError("orders >= 1 need source and numerator")
 
 
-def incident_term(config):
-    """Order-0 term: the unit plane wave exp(i k.x)."""
-    values = plane_wave(config.grid, config.k_vec)
-    return BornTerm(order=0, field=SampledField(config.grid, values, Space.POSITION))
+def incident_term(config, psi0=None):
+    """Order-0 term: the unit plane wave exp(i k.x), times the six-vector psi0 if given."""
+    grid = config.grid
+    values = plane_wave(grid, config.k_vec)
+    if psi0 is not None:
+        psi0 = np.asarray(psi0, dtype=complex)
+        if psi0.shape != (6,):
+            raise ValueError("incident amplitude must be a six-vector")
+        values = blockwise(
+            np.multiply, np.empty((6,) + grid.shape, dtype=complex),
+            psi0.reshape((6,) + (1,) * grid.dim), values, axis=1,
+        )
+    return BornTerm(order=0, field=SampledField(grid, values, Space.POSITION))
 
 
 def propagate(numerator_values, config, order, reference_scale=None):
@@ -321,6 +335,24 @@ def propagate(numerator_values, config, order, reference_scale=None):
     return field_values
 
 
+def born_term(prev, config, reference_scale, product, transform):
+    """The term after prev, from its source field product() and numerator transform.
+
+    A product that is not finite has overflowed: a divergence at this order.
+    """
+    order = prev.order + 1
+    try:
+        source = product()
+    except NonFiniteError:
+        raise DivergenceError(order, math.inf, reference_scale) from None
+    numerator_values = transform(source.values)
+    field_values = propagate(numerator_values, config, order, reference_scale)
+    return BornTerm(
+        order, SampledField(config.grid, field_values, Space.POSITION),
+        source, SampledField(config.grid, numerator_values, Space.MOMENTUM),
+    )
+
+
 def born_step(prev, v_field, config, reference_scale=None):
     """Advance the series by one order.
 
@@ -335,13 +367,10 @@ def born_step(prev, v_field, config, reference_scale=None):
     source_values = blockwise(
         np.multiply, np.empty(grid.shape, dtype=complex), v_field.values, prev.field.values
     )
-    numerator_values = fft_values(source_values, grid)
-    field_values = propagate(numerator_values, config, prev.order + 1, reference_scale)
-    return BornTerm(
-        order=prev.order + 1,
-        field=SampledField(grid, field_values, Space.POSITION),
-        source=SampledField(grid, source_values, Space.POSITION),
-        numerator=SampledField(grid, numerator_values, Space.MOMENTUM),
+    return born_term(
+        prev, config, reference_scale,
+        lambda: SampledField(grid, source_values, Space.POSITION),
+        lambda source: fft_values(source, grid),
     )
 
 
@@ -712,19 +741,18 @@ def verify_exactness(config, series, tol=1e-3, shell=None):
     )
 
 
-def write_on_shell_csv(path, records, prefixes=("",)):
+def write_on_shell_csv(path, records):
     """Write shell records as CSV: order, direction components, then re/im.
 
-    Each value component gets the columns <prefix>re and <prefix>im, one
-    prefix per component: the default single empty prefix gives the scalar
-    columns re, im.
+    The value columns follow the records' values: re, im for one value per
+    direction, and e_x_re, e_x_im, ..., h_z_im for a six-vector.
     """
     records = list(records)
     if not records:
         raise ValueError("no records to write")
     dim = records[0].directions.shape[1]
     header = ["order", *["dir_x", "dir_y", "dir_z"][:dim]]
-    for prefix in prefixes:
+    for prefix in _VALUE_PREFIXES[records[0].values.shape[1:]]:
         header += [f"{prefix}re", f"{prefix}im"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -9,6 +9,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from bornscat import cli
 from bornscat.grids import SampledField, Space, make_grid, save_field
+from bornscat.potentials import sample_potential, spec_from_dict
 
 FAMILY3D = {
     "alpha": 1.0, "u": [1.0, 0.0, 0.0], "a": 1.0, "m": 2,
@@ -439,6 +440,28 @@ class TestInvalidConfigs:
         assert all(got.startswith(want) for got, want in zip(err, lines)), err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "make-potential", "verify", "oracle"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    def test_an_out_on_a_file_exits_2_before_any_work(
+        self, tmp_path, capsys, command, below
+    ):
+        grid = {"extents": [60.0, 60.0], "counts": [32, 32]}
+        stored = tmp_path / "stored.field"
+        path = base_config(tmp_path, k_sweep=[0.8], grid=grid, field_file=str(stored))
+        save_field(stored, sample_potential(spec_from_dict(POTENTIAL2D),
+                                            make_grid(2, grid["extents"], grid["counts"])))
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        out = taken / "sub" if below else taken
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: out: {taken} exists and is not a directory\n"
+        )
+        assert taken.read_text() == "kept"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.json", "stored.field", "taken"
+        ]
+
     def test_independent_problems_are_all_reported(self, tmp_path, capsys):
         path = base_config(
             tmp_path, tol=0, grid={"extents": [60.0, 60.0], "counts": [255, 256]}
@@ -570,6 +593,18 @@ class TestOracle:
                             parse_constant=reject)
         assert report["order2_relative_error"] <= 1e-8
         assert all(p["point"][1] == 0.0 for p in report["order2_points"])
+
+    @pytest.mark.filterwarnings("ignore:potential magnitude")
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("overrides", [
+        {"potential": dict(POTENTIAL2D, coupling={"re": 1e300, "im": 0.0})},
+        dict(EM3D_ENTRIES, potential=dict(FAMILY3D, coupling={"re": 1e300, "im": 0.0})),
+    ], ids=["scalar2d", "em3d"])
+    def test_a_diverging_series_exits_3(self, tmp_path, capsys, overrides):
+        path = base_config(tmp_path, **overrides)
+        assert cli.main(["oracle", "--config", str(path)]) == 3
+        assert capsys.readouterr().err == "oracle: the series diverged at order 2\n"
+        assert not (tmp_path / "out").exists()
 
     def test_a_zero_order_two_term_exits_2(self, tmp_path, capsys):
         path = base_config(tmp_path, potential=dict(POTENTIAL2D, coupling=0))

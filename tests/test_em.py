@@ -14,7 +14,6 @@ from bornscat.em import (
     em_born_series,
     em_born_step,
     em_divergence_diagnostic,
-    em_incident_term,
     em_kernel_apply,
     em_on_shell_numerator,
     incident_six_field,
@@ -36,6 +35,7 @@ from bornscat.scalar import (
     on_shell_numerator,
     born_series,
     green_factor,
+    incident_term,
     propagate,
     verify_exactness,
 )
@@ -213,7 +213,7 @@ class TestThreadedPasses:
         cfg = make_scatter_config(grid, 2.0, u=(1.0, 0.0, 0.0), alpha=2.5, n_orders=2)
         psi0 = incident_six_field(default_polarization(cfg.k_hat, cfg.u), cfg.k_hat)
         want = psi0.reshape((6, 1, 1, 1)) * plane_wave(grid, cfg.k_vec)
-        assert_same_bits(em_incident_term(cfg, psi0).field.values, want)
+        assert_same_bits(incident_term(cfg, psi0).field.values, want)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_in_the_last_block(self, pool_workers, bad):
@@ -472,12 +472,17 @@ class TestEmBornSeries:
     def test_incident_term_is_plane_wave_times_amplitude(self):
         grid, spec, cfg = setup(counts=(16, 8, 8))
         psi0 = incident_six_field((0.0, 1.0, 0.0), cfg.k_hat)
-        term = em_incident_term(cfg, psi0)
+        term = incident_term(cfg, psi0)
         wave = plane_wave(grid, cfg.k_vec)
         for c in range(6):
             np.testing.assert_allclose(term.field.values[c], psi0[c] * wave,
                                        rtol=1e-14, atol=1e-14)
         assert term.order == 0 and term.source is None
+
+    def test_incident_term_rejects_a_three_vector_amplitude(self):
+        grid, spec, cfg = setup(counts=(16, 8, 8))
+        with pytest.raises(ValueError, match="six-vector"):
+            incident_term(cfg, np.ones(3))
 
     def test_term_invariants(self):
         grid, spec, cfg = setup(counts=(16, 8, 8))
@@ -523,7 +528,7 @@ class TestEmBornSeries:
             mats = material_from_entries(grid, eps_entries={(0, 1): spec, (2, 2): spec})
         assert not mats.is_magnetic
         psi0 = incident_six_field(default_polarization(cfg.k_hat, cfg.u), cfg.k_hat)
-        first = em_born_step(em_incident_term(cfg, psi0), mats, cfg)
+        first = em_born_step(incident_term(cfg, psi0), mats, cfg)
         assert not np.any(first.source.values[3:])
         w = fft_values(first.source.values, grid)
         axes = [grid.momentum_axis(i) for i in range(3)]
@@ -573,9 +578,15 @@ class TestEmBornSeries:
         grid, spec, cfg = setup(counts=(16, 8, 8))
         other = make_grid(3, (14.0, 6.0, 6.0), (8, 8, 8))
         mats = material_from_scalar(spec, other, which="eps")
-        term = em_incident_term(cfg, incident_six_field((0, 1, 0), cfg.k_hat))
+        term = incident_term(cfg, incident_six_field((0, 1, 0), cfg.k_hat))
         with pytest.raises(ValueError, match="grid"):
             em_born_step(term, mats, cfg)
+
+    def test_a_one_component_term_is_no_divergence(self):
+        grid, spec, cfg = setup(counts=(16, 8, 8))
+        mats = material_from_scalar(spec, grid, which="eps")
+        with pytest.raises(ValueError, match="six-vector"):
+            em_born_step(incident_term(cfg), mats, cfg)
 
     def test_default_polarization_used(self):
         grid, spec, cfg = setup(counts=(16, 8, 8), n_orders=1)

@@ -338,6 +338,15 @@ class TestBornSeries:
             born_series(cfg, v)
         assert info.value.order == 2
 
+    def test_overflowing_product_is_divergence(self):
+        # the order-2 product 1e300 * 1e300 overflows before propagate's guard
+        grid = make_grid(2, (24.0, 24.0), (64, 64))
+        v = sample_potential(family(coupling=1e300), grid)
+        cfg = make_scatter_config(grid, 0.8, u=(1.0, 0.0), alpha=1.0, n_orders=4)
+        with pytest.raises(DivergenceError, match="not finite") as info:
+            born_series(cfg, v)
+        assert info.value.order == 2 and info.value.magnitude == math.inf
+
     def test_grid_mismatch(self):
         spec, grid, v, cfg = standard_setup(n=64)
         other = make_grid(2, (60.0, 60.0), (128, 128))
@@ -547,6 +556,19 @@ class TestCsv:
         first = lines[1].split(",")
         assert first[0] == "1"
         assert float(first[3]) == records[0].values[0].real
+
+    @pytest.mark.parametrize("shape,columns", [
+        ((), ["re", "im"]),
+        ((6,), [f"{block}_{axis}_{part}" for block in "eh" for axis in "xyz"
+                for part in ("re", "im")]),
+    ], ids=["scalar", "six-vector"])
+    def test_value_columns_follow_the_records(self, tmp_path, shape, columns):
+        record = OnShellRecord(order=1, k=1.0, directions=np.array([[0.6, 0.8, 0.0]]),
+                               values=np.full((1,) + shape, 0.5 - 2j))
+        write_on_shell_csv(tmp_path / "x.csv", [record])
+        header, row = (tmp_path / "x.csv").read_text().splitlines()
+        assert header.split(",") == ["order", "dir_x", "dir_y", "dir_z"] + columns
+        assert row.split(",")[4:] == ["0.5", "-2.0"] * (len(columns) // 2)
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
