@@ -13,6 +13,7 @@ succeeded.
 import argparse
 import cmath
 import json
+import math
 import os
 import sys
 import tempfile
@@ -38,7 +39,8 @@ from .em import (
 )
 from .grids import SampledField, Space, load_field, make_grid, nudft, save_field
 from .jsonkind import (
-    array_of, complex_number, flag, integer, kind_of, member, number, string, within
+    array_of, complex_number, decode, flag, integer, kind_of, member, number, string,
+    within,
 )
 from .oracle import em_quad_second_order, quad_second_order, slow_dft
 from .potentials import (
@@ -111,7 +113,7 @@ def load_config(path, out=None, tol=None, seed=None):
     built from them are reported too.  Every diagnostic names its key.
     """
     with open(path) as fh:
-        data = kind_of(json.load(fh), dict)
+        data = kind_of(decode(fh.read()), dict)
     if member(data, "schema_version", integer, None) != SCHEMA_VERSION:
         raise ValueError(f"schema_version: this build reads {SCHEMA_VERSION}, "
                          f"got {json.dumps(data.get('schema_version'))}")
@@ -148,7 +150,8 @@ def load_config(path, out=None, tol=None, seed=None):
         n_orders=scalar("n_orders", integer, None, "an integer of at least 1",
                         lambda n: n >= 1),
         direction_count=scalar("direction_count", integer, 64, "an integer"),
-        tol=scalar("tol", number, 1e-3, "a positive number", lambda t: t > 0),
+        tol=scalar("tol", number, 1e-3, "a positive finite number",
+                   lambda t: 0 < t < math.inf),
         spectral_checks=scalar("spectral_checks", flag, False, "true or false"),
         out=scalar("out", string, ".", "a string"),
         seed=scalar("seed", integer, 0, "a nonnegative integer", lambda s: s >= 0),

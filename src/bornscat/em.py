@@ -298,7 +298,7 @@ def em_kernel_apply(w, grid, k):
     return blockwise(partial(_kernel, k), out, w, *grid.momentum_mesh(), axis=1)
 
 
-def em_born_step(prev, materials, config, reference_scale=None):
+def em_born_step(prev, materials, config):
     """Advance the six-component series by one order."""
     grid = config.grid
     if prev.field.grid != grid or materials.grid != grid:
@@ -306,7 +306,7 @@ def em_born_step(prev, materials, config, reference_scale=None):
     # With delta-mu = 0 the source's H block is zero, and so is W_H.
     rows = slice(None) if materials.is_magnetic else slice(3)
     return born_term(
-        prev, config, reference_scale, lambda: apply_material(materials, prev.field),
+        prev, config, apply_material(materials, prev.field),
         lambda source: em_kernel_apply(fft_values(source[rows], grid), grid, config.k),
     )
 

@@ -14,6 +14,7 @@ The transform pair is weighted to approximate the continuum integrals
 which makes the two grid operations exactly inverse to each other.
 """
 
+import contextvars
 import functools
 import json
 import math
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .jsonkind import array_of, integer, kind_of, member, number, string
+from .jsonkind import array_of, decode, integer, kind_of, member, number, string
 
 __all__ = [
     "Space",
@@ -355,11 +356,15 @@ def _row_blocks(task, n, nbytes, sub_block_bytes):
     spans = min(n, _usable_cpus())
     step = max(1, n * sub_block_bytes // nbytes)
 
-    def walk(start, stop):
-        return [task(slice(i, min(i + step, stop))) for i in range(start, stop, step)]
+    def walk(context, start, stop):
+        return [context.run(task, slice(i, min(i + step, stop)))
+                for i in range(start, stop, step)]
 
-    bounds = [(n * i // spans, n * (i + 1) // spans) for i in range(spans)]
-    return [result for span in _executor().map(walk, bounds) for result in span]
+    # Each span runs in a copy of the caller's context, so an np.errstate set
+    # there holds in every thread, as it does for the whole-array expression.
+    calls = [(contextvars.copy_context(), n * i // spans, n * (i + 1) // spans)
+             for i in range(spans)]
+    return [result for span in _executor().map(walk, calls) for result in span]
 
 
 def _block_of(operand, rows, axis):
@@ -690,7 +695,7 @@ def load_field(path):
     The header is read by the JSON-kind rule of bornscat.jsonkind.
     """
     line, _, payload = Path(path).read_bytes().partition(b"\n")
-    header = kind_of(json.loads(line), dict)
+    header = kind_of(decode(line), dict)
     grid = make_grid(
         member(header, "dim", integer),
         member(header, "extents", array_of(number)),

@@ -8,8 +8,18 @@ Every reader raises only ValueError.  `member` and `array_of` put the key or
 item in front of the message, so each diagnostic names where it arose.
 """
 
+import json
+
 REQUIRED = object()
 _KIND_NAMES = {dict: "object", list: "array", str: "string", bool: "boolean"}
+
+
+def decode(document):
+    """The value of a JSON document, str or bytes; too deep a nesting raises ValueError."""
+    try:
+        return json.loads(document)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to decode") from None
 
 
 def within(label, read, value):

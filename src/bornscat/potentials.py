@@ -286,9 +286,11 @@ def sample_potential(subject, grid):
     members = _members(subject)
     if members[0].dim != grid.dim:
         raise ValueError("potential and grid dimensions differ")
-    values = _sample_member(members[0], grid)
-    for spec in members[1:]:
-        values += _sample_member(spec, grid)
+    # SampledField reports a sample that is not finite, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _sample_member(members[0], grid)
+        for spec in members[1:]:
+            values += _sample_member(spec, grid)
     overall = max_abs(values)
     if overall > 0:
         edge = 0.0

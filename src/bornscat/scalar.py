@@ -19,11 +19,13 @@ prescribed momentum regions, and that on-shell contributions vanish for all
 orders above floor(2k/alpha).
 
 This is the one engine for every wave type: the incident term, the order
-iterator, every step's tail (overflow rule, propagation, divergence guard),
-the term and record types, the verification reports and the CSV writer
-serve scalar fields and the six-component EM fields of bornscat.em alike.
-Both are grids.SampledField, with one value or one six-vector per node; the
-EM module supplies its material product, kernel and shell evaluation.
+iterator with its divergence guard, every step's tail (propagation and the
+term), the term and record types, the verification reports and the CSV
+writer serve scalar fields and the six-component EM fields of bornscat.em
+alike.  Both are grids.SampledField, with one value or one six-vector per
+node; the EM module supplies its material product, kernel and shell
+evaluation.  A step called directly raises grids.NonFiniteError for an
+array that is not finite; born_orders reports it as a DivergenceError.
 """
 
 import csv
@@ -43,7 +45,6 @@ from .grids import (
     blockwise,
     fft_values,
     ifft_values,
-    max_abs,
     nudft,
     plane_wave,
     snap_to_momentum_lattice,
@@ -313,52 +314,30 @@ def incident_term(config, psi0=None):
     return BornTerm(order=0, field=SampledField(grid, values, Space.POSITION))
 
 
-def propagate(numerator_values, config, order, reference_scale=None):
-    """Position values of order `order`: inverse transform of G(p) * M_n(p).
+def propagate(numerator_values, config):
+    """Position values of the next order: inverse transform of G(p) * M_n(p).
 
-    numerator_values may carry leading component axes.  reference_scale,
-    when given, is the first-order max magnitude used by the divergence
-    guard; a non-finite field counts as divergent at any order.
+    numerator_values may carry leading component axes.
     """
     grid = config.grid
     propagator = green_factor(grid.momentum_sq, config.k, config.epsilon)
     # G broadcasts over leading component axes.
-    field_values = ifft_values(blockwise(
+    return ifft_values(blockwise(
         np.multiply, np.empty(numerator_values.shape, dtype=complex),
         propagator, numerator_values, axis=numerator_values.ndim - grid.dim,
     ), grid)
-    magnitude = max_abs(field_values)
-    if not math.isfinite(magnitude) or (
-        reference_scale is not None and magnitude > DIVERGENCE_RATIO * reference_scale
-    ):
-        raise DivergenceError(order, magnitude, reference_scale)
-    return field_values
 
 
-def born_term(prev, config, reference_scale, product, transform):
-    """The term after prev, from its source field product() and numerator transform.
-
-    A product that is not finite has overflowed: a divergence at this order.
-    """
-    order = prev.order + 1
-    try:
-        source = product()
-    except NonFiniteError:
-        raise DivergenceError(order, math.inf, reference_scale) from None
-    numerator_values = transform(source.values)
-    field_values = propagate(numerator_values, config, order, reference_scale)
-    return BornTerm(
-        order, SampledField(config.grid, field_values, Space.POSITION),
-        source, SampledField(config.grid, numerator_values, Space.MOMENTUM),
-    )
+def born_term(prev, config, source, transform):
+    """The term after prev, from its source field and the transform to its numerator."""
+    grid = config.grid
+    numerator = SampledField(grid, transform(source.values), Space.MOMENTUM)
+    field = SampledField(grid, propagate(numerator.values, config), Space.POSITION)
+    return BornTerm(prev.order + 1, field, source, numerator)
 
 
-def born_step(prev, v_field, config, reference_scale=None):
-    """Advance the series by one order.
-
-    reference_scale, when given, is the first-order max magnitude used by the
-    divergence guard.
-    """
+def born_step(prev, v_field, config):
+    """Advance the series by one order."""
     grid = config.grid
     if v_field.space is not Space.POSITION:
         raise ValueError("v_field must be position-space")
@@ -368,8 +347,7 @@ def born_step(prev, v_field, config, reference_scale=None):
         np.multiply, np.empty(grid.shape, dtype=complex), v_field.values, prev.field.values
     )
     return born_term(
-        prev, config, reference_scale,
-        lambda: SampledField(grid, source_values, Space.POSITION),
+        prev, config, SampledField(grid, source_values, Space.POSITION),
         lambda source: fft_values(source, grid),
     )
 
@@ -377,16 +355,29 @@ def born_step(prev, v_field, config, reference_scale=None):
 def born_orders(first, step, *args):
     """The term `first`, then every later order, without end.
 
-    step(prev, *args, reference_scale=...) advances one order.  Only the
-    latest term is kept alive here.  The iterator owns the divergence
-    reference: the max magnitude of the order-1 field.
+    step(prev, *args) advances one order.  Only the latest term is kept
+    alive here.  The iterator owns the divergence guard, for every wave
+    type: an order whose source, numerator or field is not finite has
+    overflowed, and one whose field max exceeds DIVERGENCE_RATIO times the
+    order-1 field max has run away; both raise DivergenceError there.
     """
     term, reference = first, None
     yield term
     while True:
-        term = step(term, *args, reference_scale=reference)
-        if term.order == 1:
-            reference = term.field.max_abs()
+        order = term.order + 1
+        # the guard reports the overflow, so numpy need not warn of it
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                term = step(term, *args)
+            except NonFiniteError:
+                raise DivergenceError(order, math.inf, reference) from None
+            magnitude = term.field.max_abs()
+        if not math.isfinite(magnitude) or (
+            reference is not None and magnitude > DIVERGENCE_RATIO * reference
+        ):
+            raise DivergenceError(order, magnitude, reference)
+        if order == 1:
+            reference = magnitude
         yield term
 
 

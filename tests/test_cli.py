@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -145,6 +146,26 @@ class TestRun:
             k_sweep=[0.8],
         )
         assert cli.main(["run", "--config", str(path)]) == 3
+
+    @pytest.mark.filterwarnings("ignore:potential magnitude")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [32, 512])
+    @pytest.mark.parametrize("command,line", [
+        ("run", "sweep point 0 (k_requested = 0.8) diverged at order 2"),
+        ("oracle", "oracle: the series diverged at order 2"),
+    ], ids=["run", "oracle"])
+    def test_an_overflow_exits_3_without_a_numpy_warning(
+        self, tmp_path, capsys, command, line, n
+    ):
+        # at 512^2 the overflowing product runs on the grid thread pool
+        path = base_config(
+            tmp_path, potential=dict(POTENTIAL2D, coupling={"re": 1e300, "im": 0.0}),
+            k_sweep=[0.8], grid={"extents": [16.0, 16.0], "counts": [n, n]},
+            direction_count=8,
+        )
+        assert cli.main([command, "--config", str(path)]) == 3
+        assert capsys.readouterr().err == line + "\n"
+        assert not (tmp_path / "out").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         path = base_config(tmp_path, k_sweep=[0.8], n_orders=2)
@@ -370,7 +391,10 @@ class TestInvalidConfigs:
         # one momentum cell along u is 2 pi / 60 = 0.1047
         ({"potential": dict(POTENTIAL2D, alpha=0.1), "k_sweep": [0.8]},
          "k sweep point 0: alpha = 0.1 must be at least one momentum cell along u, 0.1047"),
+        ({"tol": math.inf}, "config error: tol must be a positive finite number, got Infinity"),
     ])
+    # numpy's overflow warnings too: m = 10**20 overflows while sampling
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exit_2_with_diagnostic_and_no_artifacts(
         self, tmp_path, capsys, overrides, needle
     ):
@@ -387,7 +411,9 @@ class TestInvalidConfigs:
         lambda head, payload: (head.replace(b"[32, 32]", b"null"), payload),
         lambda head, payload: (head.replace(b'"position"', b'"momentum"'), payload),
         lambda head, payload: (head, bytes(len(payload))),
-    ], ids=["array-header", "string-extents", "null-counts", "momentum-space", "all-zero"])
+        lambda head, payload: (b"[" * 100000, payload),
+    ], ids=["array-header", "string-extents", "null-counts", "momentum-space", "all-zero",
+            "nested-header"])
     def test_verify_rejects_a_malformed_stored_field(self, tmp_path, capsys, edit):
         stored = tmp_path / "stored.field"
         path = base_config(tmp_path, k_sweep=[0.8], field_file=str(stored),
@@ -461,6 +487,25 @@ class TestInvalidConfigs:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "config.json", "stored.field", "taken"
         ]
+
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_an_infinite_tol_override_exits_2(self, tmp_path, capsys, command):
+        path = base_config(tmp_path, k_sweep=[0.8])
+        assert cli.main([command, "--config", str(path), "--tol", "inf"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: tol must be a positive finite number, got Infinity\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_a_deeply_nested_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[" * 100000)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: JSON nested too deeply to decode\n"
+        )
+        assert not out.exists()
 
     def test_independent_problems_are_all_reported(self, tmp_path, capsys):
         path = base_config(

@@ -204,7 +204,7 @@ class TestThreadedPasses:
         before = numerator.copy()
         propagator = green_factor(grid.momentum_sq, cfg.k, cfg.epsilon)
         want = ifft_values(propagator * numerator, grid)
-        assert_same_bits(propagate(numerator, cfg, 1), want)
+        assert_same_bits(propagate(numerator, cfg), want)
         assert np.array_equal(numerator, before), "input was modified"
 
     @pytest.mark.parametrize("counts", SIX_SHAPES)
@@ -568,7 +568,7 @@ class TestEmBornSeries:
             em_born_series(cfg, mats)
 
     def test_overflowing_material_product_is_divergence(self):
-        # the order-2 product 1e300 * 1e300 overflows before propagate's guard
+        # the order-2 product 1e300 * 1e300 overflows: not finite, before any transform
         grid, spec, cfg = setup(counts=(16, 8, 8))
         mats = material_from_scalar(spec, grid, which="eps", scale=1e300)
         with pytest.raises(DivergenceError):

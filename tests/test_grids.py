@@ -11,6 +11,7 @@ import os
 import sys
 import threading
 import time
+import warnings
 import weakref
 
 import numpy as np
@@ -24,6 +25,7 @@ from bornscat.grids import (
     SampledField,
     Space,
     all_finite,
+    blockwise,
     fft_values,
     forward_ft,
     ifft_values,
@@ -426,6 +428,18 @@ class TestThreadedPerNodePasses:
         values[0, 0] = np.inf
         values[-1, -1] = np.nan
         assert math.isnan(max_abs(values))
+
+    @pytest.mark.parametrize("n", [8, 1024])
+    def test_the_callers_errstate_holds_in_every_block(self, pool_workers, n):
+        # 8^2 runs in the calling thread; 1024^2 (16 MiB) on the pool
+        values = np.full((n, n), 1e300, dtype=complex)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            blockwise(np.multiply, np.empty_like(values), values, values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore"):
+                out = blockwise(np.multiply, np.empty_like(values), values, values)
+        assert np.all(out == np.inf)
 
     @pytest.mark.parametrize("counts", [(16, 10), (12, 8, 10)])
     def test_plane_wave_at_nodes(self, counts):

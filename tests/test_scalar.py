@@ -9,13 +9,15 @@ tolerances asserted).
 import math
 import warnings
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
 from bit_identity import GRID_SHAPES, assert_same_bits, random_values
 
-from bornscat import scalar
+from bornscat import grids, scalar
 from bornscat.grids import (
+    NonFiniteError,
     SampledField,
     Space,
     fft_values,
@@ -38,14 +40,15 @@ from bornscat.scalar import (
     ScatterConfig,
     amplitude_contribution,
     amplitude_factor,
+    born_orders,
     born_series,
     born_step,
+    born_term,
     exactness_order,
     green_factor,
     incident_term,
     make_scatter_config,
     on_shell_numerator,
-    propagate,
     verify_convolution_support,
     verify_exactness,
     verify_order_bands,
@@ -145,30 +148,60 @@ class TestThreadedStep:
         assert np.array_equal(v.values, v_before), "interaction was modified"
         assert np.array_equal(prev.field.values, prev_before), "term was modified"
 
+    @staticmethod
+    def diverge_at(order, bad):
+        """The DivergenceError of a series whose step returns ones, but `bad`
+        in the last node at `order`: untransformed, so the one bad node sits
+        in the last pool block."""
+        grid = config_of((512, 512)).grid
+
+        def step(prev):
+            values = np.ones(grid.shape, dtype=complex)
+            if prev.order + 1 == order:
+                values[-1, -1] = bad
+            field = SampledField(grid, values, Space.POSITION)
+            return BornTerm(prev.order + 1, field, field, field)
+
+        first = BornTerm(0, SampledField(grid, np.ones(grid.shape), Space.POSITION))
+        with pytest.raises(DivergenceError) as info:
+            list(islice(born_orders(first, step), 4))
+        assert info.value.order == order
+        return info.value
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("reference", [None, 1.0])
-    def test_guard_sees_nonfinite_in_the_last_block(
-        self, pool_workers, monkeypatch, bad, reference
-    ):
-        # Without the inverse transform, which would spread the bad value
-        # over the whole field, the guard must find it in the last block.
-        monkeypatch.setattr(scalar, "ifft_values", lambda values, grid: values)
-        cfg = config_of((512, 512))
-        numerator = np.full(cfg.grid.shape, 1e-3, dtype=complex)
-        numerator[-1, -1] = bad
-        with pytest.raises(DivergenceError, match="not finite") as info:
-            propagate(numerator, cfg, 1, reference)
-        assert info.value.order == 1
+    def test_guard_sees_nonfinite_in_the_last_block(self, pool_workers, bad, reference):
+        # no reference at order 1; at order 2 the order-1 field max, 1.0
+        err = self.diverge_at(1 if reference is None else 2, bad)
+        assert err.reference == reference and err.magnitude == math.inf
+        assert "not finite" in str(err)
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_guard_sees_a_runaway_value_in_the_last_block(self, pool_workers):
+        err = self.diverge_at(2, 1e13)
+        assert err.reference == 1.0 and err.magnitude == 1e13
+        assert "exceeds 1e+12 x first-order scale 1.000e+00" in str(err)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_numerator_diverges_at_order_one(self, pool_workers, bad):
         cfg = config_of((512, 512))
+        source = SampledField(cfg.grid, random_values(cfg.grid.shape), Space.POSITION)
         numerator = random_values(cfg.grid.shape)
         numerator[-1, -1] = bad
-        with pytest.raises(DivergenceError) as info:
-            propagate(numerator, cfg, 1)
+
+        def step(prev):
+            return born_term(prev, cfg, source, lambda values: numerator)
+
+        with pytest.raises(DivergenceError, match="not finite") as info:
+            list(islice(born_orders(incident_term(cfg), step), 2))
         assert info.value.order == 1 and info.value.reference is None
+        assert info.value.magnitude == math.inf
+
+    def test_a_step_called_directly_raises_nonfinite_error(self):
+        cfg = config_of((16, 10))
+        v = SampledField(cfg.grid, np.full(cfg.grid.shape, 1e300), Space.POSITION)
+        prev = BornTerm(0, v)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+            born_step(prev, v, cfg)
 
 
 class TestExactnessOrder:
@@ -339,13 +372,27 @@ class TestBornSeries:
         assert info.value.order == 2
 
     def test_overflowing_product_is_divergence(self):
-        # the order-2 product 1e300 * 1e300 overflows before propagate's guard
+        # the order-2 product 1e300 * 1e300 overflows: not finite, before any transform
         grid = make_grid(2, (24.0, 24.0), (64, 64))
         v = sample_potential(family(coupling=1e300), grid)
         cfg = make_scatter_config(grid, 0.8, u=(1.0, 0.0), alpha=1.0, n_orders=4)
         with pytest.raises(DivergenceError, match="not finite") as info:
             born_series(cfg, v)
         assert info.value.order == 2 and info.value.magnitude == math.inf
+
+    def test_one_field_max_read_per_order(self, monkeypatch):
+        # through either module's name, so a read made by any layer counts
+        spec, grid, v, cfg = standard_setup(n=64, n_orders=3)
+        original, reads = grids.max_abs, []
+
+        def counted(values):
+            reads.append(values.shape)
+            return original(values)
+
+        monkeypatch.setattr(grids, "max_abs", counted)
+        monkeypatch.setattr(scalar, "max_abs", counted, raising=False)
+        born_series(cfg, v)
+        assert reads == [grid.shape] * 3
 
     def test_grid_mismatch(self):
         spec, grid, v, cfg = standard_setup(n=64)
