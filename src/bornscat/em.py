@@ -230,7 +230,9 @@ def apply_material(materials, six):
     six is a six-vector field.  Each output row is the sum, in ascending
     column, of its stored entries times the field components they meet.
     Rows without a stored entry, such as the whole H block when
-    delta-mu = 0, stay zero and are never written.
+    delta-mu = 0, stay zero and are never written.  As the source of a Born
+    order, the product is not checked for finiteness: an overflowed value
+    reaches the order's field, whose max the engine reads.
     """
     if six.values.shape != (6,) + six.grid.shape:
         raise ValueError("material product acts on six-vector fields")
@@ -247,7 +249,7 @@ def apply_material(materials, six):
             for operand in (values, six.values[3 * block + j])
         ]
         blockwise(_sum_of_products, out[3 * block + i], *operands)
-    return SampledField(six.grid, out, Space.POSITION)
+    return SampledField._unchecked(six.grid, out, Space.POSITION)
 
 
 def _mesh_cross(p, block):

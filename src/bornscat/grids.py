@@ -12,6 +12,8 @@ The transform pair is weighted to approximate the continuum integrals
     inverse:  f(x) = (2 pi)**-d * sum_p exp(i p.x) F(p) * prod(dp_i)
 
 which makes the two grid operations exactly inverse to each other.
+ifft_values can write into its own input (out=values), so that a Born
+order's propagation G * M and its inverse transform share one buffer.
 """
 
 import contextvars
@@ -44,6 +46,7 @@ __all__ = [
     "nudft",
     "nudft_values",
     "sphere_directions",
+    "unit_vector",
     "transverse_basis",
     "plane_wave",
     "plane_wave_at",
@@ -209,6 +212,18 @@ class SampledField:
         if not all_finite(values):
             raise NonFiniteError("field values must be finite")
         self.values = values
+
+    @classmethod
+    def _unchecked(cls, grid, values, space):
+        """A field of complex values of a valid shape, with no finiteness pass.
+
+        For the Born engine, whose guard reads each order's field max
+        instead: a value that is not finite in an order's source or
+        numerator always reaches its field.
+        """
+        field = object.__new__(cls)
+        field.grid, field.values, field.space = grid, values, space
+        return field
 
     def max_abs(self):
         return max_abs(self.values)
@@ -476,10 +491,17 @@ def fft_values(values, grid):
     return _weigh(out, grid, grid.cell_volume, out)
 
 
-def ifft_values(values, grid):
-    """Inverse of :func:`fft_values` on raw values (trailing grid axes)."""
+def ifft_values(values, grid, out=None):
+    """Inverse of :func:`fft_values` on raw values (trailing grid axes).
+
+    The result goes into out, a new array by default; out may be values
+    itself, a complex array, which is then transformed in place with the
+    same bits.
+    """
     values = np.asarray(values)
-    out = _weigh(values, grid, 1.0 / grid.cell_volume, np.empty(values.shape, dtype=complex))
+    if out is None:
+        out = np.empty(values.shape, dtype=complex)
+    _weigh(values, grid, 1.0 / grid.cell_volume, out)
     _passes(np.fft.ifft, out, out, grid)
     return out
 
@@ -533,6 +555,17 @@ def nudft(field, points):
     if field.space is not Space.POSITION:
         raise ValueError("nudft expects a position-space field")
     return nudft_values(field.values, field.grid, points)
+
+
+def unit_vector(vector, name):
+    """vector / |vector|, for a nonzero vector of finite length."""
+    vector = np.asarray(vector, dtype=float)
+    # |(1e308, 1e308)| overflows to inf, which the check below reports
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(vector)
+    if not 0 < norm < math.inf:
+        raise ValueError(f"{name} must be a nonzero vector of finite length")
+    return vector / norm
 
 
 def transverse_basis(axis_vector):
@@ -666,7 +699,9 @@ def snap_to_momentum_lattice(grid, k_vec):
     if k_vec.shape != (grid.dim,):
         raise ValueError(f"wave vector must have {grid.dim} components")
     dp = np.asarray(grid.momentum_spacing)
-    return np.round(k_vec / dp) * dp
+    # a wave vector beyond every float node snaps to inf, which the callers' checks report
+    with np.errstate(over="ignore"):
+        return np.round(k_vec / dp) * dp
 
 
 def save_field(path, sampled):

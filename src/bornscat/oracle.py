@@ -240,7 +240,7 @@ def converged_solution(config, v_field, series_tol=1e-8, order_cap=32):
     try:
         for term in islice(orders, order_cap):
             blockwise(np.add, total, total, term.field.values)
-            increment = term.field.max_abs()
+            increment = term.field_max
             increments.append(increment)
             if increment < series_tol:
                 return ConvergedSolution(

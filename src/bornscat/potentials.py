@@ -31,7 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import SampledField, Space, blockwise, forward_ft, max_abs, transverse_basis
+from .grids import (
+    SampledField,
+    Space,
+    blockwise,
+    forward_ft,
+    max_abs,
+    transverse_basis,
+    unit_vector,
+)
 from .jsonkind import array_of, complex_number, integer, kind_of, member, number
 
 __all__ = [
@@ -82,10 +90,7 @@ class PotentialSpec:
         u = np.asarray(self.u, dtype=float)
         if u.shape not in ((2,), (3,)):
             raise ValueError("u must have 2 or 3 components")
-        norm = np.linalg.norm(u)
-        if not 0 < norm < math.inf:  # u = (1e308, 1e308) would normalize to zero
-            raise ValueError("u must be a nonzero vector of finite length")
-        object.__setattr__(self, "u", tuple(u / norm))
+        object.__setattr__(self, "u", tuple(unit_vector(u, "u")))
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise ValueError("alpha must be positive")
         if not (self.a > 0 and math.isfinite(self.a)):
@@ -359,8 +364,7 @@ def verify_support(subject, u=None, alpha=None, tol=1e-3, grid=None):
         raise ValueError("u and alpha are required when verifying a raw field")
     if subject.space is not Space.POSITION:
         raise ValueError("verify_support expects a position-space field")
-    u = np.asarray(u, dtype=float)
-    u = u / np.linalg.norm(u)
+    u = unit_vector(u, "u")
     spectrum = np.abs(forward_ft(subject).values)
     overall = float(np.max(spectrum))
     if overall == 0.0:

@@ -24,8 +24,17 @@ term), the term and record types, the verification reports and the CSV
 writer serve scalar fields and the six-component EM fields of bornscat.em
 alike.  Both are grids.SampledField, with one value or one six-vector per
 node; the EM module supplies its material product, kernel and shell
-evaluation.  A step called directly raises grids.NonFiniteError for an
-array that is not finite; born_orders reports it as a DivergenceError.
+evaluation.
+
+A Born order allocates only the three arrays its term keeps: its source,
+its numerator and its field.  The propagator G is built into the array that
+becomes the field (a one-value field) or that holds G * M (a six-vector
+field), and the inverse transform runs in place on G * M.  The term's
+three fields skip SampledField's finiteness pass: a value that is not
+finite in the source or numerator reaches every node of the field through
+the transforms, so the one read of the field max in born_term covers all
+three.  A step called directly raises grids.NonFiniteError when that max is
+not finite; born_orders reports it as a DivergenceError.
 """
 
 import csv
@@ -45,10 +54,12 @@ from .grids import (
     blockwise,
     fft_values,
     ifft_values,
+    max_abs,
     nudft,
     plane_wave,
     snap_to_momentum_lattice,
     sphere_directions,
+    unit_vector,
 )
 
 __all__ = [
@@ -161,11 +172,7 @@ class ScatterConfig:
             raise ValueError("k must be positive (wave vector snapped to zero?)")
         if not 0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")
-        if self.k >= min(self.grid.nyquist):
-            raise ValueError(
-                f"k = {self.k:.4g} must lie below the momentum band edge "
-                f"{min(self.grid.nyquist):.4g}"
-            )
+        _check_below_band_edge(self.grid, self.k)
         if not 0 <= self.n_orders < sys.maxsize:  # born_series slices n_orders + 1
             raise ValueError(f"n_orders = {self.n_orders} must lie in [0, {sys.maxsize})")
         if len(self.k_vec) != self.grid.dim or len(self.u) != self.grid.dim:
@@ -193,6 +200,12 @@ class ScatterConfig:
     @property
     def exact_order(self):
         return exactness_order(self.k, self.alpha)
+
+
+def _check_below_band_edge(grid, k):
+    edge = min(grid.nyquist)
+    if not k < edge:
+        raise ValueError(f"k = {k:.4g} must lie below the momentum band edge {edge:.4g}")
 
 
 def _momentum_cell_along(grid, u):
@@ -234,20 +247,18 @@ def make_scatter_config(
         raise ValueError("need a potential or explicit u and alpha")
     if not 0 < k < math.inf:
         raise ValueError(f"k = {k} must be positive and finite")
-    u = np.asarray(u, dtype=float)
-    u = u / np.linalg.norm(u)
+    u = unit_vector(u, "u")
     if u.shape != (grid.dim,):
         raise ValueError(f"u has {u.size} components, the grid has {grid.dim} axes")
-    if k_hat is None:
-        k_hat = -u
-    k_hat = np.asarray(k_hat, dtype=float)
-    k_hat = k_hat / np.linalg.norm(k_hat)
+    k_hat = unit_vector(-u if k_hat is None else k_hat, "k_hat")
     k_vec = snap_to_momentum_lattice(grid, float(k) * k_hat)
-    k_snapped = float(np.linalg.norm(k_vec))
+    with np.errstate(over="ignore"):  # an inf here fails the band-edge check below
+        k_snapped = float(np.linalg.norm(k_vec))
     if k_snapped == 0.0:
         raise ValueError(
             f"k = {k} snaps to the zero momentum node on this grid"
         )
+    _check_below_band_edge(grid, k_snapped)
     if epsilon is None:
         if not 0 < eps_cells < math.inf:
             raise ValueError(f"eps_cells = {eps_cells} must be positive and finite")
@@ -280,12 +291,15 @@ class BornTerm:
     numerator is its transform M_n(p); both are None at order 0, where the
     term is the bare incident wave.  The fields are SampledFields, with one
     value per node for scalar waves and a six-vector per node for EM waves.
+    field_max is max |B_n| for n >= 1, read here unless the step that built
+    the term passes the value it read; it is None at order 0.
     """
 
     order: int
     field: SampledField
     source: SampledField = None
     numerator: SampledField = None
+    field_max: float = None
 
     def __post_init__(self):
         if self.field.space is not Space.POSITION:
@@ -297,6 +311,8 @@ class BornTerm:
                 raise ValueError("order 0 carries no source")
         elif self.source is None:
             raise ValueError("orders >= 1 need source and numerator")
+        elif self.field_max is None:
+            self.field_max = self.field.max_abs()
 
 
 def incident_term(config, psi0=None):
@@ -317,23 +333,39 @@ def incident_term(config, psi0=None):
 def propagate(numerator_values, config):
     """Position values of the next order: inverse transform of G(p) * M_n(p).
 
-    numerator_values may carry leading component axes.
+    numerator_values may carry leading component axes, over which G
+    broadcasts.  G * M goes into G's own array when M has one value per
+    node, else into one new array, and the inverse transform runs in place
+    on it; numerator_values is left as it is.
     """
     grid = config.grid
     propagator = green_factor(grid.momentum_sq, config.k, config.epsilon)
-    # G broadcasts over leading component axes.
-    return ifft_values(blockwise(
-        np.multiply, np.empty(numerator_values.shape, dtype=complex),
-        propagator, numerator_values, axis=numerator_values.ndim - grid.dim,
-    ), grid)
+    product = propagator
+    if numerator_values.shape != propagator.shape:
+        product = np.empty(numerator_values.shape, dtype=complex)
+    blockwise(np.multiply, product, propagator, numerator_values,
+              axis=numerator_values.ndim - grid.dim)
+    return ifft_values(product, grid, out=product)
 
 
 def born_term(prev, config, source, transform):
-    """The term after prev, from its source field and the transform to its numerator."""
+    """The term after prev, from its source field and the transform to its numerator.
+
+    Reads the new field's max once and raises NonFiniteError when it is not
+    finite; the term carries it as field_max.
+    """
     grid = config.grid
-    numerator = SampledField(grid, transform(source.values), Space.MOMENTUM)
-    field = SampledField(grid, propagate(numerator.values, config), Space.POSITION)
-    return BornTerm(prev.order + 1, field, source, numerator)
+    # the check below reports a value that is not finite, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        numerator = transform(source.values)
+        field = propagate(numerator, config)
+        field_max = max_abs(field)
+    if not math.isfinite(field_max):
+        raise NonFiniteError("field values must be finite")
+    return BornTerm(
+        prev.order + 1, SampledField._unchecked(grid, field, Space.POSITION), source,
+        SampledField._unchecked(grid, numerator, Space.MOMENTUM), field_max,
+    )
 
 
 def born_step(prev, v_field, config):
@@ -347,7 +379,7 @@ def born_step(prev, v_field, config):
         np.multiply, np.empty(grid.shape, dtype=complex), v_field.values, prev.field.values
     )
     return born_term(
-        prev, config, SampledField(grid, source_values, Space.POSITION),
+        prev, config, SampledField._unchecked(grid, source_values, Space.POSITION),
         lambda source: fft_values(source, grid),
     )
 
@@ -359,7 +391,8 @@ def born_orders(first, step, *args):
     alive here.  The iterator owns the divergence guard, for every wave
     type: an order whose source, numerator or field is not finite has
     overflowed, and one whose field max exceeds DIVERGENCE_RATIO times the
-    order-1 field max has run away; both raise DivergenceError there.
+    order-1 field max has run away; both raise DivergenceError there.  The
+    guard reads the max each term carries, so no field is read twice.
     """
     term, reference = first, None
     yield term
@@ -371,7 +404,7 @@ def born_orders(first, step, *args):
                 term = step(term, *args)
             except NonFiniteError:
                 raise DivergenceError(order, math.inf, reference) from None
-            magnitude = term.field.max_abs()
+        magnitude = term.field_max
         if not math.isfinite(magnitude) or (
             reference is not None and magnitude > DIVERGENCE_RATIO * reference
         ):
@@ -594,8 +627,7 @@ def verify_convolution_support(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    u = np.asarray(u, dtype=float)
-    u = u / np.linalg.norm(u)
+    u = unit_vector(u, "u")
     p_par = grid.momentum_parallel(u)
     if width is None:
         width = 0.3 * float(np.max(p_par))

@@ -392,6 +392,11 @@ class TestInvalidConfigs:
         ({"potential": dict(POTENTIAL2D, alpha=0.1), "k_sweep": [0.8]},
          "k sweep point 0: alpha = 0.1 must be at least one momentum cell along u, 0.1047"),
         ({"tol": math.inf}, "config error: tol must be a positive finite number, got Infinity"),
+        # |u| and the snapped wave vector overflow to inf, with no numpy warning
+        ({"potential": dict(POTENTIAL2D, u=[1e308, 1e308])},
+         "config error: potential: u must be a nonzero vector of finite length"),
+        ({"k_sweep": [1e308]},
+         "k sweep point 0: k = inf must lie below the momentum band edge 13.4"),
     ])
     # numpy's overflow warnings too: m = 10**20 overflows while sampling
     @pytest.mark.filterwarnings("error::RuntimeWarning")

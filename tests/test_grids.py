@@ -273,6 +273,19 @@ class TestThreadedTransforms:
             assert got.tobytes() == want.tobytes()
             assert np.array_equal(values, before), "input was modified"
 
+    @pytest.mark.parametrize("lead", [(), (6,)], ids=["one", "six"])
+    @pytest.mark.parametrize("counts", GRID_SHAPES)
+    def test_inverse_in_place_is_bit_identical(self, pool_workers, counts, lead):
+        # and without out, the input is left as it was
+        grid = make_grid(len(counts), tuple(0.37 * n for n in counts), counts)
+        values = random_values(lead + counts, sum(counts))
+        copy = values.copy()
+        want = ifft_values(copy, grid)
+        assert_same_bits(copy, values)
+        got = ifft_values(values, grid, out=values)
+        assert got is values
+        assert_same_bits(got, want)
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_gets_a_working_pool(self):
         # 512^2 is larger than one block, so the child needs the pool; a

@@ -186,6 +186,7 @@ class TestValidation:
             )  # missing ell_z in 3D
 
     @pytest.mark.parametrize("u", [(1e308, 1e308), (np.nan, 1.0), (np.inf, 0.0)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # |(1e308, 1e308)| overflows
     def test_rejects_an_axis_of_no_finite_length(self, u):
         with pytest.raises(ValueError, match="finite length"):
             family_2d(u=u)
@@ -374,6 +375,14 @@ class TestVerifySupport:
         zero = SampledField(grid, np.zeros(grid.shape), Space.POSITION)
         with pytest.raises(ValueError, match="zero"):
             verify_support(zero, u=(1.0, 0.0), alpha=1.0)
+
+    @pytest.mark.parametrize("u", [(1e308, 1e308), (0.0, 0.0), (np.nan, 1.0)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_an_axis_of_no_finite_length(self, u):
+        spec = family_2d()
+        grid = make_grid(2, (60.0, 60.0), (64, 64))
+        with pytest.raises(ValueError, match="u must be a nonzero vector of finite length"):
+            verify_support(spec, u=u, tol=1e-3, grid=grid)
 
     def test_report_dict(self):
         spec = family_2d()

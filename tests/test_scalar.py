@@ -7,6 +7,7 @@ tolerances asserted).
 """
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from itertools import islice
@@ -49,6 +50,7 @@ from bornscat.scalar import (
     incident_term,
     make_scatter_config,
     on_shell_numerator,
+    propagate,
     verify_convolution_support,
     verify_exactness,
     verify_order_bands,
@@ -204,6 +206,43 @@ class TestThreadedStep:
             born_step(prev, v, cfg)
 
 
+class TestAllocations:
+    """Peak traced memory of one propagation and one step on a 1024^2 grid.
+
+    tracemalloc sees numpy's array buffers.  The peak counts what a call
+    allocates and still holds on return (its result) as well as what it
+    frees before, so a step's peak is its three kept arrays (source,
+    numerator and field) plus block temporaries.
+    """
+
+    counts = (1024, 1024)
+
+    @staticmethod
+    def peak_bytes(fn, *args):
+        fn(*args)  # first use fills caches (momentum_sq, the pool) a call does not own
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("lead,bound", [((), 2.0), ((6,), 1.5)], ids=["one", "six"])
+    def test_propagate_reuses_the_propagator_buffer(self, lead, bound):
+        # G * M goes into G (one component) or one new array (six), and the
+        # inverse transform runs in place: no third full-size array
+        cfg = config_of(self.counts)
+        numerator = random_values(lead + self.counts)
+        assert self.peak_bytes(propagate, numerator, cfg) < bound * numerator.nbytes
+
+    def test_born_step_keeps_three_arrays(self):
+        cfg = config_of(self.counts)
+        grid = cfg.grid
+        v = SampledField(grid, random_values(self.counts, 1), Space.POSITION)
+        prev = BornTerm(0, SampledField(grid, random_values(self.counts, 2), Space.POSITION))
+        assert self.peak_bytes(born_step, prev, v, cfg) < 4 * prev.field.values.nbytes
+
+
 class TestExactnessOrder:
     @pytest.mark.parametrize(
         "k,alpha,expected",
@@ -301,6 +340,24 @@ class TestMakeConfig:
         grid = make_grid(2, (60.0, 60.0), (64, 64))
         with pytest.raises(ValueError):
             make_scatter_config(grid, 10.0, family())
+
+    @pytest.mark.parametrize("k", [1e200, 1e308])
+    @pytest.mark.parametrize("n_orders", [None, 3])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_k_whose_wave_vector_overflows(self, k, n_orders):
+        # the snap (1e308) or the norm of the snapped vector (1e200) overflows
+        grid = make_grid(2, (60.0, 60.0), (64, 64))
+        with pytest.raises(ValueError, match="k = inf must lie below the momentum band edge"):
+            make_scatter_config(grid, k, family(), n_orders=n_orders)
+
+    @pytest.mark.parametrize("axis", ["u", "k_hat"])
+    @pytest.mark.parametrize("vector", [(1e308, 1e308), (0.0, 0.0), (np.nan, 1.0)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_an_axis_of_no_finite_length(self, axis, vector):
+        grid = make_grid(2, (60.0, 60.0), (64, 64))
+        axes = {"u": (1.0, 0.0), "k_hat": None, axis: vector}
+        with pytest.raises(ValueError, match=f"{axis} must be a nonzero vector of finite length"):
+            make_scatter_config(grid, 0.8, alpha=1.0, **axes)
 
     def test_incident_override(self):
         grid = make_grid(2, (60.0, 60.0), (64, 64))
@@ -585,6 +642,13 @@ class TestConvolutionSupport:
             verify_convolution_support(grid, (1.0, 0.0), 0.0, 0.0, trials=0)
         with pytest.raises(ValueError):
             verify_convolution_support(grid, (1.0, 0.0), 0.0, 0.0, width=-1.0)
+
+    @pytest.mark.parametrize("u", [(1e308, 1e308), (0.0, 0.0), (np.nan, 1.0)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_an_axis_of_no_finite_length(self, u):
+        grid = make_grid(2, (20.0, 20.0), (64, 64))
+        with pytest.raises(ValueError, match="u must be a nonzero vector of finite length"):
+            verify_convolution_support(grid, u, 0.0, 0.0)
 
 
 class TestCsv:
