@@ -40,7 +40,6 @@ from .scalar import (
     OnShellRecord,
     ScatterConfig,
     VerificationReport,
-    amplitude_contribution,
     amplitude_factor,
     born_orders,
     born_series,
@@ -64,7 +63,6 @@ from .em import (
     default_polarization,
     em_born_series,
     em_born_step,
-    em_divergence_diagnostic,
     em_kernel_apply,
     em_on_shell_numerator,
     incident_six_field,

@@ -67,7 +67,6 @@ __all__ = [
     "verify_em_exactness",
     "verify_em_spectral_floor",
     "verify_em_order_bands",
-    "em_divergence_diagnostic",
     "write_em_on_shell_csv",
 ]
 
@@ -129,23 +128,6 @@ class MaterialTensors:
         return cls(grid, {
             (block, i, i): values for block in which_blocks(which) for i in range(3)
         })
-
-    def _dense(self, block):
-        tensor = np.zeros((3, 3) + self.grid.shape, dtype=complex)
-        for (b, i, j), values in self.entries.items():
-            if b == block:
-                tensor[i, j] = values
-        return tensor
-
-    @property
-    def eps(self):
-        """delta-eps as a new dense (3, 3) + grid.shape array."""
-        return self._dense(0)
-
-    @property
-    def mu(self):
-        """delta-mu as a new dense (3, 3) + grid.shape array."""
-        return self._dense(1)
 
     @property
     def is_magnetic(self):
@@ -355,35 +337,12 @@ def verify_em_exactness(config, series, tol=1e-2):
 
 def verify_em_spectral_floor(series, u, k, tol=1e-2):
     """Six-component version of the u.p < -k floor check."""
-    return verify_spectral_floor(series, u, k, tol, name="em-spectral-floor")
+    return verify_spectral_floor(series, u, k, tol)
 
 
 def verify_em_order_bands(series, u, k, alpha, tol=1e-2):
     """Six-component version of the per-order band check."""
-    return verify_order_bands(series, u, k, alpha, tol, name="em-order-bands")
-
-
-def em_divergence_diagnostic(materials, six):
-    """Relative spectral divergence of the flux fields, as a diagnostic.
-
-    For D = (I + delta-eps) E and B = (I + delta-mu) H, returns the ratio
-    ||p . F(p)||_2 / || |p| F(p) ||_2 per block; small values mean the
-    summed field is close to divergence-free.  Informational only: truncated
-    series terms need not satisfy this, so nothing is asserted.
-    """
-    if six.space is not Space.POSITION:
-        raise ValueError("diagnostic expects a position-space field")
-    grid = six.grid
-    p_mesh = grid.momentum_mesh()
-    p_norm = np.sqrt(grid.momentum_sq)
-    flux = six.values + apply_material(materials, six).values
-    out = {}
-    for name, block in (("electric", flux[:3]), ("magnetic", flux[3:])):
-        flux_t = fft_values(block, grid)
-        longitudinal = sum(p_mesh[i] * flux_t[i] for i in range(3))
-        denom = np.linalg.norm(p_norm * np.sqrt(np.sum(np.abs(flux_t) ** 2, axis=0)))
-        out[name] = float(np.linalg.norm(longitudinal) / denom) if denom > 0 else 0.0
-    return out
+    return verify_order_bands(series, u, k, alpha, tol)
 
 
 def write_em_on_shell_csv(path, records):

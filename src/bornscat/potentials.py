@@ -46,7 +46,6 @@ __all__ = [
     "PotentialSpec",
     "PotentialSum",
     "SupportReport",
-    "unit_step",
     "potential_value",
     "potential_spectrum",
     "sample_potential",
@@ -56,11 +55,6 @@ __all__ = [
 ]
 
 BOUNDARY_WARN_RATIO = 1e-3
-
-
-def unit_step(x):
-    """Heaviside step with the convention step(0) = 1."""
-    return np.where(np.asarray(x) < 0.0, 0, 1)[()]
 
 
 @dataclass(frozen=True)
@@ -343,33 +337,21 @@ class SupportReport:
         }
 
 
-def verify_support(subject, u=None, alpha=None, tol=1e-3, grid=None):
+def verify_support(field, u, alpha, tol=1e-3):
     """Check on the momentum grid that |transform| is negligible for u.p < alpha.
 
-    `subject` is either a position-space SampledField or a potential spec
-    (which is then sampled on `grid`).  The check passes when the largest
-    magnitude over forbidden nodes is at most tol times the overall maximum.
+    `field` is a sampled position-space SampledField.  The check passes when
+    the largest magnitude over forbidden nodes is at most tol times the
+    overall maximum.
     """
-    if isinstance(subject, (PotentialSpec, PotentialSum)):
-        if grid is None:
-            raise ValueError("a grid is required to verify a spec directly")
-        if u is None:
-            u = subject.u
-        if alpha is None:
-            alpha = subject.alpha_min
-        subject = sample_potential(subject, grid)
-    elif not isinstance(subject, SampledField):
-        raise TypeError("subject must be a field or a potential spec")
-    if u is None or alpha is None:
-        raise ValueError("u and alpha are required when verifying a raw field")
-    if subject.space is not Space.POSITION:
+    if field.space is not Space.POSITION:
         raise ValueError("verify_support expects a position-space field")
     u = unit_vector(u, "u")
-    spectrum = np.abs(forward_ft(subject).values)
+    spectrum = np.abs(forward_ft(field).values)
     overall = float(np.max(spectrum))
     if overall == 0.0:
         raise ValueError("potential transform is identically zero; nothing to verify")
-    p_par = subject.grid.momentum_parallel(u)
+    p_par = field.grid.momentum_parallel(u)
     forbidden = p_par < alpha
     forbidden_max = float(np.max(spectrum[forbidden])) if np.any(forbidden) else 0.0
     return SupportReport(

@@ -84,7 +84,6 @@ __all__ = [
     "shell_record",
     "on_shell_numerator",
     "amplitude_factor",
-    "amplitude_contribution",
     "verify_spectral_floor",
     "verify_order_bands",
     "verify_convolution_support",
@@ -247,6 +246,8 @@ def make_scatter_config(
         raise ValueError("need a potential or explicit u and alpha")
     if not 0 < k < math.inf:
         raise ValueError(f"k = {k} must be positive and finite")
+    # before snapping, so the message names the requested k and not an overflowed norm
+    _check_below_band_edge(grid, k)
     u = unit_vector(u, "u")
     if u.shape != (grid.dim,):
         raise ValueError(f"u has {u.size} components, the grid has {grid.dim} axes")
@@ -258,7 +259,7 @@ def make_scatter_config(
         raise ValueError(
             f"k = {k} snaps to the zero momentum node on this grid"
         )
-    _check_below_band_edge(grid, k_snapped)
+    _check_below_band_edge(grid, k_snapped)  # snapping can lift k over the edge
     if epsilon is None:
         if not 0 < eps_cells < math.inf:
             raise ValueError(f"eps_cells = {eps_cells} must be positive and finite")
@@ -486,11 +487,6 @@ def amplitude_factor(dim, k):
     raise ValueError("dim must be 2 or 3")
 
 
-def amplitude_contribution(record, dim):
-    """Far-field amplitude contributions f_n = c_dim * M_n(k')."""
-    return amplitude_factor(dim, record.k) * record.values
-
-
 # ---------------------------------------------------------------------------
 # verification reports
 
@@ -571,9 +567,15 @@ def _numerator_terms(series):
 
 
 def _band_report(series, u, tol, name, band):
-    """One band check per order; band(order, p_par) gives its mask and label."""
+    """One band check per order; band(order, p_par) gives its mask and label.
+
+    The report is named em-<name> for six-vector numerators, else <name>.
+    """
     terms = _numerator_terms(series)
-    p_par = terms[0].numerator.grid.momentum_parallel(u)
+    numerator = terms[0].numerator
+    if numerator.values.ndim > numerator.grid.dim:
+        name = f"em-{name}"
+    p_par = numerator.grid.momentum_parallel(u)
     checks = []
     for term in terms:
         mask, label = band(term.order, p_par)
@@ -581,7 +583,7 @@ def _band_report(series, u, tol, name, band):
     return VerificationReport(name, float(tol), tuple(checks))
 
 
-def verify_spectral_floor(series, u, k, tol=1e-3, name="spectral-floor"):
+def verify_spectral_floor(series, u, k, tol=1e-3):
     """Check that every order's spectrum avoids the floor u.p < -k.
 
     Interactions supported in u.p >= alpha with alpha > 0 can only push
@@ -592,10 +594,10 @@ def verify_spectral_floor(series, u, k, tol=1e-3, name="spectral-floor"):
     def band(order, p_par):
         return p_par < -k, f"u.p < {-k:.6g}"
 
-    return _band_report(series, u, tol, name, band)
+    return _band_report(series, u, tol, "spectral-floor", band)
 
 
-def verify_order_bands(series, u, k, alpha, tol=1e-3, name="order-bands"):
+def verify_order_bands(series, u, k, alpha, tol=1e-3):
     """Check the per-order forbidden bands around the shell.
 
     With N = floor(2k/alpha), the order-m spectrum must vanish on
@@ -609,7 +611,7 @@ def verify_order_bands(series, u, k, alpha, tol=1e-3, name="order-bands"):
         upper = k - (n_exact - order + 1) * alpha
         return (p_par >= -k) & (p_par <= upper), f"{-k:.6g} <= u.p <= {upper:.6g}"
 
-    return _band_report(series, u, tol, name, band)
+    return _band_report(series, u, tol, "order-bands", band)
 
 
 def verify_convolution_support(

@@ -96,7 +96,8 @@ def report_line(capsys, number, name, passed, detail):
 def test_01_support_certification(capsys):
     t0 = time.monotonic()
     grid = make_grid(2, (60.0, 60.0), (512, 512))
-    support = verify_support(FAMILY2D, grid=grid, tol=1e-3)
+    support = verify_support(sample_potential(FAMILY2D, grid), u=FAMILY2D.u,
+                             alpha=FAMILY2D.alpha, tol=1e-3)
     # closed form vs grid transform on a validation grid whose spacing puts
     # the slab edges mid-cell, so the sampled indicator carries no
     # quantization bias

@@ -13,7 +13,6 @@ from bornscat.em import (
     default_polarization,
     em_born_series,
     em_born_step,
-    em_divergence_diagnostic,
     em_kernel_apply,
     em_on_shell_numerator,
     incident_six_field,
@@ -124,6 +123,15 @@ def from_dense(grid, eps, mu):
         (block, i, j): tensor[i, j]
         for block, tensor in enumerate((eps, mu)) for i, j in np.ndindex(3, 3)
     })
+
+
+def dense(materials, block):
+    """delta-eps (block 0) or delta-mu (block 1) as a dense (3, 3) + grid.shape array."""
+    tensor = np.zeros((3, 3) + materials.grid.shape, dtype=complex)
+    for (b, i, j), values in materials.entries.items():
+        if b == block:
+            tensor[i, j] = values
+    return tensor
 
 
 def dense_medium(grid, seed=0):
@@ -285,22 +293,22 @@ class TestMaterials:
         mats = material_from_scalar(spec, grid, which="eps", scale=2.0 - 1.0j)
         v = sample_potential(spec, grid).values
         for i in range(3):
-            np.testing.assert_allclose(mats.eps[i, i], (2.0 - 1.0j) * v,
+            np.testing.assert_allclose(dense(mats, 0)[i, i], (2.0 - 1.0j) * v,
                                        rtol=1e-15)
             for j in range(3):
                 if i != j:
-                    assert not np.any(mats.eps[i, j])
-        assert not np.any(mats.mu)
+                    assert not np.any(dense(mats, 0)[i, j])
+        assert not np.any(dense(mats, 1))
 
     def test_zero_scale_gives_zero_tensors(self):
         grid = make_grid(3, (14.0, 6.0, 6.0), (16, 8, 8))
         mats = material_from_scalar(family(), grid, which="both", scale=0.0)
-        assert not np.any(mats.eps) and not np.any(mats.mu)
+        assert not np.any(dense(mats, 0)) and not np.any(dense(mats, 1))
 
     def test_which_routes_and_validates(self):
         grid = make_grid(3, (14.0, 6.0, 6.0), (16, 8, 8))
         mats = material_from_scalar(family(), grid, which="mu")
-        assert mats.is_magnetic and not np.any(mats.eps)
+        assert mats.is_magnetic and not np.any(dense(mats, 0))
         with pytest.raises(ValueError, match="which"):
             material_from_scalar(family(), grid, which="nu")
 
@@ -325,8 +333,8 @@ class TestMaterials:
         })
         assert list(mats.entries) == [(0, 0, 1), (1, 2, 2)]
         assert mats.is_magnetic
-        np.testing.assert_array_equal(mats.eps, eps)
-        np.testing.assert_array_equal(mats.mu, mu)
+        np.testing.assert_array_equal(dense(mats, 0), eps)
+        np.testing.assert_array_equal(dense(mats, 1), mu)
 
     def test_entry_map_validation(self):
         grid = make_grid(3, (4.0, 4.0, 4.0), (8, 8, 8))
@@ -346,8 +354,8 @@ class TestMaterials:
         spec = family()
         mats = material_from_entries(grid, eps_entries={(0, 1): spec})
         v = sample_potential(spec, grid).values
-        np.testing.assert_array_equal(mats.eps[0, 1], v)
-        assert not np.any(mats.eps[1, 0])
+        np.testing.assert_array_equal(dense(mats, 0)[0, 1], v)
+        assert not np.any(dense(mats, 0)[1, 0])
         with pytest.raises(ValueError, match="index"):
             material_from_entries(grid, eps_entries={(0, 3): spec})
 
@@ -386,8 +394,8 @@ class TestApplyMaterial:
         mats = medium(grid, seed=5)
         six = random_six(grid, seed=6, space=Space.POSITION)
         want = np.concatenate([
-            np.einsum("ij...,j...->i...", mats.eps, six.values[:3]),
-            np.einsum("ij...,j...->i...", mats.mu, six.values[3:]),
+            np.einsum("ij...,j...->i...", dense(mats, 0), six.values[:3]),
+            np.einsum("ij...,j...->i...", dense(mats, 1), six.values[3:]),
         ])
         got = apply_material(mats, six).values
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
@@ -707,19 +715,6 @@ class TestVerification:
         report = floor.to_dict()
         assert report["pass"] is True
         assert report["checks"][0]["max_ratio"] <= 1e-2
-
-    def test_divergence_diagnostic_structure(self):
-        grid, spec, cfg = setup(counts=(32, 16, 16), n_orders=2)
-        mats = material_from_scalar(spec, grid, which="eps", scale=0.05)
-        series = em_born_series(cfg, mats)
-        total = SampledField(grid, sum(t.field.values for t in series),
-                             Space.POSITION)
-        diag = em_divergence_diagnostic(mats, total)
-        assert set(diag) == {"electric", "magnetic"}
-        assert all(np.isfinite(v) and v >= 0.0 for v in diag.values())
-        with pytest.raises(ValueError, match="position"):
-            em_divergence_diagnostic(mats, SampledField(grid, total.values,
-                                                        Space.MOMENTUM))
 
 
 class TestCsv:

@@ -25,7 +25,6 @@ from bornscat.potentials import (
     sample_potential,
     spec_from_dict,
     spec_to_dict,
-    unit_step,
     verify_support,
 )
 
@@ -34,18 +33,6 @@ def family_2d(**overrides):
     params = dict(alpha=1.0, u=(1.0, 0.0), a=1.0, m=2, coupling=1.0, ell_y=2.0)
     params.update(overrides)
     return PotentialSpec(**params)
-
-
-class TestUnitStep:
-    def test_values(self):
-        assert unit_step(-0.5) == 0
-        assert unit_step(0.0) == 1
-        assert unit_step(3.0) == 1
-
-    def test_vectorized(self):
-        np.testing.assert_array_equal(
-            unit_step(np.array([-1.0, 0.0, 2.0])), [0, 1, 1]
-        )
 
 
 class TestPotentialValue:
@@ -342,19 +329,11 @@ class TestVerifySupport:
     def test_family_passes(self):
         spec = family_2d()
         grid = make_grid(2, (60.0, 60.0), (512, 512))
-        report = verify_support(spec, tol=1e-3, grid=grid)
+        report = verify_support(sample_potential(spec, grid), u=spec.u, alpha=spec.alpha,
+                                tol=1e-3)
         assert report.passed
         assert report.ratio < 1e-3
         assert report.overall_max > 1.0
-
-    def test_field_route_matches_spec_route(self):
-        spec = family_2d()
-        grid = make_grid(2, (60.0, 60.0), (128, 128))
-        f = sample_potential(spec, grid)
-        r1 = verify_support(f, u=(1.0, 0.0), alpha=1.0, tol=1e-3)
-        r2 = verify_support(spec, tol=1e-3, grid=grid)
-        assert r1.forbidden_max == r2.forbidden_max
-        assert r1.overall_max == r2.overall_max
 
     def test_two_sided_gaussian_fails(self):
         grid = make_grid(2, (30.0, 30.0), (128, 128))
@@ -382,12 +361,13 @@ class TestVerifySupport:
         spec = family_2d()
         grid = make_grid(2, (60.0, 60.0), (64, 64))
         with pytest.raises(ValueError, match="u must be a nonzero vector of finite length"):
-            verify_support(spec, u=u, tol=1e-3, grid=grid)
+            verify_support(sample_potential(spec, grid), u=u, alpha=spec.alpha, tol=1e-3)
 
     def test_report_dict(self):
         spec = family_2d()
         grid = make_grid(2, (60.0, 60.0), (128, 128))
-        d = verify_support(spec, tol=1e-3, grid=grid).to_dict()
+        d = verify_support(sample_potential(spec, grid), u=spec.u, alpha=spec.alpha,
+                           tol=1e-3).to_dict()
         assert set(d) == {
             "alpha", "u", "forbidden_max", "overall_max", "ratio", "tol", "pass"
         }

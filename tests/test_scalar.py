@@ -7,6 +7,7 @@ tolerances asserted).
 """
 
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -39,7 +40,6 @@ from bornscat.scalar import (
     DivergenceError,
     OnShellRecord,
     ScatterConfig,
-    amplitude_contribution,
     amplitude_factor,
     born_orders,
     born_series,
@@ -345,9 +345,10 @@ class TestMakeConfig:
     @pytest.mark.parametrize("n_orders", [None, 3])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejects_k_whose_wave_vector_overflows(self, k, n_orders):
-        # the snap (1e308) or the norm of the snapped vector (1e200) overflows
+        # the snap (1e308) or the norm of the snapped vector (1e200) would
+        # overflow; the message names the requested k
         grid = make_grid(2, (60.0, 60.0), (64, 64))
-        with pytest.raises(ValueError, match="k = inf must lie below the momentum band edge"):
+        with pytest.raises(ValueError, match=re.escape(f"k = {k:.4g} must lie below the momentum band edge")):
             make_scatter_config(grid, k, family(), n_orders=n_orders)
 
     @pytest.mark.parametrize("axis", ["u", "k_hat"])
@@ -515,14 +516,6 @@ class TestAmplitudes:
         with pytest.raises(ValueError):
             amplitude_factor(4, 1.0)
 
-    def test_contribution_scales_record(self):
-        spec, grid, v, cfg = standard_setup(n=64)
-        record = on_shell_numerator(born_series(cfg, v)[1], cfg)
-        f = amplitude_contribution(record, 2)
-        np.testing.assert_allclose(
-            f, amplitude_factor(2, cfg.k) * record.values, rtol=1e-15
-        )
-
     def test_offset_leaves_magnitude(self):
         # center offsets only rotate the phase of the first-order shell
         # values, so amplitude magnitudes are untouched
@@ -530,12 +523,10 @@ class TestAmplitudes:
         displaced = cfg.directions.momenta - np.asarray(cfg.k_vec)
         centered = potential_spectrum(family(), displaced)
         moved = potential_spectrum(family(center=(1.5, -0.75)), displaced)
-        make = lambda vals: OnShellRecord(
-            order=1, k=cfg.k, directions=cfg.directions.unit_vectors, values=vals
-        )
+        c2 = amplitude_factor(2, cfg.k)
         np.testing.assert_allclose(
-            np.abs(amplitude_contribution(make(moved), 2)),
-            np.abs(amplitude_contribution(make(centered), 2)),
+            np.abs(c2 * moved),
+            np.abs(c2 * centered),
             rtol=1e-12, atol=1e-15,
         )
 
@@ -584,6 +575,20 @@ class TestVanishingChecks:
         assert verify_spectral_floor(series, cfg.u, cfg.k).worst_ratio >= 1e-1
         assert not verify_order_bands(series, cfg.u, cfg.k, cfg.alpha).passed
         assert not verify_exactness(cfg, series).passed
+
+    def test_one_sided_control_with_overclaimed_alpha_fails(self):
+        # the family's alpha is 1; claiming 1.7 predicts N = 0, yet order 1
+        # still reaches the shell, while the true alpha predicts N = 1
+        spec, grid, v, cfg = standard_setup(n=256, k=0.8, n_orders=2)
+        claimed = make_scatter_config(grid, 0.8, u=spec.u, alpha=1.7, n_orders=2)
+        assert claimed.exact_order == 0 and cfg.exact_order == 1
+        series = born_series(cfg, v)
+        overclaimed = verify_exactness(claimed, series)
+        assert not overclaimed.passed
+        assert not overclaimed.check_for(1).passed(overclaimed.tol)
+        assert overclaimed.check_for(1).ratio >= 1e-1
+        truth = verify_exactness(cfg, series)
+        assert truth.passed and truth.check_for(2).ratio <= 1e-5
 
     def test_zero_interaction_is_vacuous(self):
         spec, grid, v, cfg = standard_setup(n=64)
