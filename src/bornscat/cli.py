@@ -662,11 +662,15 @@ def main(argv=None):
         config = load_config(args.config, out=args.out, tol=args.tol, seed=args.seed)
     except (OSError, ValueError) as exc:
         return _reject(exc)
-    if args.command == "oracle":
-        return oracle_check(config, quad_tol=args.tol)
+    for key in config.extra:
+        print(f"config warning: unknown key {json.dumps(key)} is ignored", file=sys.stderr)
     # looked up per call, so a wrapper placed on `run` sees the call
-    commands = {"run": run, "make-potential": make_potential, "verify": verify}
-    return commands[args.command](config)
+    commands = {"run": run, "make-potential": make_potential, "verify": verify,
+                "oracle": partial(oracle_check, quad_tol=args.tol)}
+    try:
+        return commands[args.command](config)
+    except MemoryError as exc:  # artifacts follow the work, so none is written
+        return _reject(f"not enough memory for this config: {exc}")
 
 
 if __name__ == "__main__":

@@ -167,6 +167,20 @@ class TestRun:
         assert capsys.readouterr().err == line + "\n"
         assert not (tmp_path / "out").exists()
 
+    def test_unknown_keys_are_named_and_change_nothing(self, tmp_path, capsys):
+        runs = {}
+        for name, typos in (("plain", {}), ("typos", {"spectral_check": True, "n_order": 6})):
+            path = base_config(tmp_path, k_sweep=[0.8], n_orders=2, direction_count=8, **typos)
+            out = tmp_path / name
+            assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+            runs[name] = capsys.readouterr().err, {p.name: p.read_bytes() for p in out.iterdir()}
+        (plain_err, plain_files), (typos_err, typos_files) = runs["plain"], runs["typos"]
+        assert typos_err == (
+            'config warning: unknown key "spectral_check" is ignored\n'
+            'config warning: unknown key "n_order" is ignored\n' + plain_err
+        )
+        assert typos_files == plain_files
+
     def test_byte_identical_reruns(self, tmp_path):
         path = base_config(tmp_path, k_sweep=[0.8], n_orders=2)
         first = tmp_path / "first"
@@ -505,6 +519,20 @@ class TestInvalidConfigs:
         )
         assert not (tmp_path / "out").exists()
 
+    # 4194304^2 complex nodes take 256 TiB, twice the 128 TiB user address
+    # space, so the allocation fails at once whatever the overcommit policy
+    @pytest.mark.parametrize("command", ["run", "make-potential"])
+    def test_a_config_too_large_to_allocate_exits_2(self, tmp_path, capsys, command):
+        path = base_config(tmp_path, k_sweep=[0.8],
+                           grid={"extents": [60.0, 60.0], "counts": [4194304, 4194304]})
+        assert cli.main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "config error: not enough memory for this config: Unable to allocate"
+        ), err
+        assert err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
+
     def test_a_deeply_nested_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text("[" * 100000)
@@ -648,7 +676,7 @@ class TestOracle:
         assert all(p["point"][1] == 0.0 for p in report["order2_points"])
 
     @pytest.mark.filterwarnings("ignore:potential magnitude")
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("overrides", [
         {"potential": dict(POTENTIAL2D, coupling={"re": 1e300, "im": 0.0})},
         dict(EM3D_ENTRIES, potential=dict(FAMILY3D, coupling={"re": 1e300, "im": 0.0})),

@@ -21,7 +21,6 @@ from bit_identity import GRID_SHAPES, assert_same_bits, random_values
 from bornscat import grids
 from bornscat.grids import (
     DirectionSet,
-    Grid,
     SampledField,
     Space,
     all_finite,

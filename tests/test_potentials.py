@@ -9,14 +9,13 @@ straddle the slab edges symmetrically (edge exactly mid-cell), which is the
 sampling that represents a sharp-edged slab faithfully.
 """
 
-import math
 import warnings
 
 import numpy as np
 import pytest
 from bit_identity import GRID_SHAPES, assert_same_bits
 
-from bornscat.grids import Space, forward_ft, make_grid, nudft
+from bornscat.grids import Space, make_grid, nudft
 from bornscat.potentials import (
     PotentialSpec,
     PotentialSum,

@@ -9,7 +9,6 @@ tolerances asserted).
 import math
 import re
 import tracemalloc
-import warnings
 from dataclasses import replace
 from itertools import islice
 
