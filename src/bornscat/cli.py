@@ -39,8 +39,8 @@ from .em import (
 )
 from .grids import SampledField, Space, load_field, make_grid, nudft, save_field
 from .jsonkind import (
-    array_of, complex_number, decode, flag, integer, kind_of, member, number, string,
-    within,
+    array_of, complex_number, decode, flag, integer, kind_of, member, number,
+    object_with, string, within,
 )
 from .oracle import em_quad_second_order, quad_second_order, slow_dft
 from .potentials import (
@@ -63,8 +63,8 @@ from .scalar import (
 )
 
 SCHEMA_VERSION = 1
-MODES = ("scalar2d", "scalar3d", "em3d")
 MODE_DIM = {"scalar2d": 2, "scalar3d": 3, "em3d": 3}
+MODES = tuple(MODE_DIM)
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_CONFIG = 2
@@ -163,7 +163,7 @@ def load_config(path, out=None, tol=None, seed=None):
 
 
 def _grid_axes(block):
-    kind_of(block, dict)
+    object_with(block, "extents", "counts")
     return (
         member(block, "extents", array_of(number), ()),
         member(block, "counts", array_of(integer), ()),
@@ -177,7 +177,7 @@ def _material_args(block):
     Otherwise: which and scale for material_from_scalar.  Raises on a block
     that names no buildable medium.
     """
-    kind_of(block, dict)
+    object_with(block, "which", "scale", *ENTRY_KEYS)
     entries = {
         name: dict(member(block, name, array_of(partial(_material_entry, tensor)), ()))
         for tensor, name in enumerate(ENTRY_KEYS)
@@ -194,7 +194,7 @@ def _material_args(block):
 
 def _material_entry(tensor, item):
     """((i, j), spec) for one entry {"i", "j", "spec"} of eps_entries or mu_entries."""
-    kind_of(item, dict)
+    object_with(item, "i", "j", "spec")
     i, j = member(item, "i", integer), member(item, "j", integer)
     check_entry_index(tensor, i, j)
     spec = member(item, "spec", spec_from_dict)

@@ -37,6 +37,7 @@ from .grids import (
     max_abs,
     nudft_values,
     transverse_basis,
+    unit_vector,
 )
 from .potentials import sample_potential, verify_support
 from .scalar import (
@@ -137,13 +138,12 @@ class MaterialTensors:
 def incident_six_field(e0, k_hat):
     """Plane-wave six-vector (E0, k_hat x E0) for transverse polarization E0."""
     e0 = np.asarray(e0, dtype=complex)
-    k_hat = np.asarray(k_hat, dtype=float)
+    k_hat = unit_vector(k_hat, "k_hat")
     if e0.shape != (3,) or k_hat.shape != (3,):
         raise ValueError("e0 and k_hat must be 3-vectors")
     scale = np.linalg.norm(e0)
     if scale == 0:
         raise ValueError("e0 must be nonzero")
-    k_hat = k_hat / np.linalg.norm(k_hat)
     if abs(np.vdot(k_hat, e0)) > 1e-12 * scale:
         raise ValueError("e0 must be transverse to the propagation direction")
     return np.concatenate([e0, np.cross(k_hat, e0)])
@@ -151,9 +151,8 @@ def incident_six_field(e0, k_hat):
 
 def default_polarization(k_hat, u):
     """Unit polarization transverse to k_hat, and to u whenever possible."""
-    k_hat = np.asarray(k_hat, dtype=float)
-    k_hat = k_hat / np.linalg.norm(k_hat)
-    u = np.asarray(u, dtype=float)
+    k_hat = unit_vector(k_hat, "k_hat")
+    u = unit_vector(u, "u")
     w = u - (u @ k_hat) * k_hat
     norm = np.linalg.norm(w)
     if norm < 1e-8:

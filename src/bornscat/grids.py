@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .jsonkind import array_of, decode, integer, kind_of, member, number, string
+from .jsonkind import array_of, decode, integer, member, number, object_with, string
 
 __all__ = [
     "Space",
@@ -47,6 +47,7 @@ __all__ = [
     "nudft_values",
     "sphere_directions",
     "unit_vector",
+    "positive_number",
     "transverse_basis",
     "plane_wave",
     "plane_wave_at",
@@ -87,8 +88,7 @@ class Grid:
         if len(self.counts) not in (2, 3):
             raise ValueError("only 2- and 3-dimensional grids are supported")
         for L in self.extents:
-            if not (math.isfinite(L) and L > 0):
-                raise ValueError(f"extents must be positive, got {L}")
+            positive_number(L, "extent")
         for n in self.counts:
             if n != int(n) or n < 8:
                 raise ValueError(f"counts must be integers >= 8, got {n}")
@@ -174,8 +174,6 @@ class Grid:
 
 def make_grid(dim, extents, counts):
     """Build a Grid, rejecting inconsistent or under-resolved requests."""
-    if dim not in (2, 3):
-        raise ValueError(f"dim must be 2 or 3, got {dim}")
     extents = tuple(extents)
     counts = tuple(counts)
     if len(extents) != dim or len(counts) != dim:
@@ -568,17 +566,20 @@ def unit_vector(vector, name):
     return vector / norm
 
 
+def positive_number(value, name):
+    """value, for a positive finite number; nan and inf are rejected."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} = {value} must be positive and finite")
+    return value
+
+
 def transverse_basis(axis_vector):
     """Deterministic orthonormal complement of a unit vector.
 
     Returns one perpendicular vector in 2D (the +90 degree rotation) and a
     right-handed pair (e1, e2) with e2 = axis x e1 in 3D.
     """
-    u = np.asarray(axis_vector, dtype=float)
-    norm = np.linalg.norm(u)
-    if norm == 0 or not np.all(np.isfinite(u)):
-        raise ValueError("axis vector must be nonzero and finite")
-    u = u / norm
+    u = unit_vector(axis_vector, "axis vector")
     if u.shape == (2,):
         return (np.array([-u[1], u[0]]),)
     if u.shape != (3,):
@@ -608,10 +609,9 @@ class DirectionSet:
         if vecs.shape[1] not in (2, 3):
             raise ValueError("directions must have 2 or 3 components")
         norms = np.linalg.norm(vecs, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
+        if not np.all(np.abs(norms - 1.0) <= 1e-12):  # a nan row fails too
             raise ValueError("direction vectors must have unit norm")
-        if not (self.k > 0 and math.isfinite(self.k)):
-            raise ValueError("k must be positive and finite")
+        positive_number(self.k, "k")
         self.unit_vectors = vecs
 
     @property
@@ -638,13 +638,9 @@ def sphere_directions(dim, k, count, incident_direction):
         raise ValueError("dim must be 2 or 3")
     if count < 1:
         raise ValueError(f"direction_count must be at least 1, got {count}")
-    inc = np.asarray(incident_direction, dtype=float)
+    inc = unit_vector(incident_direction, "incident direction")
     if inc.shape != (dim,):
         raise ValueError(f"incident direction must have {dim} components")
-    norm = np.linalg.norm(inc)
-    if norm == 0:
-        raise ValueError("incident direction must be nonzero")
-    inc = inc / norm
 
     if dim == 2:
         theta0 = math.atan2(inc[1], inc[0])
@@ -730,7 +726,7 @@ def load_field(path):
     The header is read by the JSON-kind rule of bornscat.jsonkind.
     """
     line, _, payload = Path(path).read_bytes().partition(b"\n")
-    header = kind_of(decode(line), dict)
+    header = object_with(decode(line), "dim", "extents", "counts", "space")
     grid = make_grid(
         member(header, "dim", integer),
         member(header, "extents", array_of(number)),

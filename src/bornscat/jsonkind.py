@@ -4,6 +4,7 @@ Configs, potential and material specs and stored-field headers all follow
 it: a number is an int or a float, never true or false; an integer has no
 fractional part; an object, array, string or boolean is of that kind; a
 complex is a number or an object {"re", "im"} whose absent parts read as 0.
+An object read by `object_with` holds no key its reader does not know.
 Every reader raises only ValueError.  `member` and `array_of` put the key or
 item in front of the message, so each diagnostic names where it arose.
 """
@@ -41,6 +42,14 @@ def kind_of(value, *kinds):
     return value
 
 
+def object_with(value, *keys):
+    """value, a JSON object whose keys all lie among keys."""
+    unknown = [key for key in kind_of(value, dict) if key not in keys]
+    if unknown:
+        raise ValueError(f"unknown key {json.dumps(unknown[0])}")
+    return value
+
+
 def number(value):
     """A JSON number, as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -67,6 +76,7 @@ def string(value):
 
 def complex_number(value):
     if isinstance(value, dict):
+        object_with(value, "re", "im")
         return complex(member(value, "re", number, 0.0), member(value, "im", number, 0.0))
     return complex(number(value))
 

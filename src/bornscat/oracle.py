@@ -12,7 +12,7 @@ from itertools import islice
 
 import numpy as np
 
-from .grids import DirectionSet, SampledField, Space, blockwise, plane_wave_at
+from .grids import DirectionSet, SampledField, Space, blockwise, plane_wave_at, positive_number
 from .scalar import (
     DivergenceError,
     born_orders,
@@ -114,8 +114,7 @@ def _second_order(grid, entries, kernel, psi0, k_vec, points, eps):
     k_vec = np.asarray(k_vec, dtype=float)
     if k_vec.shape != (grid.dim,):
         raise ValueError(f"k_vec must have {grid.dim} components")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    positive_number(eps, "eps")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     k = float(np.linalg.norm(k_vec))
     q_nodes = _momentum_nodes(grid)
@@ -230,8 +229,7 @@ def converged_solution(config, v_field, series_tol=1e-8, order_cap=32):
     SeriesConvergenceError when order_cap is reached first, or when a term
     outright diverges; both point at strong coupling.
     """
-    if series_tol <= 0:
-        raise ValueError("series_tol must be positive")
+    positive_number(series_tol, "series_tol")
     if order_cap < 1:
         raise ValueError("order_cap must be at least 1")
     orders = born_orders(incident_term(config), born_step, v_field, config)
@@ -290,9 +288,7 @@ def asymptotic_fit(psi, k_vec, fit_radius, directions, fit_wavenumber=None,
     k_vec = np.asarray(k_vec, dtype=float)
     if k_vec.shape != (dim,):
         raise ValueError(f"k_vec must have {dim} components")
-    k = float(np.linalg.norm(k_vec))
-    if k <= 0:
-        raise ValueError("k_vec must be nonzero")
+    k = positive_number(float(np.linalg.norm(k_vec)), "|k_vec|")
     k_fit = complex(fit_wavenumber) if fit_wavenumber is not None else k
     if isinstance(directions, DirectionSet):
         directions = directions.unit_vectors

@@ -37,10 +37,11 @@ from .grids import (
     blockwise,
     forward_ft,
     max_abs,
+    positive_number,
     transverse_basis,
     unit_vector,
 )
-from .jsonkind import array_of, complex_number, integer, kind_of, member, number
+from .jsonkind import array_of, complex_number, integer, kind_of, member, number, object_with
 
 __all__ = [
     "PotentialSpec",
@@ -85,17 +86,14 @@ class PotentialSpec:
         if u.shape not in ((2,), (3,)):
             raise ValueError("u must have 2 or 3 components")
         object.__setattr__(self, "u", tuple(unit_vector(u, "u")))
-        if not (self.alpha > 0 and math.isfinite(self.alpha)):
-            raise ValueError("alpha must be positive")
-        if not (self.a > 0 and math.isfinite(self.a)):
-            raise ValueError("a must be positive")
+        positive_number(self.alpha, "alpha")
+        positive_number(self.a, "a")
         if self.m != int(self.m) or self.m < 1:
             raise ValueError("m must be an integer >= 1")
         object.__setattr__(self, "m", int(self.m))
-        if not (self.ell_y > 0 and math.isfinite(self.ell_y)):
-            raise ValueError("ell_y must be positive")
-        if self.dim == 3 and not (self.ell_z > 0 and math.isfinite(self.ell_z)):
-            raise ValueError("ell_z must be positive for a 3D potential")
+        positive_number(self.ell_y, "ell_y")
+        if self.dim == 3:
+            positive_number(self.ell_z, "ell_z")
         center = self.center if self.center else (0.0,) * self.dim
         center = tuple(float(c) for c in center)
         if len(center) != self.dim:
@@ -199,16 +197,18 @@ def _sample_member(spec, grid):
     whole-grid expression.
     """
     axes = [_grid_axis(vector) for vector in _frame(spec)]
-    mesh = grid.position_mesh()
     if None in axes:
-        return _single_value(spec, np.stack(np.broadcast_arrays(*mesh), axis=-1))
-    rel = [x - c for x, c in zip(mesh, spec.center)]
+        mesh = np.broadcast_arrays(*grid.position_mesh())
+        return _single_value(spec, np.stack(mesh, axis=-1))
+    # first: a grid too large to hold fails before any factor is built
+    out = np.empty(grid.shape, dtype=complex)
+    rel = [x - c for x, c in zip(grid.position_mesh(), spec.center)]
     (axis, sign), *slabs = axes
     profile = _profile(spec, sign * rel[axis])
     inside = True
     for (slab_axis, _), ell in zip(slabs, (spec.ell_y, spec.ell_z)):
         inside = inside & (np.abs(rel[slab_axis]) <= 0.5 * ell)
-    return blockwise(_select, np.empty(grid.shape, dtype=complex), inside, profile)
+    return blockwise(_select, out, inside, profile)
 
 
 def _sinc(t):
@@ -389,6 +389,7 @@ def spec_from_dict(data):
     if isinstance(kind_of(data, dict, list), list):
         members = array_of(lambda item: spec_from_dict(kind_of(item, dict)))
         return PotentialSum(members(data))
+    object_with(data, "alpha", "u", "a", "m", "coupling", "ell_y", "ell_z", "center")
     numbers = array_of(number)
     return PotentialSpec(
         alpha=member(data, "alpha", number),

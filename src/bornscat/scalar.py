@@ -57,6 +57,7 @@ from .grids import (
     max_abs,
     nudft,
     plane_wave,
+    positive_number,
     snap_to_momentum_lattice,
     sphere_directions,
     unit_vector,
@@ -120,8 +121,7 @@ class DivergenceError(RuntimeError):
 
 def green_factor(p_sq, k, eps):
     """Regularized free propagator 1/(k^2 - p_sq + i*eps)."""
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    positive_number(eps, "eps")
     p_sq = np.asarray(p_sq)
     if p_sq.ndim == 0:
         return 1.0 / (k * k - p_sq + 1j * eps)
@@ -139,8 +139,8 @@ def exactness_order(k, alpha):
     in u.p >= alpha.  A tiny nudge absorbs float drift so that exact-integer
     ratios land on the integer.
     """
-    if not (k > 0 and alpha > 0):
-        raise ValueError("k and alpha must be positive")
+    positive_number(k, "k")
+    positive_number(alpha, "alpha")
     ratio = 2.0 * k / alpha + 1e-9
     if not ratio < sys.maxsize:
         raise ValueError(f"2k/alpha = {ratio:g} exceeds every series length")
@@ -167,10 +167,8 @@ class ScatterConfig:
     directions: DirectionSet
 
     def __post_init__(self):
-        if not self.k > 0:
-            raise ValueError("k must be positive (wave vector snapped to zero?)")
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be positive and finite")
+        positive_number(self.k, "k")
+        positive_number(self.epsilon, "epsilon")
         _check_below_band_edge(self.grid, self.k)
         if not 0 <= self.n_orders < sys.maxsize:  # born_series slices n_orders + 1
             raise ValueError(f"n_orders = {self.n_orders} must lie in [0, {sys.maxsize})")
@@ -244,8 +242,7 @@ def make_scatter_config(
         alpha = float(potential.alpha_min) if alpha is None else alpha
     if u is None or alpha is None:
         raise ValueError("need a potential or explicit u and alpha")
-    if not 0 < k < math.inf:
-        raise ValueError(f"k = {k} must be positive and finite")
+    positive_number(k, "k")
     # before snapping, so the message names the requested k and not an overflowed norm
     _check_below_band_edge(grid, k)
     u = unit_vector(u, "u")
@@ -261,8 +258,7 @@ def make_scatter_config(
         )
     _check_below_band_edge(grid, k_snapped)  # snapping can lift k over the edge
     if epsilon is None:
-        if not 0 < eps_cells < math.inf:
-            raise ValueError(f"eps_cells = {eps_cells} must be positive and finite")
+        positive_number(eps_cells, "eps_cells")
         epsilon = eps_cells * k_snapped * max(grid.momentum_spacing)
     if n_orders is None:
         n_orders = exactness_order(k_snapped, alpha) + _EXTRA_ORDERS
@@ -633,8 +629,7 @@ def verify_convolution_support(
     p_par = grid.momentum_parallel(u)
     if width is None:
         width = 0.3 * float(np.max(p_par))
-    if width <= 0:
-        raise ValueError("width must be positive")
+    positive_number(width, "width")
     core = np.ones(grid.shape, dtype=bool)
     for axis, p in enumerate(grid.momentum_mesh()):
         core &= np.abs(p) <= 0.45 * grid.nyquist[axis]

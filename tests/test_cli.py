@@ -414,6 +414,20 @@ class TestInvalidConfigs:
          "k sweep point 0: k = 1e+308 must lie below the momentum band edge 13.4"),
         ({"k_sweep": [1e200]},
          "k sweep point 0: k = 1e+200 must lie below the momentum band edge 13.4"),
+        # a key that no reader of its block knows is a misspelling, not a default
+        ({"potential": dict(POTENTIAL2D, centre=[3.0, 0.0])},
+         'config error: potential: unknown key "centre"'),
+        ({"command": "oracle", "potential": dict(POTENTIAL2D, centre=[3.0, 0.0])},
+         'config error: potential: unknown key "centre"'),
+        (dict(EM3D_ENTRIES, potential=FAMILY3D, materials={"wich": "mu"}),
+         'config error: materials: unknown key "wich"'),
+        ({"potential": dict(POTENTIAL2D, coupling={"real": 1})},
+         'config error: potential: coupling: unknown key "real"'),
+        ({"grid": {"extents": [60.0, 60.0], "counts": [256, 256], "count": [8, 8]}},
+         'config error: grid: unknown key "count"'),
+        (dict(EM3D_ENTRIES, materials={"eps_entries": [
+            {"i": 0, "j": 0, "spec": FAMILY3D, "k": 1}]}),
+         'config error: materials: eps_entries: item 0: unknown key "k"'),
     ])
     # numpy's overflow warnings too: m = 10**20 overflows while sampling
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -519,12 +533,18 @@ class TestInvalidConfigs:
         )
         assert not (tmp_path / "out").exists()
 
-    # 4194304^2 complex nodes take 256 TiB, twice the 128 TiB user address
-    # space, so the allocation fails at once whatever the overcommit policy
-    @pytest.mark.parametrize("command", ["run", "make-potential"])
-    def test_a_config_too_large_to_allocate_exits_2(self, tmp_path, capsys, command):
-        path = base_config(tmp_path, k_sweep=[0.8],
-                           grid={"extents": [60.0, 60.0], "counts": [4194304, 4194304]})
+    # 4194304^2 and 32768^3 complex nodes take 256 and 512 TiB, beyond the
+    # 128 TiB user address space, so the allocation fails at once whatever
+    # the overcommit policy
+    @pytest.mark.parametrize("command,counts", [
+        ("run", [4194304] * 2), ("make-potential", [4194304] * 2),
+        ("run", [32768] * 3), ("make-potential", [32768] * 3),
+    ], ids=["run", "make-potential", "run-32768^3", "make-potential-32768^3"])
+    def test_a_config_too_large_to_allocate_exits_2(self, tmp_path, capsys, command, counts):
+        dim = len(counts)
+        path = base_config(tmp_path, k_sweep=[0.8], mode=f"scalar{dim}d",
+                           potential=FAMILY3D if dim == 3 else POTENTIAL2D,
+                           grid={"extents": [60.0] * dim, "counts": counts})
         assert cli.main([command, "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(

@@ -272,6 +272,11 @@ class TestIncidentSixField:
         with pytest.raises(ValueError, match="nonzero"):
             incident_six_field((0, 0, 0), (0, 0, 1))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_a_zero_propagation_direction(self):
+        with pytest.raises(ValueError, match="k_hat must be a nonzero vector of finite length"):
+            incident_six_field((1, 0, 0), (0, 0, 0))
+
 
 class TestDefaultPolarization:
     def test_perpendicular_to_both_when_possible(self):
@@ -284,6 +289,11 @@ class TestDefaultPolarization:
         e0 = default_polarization((-1.0, 0.0, 0.0), (1.0, 0.0, 0.0))
         assert abs(e0 @ np.array([1.0, 0.0, 0.0])) < 1e-12
         np.testing.assert_allclose(np.linalg.norm(e0), 1.0, rtol=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_a_zero_propagation_direction(self):
+        with pytest.raises(ValueError, match="k_hat must be a nonzero vector of finite length"):
+            default_polarization((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
 
 
 class TestMaterials:

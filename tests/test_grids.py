@@ -569,6 +569,17 @@ class TestDirections:
         with pytest.raises(ValueError):
             DirectionSet(k=1.0, unit_vectors=np.array([[2.0, 0.0]]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # |(1e308, 1e308)| overflows
+    def test_rejects_an_incident_direction_of_no_finite_length(self):
+        with pytest.raises(ValueError, match="incident direction must be a nonzero vector "
+                                             "of finite length"):
+            sphere_directions(2, 1.0, 4, (1e308, 1e308))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_a_nan_direction(self):
+        with pytest.raises(ValueError, match="direction vectors must have unit norm"):
+            DirectionSet(k=1.0, unit_vectors=np.array([[1.0, 0.0], [np.nan, 0.0]]))
+
 
 class TestHelpers:
     def test_transverse_basis_2d(self):
@@ -584,6 +595,12 @@ class TestHelpers:
         un = u / np.linalg.norm(u)
         assert abs(e1 @ un) < 1e-12 and abs(e2 @ un) < 1e-12
         np.testing.assert_allclose(np.cross(un, e1), e2, atol=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # |(1e308, 1e308, 0)| overflows
+    def test_transverse_basis_rejects_an_axis_of_no_finite_length(self):
+        with pytest.raises(ValueError, match="axis vector must be a nonzero vector "
+                                             "of finite length"):
+            transverse_basis((1e308, 1e308, 0.0))
 
     def test_plane_wave_magnitude_and_phase(self):
         grid = make_grid(2, (6.0, 6.0), (12, 12))
@@ -635,6 +652,14 @@ class TestFieldIO:
         with pytest.raises(ValueError, match="six-vector"):
             save_field(path, f)
         assert not path.exists()
+
+    def test_rejects_an_unknown_header_key(self, tmp_path):
+        grid = make_grid(2, (4.0, 4.0), (8, 8))
+        path = tmp_path / "f.field"
+        save_field(path, SampledField(grid, np.ones(grid.shape), Space.POSITION))
+        path.write_bytes(path.read_bytes().replace(b"{", b'{"spacing": 0.5, ', 1))
+        with pytest.raises(ValueError, match='unknown key "spacing"'):
+            load_field(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
         grid = make_grid(2, (4.0, 4.0), (8, 8))

@@ -149,6 +149,13 @@ class TestQuadSecondOrder:
         with pytest.raises(ValueError, match="components"):
             quad_second_order(zero, np.array([-0.9, 0.0, 0.0]), [[0.0, 0.0]], 0.3)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_an_infinite_eps_before_the_quadrature(self):
+        grid = toy_grid(2)
+        v = sample_potential(toy_spec(2), grid)
+        with pytest.raises(ValueError, match="eps = inf must be positive and finite"):
+            quad_second_order(v, np.array([-0.9, 0.0]), [[0.785, 0.0]], np.inf)
+
     def test_report_dict_carries_oracle_marker(self):
         grid = toy_grid(2)
         spec = toy_spec(2)
@@ -299,6 +306,15 @@ class TestConvergedSolution:
         with pytest.raises(ValueError, match="order_cap"):
             converged_solution(cfg, zero, order_cap=0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_a_nan_series_tol(self):
+        # no increment is below nan, so the sum would run to the order cap
+        grid = make_grid(2, (24.0, 24.0), (64, 64))
+        cfg = make_scatter_config(grid, 0.8, toy_spec(2), n_orders=1)
+        zero = SampledField(grid, np.zeros(grid.shape), Space.POSITION)
+        with pytest.raises(ValueError, match="series_tol = nan must be positive and finite"):
+            converged_solution(cfg, zero, series_tol=np.nan)
+
 
 def synthetic_outgoing(grid, k_vec, pattern, wavenumber):
     """Plane wave plus an exactly outgoing wave with angular pattern."""
@@ -438,6 +454,8 @@ class TestAsymptoticFit:
             asymptotic_fit(psi, k_vec, 49.99, np.array([[1.0, 0.0]]))
         with pytest.raises(ValueError, match="nonzero"):
             asymptotic_fit(psi, k_vec, 30.0, np.array([[0.0, 0.0]]))
+        with pytest.raises(ValueError, match=r"\|k_vec\| = nan must be positive and finite"):
+            asymptotic_fit(psi, np.array([np.nan, 0.0]), 30.0, np.array([[1.0, 0.0]]))
         with pytest.raises(ValueError, match="radius_ratio"):
             asymptotic_fit(psi, k_vec, 30.0, np.array([[1.0, 0.0]]),
                            radius_ratio=1.0)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from bit_identity import GRID_SHAPES, assert_same_bits
 
+from bornscat import potentials
 from bornscat.grids import Space, make_grid, nudft
 from bornscat.potentials import (
     PotentialSpec,
@@ -224,6 +225,20 @@ class TestSamplePotential:
         grid = make_grid(3, (10.0, 10.0, 10.0), (8, 8, 8))
         with pytest.raises(ValueError):
             sample_potential(family_2d(), grid)
+
+    def test_a_grid_too_large_to_hold_fails_before_any_factor(self, monkeypatch):
+        # 32768^3 complex nodes take 512 TiB, beyond the 128 TiB user address
+        # space, so the output allocation fails at once; its 1 GiB slab mask
+        # must not be built first
+        def profile(spec, xl):
+            raise AssertionError("a factor was built before the output")
+
+        monkeypatch.setattr(potentials, "_profile", profile)
+        spec = PotentialSpec(alpha=1.0, u=(1.0, 0.0, 0.0), a=1.0, m=2, coupling=1.0,
+                             ell_y=2.0, ell_z=2.0)
+        grid = make_grid(3, (60.0, 60.0, 60.0), (32768, 32768, 32768))
+        with pytest.raises(MemoryError):
+            sample_potential(spec, grid)
 
 
 def whole_grid_value(subject, grid):

@@ -14,6 +14,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 from bit_identity import GRID_SHAPES, assert_same_bits, random_values
 
 from bornscat import grids, scalar
@@ -94,6 +95,12 @@ class TestGreenFactor:
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):
             green_factor(0.0, 1.0, 0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_an_infinite_eps(self):
+        # 1/(k^2 - p^2 + i inf) would be a nan propagator
+        with pytest.raises(ValueError, match="eps = inf must be positive and finite"):
+            green_factor(np.array([0.0, 1.0, 4.0]), 1.0, math.inf)
 
 
 def config_of(counts, n_orders=2):
@@ -256,6 +263,12 @@ class TestExactnessOrder:
         with pytest.raises(ValueError):
             exactness_order(1.0, -1.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_an_infinite_alpha(self):
+        # 2k/inf = 0 would read as N = 0
+        with pytest.raises(ValueError, match="alpha = inf must be positive and finite"):
+            exactness_order(1.0, math.inf)
+
 
 class TestMakeConfig:
     def test_defaults(self):
@@ -339,6 +352,22 @@ class TestMakeConfig:
         grid = make_grid(2, (60.0, 60.0), (64, 64))
         with pytest.raises(ValueError):
             make_scatter_config(grid, 10.0, family())
+
+    @pytest.mark.parametrize("n_orders", [None, 3])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_k_whose_snapped_norm_overflows(self, n_orders):
+        # on a 1e-300 box the band edge is 2.5e301: k = 2e301 lies below it,
+        # but the norm of its snapped wave vector overflows
+        grid = make_grid(2, (1e-300, 1e-300), (8, 8))
+        with pytest.raises(ValueError, match="k = inf must lie below the momentum band edge"):
+            make_scatter_config(grid, 2e301, u=(1.0, 0.0), alpha=1e301, n_orders=n_orders)
+
+    def test_rejects_k_that_snaps_onto_the_band_edge(self):
+        # 3.35 lies below the edge pi / h = 3.351 and snaps to the edge node
+        grid = make_grid(2, (60.0, 60.0), (64, 64))
+        with pytest.raises(ValueError, match="k = 3.351 must lie below the momentum "
+                                             "band edge 3.351"):
+            make_scatter_config(grid, 3.35, family(), n_orders=3)
 
     @pytest.mark.parametrize("k", [1e200, 1e308])
     @pytest.mark.parametrize("n_orders", [None, 3])
@@ -608,6 +637,50 @@ class TestVanishingChecks:
         assert {"order", "shell", "max_ratio", "pass"} <= set(exact["checks"][0])
 
 
+@st.composite
+def one_sided_sums(draw):
+    """Sums of 1-3 family members on u = (1, 0) whose smallest alpha is 1."""
+    alphas = [1.0] + draw(st.lists(st.floats(1.0, 2.0), max_size=2))
+    return PotentialSum(tuple(
+        family(alpha=alpha, a=draw(st.floats(0.6, 1.5)), m=draw(st.sampled_from([2, 3, 4])),
+               ell_y=draw(st.floats(1.0, 8.0)),
+               center=(draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0))))
+        for alpha in alphas
+    ))
+
+
+def band_edge_headroom(v):
+    """max |v~| over the two longitudinal momentum cells at the band edge, over max |v~|."""
+    magnitudes = np.abs(fft_values(v.values, v.grid))
+    edge = v.grid.counts[0] // 2  # the cells -n/2 and n/2 - 1 along u = (1, 0)
+    return float(np.max(magnitudes[edge - 1:edge + 1]) / np.max(magnitudes))
+
+
+# A draw whose headroom is at most this must pass.  In a study of 1200 draws
+# of one_sided_sums, the smallest headroom of a FAIL was 2.17e-2 and the worst
+# order-2 ratio at a headroom of at most 1e-2 was 1.3e-4.
+HEADROOM_BOUND = 1e-2
+
+
+class TestTheorem:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(potential=one_sided_sums())
+    def test_one_sided_sums_vanish_above_n_within_the_headroom_bound(self, potential):
+        # 256^2 with L = 60 and k = 0.8, so N = 1: order 2 must vanish
+        grid = make_grid(2, (60.0, 60.0), (256, 256))
+        v = sample_potential(potential, grid)
+        cfg = make_scatter_config(grid, 0.8, potential, n_orders=2)
+        series = born_series(cfg, v)
+        passed = verify_exactness(cfg, series, tol=1e-3).passed
+        within = band_edge_headroom(v) <= HEADROOM_BOUND
+        event(f"headroom {'within' if within else 'beyond'} the bound: "
+              f"{'pass' if passed else 'FAIL'}")
+        assert passed or not within
+        # alpha claimed 1.7x too large predicts N = 0, yet order 1 reaches the shell
+        claimed = replace(cfg, alpha=1.7 * cfg.alpha)
+        assert not verify_exactness(claimed, series, tol=1e-3).passed
+
+
 class TestConvolutionSupport:
     def test_random_bands_pass(self):
         grid = make_grid(2, (20.0, 20.0), (64, 64))
@@ -646,6 +719,13 @@ class TestConvolutionSupport:
             verify_convolution_support(grid, (1.0, 0.0), 0.0, 0.0, trials=0)
         with pytest.raises(ValueError):
             verify_convolution_support(grid, (1.0, 0.0), 0.0, 0.0, width=-1.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_a_nan_width(self):
+        # an empty band would make every trial vacuous, and the report pass
+        grid = make_grid(2, (20.0, 20.0), (64, 64))
+        with pytest.raises(ValueError, match="width = nan must be positive and finite"):
+            verify_convolution_support(grid, (1.0, 0.0), 0.0, 0.0, width=math.nan)
 
     @pytest.mark.parametrize("u", [(1e308, 1e308), (0.0, 0.0), (np.nan, 1.0)])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
