@@ -175,9 +175,13 @@ def _material_args(block):
 
     With eps/mu entries: eps_entries and mu_entries for material_from_entries.
     Otherwise: which and scale for material_from_scalar.  Raises on a block
-    that names no buildable medium.
+    that names no buildable medium, or that gives keys of both forms.
     """
     object_with(block, "which", "scale", *ENTRY_KEYS)
+    given = ["/".join(key for key in form if block.get(key) is not None)
+             for form in (ENTRY_KEYS, ("which", "scale"))]
+    if all(given):
+        raise ValueError(f"{given[0]} and {given[1]} are two forms of one medium; give one")
     entries = {
         name: dict(member(block, name, array_of(partial(_material_entry, tensor)), ()))
         for tensor, name in enumerate(ENTRY_KEYS)

@@ -298,7 +298,8 @@ def em_born_series(config, materials, e0=None):
     """Six-component terms of orders 0..n_orders.
 
     e0 defaults to a linear polarization transverse to the incident
-    direction and, when possible, to the support axis.
+    direction and, when possible, to the support axis.  As in born_series,
+    only the last term keeps its field.
     """
     if e0 is None:
         e0 = default_polarization(config.k_hat, config.u)

@@ -347,6 +347,7 @@ def verify_support(field, u, alpha, tol=1e-3):
     if field.space is not Space.POSITION:
         raise ValueError("verify_support expects a position-space field")
     u = unit_vector(u, "u")
+    positive_number(alpha, "alpha")
     spectrum = np.abs(forward_ft(field).values)
     overall = float(np.max(spectrum))
     if overall == 0.0:

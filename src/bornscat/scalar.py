@@ -34,7 +34,10 @@ three fields skip SampledField's finiteness pass: a value that is not
 finite in the source or numerator reaches every node of the field through
 the transforms, so the one read of the field max in born_term covers all
 three.  A step called directly raises grids.NonFiniteError when that max is
-not finite; born_orders reports it as a DivergenceError.
+not finite; born_orders reports it as a DivergenceError.  The field is only
+the input to the next order, so born_orders drops it once that order is
+built: a held series keeps two arrays per order, the source and the
+numerator that the shell sums and node norms read, plus the last field.
 """
 
 import csv
@@ -284,12 +287,14 @@ def make_scatter_config(
 class BornTerm:
     """One order of the series.
 
-    field is B_n(x).  For n >= 1, source is v * B_{n-1} in position space and
-    numerator is its transform M_n(p); both are None at order 0, where the
-    term is the bare incident wave.  The fields are SampledFields, with one
-    value per node for scalar waves and a six-vector per node for EM waves.
-    field_max is max |B_n| for n >= 1, read here unless the step that built
-    the term passes the value it read; it is None at order 0.
+    field is B_n(x) until born_orders builds order n + 1, and None after.
+    For n >= 1, source is v * B_{n-1} in position space and numerator is its
+    transform M_n(p); both are None at order 0, where the term is the bare
+    incident wave.  The fields are SampledFields, with one value per node
+    for scalar waves and a six-vector per node for EM waves.  field_max is
+    max |B_n| for n >= 1, read here unless the step that built the term
+    passes the value it read; it is None at order 0, and it outlives the
+    field.
     """
 
     order: int
@@ -385,7 +390,9 @@ def born_orders(first, step, *args):
     """The term `first`, then every later order, without end.
 
     step(prev, *args) advances one order.  Only the latest term is kept
-    alive here.  The iterator owns the divergence guard, for every wave
+    alive here, and once step has built it, the term before it gives up its
+    field (set to None): read a term's field before asking for the next
+    order.  The iterator owns the divergence guard, for every wave
     type: an order whose source, numerator or field is not finite has
     overflowed, and one whose field max exceeds DIVERGENCE_RATIO times the
     order-1 field max has run away; both raise DivergenceError there.  The
@@ -398,9 +405,10 @@ def born_orders(first, step, *args):
         # the guard reports the overflow, so numpy need not warn of it
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                term = step(term, *args)
+                prev, term = term, step(term, *args)
             except NonFiniteError:
                 raise DivergenceError(order, math.inf, reference) from None
+        prev.field = None  # only the next order reads it, and that order is built
         magnitude = term.field_max
         if not math.isfinite(magnitude) or (
             reference is not None and magnitude > DIVERGENCE_RATIO * reference
@@ -412,7 +420,11 @@ def born_orders(first, step, *args):
 
 
 def born_series(config, v_field):
-    """Terms of orders 0..n_orders for the sampled interaction v_field."""
+    """Terms of orders 0..n_orders for the sampled interaction v_field.
+
+    Every term keeps its source and numerator; only the last keeps its
+    field, the others hold None there (see born_orders).
+    """
     orders = born_orders(incident_term(config), born_step, v_field, config)
     return list(islice(orders, config.n_orders + 1))
 
@@ -587,6 +599,8 @@ def verify_spectral_floor(series, u, k, tol=1e-3):
     lowest component of the incident wave).  Each check compares the max
     node magnitude below the floor with the order's global max.
     """
+    positive_number(k, "k")
+
     def band(order, p_par):
         return p_par < -k, f"u.p < {-k:.6g}"
 

@@ -428,6 +428,16 @@ class TestInvalidConfigs:
         (dict(EM3D_ENTRIES, materials={"eps_entries": [
             {"i": 0, "j": 0, "spec": FAMILY3D, "k": 1}]}),
          'config error: materials: eps_entries: item 0: unknown key "k"'),
+        # the entries build the whole medium, so which and scale would be dropped
+        (dict(EM3D_ENTRIES, materials={
+            "which": "mu", "scale": 5.0,
+            "eps_entries": [{"i": 0, "j": 0, "spec": FAMILY3D}]}),
+         "config error: materials: eps_entries and which/scale are two forms of one "
+         "medium; give one\n"),
+        (dict(EM3D_ENTRIES, materials={
+            "scale": 5.0, "eps_entries": [], "mu_entries": [{"i": 0, "j": 0, "spec": FAMILY3D}]}),
+         "config error: materials: eps_entries/mu_entries and scale are two forms of one "
+         "medium; give one\n"),
     ])
     # numpy's overflow warnings too: m = 10**20 overflows while sampling
     @pytest.mark.filterwarnings("error::RuntimeWarning")

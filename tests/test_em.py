@@ -564,7 +564,15 @@ class TestEmBornSeries:
         mats = MaterialTensors(grid, {})
         series = em_born_series(cfg, mats)
         for term in series[1:]:
-            assert term.field.max_abs() == 0.0
+            assert term.field_max == 0.0
+
+    def test_held_series_keeps_only_the_last_field(self):
+        grid, spec, cfg = setup(counts=(16, 8, 8))
+        series = em_born_series(cfg, material_from_scalar(spec, grid, which="eps"))
+        assert all(term.field is None for term in series[:-1])
+        last = series[-1]
+        assert last.field_max == last.field.max_abs()
+        assert all(term.numerator is not None for term in series[1:])
 
     def test_homogeneity_in_the_material_scale(self):
         grid, spec, cfg = setup(counts=(32, 16, 16))

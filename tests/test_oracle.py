@@ -2,6 +2,7 @@
 
 import cmath
 import warnings
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -33,9 +34,22 @@ from bornscat.oracle import (
     slow_dft,
 )
 from bornscat.potentials import PotentialSpec, sample_potential
-from bornscat.scalar import born_series, green_factor, make_scatter_config
+from bornscat.scalar import (
+    born_orders,
+    born_series,
+    born_step,
+    green_factor,
+    incident_term,
+    make_scatter_config,
+)
 
 pytestmark = pytest.mark.filterwarnings("ignore:potential magnitude")
+
+
+def replay_orders(config, v_field):
+    """Orders 0..n_orders as born_series computes them, one term at a time."""
+    orders = born_orders(incident_term(config), born_step, v_field, config)
+    return islice(orders, config.n_orders + 1)
 
 
 def toy_grid(dim):
@@ -262,7 +276,8 @@ class TestConvergedSolution:
         solution = converged_solution(cfg, v, series_tol=1e-8)
         replay = make_scatter_config(grid, 0.8, spec,
                                      n_orders=solution.order + 1)
-        total = sum(t.field.values for t in born_series(replay, v))
+        # each field is read as it arrives, before the next order drops it
+        total = sum(t.field.values for t in replay_orders(replay, v))
         np.testing.assert_allclose(solution.field.values, total,
                                    rtol=1e-13, atol=1e-13)
 
@@ -275,9 +290,9 @@ class TestConvergedSolution:
         v = sample_potential(spec, grid)
         solution = converged_solution(cfg, v, series_tol=1e-6)
         replay = make_scatter_config(grid, 0.8, spec, n_orders=solution.order + 1)
-        series = born_series(replay, v)
-        total = np.array(series[0].field.values, copy=True)
-        for term in series[1:]:
+        orders = replay_orders(replay, v)
+        total = np.array(next(orders).field.values, copy=True)
+        for term in orders:
             total += term.field.values
         assert solution.field.values.tobytes() == total.tobytes()
 

@@ -377,6 +377,14 @@ class TestVerifySupport:
         with pytest.raises(ValueError, match="u must be a nonzero vector of finite length"):
             verify_support(sample_potential(spec, grid), u=u, alpha=spec.alpha, tol=1e-3)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, 0.0, -1e9])
+    def test_rejects_a_threshold_that_is_not_positive(self, alpha):
+        # no node lies below a nan or far-negative alpha: the report would pass vacuously
+        spec = family_2d()
+        grid = make_grid(2, (60.0, 60.0), (32, 32))
+        with pytest.raises(ValueError, match=f"^alpha = {alpha} must be positive and finite$"):
+            verify_support(sample_potential(spec, grid), u=spec.u, alpha=alpha)
+
     def test_report_dict(self):
         spec = family_2d()
         grid = make_grid(2, (60.0, 60.0), (128, 128))

@@ -213,25 +213,30 @@ class TestThreadedStep:
 
 
 class TestAllocations:
-    """Peak traced memory of one propagation and one step on a 1024^2 grid.
+    """Traced memory of one propagation, one step and one series on a 1024^2 grid.
 
     tracemalloc sees numpy's array buffers.  The peak counts what a call
     allocates and still holds on return (its result) as well as what it
     frees before, so a step's peak is its three kept arrays (source,
-    numerator and field) plus block temporaries.
+    numerator and field) plus block temporaries, and what it holds on
+    return is its result alone.
     """
 
     counts = (1024, 1024)
 
     @staticmethod
-    def peak_bytes(fn, *args):
+    def traced_bytes(fn, *args):
+        """(held, peak): what a call's result keeps alive on return, and its peak."""
         fn(*args)  # first use fills caches (momentum_sq, the pool) a call does not own
         tracemalloc.start()
         try:
-            fn(*args)
-            return tracemalloc.get_traced_memory()[1]
+            result = fn(*args)  # held while the memory is read
+            return tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+
+    def peak_bytes(self, fn, *args):
+        return self.traced_bytes(fn, *args)[1]
 
     @pytest.mark.parametrize("lead,bound", [((), 2.0), ((6,), 1.5)], ids=["one", "six"])
     def test_propagate_reuses_the_propagator_buffer(self, lead, bound):
@@ -247,6 +252,17 @@ class TestAllocations:
         v = SampledField(grid, random_values(self.counts, 1), Space.POSITION)
         prev = BornTerm(0, SampledField(grid, random_values(self.counts, 2), Space.POSITION))
         assert self.peak_bytes(born_step, prev, v, cfg) < 4 * prev.field.values.nbytes
+
+    def test_born_series_keeps_two_arrays_per_order(self):
+        # each order's source and numerator, plus the last order's field:
+        # 2n + 1 arrays held, where keeping every field would hold 3n + 1
+        n = 3
+        cfg = config_of(self.counts, n_orders=n)
+        v = SampledField(cfg.grid, random_values(self.counts, 1), Space.POSITION)
+        held, peak = self.traced_bytes(born_series, cfg, v)
+        array = v.values.nbytes
+        assert held < (2 * n + 1.5) * array
+        assert peak < (2 * n + 2.5) * array
 
 
 class TestExactnessOrder:
@@ -429,8 +445,17 @@ class TestBornSeries:
         spec, grid, v, cfg = standard_setup(n=64)
         zero = SampledField(grid, np.zeros(grid.shape), Space.POSITION)
         series = born_series(cfg, zero)
-        assert series[1].field.max_abs() == 0.0
+        assert series[1].field_max == 0.0
         assert series[2].numerator.max_abs() == 0.0
+
+    def test_held_series_keeps_only_the_last_field(self):
+        spec, grid, v, cfg = standard_setup(n=64)
+        series = born_series(replace(cfg, n_orders=3), v)
+        assert all(term.field is None for term in series[:-1])
+        last = series[-1]
+        assert last.field_max == last.field.max_abs()
+        assert all(term.source is not None for term in series[1:])
+        assert all(term.numerator is not None for term in series[1:])
 
     def test_zero_orders(self):
         spec, grid, v, cfg = standard_setup(n=64, n_orders=0)
@@ -625,6 +650,14 @@ class TestVanishingChecks:
         floor = verify_spectral_floor(series, cfg.u, cfg.k)
         assert floor.passed
         assert all(c.vacuous for c in floor.checks)
+
+    @pytest.mark.parametrize("k", [np.nan, np.inf, 0.0, -1.0])
+    def test_floor_rejects_a_wavenumber_that_is_not_positive(self, k):
+        # with k = nan no node lies below the floor: every check would be vacuous
+        spec, grid, v, cfg = standard_setup(n=64)
+        series = born_series(cfg, v)
+        with pytest.raises(ValueError, match=f"^k = {k} must be positive and finite$"):
+            verify_spectral_floor(series, cfg.u, k)
 
     def test_report_serialization(self):
         spec, grid, v, cfg = standard_setup(n=64)
