@@ -340,11 +340,6 @@ def _build(config, grid=True, sweep=True):
     return built, problems
 
 
-def validate(config):
-    """The problems that keep `run` from running a config; [] when none."""
-    return _build(config)[1]
-
-
 def _sweep_point(config, cfg, interaction, k_req):
     """Report payload and shell records of one sweep point, in either mode."""
     payload = {

@@ -34,6 +34,7 @@ from .grids import (
     all_finite,
     blockwise,
     fft_values,
+    finite_vector,
     max_abs,
     nudft_values,
     transverse_basis,
@@ -41,6 +42,7 @@ from .grids import (
 )
 from .potentials import sample_potential, verify_support
 from .scalar import (
+    _step_input,
     born_orders,
     born_term,
     incident_term,
@@ -137,10 +139,8 @@ class MaterialTensors:
 
 def incident_six_field(e0, k_hat):
     """Plane-wave six-vector (E0, k_hat x E0) for transverse polarization E0."""
-    e0 = np.asarray(e0, dtype=complex)
-    k_hat = unit_vector(k_hat, "k_hat")
-    if e0.shape != (3,) or k_hat.shape != (3,):
-        raise ValueError("e0 and k_hat must be 3-vectors")
+    e0 = finite_vector(e0, 3, "e0", dtype=complex)
+    k_hat = finite_vector(unit_vector(k_hat, "k_hat"), 3, "k_hat")
     scale = np.linalg.norm(e0)
     if scale == 0:
         raise ValueError("e0 must be nonzero")
@@ -151,8 +151,8 @@ def incident_six_field(e0, k_hat):
 
 def default_polarization(k_hat, u):
     """Unit polarization transverse to k_hat, and to u whenever possible."""
-    k_hat = unit_vector(k_hat, "k_hat")
-    u = unit_vector(u, "u")
+    k_hat = finite_vector(unit_vector(k_hat, "k_hat"), 3, "k_hat")
+    u = finite_vector(unit_vector(u, "u"), 3, "u")
     w = u - (u @ k_hat) * k_hat
     norm = np.linalg.norm(w)
     if norm < 1e-8:
@@ -284,12 +284,11 @@ def em_kernel_apply(w, grid, k):
 def em_born_step(prev, materials, config):
     """Advance the six-component series by one order."""
     grid = config.grid
-    if prev.field.grid != grid or materials.grid != grid:
-        raise ValueError("term, materials and config must share one grid")
+    field = _step_input(prev, materials, config)
     # With delta-mu = 0 the source's H block is zero, and so is W_H.
     rows = slice(None) if materials.is_magnetic else slice(3)
     return born_term(
-        prev, config, apply_material(materials, prev.field),
+        prev, config, apply_material(materials, field),
         lambda source: em_kernel_apply(fft_values(source[rows], grid), grid, config.k),
     )
 

@@ -48,6 +48,8 @@ __all__ = [
     "sphere_directions",
     "unit_vector",
     "positive_number",
+    "finite_vector",
+    "finite_rows",
     "transverse_basis",
     "plane_wave",
     "plane_wave_at",
@@ -165,7 +167,7 @@ class Grid:
 
     def momentum_parallel(self, u):
         """u.p on the momentum grid for a unit vector u."""
-        u = np.asarray(u, dtype=float)
+        u = finite_vector(u, self.dim, "u")
         out = np.zeros(self.shape)
         for ui, p in zip(u, self.momentum_mesh()):
             out = out + ui * p
@@ -522,13 +524,9 @@ def nudft_values(values, grid, points):
     """Direct Fourier sum of raw position values at arbitrary momenta.
 
     Evaluates sum_x exp(-i p.x) f(x) * prod(h_i) by exact per-axis phase
-    contraction; no interpolation is involved.  `points` has shape (P, d).
+    contraction; no interpolation is involved.  `points` has shape (P, d) or (d,).
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[1] != grid.dim:
-        raise ValueError(f"points must have {grid.dim} components")
-    if not np.all(np.isfinite(points)):
-        raise ValueError("points must be finite")
+    points = finite_rows(points, grid.dim, "points").reshape(-1, grid.dim)
     phases = [
         np.exp(-1j * np.outer(points[:, i], grid.position_axis(i)))
         for i in range(grid.dim)
@@ -571,6 +569,25 @@ def positive_number(value, name):
     if not 0 < value < math.inf:
         raise ValueError(f"{name} = {value} must be positive and finite")
     return value
+
+
+def _checked(array, shape, name, form):
+    # the one message form of the vector rule below
+    if array.shape != shape or not all_finite(array):
+        raise ValueError(f"{name} must be {form} of {shape[-1]} components, all finite; "
+                         f"got shape {array.shape}")
+    return array
+
+
+def finite_vector(vector, width, name, dtype=float):
+    """vector as an array of dtype and shape (width,), every entry finite."""
+    return _checked(np.asarray(vector, dtype=dtype), (width,), name, "a vector")
+
+
+def finite_rows(rows, width, name):
+    """rows as a float array of shape (..., width), every entry finite; a vector is one row."""
+    rows = np.asarray(rows, dtype=float)
+    return _checked(rows, rows.shape[:-1] + (width,), name, "rows")
 
 
 def transverse_basis(axis_vector):
@@ -639,8 +656,7 @@ def sphere_directions(dim, k, count, incident_direction):
     if count < 1:
         raise ValueError(f"direction_count must be at least 1, got {count}")
     inc = unit_vector(incident_direction, "incident direction")
-    if inc.shape != (dim,):
-        raise ValueError(f"incident direction must have {dim} components")
+    inc = finite_vector(inc, dim, "incident direction")
 
     if dim == 2:
         theta0 = math.atan2(inc[1], inc[0])
@@ -668,9 +684,7 @@ def sphere_directions(dim, k, count, incident_direction):
 
 def _axis_waves(grid, k_vec):
     """exp(i k_i x_i) along each axis; their product is exp(i k.x)."""
-    k_vec = np.asarray(k_vec, dtype=float)
-    if k_vec.shape != (grid.dim,):
-        raise ValueError(f"wave vector must have {grid.dim} components, got shape {k_vec.shape}")
+    k_vec = finite_vector(k_vec, grid.dim, "k_vec")
     return [np.exp(1j * (ki * grid.position_axis(i))) for i, ki in enumerate(k_vec)]
 
 
@@ -691,9 +705,7 @@ def plane_wave_at(grid, k_vec, nodes):
 
 def snap_to_momentum_lattice(grid, k_vec):
     """Round a wave vector to the nearest momentum grid node."""
-    k_vec = np.asarray(k_vec, dtype=float)
-    if k_vec.shape != (grid.dim,):
-        raise ValueError(f"wave vector must have {grid.dim} components")
+    k_vec = finite_vector(k_vec, grid.dim, "k_vec")
     dp = np.asarray(grid.momentum_spacing)
     # a wave vector beyond every float node snaps to inf, which the callers' checks report
     with np.errstate(over="ignore"):

@@ -12,7 +12,8 @@ from itertools import islice
 
 import numpy as np
 
-from .grids import DirectionSet, SampledField, Space, blockwise, plane_wave_at, positive_number
+from .grids import (DirectionSet, SampledField, Space, blockwise, finite_rows, finite_vector,
+                    plane_wave_at, positive_number)
 from .scalar import (
     DivergenceError,
     born_orders,
@@ -46,9 +47,7 @@ def slow_dft(field, points):
     if field.space is not Space.POSITION:
         raise ValueError("slow_dft expects a position-space field")
     grid = field.grid
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[1] != grid.dim:
-        raise ValueError(f"points must have {grid.dim} components")
+    points = finite_rows(points, grid.dim, "points").reshape(-1, grid.dim)
     axes = [grid.position_axis(i) for i in range(grid.dim)]
     out = np.zeros(points.shape[0], dtype=complex)
     for row in range(points.shape[0]):
@@ -111,11 +110,9 @@ def _second_order(grid, entries, kernel, psi0, k_vec, points, eps):
             f"quadrature oracle is capped at {QUAD_MAX_NODES_PER_AXIS} nodes "
             f"per axis; got {grid.counts}"
         )
-    k_vec = np.asarray(k_vec, dtype=float)
-    if k_vec.shape != (grid.dim,):
-        raise ValueError(f"k_vec must have {grid.dim} components")
+    k_vec = finite_vector(k_vec, grid.dim, "k_vec")
     positive_number(eps, "eps")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = finite_rows(points, grid.dim, "points").reshape(-1, grid.dim)
     k = float(np.linalg.norm(k_vec))
     q_nodes = _momentum_nodes(grid)
     g_q = green_factor(np.sum(q_nodes**2, axis=1), k, eps)
@@ -188,9 +185,7 @@ def em_quad_second_order(materials, k_vec, psi0, points, eps):
     order; the momentum kernel is applied as an explicit 6x6 matrix at
     each node.
     """
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (6,):
-        raise ValueError("psi0 must be a six-vector")
+    psi0 = finite_vector(psi0, 6, "psi0", dtype=complex)
     entries = {
         (3 * block + i, 3 * block + j): values
         for (block, i, j), values in materials.entries.items()
@@ -285,14 +280,12 @@ def asymptotic_fit(psi, k_vec, fit_radius, directions, fit_wavenumber=None,
         raise ValueError("asymptotic_fit expects a position-space solution")
     grid = psi.grid
     dim = grid.dim
-    k_vec = np.asarray(k_vec, dtype=float)
-    if k_vec.shape != (dim,):
-        raise ValueError(f"k_vec must have {dim} components")
+    k_vec = finite_vector(k_vec, dim, "k_vec")
     k = positive_number(float(np.linalg.norm(k_vec)), "|k_vec|")
     k_fit = complex(fit_wavenumber) if fit_wavenumber is not None else k
     if isinstance(directions, DirectionSet):
         directions = directions.unit_vectors
-    directions = np.atleast_2d(np.asarray(directions, dtype=float))
+    directions = finite_rows(directions, dim, "directions").reshape(-1, dim)
     norms = np.linalg.norm(directions, axis=1)
     if np.any(norms == 0):
         raise ValueError("directions must be nonzero")

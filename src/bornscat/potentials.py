@@ -35,6 +35,8 @@ from .grids import (
     SampledField,
     Space,
     blockwise,
+    finite_rows,
+    finite_vector,
     forward_ft,
     max_abs,
     positive_number,
@@ -94,13 +96,8 @@ class PotentialSpec:
         positive_number(self.ell_y, "ell_y")
         if self.dim == 3:
             positive_number(self.ell_z, "ell_z")
-        center = self.center if self.center else (0.0,) * self.dim
-        center = tuple(float(c) for c in center)
-        if len(center) != self.dim:
-            raise ValueError("center must match the dimension of u")
-        if not all(math.isfinite(c) for c in center):
-            raise ValueError("center must be finite")
-        object.__setattr__(self, "center", center)
+        center = finite_vector(self.center or (0.0,) * self.dim, self.dim, "center")
+        object.__setattr__(self, "center", tuple(float(c) for c in center))
         object.__setattr__(self, "coupling", complex(self.coupling))
         if not cmath.isfinite(self.coupling):
             raise ValueError("coupling must be finite")
@@ -250,10 +247,8 @@ def _members(subject):
 
 def potential_value(subject, x):
     """Evaluate the potential (or a shared-axis sum) at positions x of shape (..., d)."""
-    x = np.asarray(x, dtype=float)
     members = _members(subject)
-    if x.shape[-1] != members[0].dim:
-        raise ValueError(f"positions must have {members[0].dim} components")
+    x = finite_rows(x, members[0].dim, "x")
     out = _single_value(members[0], x)
     for spec in members[1:]:
         out = out + _single_value(spec, x)
@@ -266,10 +261,8 @@ def potential_spectrum(subject, p):
     Exactly zero (including at the threshold itself, since m >= 1) whenever
     u.p < alpha holds for every member.
     """
-    p = np.asarray(p, dtype=float)
     members = _members(subject)
-    if p.shape[-1] != members[0].dim:
-        raise ValueError(f"momenta must have {members[0].dim} components")
+    p = finite_rows(p, members[0].dim, "p")
     out = _single_spectrum(members[0], p)
     for spec in members[1:]:
         out = out + _single_spectrum(spec, p)

@@ -56,6 +56,7 @@ from .grids import (
     Space,
     blockwise,
     fft_values,
+    finite_vector,
     ifft_values,
     max_abs,
     nudft,
@@ -175,8 +176,8 @@ class ScatterConfig:
         _check_below_band_edge(self.grid, self.k)
         if not 0 <= self.n_orders < sys.maxsize:  # born_series slices n_orders + 1
             raise ValueError(f"n_orders = {self.n_orders} must lie in [0, {sys.maxsize})")
-        if len(self.k_vec) != self.grid.dim or len(self.u) != self.grid.dim:
-            raise ValueError("k_vec and u must match the grid dimension")
+        finite_vector(self.k_vec, self.grid.dim, "k_vec")
+        finite_vector(self.u, self.grid.dim, "u")
         # A grid cannot resolve, so cannot certify, a threshold finer than one
         # of its momentum cells; this also bounds N = floor(2k/alpha) below
         # the node count along an axis-aligned u.
@@ -248,10 +249,8 @@ def make_scatter_config(
     positive_number(k, "k")
     # before snapping, so the message names the requested k and not an overflowed norm
     _check_below_band_edge(grid, k)
-    u = unit_vector(u, "u")
-    if u.shape != (grid.dim,):
-        raise ValueError(f"u has {u.size} components, the grid has {grid.dim} axes")
-    k_hat = unit_vector(-u if k_hat is None else k_hat, "k_hat")
+    u = finite_vector(unit_vector(u, "u"), grid.dim, "u")
+    k_hat = finite_vector(unit_vector(-u if k_hat is None else k_hat, "k_hat"), grid.dim, "k_hat")
     k_vec = snap_to_momentum_lattice(grid, float(k) * k_hat)
     with np.errstate(over="ignore"):  # an inf here fails the band-edge check below
         k_snapped = float(np.linalg.norm(k_vec))
@@ -322,9 +321,7 @@ def incident_term(config, psi0=None):
     grid = config.grid
     values = plane_wave(grid, config.k_vec)
     if psi0 is not None:
-        psi0 = np.asarray(psi0, dtype=complex)
-        if psi0.shape != (6,):
-            raise ValueError("incident amplitude must be a six-vector")
+        psi0 = finite_vector(psi0, 6, "psi0", dtype=complex)
         values = blockwise(
             np.multiply, np.empty((6,) + grid.shape, dtype=complex),
             psi0.reshape((6,) + (1,) * grid.dim), values, axis=1,
@@ -370,15 +367,24 @@ def born_term(prev, config, source, transform):
     )
 
 
+def _step_input(prev, interaction, config):
+    """prev's field, the input of every step: not yet released, and on the config's grid."""
+    if prev.field is None:
+        raise ValueError(f"the field of order {prev.order} was released once order "
+                         f"{prev.order + 1} was built; step from the last term of a series")
+    if prev.field.grid != config.grid or interaction.grid != config.grid:
+        raise ValueError("term, interaction and config must share one grid")
+    return prev.field
+
+
 def born_step(prev, v_field, config):
     """Advance the series by one order."""
     grid = config.grid
     if v_field.space is not Space.POSITION:
         raise ValueError("v_field must be position-space")
-    if v_field.grid != grid or prev.field.grid != grid:
-        raise ValueError("term, interaction and config must share one grid")
+    field = _step_input(prev, v_field, config)
     source_values = blockwise(
-        np.multiply, np.empty(grid.shape, dtype=complex), v_field.values, prev.field.values
+        np.multiply, np.empty(grid.shape, dtype=complex), v_field.values, field.values
     )
     return born_term(
         prev, config, SampledField._unchecked(grid, source_values, Space.POSITION),

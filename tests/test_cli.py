@@ -68,9 +68,7 @@ class TestLoadConfig:
 
 
 class TestValidate:
-    def test_valid_config_has_no_diagnostics(self, tmp_path):
-        config = cli.load_config(base_config(tmp_path))
-        assert cli.validate(config) == []
+    """The problems `run` reports before any work: exit 2, each one on stderr."""
 
     @pytest.mark.parametrize("overrides,needle", [
         ({"mode": "scalar9d"}, "mode"),
@@ -85,20 +83,20 @@ class TestValidate:
         ({"grid": {"extents": [60.0, 60.0], "counts": [4, 4]}}, "counts"),
         ({"potential": None}, "potential"),
     ])
-    def test_diagnostics(self, tmp_path, overrides, needle):
-        config = cli.load_config(base_config(tmp_path, **overrides))
-        problems = cli.validate(config)
-        assert problems, f"expected a diagnostic for {overrides}"
-        assert any(needle in p for p in problems)
+    def test_diagnostics(self, tmp_path, capsys, overrides, needle):
+        path = base_config(tmp_path, **overrides)
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert needle in capsys.readouterr().err
 
-    def test_potential_dimension_mismatch(self, tmp_path):
+    def test_potential_dimension_mismatch(self, tmp_path, capsys):
         path = base_config(
             tmp_path,
             mode="scalar3d",
             grid={"extents": [20.0, 6.0, 6.0], "counts": [32, 8, 8]},
         )
-        config = cli.load_config(path)
-        assert any("u has 2 components" in p for p in cli.validate(config))
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert ("u must be a vector of 3 components, all finite; got shape (2,)"
+                in capsys.readouterr().err)
 
 
 class TestRun:

@@ -499,7 +499,7 @@ class TestEmBornSeries:
 
     def test_incident_term_rejects_a_three_vector_amplitude(self):
         grid, spec, cfg = setup(counts=(16, 8, 8))
-        with pytest.raises(ValueError, match="six-vector"):
+        with pytest.raises(ValueError, match="psi0 must be a vector of 6 components"):
             incident_term(cfg, np.ones(3))
 
     def test_term_invariants(self):
@@ -573,6 +573,14 @@ class TestEmBornSeries:
         last = series[-1]
         assert last.field_max == last.field.max_abs()
         assert all(term.numerator is not None for term in series[1:])
+
+    def test_a_step_from_a_released_field_names_it(self):
+        grid, spec, cfg = setup(counts=(16, 8, 8))
+        mats = material_from_scalar(spec, grid, which="eps")
+        series = em_born_series(cfg, mats)
+        with pytest.raises(ValueError, match="^the field of order 0 was released once "
+                                             "order 1 was built"):
+            em_born_step(series[0], mats, cfg)
 
     def test_homogeneity_in_the_material_scale(self):
         grid, spec, cfg = setup(counts=(32, 16, 16))

@@ -8,17 +8,20 @@ transform must reproduce it to high accuracy.
 import math
 import multiprocessing
 import os
+import re
 import sys
 import threading
 import time
 import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from bit_identity import GRID_SHAPES, assert_same_bits, random_values
 
 from bornscat import grids
+from bornscat.em import MaterialTensors, default_polarization, incident_six_field
 from bornscat.grids import (
     DirectionSet,
     SampledField,
@@ -33,6 +36,7 @@ from bornscat.grids import (
     make_grid,
     max_abs,
     nudft,
+    nudft_values,
     plane_wave,
     plane_wave_at,
     save_field,
@@ -40,6 +44,9 @@ from bornscat.grids import (
     sphere_directions,
     transverse_basis,
 )
+from bornscat.oracle import asymptotic_fit, em_quad_second_order, quad_second_order, slow_dft
+from bornscat.potentials import PotentialSpec, potential_spectrum, potential_value
+from bornscat.scalar import incident_term, make_scatter_config
 
 
 def gaussian_field(grid):
@@ -670,3 +677,88 @@ class TestFieldIO:
         path.write_bytes(data[:-16])
         with pytest.raises(ValueError):
             load_field(path)
+
+
+# Inputs of the vector rule.  GRID2 is small enough for the quadrature oracle.
+GRID2 = make_grid(2, (6.0, 6.0), (8, 8))
+GRID3 = make_grid(3, (4.0, 4.0, 4.0), (8, 8, 8))
+FIELD2 = SampledField(GRID2, np.ones(GRID2.shape), Space.POSITION)
+WAVE2 = SampledField(GRID2, plane_wave(GRID2, (-0.8, 0.0)), Space.POSITION)
+CONFIG2 = make_scatter_config(GRID2, 0.8, u=(1.0, 0.0), alpha=1.5, direction_count=4)
+SPEC2 = PotentialSpec(alpha=1.0, u=(1.0, 0.0), a=1.0, m=2, coupling=1.0, ell_y=2.0)
+NO_MEDIUM = MaterialTensors(GRID3, {})
+
+# (parameter, its form, a good value, the public call that takes it).  The
+# form is "a vector", "rows" for a point set (the value is passed as one
+# row), or "unit" for a direction that unit_vector normalizes first: that
+# one reports a nan or inf as a vector of no finite length.
+VECTOR_INPUTS = {
+    "nudft_values": ("points", "rows", (0.5, 0.0),
+                     lambda v: nudft_values(FIELD2.values, GRID2, [v])),
+    "nudft": ("points", "rows", (0.5, 0.0), lambda v: nudft(FIELD2, [v])),
+    "sphere_directions": ("incident direction", "unit", (1.0, 0.0),
+                          lambda v: sphere_directions(2, 1.0, 4, v)),
+    "plane_wave": ("k_vec", "a vector", (1.0, 0.0), lambda v: plane_wave(GRID2, v)),
+    "plane_wave_at": ("k_vec", "a vector", (1.0, 0.0),
+                      lambda v: plane_wave_at(GRID2, v, np.zeros((1, 2), dtype=int))),
+    "snap_to_momentum_lattice": ("k_vec", "a vector", (1.0, 0.0),
+                                 lambda v: snap_to_momentum_lattice(GRID2, v)),
+    "momentum_parallel": ("u", "a vector", (1.0, 0.0), GRID2.momentum_parallel),
+    "ScatterConfig-k_vec": ("k_vec", "a vector", CONFIG2.k_vec,
+                            lambda v: replace(CONFIG2, k_vec=v)),
+    "ScatterConfig-u": ("u", "a vector", CONFIG2.u, lambda v: replace(CONFIG2, u=v)),
+    "make_scatter_config-u": ("u", "unit", (1.0, 0.0), lambda v: make_scatter_config(
+        GRID2, 0.8, u=v, alpha=1.5)),
+    "make_scatter_config-k_hat": ("k_hat", "unit", (-1.0, 0.0), lambda v: make_scatter_config(
+        GRID2, 0.8, u=(1.0, 0.0), alpha=1.5, k_hat=v)),
+    "incident_term": ("psi0", "a vector", (1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+                      lambda v: incident_term(CONFIG2, v)),
+    "incident_six_field-e0": ("e0", "a vector", (1.0, 0.0, 0.0),
+                              lambda v: incident_six_field(v, (0.0, 0.0, 1.0))),
+    "incident_six_field-k_hat": ("k_hat", "unit", (0.0, 0.0, 1.0),
+                                 lambda v: incident_six_field((1.0, 0.0, 0.0), v)),
+    "default_polarization-k_hat": ("k_hat", "unit", (0.0, 0.0, 1.0),
+                                   lambda v: default_polarization(v, (1.0, 0.0, 0.0))),
+    "default_polarization-u": ("u", "unit", (1.0, 0.0, 0.0),
+                               lambda v: default_polarization((0.0, 0.0, 1.0), v)),
+    "slow_dft": ("points", "rows", (0.5, 0.0), lambda v: slow_dft(FIELD2, [v])),
+    "quad_second_order-k_vec": ("k_vec", "a vector", (-0.9, 0.0),
+                                lambda v: quad_second_order(FIELD2, v, [[0.0, 0.0]], 0.3)),
+    "quad_second_order-points": ("points", "rows", (0.0, 0.0),
+                                 lambda v: quad_second_order(FIELD2, (-0.9, 0.0), [v], 0.3)),
+    "em_quad_second_order": ("psi0", "a vector", (1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+                             lambda v: em_quad_second_order(
+                                 NO_MEDIUM, (-0.9, 0.0, 0.0), v, [[0.0, 0.0, 0.0]], 0.3)),
+    "asymptotic_fit-k_vec": ("k_vec", "a vector", (-0.8, 0.0),
+                             lambda v: asymptotic_fit(WAVE2, v, 2.0, [[1.0, 0.0]])),
+    "asymptotic_fit-directions": ("directions", "rows", (1.0, 0.0),
+                                  lambda v: asymptotic_fit(WAVE2, (-0.8, 0.0), 2.0, [v])),
+    "potential_value": ("x", "rows", (0.0, 0.0), lambda v: potential_value(SPEC2, [v])),
+    "potential_spectrum": ("p", "rows", (1.5, 0.0), lambda v: potential_spectrum(SPEC2, [v])),
+    "PotentialSpec-center": ("center", "a vector", (0.0, 0.0),
+                             lambda v: replace(SPEC2, center=v)),
+}
+
+
+class TestVectorRule:
+    @pytest.mark.parametrize("bad", ["wide", "narrow", "nan", "inf"])
+    @pytest.mark.parametrize("entry", VECTOR_INPUTS)
+    # a nan reaching the arithmetic would warn; every bad vector is rejected before
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_every_vector_input_is_checked_by_one_rule(self, entry, bad):
+        name, form, good, call = VECTOR_INPUTS[entry]
+        width = len(good)
+        vector = {
+            "wide": (0.0,) * width + (1.0,),  # a unit vector along one axis too many
+            "narrow": (1.0,) * (width - 1),
+            "nan": (math.nan,) + tuple(good[1:]),
+            "inf": (math.inf,) + tuple(good[1:]),
+        }[bad]
+        if form == "unit" and bad in ("nan", "inf"):
+            message = f"{name} must be a nonzero vector of finite length"
+        else:
+            form = "a vector" if form == "unit" else form
+            message = f"{name} must be {form} of {width} components, all finite; got shape "
+        call(good)
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            call(vector)

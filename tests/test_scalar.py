@@ -457,6 +457,13 @@ class TestBornSeries:
         assert all(term.source is not None for term in series[1:])
         assert all(term.numerator is not None for term in series[1:])
 
+    def test_a_step_from_a_released_field_names_it(self):
+        spec, grid, v, cfg = standard_setup(n=64)
+        series = born_series(replace(cfg, n_orders=3), v)
+        with pytest.raises(ValueError, match="^the field of order 0 was released once "
+                                             "order 1 was built"):
+            born_step(series[0], v, cfg)
+
     def test_zero_orders(self):
         spec, grid, v, cfg = standard_setup(n=64, n_orders=0)
         series = born_series(cfg, v)
