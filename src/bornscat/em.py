@@ -255,9 +255,12 @@ def _kernel(k, w, *p, out):
 
     w holds W_E over W_H along its first axis, or W_E alone when W_H = 0,
     whose terms are then dropped; p is three momentum component arrays that
-    broadcast against one component of w.  The one kernel on the grid and
-    at the shell points.
+    broadcast against one component of w.  w may share memory with out: it
+    is then copied first.  The one kernel on the grid and at the shell
+    points.
     """
+    if np.may_share_memory(w, out):
+        w = w.copy()
     w_e, w_h = w[:3], w[3:]
     out[:3] = -k * k * w_e + _longitudinal(p, w_e)
     out[3:] = -k * _mesh_cross(p, w_e)
@@ -266,7 +269,7 @@ def _kernel(k, w, *p, out):
         out[3:] += -k * k * w_h + _longitudinal(p, w_h)
 
 
-def em_kernel_apply(w, grid, k):
+def em_kernel_apply(w, grid, k, out=None):
     """Pointwise momentum kernel on transformed material products.
 
     w holds the raw momentum-space values of W = (W_E, W_H), shape
@@ -274,23 +277,37 @@ def em_kernel_apply(w, grid, k):
     W_H = 0.  Returns the (6,) + grid.shape values, for each momentum node p:
     out_E = -k^2 W_E + p (p.W_E) + k p x W_H and
     out_H = -k p x W_E - k^2 W_H + p (p.W_H).
+    They go into out, a new complex array by default.  w may be the leading
+    rows of out: the kernel is then applied in place, each block reading its
+    own copy of w before it writes.
     """
     if w.shape not in ((3,) + grid.shape, (6,) + grid.shape):
         raise ValueError(f"kernel input shape {w.shape} is not (3,) or (6,) + {grid.shape}")
-    out = np.empty((6,) + grid.shape, dtype=complex)
+    if out is None:
+        out = np.empty((6,) + grid.shape, dtype=complex)
     return blockwise(partial(_kernel, k), out, w, *grid.momentum_mesh(), axis=1)
 
 
-def em_born_step(prev, materials, config):
-    """Advance the six-component series by one order."""
+def em_born_step(prev, materials, config, *, recycle=False):
+    """Advance the six-component series by one order.
+
+    The source rows are transformed into the leading rows of the numerator
+    array, and the kernel is applied there in place.  recycle=True lets the
+    step build G * M and the new field in prev's field array; only
+    born_orders, which then releases prev's field, passes it.
+    """
     grid = config.grid
     field = _step_input(prev, materials, config)
     # With delta-mu = 0 the source's H block is zero, and so is W_H.
     rows = slice(None) if materials.is_magnetic else slice(3)
-    return born_term(
-        prev, config, apply_material(materials, field),
-        lambda source: em_kernel_apply(fft_values(source[rows], grid), grid, config.k),
-    )
+
+    def transform(source):
+        numerator = np.empty(source.shape, dtype=complex)
+        w = fft_values(source[rows], grid, out=numerator[rows])
+        return em_kernel_apply(w, grid, config.k, out=numerator)
+
+    return born_term(prev, config, apply_material(materials, field), transform,
+                     recycle=recycle)
 
 
 def em_born_series(config, materials, e0=None):

@@ -12,8 +12,10 @@ The transform pair is weighted to approximate the continuum integrals
     inverse:  f(x) = (2 pi)**-d * sum_p exp(i p.x) F(p) * prod(dp_i)
 
 which makes the two grid operations exactly inverse to each other.
-ifft_values can write into its own input (out=values), so that a Born
-order's propagation G * M and its inverse transform share one buffer.
+fft_values can write into a given array (out=), so that a Born order's EM
+numerator is built where its transform lands; ifft_values can also write
+into its own input (out=values), so that a Born order's propagation G * M
+and its inverse transform share one buffer.
 """
 
 import contextvars
@@ -483,10 +485,15 @@ def _weigh(values, grid, scale, out):
     return blockwise(_product, out, *_centering(grid, scale), values, axis=axis)
 
 
-def fft_values(values, grid):
-    """Continuum-normalized forward transform of raw values (trailing grid axes)."""
+def fft_values(values, grid, out=None):
+    """Continuum-normalized forward transform of raw values (trailing grid axes).
+
+    The result goes into out, a new array by default, or a complex array of
+    values' shape that does not overlap values.
+    """
     values = np.asarray(values)
-    out = np.empty(values.shape, dtype=complex)
+    if out is None:
+        out = np.empty(values.shape, dtype=complex)
     _passes(np.fft.fft, values, out, grid)
     return _weigh(out, grid, grid.cell_volume, out)
 

@@ -286,9 +286,11 @@ def asymptotic_fit(psi, k_vec, fit_radius, directions, fit_wavenumber=None,
     if isinstance(directions, DirectionSet):
         directions = directions.unit_vectors
     directions = finite_rows(directions, dim, "directions").reshape(-1, dim)
-    norms = np.linalg.norm(directions, axis=1)
-    if np.any(norms == 0):
-        raise ValueError("directions must be nonzero")
+    # |(1e308, 1e308)| overflows to inf, which the check below reports
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(directions, axis=1)
+    if not np.all((norms > 0) & np.isfinite(norms)):
+        raise ValueError("directions must be a nonzero vector of finite length")
     directions = directions / norms[:, None]
     if not 0 < radius_ratio < 1:
         raise ValueError("radius_ratio must lie in (0, 1)")

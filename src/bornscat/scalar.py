@@ -26,18 +26,24 @@ alike.  Both are grids.SampledField, with one value or one six-vector per
 node; the EM module supplies its material product, kernel and shell
 evaluation.
 
-A Born order allocates only the three arrays its term keeps: its source,
-its numerator and its field.  The propagator G is built into the array that
-becomes the field (a one-value field) or that holds G * M (a six-vector
-field), and the inverse transform runs in place on G * M.  The term's
-three fields skip SampledField's finiteness pass: a value that is not
-finite in the source or numerator reaches every node of the field through
-the transforms, so the one read of the field max in born_term covers all
-three.  A step called directly raises grids.NonFiniteError when that max is
-not finite; born_orders reports it as a DivergenceError.  The field is only
-the input to the next order, so born_orders drops it once that order is
-built: a held series keeps two arrays per order, the source and the
-numerator that the shell sums and node norms read, plus the last field.
+A Born order allocates only the arrays its term keeps.  Once a step has
+formed its source, the previous order's field is dead, so a step that
+born_orders drives builds the new field in that array: it first holds G (a
+one-value field) or G * M (a six-vector field, with G in one transient
+array of one value per node), and the inverse transform runs in place on
+G * M.  Such a step allocates only its source and its numerator; a step
+called directly allocates its field too and leaves its input as it is.
+The EM numerator is built in place as well: the source rows are
+transformed into the numerator's array and the kernel is applied there.
+The term's three fields skip SampledField's finiteness pass: a value that
+is not finite in the source or numerator reaches every node of the field
+through the transforms, so the one read of the field max in born_term
+covers all three.  A step called directly raises grids.NonFiniteError when
+that max is not finite; born_orders reports it as a DivergenceError.  The
+field is only the input to the next order, so born_orders drops it once
+that order is built: a held series keeps two arrays per order, the source
+and the numerator that the shell sums and node norms read, plus the last
+field.
 """
 
 import csv
@@ -123,8 +129,12 @@ class DivergenceError(RuntimeError):
         )
 
 
-def green_factor(p_sq, k, eps):
-    """Regularized free propagator 1/(k^2 - p_sq + i*eps)."""
+def green_factor(p_sq, k, eps, out=None):
+    """Regularized free propagator 1/(k^2 - p_sq + i*eps).
+
+    For an array p_sq the values go into out, a new complex array of p_sq's
+    shape by default.
+    """
     positive_number(eps, "eps")
     p_sq = np.asarray(p_sq)
     if p_sq.ndim == 0:
@@ -133,7 +143,9 @@ def green_factor(p_sq, k, eps):
     def factor(p_sq, out):
         np.divide(1.0, k * k - p_sq + 1j * eps, out=out)
 
-    return blockwise(factor, np.empty(p_sq.shape, dtype=complex), p_sq)
+    if out is None:
+        out = np.empty(p_sq.shape, dtype=complex)
+    return blockwise(factor, out, p_sq)
 
 
 def exactness_order(k, alpha):
@@ -329,35 +341,39 @@ def incident_term(config, psi0=None):
     return BornTerm(order=0, field=SampledField(grid, values, Space.POSITION))
 
 
-def propagate(numerator_values, config):
+def propagate(numerator_values, config, out=None):
     """Position values of the next order: inverse transform of G(p) * M_n(p).
 
     numerator_values may carry leading component axes, over which G
-    broadcasts.  G * M goes into G's own array when M has one value per
-    node, else into one new array, and the inverse transform runs in place
-    on it; numerator_values is left as it is.
+    broadcasts.  G * M goes into out, a complex array of the numerator's
+    shape (a new one by default), and the inverse transform runs in place
+    on it.  When M has one value per node, G itself is built in out first;
+    else G gets an array of its own.  numerator_values is left as it is.
     """
     grid = config.grid
-    propagator = green_factor(grid.momentum_sq, config.k, config.epsilon)
-    product = propagator
-    if numerator_values.shape != propagator.shape:
-        product = np.empty(numerator_values.shape, dtype=complex)
-    blockwise(np.multiply, product, propagator, numerator_values,
+    if out is None:
+        out = np.empty(numerator_values.shape, dtype=complex)
+    one = numerator_values.shape == grid.shape
+    propagator = green_factor(grid.momentum_sq, config.k, config.epsilon,
+                              out=out if one else None)
+    blockwise(np.multiply, out, propagator, numerator_values,
               axis=numerator_values.ndim - grid.dim)
-    return ifft_values(product, grid, out=product)
+    return ifft_values(out, grid, out=out)
 
 
-def born_term(prev, config, source, transform):
+def born_term(prev, config, source, transform, recycle=False):
     """The term after prev, from its source field and the transform to its numerator.
 
-    Reads the new field's max once and raises NonFiniteError when it is not
-    finite; the term carries it as field_max.
+    With recycle, the new field is built in prev's field array, which the
+    source no longer needs (see born_orders).  Reads the new field's max
+    once and raises NonFiniteError when it is not finite; the term carries
+    it as field_max.
     """
     grid = config.grid
     # the check below reports a value that is not finite, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
         numerator = transform(source.values)
-        field = propagate(numerator, config)
+        field = propagate(numerator, config, out=prev.field.values if recycle else None)
         field_max = max_abs(field)
     if not math.isfinite(field_max):
         raise NonFiniteError("field values must be finite")
@@ -377,8 +393,12 @@ def _step_input(prev, interaction, config):
     return prev.field
 
 
-def born_step(prev, v_field, config):
-    """Advance the series by one order."""
+def born_step(prev, v_field, config, *, recycle=False):
+    """Advance the series by one order.
+
+    recycle=True lets the step build the new field in prev's field array;
+    only born_orders, which then releases prev's field, passes it.
+    """
     grid = config.grid
     if v_field.space is not Space.POSITION:
         raise ValueError("v_field must be position-space")
@@ -388,17 +408,20 @@ def born_step(prev, v_field, config):
     )
     return born_term(
         prev, config, SampledField._unchecked(grid, source_values, Space.POSITION),
-        lambda source: fft_values(source, grid),
+        lambda source: fft_values(source, grid), recycle=recycle,
     )
 
 
 def born_orders(first, step, *args):
     """The term `first`, then every later order, without end.
 
-    step(prev, *args) advances one order.  Only the latest term is kept
-    alive here, and once step has built it, the term before it gives up its
-    field (set to None): read a term's field before asking for the next
-    order.  The iterator owns the divergence guard, for every wave
+    step(prev, *args, recycle=True) advances one order, and may build the
+    new field in prev's field array: once the step has formed its source,
+    that field is dead.  Only the latest term is kept alive here, and once
+    step has run, the term before it gives up its field (set to None).  So
+    read a term's field before asking for the next order: a caller that
+    keeps the field's array past that sees it overwritten by the next
+    order's field.  The iterator owns the divergence guard, for every wave
     type: an order whose source, numerator or field is not finite has
     overflowed, and one whose field max exceeds DIVERGENCE_RATIO times the
     order-1 field max has run away; both raise DivergenceError there.  The
@@ -408,13 +431,16 @@ def born_orders(first, step, *args):
     yield term
     while True:
         order = term.order + 1
-        # the guard reports the overflow, so numpy need not warn of it
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                prev, term = term, step(term, *args)
-            except NonFiniteError:
-                raise DivergenceError(order, math.inf, reference) from None
-        prev.field = None  # only the next order reads it, and that order is built
+        try:
+            # the guard reports the overflow, so numpy need not warn of it
+            with np.errstate(over="ignore", invalid="ignore"):
+                built = step(term, *args, recycle=True)
+        except NonFiniteError:
+            raise DivergenceError(order, math.inf, reference) from None
+        finally:
+            term.field = None  # the step may have overwritten it, and no later order reads it
+        # no name here keeps the term before, so a streaming caller frees it now
+        term = built
         magnitude = term.field_max
         if not math.isfinite(magnitude) or (
             reference is not None and magnitude > DIVERGENCE_RATIO * reference
@@ -589,7 +615,7 @@ def _band_report(series, u, tol, name, band):
     numerator = terms[0].numerator
     if numerator.values.ndim > numerator.grid.dim:
         name = f"em-{name}"
-    p_par = numerator.grid.momentum_parallel(u)
+    p_par = numerator.grid.momentum_parallel(unit_vector(u, "u"))
     checks = []
     for term in terms:
         mask, label = band(term.order, p_par)

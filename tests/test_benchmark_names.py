@@ -56,3 +56,52 @@ def test_child_finds_the_attributes_it_reads():
         if not hasattr(importlib.import_module(f"bornscat.{module}"), name)
     ]
     assert missing == []
+
+
+# The bornscat namespaces child.py hands to the tracer, the package included.
+TRACED_MODULES = ("bornscat",) + tuple(
+    f"bornscat.{name}" for name in ("grids", "potentials", "scalar", "em", "oracle", "cli")
+)
+
+
+def traced_series(modules):
+    """A 2D scalar series of 3 orders and an em3d series of 2, with their shell checks."""
+    by_name = {m.__name__.rsplit(".", 1)[-1]: m for m in modules}
+    grids, potentials, scalar, em = (by_name[n] for n in ("grids", "potentials", "scalar", "em"))
+    spec2 = potentials.PotentialSpec(alpha=1.0, u=(1.0, 0.0), a=1.0, m=2, coupling=1.0,
+                                     ell_y=2.0)
+    grid2 = grids.make_grid(2, (24.0, 24.0), (64, 64))
+    cfg2 = scalar.make_scatter_config(grid2, 0.8, spec2, n_orders=3, direction_count=8)
+    v = potentials.sample_potential(spec2, grid2)
+    scalar.verify_exactness(cfg2, scalar.born_series(cfg2, v))
+    spec3 = potentials.PotentialSpec(alpha=1.0, u=(1.0, 0.0, 0.0), a=1.0, m=2, coupling=1.0,
+                                     ell_y=2.0, ell_z=2.0)
+    grid3 = grids.make_grid(3, (24.0, 12.0, 12.0), (32, 16, 16))
+    cfg3 = scalar.make_scatter_config(grid3, 0.8, spec3, n_orders=2, direction_count=8)
+    materials = em.material_from_scalar(spec3, grid3, which="both")
+    em.verify_em_exactness(cfg3, em.em_born_series(cfg3, materials))
+    return cfg2.n_orders + cfg3.n_orders
+
+
+def test_span_wrappers_take_the_engine_calls():
+    # a wrapper's info reads the call's arguments by position, so a call that
+    # passes them by keyword would break the traced benchmark run
+    modules = [importlib.import_module(name) for name in TRACED_MODULES]
+    saved = [dict(vars(module)) for module in modules]
+    tracer = spans.Tracer()
+    try:
+        tracer.install(modules)
+        orders = traced_series(modules)
+    finally:
+        for module, attributes in zip(modules, saved):
+            for name, value in attributes.items():
+                setattr(module, name, value)
+
+    with_info = {name for _, _, name, info in spans.SPANS if info is not None}
+    traced = [span for span in tracer.spans if span["name"] in with_info]
+    assert {span["name"] for span in traced} == with_info
+    assert all("info" in span for span in traced)
+    metrics = tracer.metrics(0)
+    assert metrics["grids.fft.calls"] == orders
+    assert metrics["grids.ifft.calls"] == orders
+    assert metrics["scalar.green_factor.calls"] == orders

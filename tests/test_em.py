@@ -29,6 +29,7 @@ from bornscat.grids import (
 from bornscat.potentials import PotentialSpec, sample_potential
 from bornscat.scalar import (
     BornTerm,
+    born_orders,
     DivergenceError,
     make_scatter_config,
     on_shell_numerator,
@@ -182,6 +183,16 @@ class TestThreadedPasses:
         before = w.values.copy()
         assert_same_bits(em_kernel_apply(w.values, grid, 1.7), single_threaded_kernel(w, 1.7))
         assert np.array_equal(w.values, before), "input was modified"
+
+    @pytest.mark.parametrize("rows", [3, 6])
+    @pytest.mark.parametrize("counts", SIX_SHAPES)
+    def test_kernel_in_place(self, pool_workers, counts, rows):
+        # W in the leading rows of the output, as em_born_step builds it
+        grid = make_grid(3, tuple(0.37 * n for n in counts), counts)
+        out = random_six(grid, seed=sum(counts)).values
+        want = em_kernel_apply(out[:rows].copy(), grid, 1.7)
+        assert em_kernel_apply(out[:rows], grid, 1.7, out=out) is out
+        assert_same_bits(out, want)
 
     @pytest.mark.parametrize("medium", MEDIA)
     @pytest.mark.parametrize("counts", SIX_SHAPES)
@@ -574,6 +585,43 @@ class TestEmBornSeries:
         assert last.field_max == last.field.max_abs()
         assert all(term.numerator is not None for term in series[1:])
 
+    @pytest.mark.parametrize("which", ["eps", "both"])
+    def test_driven_and_direct_steps_agree_bit_for_bit(self, which):
+        # a driven step builds its field in the previous one, a direct step
+        # in a new array: the same bits either way
+        grid, spec, cfg = setup(counts=(16, 8, 8))
+        mats = material_from_scalar(spec, grid, which=which)
+        series = em_born_series(cfg, mats)
+        term = incident_term(cfg, incident_six_field(
+            default_polarization(cfg.k_hat, cfg.u), cfg.k_hat))
+        for driven in series[1:]:
+            term = em_born_step(term, mats, cfg)
+            assert_same_bits(driven.source.values, term.source.values)
+            assert_same_bits(driven.numerator.values, term.numerator.values)
+        assert_same_bits(series[-1].field.values, term.field.values)
+
+    @pytest.mark.parametrize("which", ["eps", "both"])
+    def test_a_driven_step_builds_its_field_in_the_released_one(self, which):
+        grid, spec, cfg = setup(counts=(16, 8, 8))
+        mats = material_from_scalar(spec, grid, which=which)
+        psi0 = incident_six_field(default_polarization(cfg.k_hat, cfg.u), cfg.k_hat)
+        orders = born_orders(incident_term(cfg, psi0), em_born_step, mats, cfg)
+        term = next(orders)
+        for _ in range(3):
+            kept = term.field.values
+            prev, term = term, next(orders)
+            assert prev.field is None
+            assert np.shares_memory(term.field.values, kept)
+
+    def test_a_direct_step_leaves_its_input_unchanged(self):
+        grid, spec, cfg = setup(counts=(16, 8, 8))
+        mats = material_from_scalar(spec, grid, which="both")
+        prev = em_born_series(cfg, mats)[-1]
+        before = prev.field.values.copy()
+        term = em_born_step(prev, mats, cfg)
+        assert_same_bits(prev.field.values, before)
+        assert not np.shares_memory(term.field.values, prev.field.values)
+
     def test_a_step_from_a_released_field_names_it(self):
         grid, spec, cfg = setup(counts=(16, 8, 8))
         mats = material_from_scalar(spec, grid, which="eps")
@@ -729,6 +777,18 @@ class TestVerification:
         bands = verify_em_order_bands(series, cfg.u, cfg.k, cfg.alpha, tol=1e-2)
         assert floor.passed and bands.passed
         assert floor.worst_ratio <= 1e-2
+
+    @pytest.mark.parametrize("check", [
+        lambda series, u, cfg: verify_em_spectral_floor(series, u, cfg.k),
+        lambda series, u, cfg: verify_em_order_bands(series, u, cfg.k, cfg.alpha),
+    ], ids=["floor", "bands"])
+    @pytest.mark.parametrize("u", [(np.nan, 0.0, 0.0), (0.0, 0.0, 0.0)], ids=["nan", "zero"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_band_checks_reject_an_axis_of_no_finite_length(self, check, u):
+        grid, spec, cfg = setup(counts=(16, 8, 8), n_orders=1)
+        series = em_born_series(cfg, material_from_scalar(spec, grid, which="eps"))
+        with pytest.raises(ValueError, match="^u must be a nonzero vector of finite length$"):
+            check(series, u, cfg)
 
     def test_floor_and_bands_all_orders_with_longitudinal_headroom(self):
         grid, spec, cfg = setup(counts=(144, 48, 48))

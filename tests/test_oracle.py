@@ -461,6 +461,17 @@ class TestAsymptoticFit:
         with pytest.warns(UserWarning, match="far field"):
             asymptotic_fit(near, k_vec, 30.0, np.array([[1.0, 0.0]]))
 
+    @pytest.mark.parametrize("row", [[1e308, 1e308], [0.0, 0.0]], ids=["overflow", "zero"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_a_direction_of_no_finite_length(self, row):
+        # a norm that overflows to inf would normalize the row to zero
+        grid = self.grid()
+        k_vec = np.array([-0.8, 0.0])
+        psi = SampledField(grid, plane_wave(grid, k_vec), Space.POSITION)
+        with pytest.raises(ValueError,
+                           match="^directions must be a nonzero vector of finite length$"):
+            asymptotic_fit(psi, k_vec, 30.0, np.array([[1.0, 0.0], row]))
+
     def test_validation(self):
         grid = self.grid()
         k_vec = np.array([-0.8, 0.0])

@@ -18,6 +18,7 @@ from hypothesis import event, given, settings, strategies as st
 from bit_identity import GRID_SHAPES, assert_same_bits, random_values
 
 from bornscat import grids, scalar
+from bornscat.em import MaterialTensors, em_born_series
 from bornscat.grids import (
     NonFiniteError,
     SampledField,
@@ -163,7 +164,7 @@ class TestThreadedStep:
         in the last pool block."""
         grid = config_of((512, 512)).grid
 
-        def step(prev):
+        def step(prev, recycle):
             values = np.ones(grid.shape, dtype=complex)
             if prev.order + 1 == order:
                 values[-1, -1] = bad
@@ -196,8 +197,8 @@ class TestThreadedStep:
         numerator = random_values(cfg.grid.shape)
         numerator[-1, -1] = bad
 
-        def step(prev):
-            return born_term(prev, cfg, source, lambda values: numerator)
+        def step(prev, recycle):
+            return born_term(prev, cfg, source, lambda values: numerator, recycle=recycle)
 
         with pytest.raises(DivergenceError, match="not finite") as info:
             list(islice(born_orders(incident_term(cfg), step), 2))
@@ -213,13 +214,15 @@ class TestThreadedStep:
 
 
 class TestAllocations:
-    """Traced memory of one propagation, one step and one series on a 1024^2 grid.
+    """Traced memory of one propagation, one step and one series on a 1024^2
+    grid, and of one six-component series on a 96 x 48 x 48 grid.
 
     tracemalloc sees numpy's array buffers.  The peak counts what a call
     allocates and still holds on return (its result) as well as what it
-    frees before, so a step's peak is its three kept arrays (source,
+    frees before, so a direct step's peak is its three kept arrays (source,
     numerator and field) plus block temporaries, and what it holds on
-    return is its result alone.
+    return is its result alone.  A step that born_orders drives builds its
+    field in the previous order's, so it allocates two arrays.
     """
 
     counts = (1024, 1024)
@@ -255,14 +258,43 @@ class TestAllocations:
 
     def test_born_series_keeps_two_arrays_per_order(self):
         # each order's source and numerator, plus the last order's field:
-        # 2n + 1 arrays held, where keeping every field would hold 3n + 1
+        # 2n + 1 arrays held, where keeping every field would hold 3n + 1.
+        # The last step adds no array to them: G goes into the dying field.
         n = 3
         cfg = config_of(self.counts, n_orders=n)
         v = SampledField(cfg.grid, random_values(self.counts, 1), Space.POSITION)
         held, peak = self.traced_bytes(born_series, cfg, v)
         array = v.values.nbytes
         assert held < (2 * n + 1.5) * array
-        assert peak < (2 * n + 2.5) * array
+        assert peak < (2 * n + 1.5) * array
+
+    def test_a_streaming_sum_holds_no_order_behind(self):
+        # the sum, the latest term's source, numerator and field, and the
+        # next order's source and numerator: 6 arrays, none of an older order
+        cfg = config_of(self.counts, n_orders=4)
+        v = SampledField(cfg.grid, random_values(self.counts, 1), Space.POSITION)
+
+        def summed(cfg, v):
+            orders = born_orders(incident_term(cfg), born_step, v, cfg)
+            total = np.array(next(orders).field.values, copy=True)
+            for term in islice(orders, 4):
+                total += term.field.values
+            return total
+
+        assert self.peak_bytes(summed, cfg, v) < 6.5 * v.values.nbytes
+
+    def test_em_born_series_keeps_two_six_vectors_per_order(self):
+        # 12n + 6 one-component arrays held; the last step adds its transient
+        # G and the kernel's block copies, but no six-component array
+        n = 3
+        counts = (96, 48, 48)
+        cfg = config_of(counts, n_orders=n)
+        values = 0.01 * random_values(counts, 1)
+        materials = MaterialTensors.isotropic(cfg.grid, values)
+        held, peak = self.traced_bytes(em_born_series, cfg, materials)
+        array = values.nbytes
+        assert held < (12 * n + 6.5) * array
+        assert peak < (12 * n + 9) * array
 
 
 class TestExactnessOrder:
@@ -457,6 +489,38 @@ class TestBornSeries:
         assert all(term.source is not None for term in series[1:])
         assert all(term.numerator is not None for term in series[1:])
 
+    def test_a_driven_step_builds_its_field_in_the_released_one(self):
+        # a caller that keeps a field's array past the next order sees it overwritten
+        spec, grid, v, cfg = standard_setup(n=64)
+        orders = born_orders(incident_term(cfg), born_step, v, cfg)
+        term = next(orders)
+        for _ in range(3):
+            kept, before = term.field.values, term.field.values.copy()
+            prev, term = term, next(orders)
+            assert prev.field is None
+            assert np.shares_memory(term.field.values, kept)
+            assert not np.array_equal(kept, before)
+
+    def test_driven_and_direct_steps_agree_bit_for_bit(self):
+        # a driven step builds its field in the previous one, a direct step
+        # in a new array: the same bits either way
+        spec, grid, v, cfg = standard_setup(n=64, n_orders=3)
+        series = born_series(cfg, v)
+        term = incident_term(cfg)
+        for driven in series[1:]:
+            term = born_step(term, v, cfg)
+            assert_same_bits(driven.source.values, term.source.values)
+            assert_same_bits(driven.numerator.values, term.numerator.values)
+        assert_same_bits(series[-1].field.values, term.field.values)
+
+    def test_a_direct_step_leaves_its_input_unchanged(self):
+        spec, grid, v, cfg = standard_setup(n=64)
+        prev = born_series(replace(cfg, n_orders=1), v)[-1]
+        before = prev.field.values.copy()
+        term = born_step(prev, v, cfg)
+        assert_same_bits(prev.field.values, before)
+        assert not np.shares_memory(term.field.values, prev.field.values)
+
     def test_a_step_from_a_released_field_names_it(self):
         spec, grid, v, cfg = standard_setup(n=64)
         series = born_series(replace(cfg, n_orders=3), v)
@@ -497,6 +561,18 @@ class TestBornSeries:
         with pytest.raises(DivergenceError, match="not finite") as info:
             born_series(cfg, v)
         assert info.value.order == 2 and info.value.magnitude == math.inf
+
+    def test_an_overflowing_order_releases_the_field_it_overwrote(self):
+        # order 2 overflows after its step has reused order 1's field array
+        grid = make_grid(2, (24.0, 24.0), (64, 64))
+        v = sample_potential(family(coupling=1e300), grid)
+        cfg = make_scatter_config(grid, 0.8, u=(1.0, 0.0), alpha=1.0, n_orders=4)
+        orders = born_orders(incident_term(cfg), born_step, v, cfg)
+        next(orders)
+        order_1 = next(orders)
+        with pytest.raises(DivergenceError, match="not finite"):
+            next(orders)
+        assert order_1.field is None
 
     def test_one_field_max_read_per_order(self, monkeypatch):
         # through either module's name, so a read made by any layer counts
@@ -649,6 +725,29 @@ class TestVanishingChecks:
         assert overclaimed.check_for(1).ratio >= 1e-1
         truth = verify_exactness(cfg, series)
         assert truth.passed and truth.check_for(2).ratio <= 1e-5
+
+    def test_band_checks_normalize_their_axis(self):
+        # with u as given, (0.5, 0) would halve u.p and move every band
+        spec, grid, v, cfg = standard_setup(n=512, k=0.8, n_orders=3)
+        series = born_series(cfg, v)
+        for report in (
+            lambda u: verify_spectral_floor(series, u, cfg.k, tol=1e-2),
+            lambda u: verify_order_bands(series, u, cfg.k, cfg.alpha, tol=1e-2),
+        ):
+            half = report((0.5, 0.0))
+            assert half.passed
+            assert half.to_dict() == report((1.0, 0.0)).to_dict()
+
+    @pytest.mark.parametrize("u", [(math.nan, 0.0), (0.0, 0.0)], ids=["nan", "zero"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_band_checks_reject_an_axis_of_no_finite_length(self, u):
+        spec, grid, v, cfg = standard_setup(n=64)
+        series = born_series(cfg, v)
+        message = "^u must be a nonzero vector of finite length$"
+        with pytest.raises(ValueError, match=message):
+            verify_spectral_floor(series, u, cfg.k)
+        with pytest.raises(ValueError, match=message):
+            verify_order_bands(series, u, cfg.k, cfg.alpha)
 
     def test_zero_interaction_is_vacuous(self):
         spec, grid, v, cfg = standard_setup(n=64)
