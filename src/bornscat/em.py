@@ -11,7 +11,9 @@ tensors, transforms, applies the pointwise momentum kernel
 
 to the transformed blocks W = (transform of delta-eps . E, delta-mu . H),
 multiplies by the same regularized propagator as the scalar engine, and
-transforms back.  Interactions whose tensor entries all have spectra in the
+transforms back.  The product is formed on the medium's support box only,
+the union of its entries' support boxes, and the term keeps it there.
+Interactions whose tensor entries all have spectra in the
 half-space u.p >= alpha obey the same shell-vanishing structure as scalar
 ones, which verify_em_exactness certifies order by order.
 
@@ -35,8 +37,8 @@ from .grids import (
     blockwise,
     fft_values,
     finite_vector,
-    max_abs,
     nudft_values,
+    support_box,
     transverse_basis,
     unit_vector,
 )
@@ -77,6 +79,9 @@ __all__ = [
 # Names of the two tensors, indexed by the block of a material entry key.
 _TENSORS = ("eps", "mu")
 
+# The support box of an all-zero array on a 3D grid.
+_EMPTY_BOX = (slice(0, 0),) * 3
+
 
 def which_blocks(which):
     """The blocks (0 for delta-eps, 1 for delta-mu) an isotropic medium fills."""
@@ -99,14 +104,17 @@ class MaterialTensors:
     1 for delta-mu; absent entries are zero.  Only the nonzero entries are
     stored: `entries` maps each key to that entry's values on the grid, in
     ascending key order.  Entries may share one array, as the three
-    diagonal entries of an isotropic medium do.
+    diagonal entries of an isotropic medium do.  `box` is the union of the
+    stored entries' support boxes (grids.support_box), outside which every
+    entry is zero; the Born step forms its source there only.  So the
+    entries' values must not be written once the medium is built.
     """
 
     def __init__(self, grid, entries):
-        # Checks each distinct array once and drops the all-zero ones.
+        # Reads each distinct array's support box once and drops the all-zero ones.
         if grid.dim != 3:
             raise ValueError("material tensors need a 3D grid")
-        arrays, peaks = {}, {}
+        arrays, boxes = {}, {}
         for (block, i, j), values in entries.items():
             check_entry_index(block, i, j)
             if id(values) in arrays:
@@ -118,12 +126,13 @@ class MaterialTensors:
                 )
             if not all_finite(array):
                 raise ValueError(f"{_TENSORS[block]} entries must be finite")
-            arrays[id(values)], peaks[id(values)] = array, max_abs(array)
+            arrays[id(values)], boxes[id(values)] = array, support_box(array, 3)
+        # an all-zero entry, whose box is empty, is not stored
+        kept = {key: values for key, values in sorted(entries.items())
+                if boxes[id(values)] != _EMPTY_BOX}
         self.grid = grid
-        self.entries = {
-            key: arrays[id(values)] for key, values in sorted(entries.items())
-            if peaks[id(values)] > 0.0
-        }
+        self.entries = {key: arrays[id(values)] for key, values in kept.items()}
+        self.box = _union([boxes[id(values)] for values in kept.values()])
 
     @classmethod
     def isotropic(cls, grid, values, which="eps"):
@@ -135,6 +144,16 @@ class MaterialTensors:
     @property
     def is_magnetic(self):
         return any(block == 1 for block, _, _ in self.entries)
+
+
+def _union(boxes):
+    """The smallest box holding every box of a list of nonempty ones; empty for none."""
+    if not boxes:
+        return _EMPTY_BOX
+    return tuple(
+        slice(min(box[axis].start for box in boxes), max(box[axis].stop for box in boxes))
+        for axis in range(3)
+    )
 
 
 def incident_six_field(e0, k_hat):
@@ -208,12 +227,14 @@ def _sum_of_products(*operands, out):
 def apply_material(materials, six):
     """Blockwise tensor product (delta-eps . E, delta-mu . H) in position space.
 
-    six is a six-vector field.  Each output row is the sum, in ascending
-    column, of its stored entries times the field components they meet.
-    Rows without a stored entry, such as the whole H block when
-    delta-mu = 0, stay zero and are never written.  As the source of a Born
-    order, the product is not checked for finiteness: an overflowed value
-    reaches the order's field, whose max the engine reads.
+    six is a six-vector field.  Returns the product's values on
+    materials.box, shape (6,) plus the box's shape; outside the box every
+    entry, and so the product of a finite field, is zero.  Each output row
+    is the sum, in ascending column, of its stored entries times the field
+    components they meet.  Rows without a stored entry, such as the whole H
+    block when delta-mu = 0, stay zero and are never written.  As the
+    source of a Born order, the product is not checked for finiteness: an
+    overflowed value reaches the order's field, whose max the engine reads.
     """
     if six.values.shape != (6,) + six.grid.shape:
         raise ValueError("material product acts on six-vector fields")
@@ -221,16 +242,17 @@ def apply_material(materials, six):
         raise ValueError("material product acts on position-space fields")
     if six.grid != materials.grid:
         raise ValueError("field and materials must share one grid")
+    box = materials.box
     # np.zeros leaves the rows no entry writes to the lazily zeroed pages.
-    out = np.zeros(six.values.shape, dtype=complex)
+    out = np.zeros(six.values[(slice(None),) + box].shape, dtype=complex)
     rows = groupby(materials.entries.items(), key=lambda item: item[0][:2])
     for (block, i), terms in rows:
         operands = [
-            operand for (_, _, j), values in terms
+            operand[box] for (_, _, j), values in terms
             for operand in (values, six.values[3 * block + j])
         ]
         blockwise(_sum_of_products, out[3 * block + i], *operands)
-    return SampledField._unchecked(six.grid, out, Space.POSITION)
+    return out
 
 
 def _mesh_cross(p, block):
@@ -291,23 +313,24 @@ def em_kernel_apply(w, grid, k, out=None):
 def em_born_step(prev, materials, config, *, recycle=False):
     """Advance the six-component series by one order.
 
-    The source rows are transformed into the leading rows of the numerator
-    array, and the kernel is applied there in place.  recycle=True lets the
-    step build G * M and the new field in prev's field array; only
-    born_orders, which then releases prev's field, passes it.
+    The source is formed on materials.box (see apply_material).  The
+    numerator array, which holds the source on the whole grid, has its
+    source rows transformed in place, and the kernel is applied there in
+    place.  recycle=True lets the step build G * M and the new field in
+    prev's field array; only born_orders, which then releases prev's field,
+    passes it.
     """
     grid = config.grid
     field = _step_input(prev, materials, config)
     # With delta-mu = 0 the source's H block is zero, and so is W_H.
     rows = slice(None) if materials.is_magnetic else slice(3)
 
-    def transform(source):
-        numerator = np.empty(source.shape, dtype=complex)
-        w = fft_values(source[rows], grid, out=numerator[rows])
+    def transform(numerator):
+        w = fft_values(numerator[rows], grid, out=numerator[rows])
         return em_kernel_apply(w, grid, config.k, out=numerator)
 
-    return born_term(prev, config, apply_material(materials, field), transform,
-                     recycle=recycle)
+    return born_term(prev, config, apply_material(materials, field), materials.box,
+                     transform, recycle=recycle)
 
 
 def em_born_series(config, materials, e0=None):
@@ -327,13 +350,13 @@ def em_born_series(config, materials, e0=None):
 def em_on_shell_numerator(term, config, directions=None):
     """Kernel-applied shell values of the order's source, by direct sums.
 
-    The stored source is the position-space tensor product; its direct
-    transform at the shell points is multiplied by the same pointwise kernel
-    as on the grid, evaluated at each shell momentum.  Values have shape
-    (count, 6).
+    The stored source is the position-space tensor product on its box; its
+    direct transform at the shell points, summed over the box, is
+    multiplied by the same pointwise kernel as on the grid, evaluated at
+    each shell momentum.  Values have shape (count, 6).
     """
-    def kernel_at_points(source, points):
-        w = np.stack([nudft_values(values, config.grid, points) for values in source.values])
+    def kernel_at_points(source, box, points):
+        w = np.stack([nudft_values(values, config.grid, points, box=box) for values in source])
         values = np.empty_like(w)
         _kernel(config.k, w, *points.T, out=values)
         return values.T

@@ -12,10 +12,14 @@ The transform pair is weighted to approximate the continuum integrals
     inverse:  f(x) = (2 pi)**-d * sum_p exp(i p.x) F(p) * prod(dp_i)
 
 which makes the two grid operations exactly inverse to each other.
-fft_values can write into a given array (out=), so that a Born order's EM
-numerator is built where its transform lands; ifft_values can also write
-into its own input (out=values), so that a Born order's propagation G * M
-and its inverse transform share one buffer.
+Both transforms can write into a given array (out=), which may be their
+input itself: a Born order's numerator is transformed in place in the
+zero-filled array its source was copied into, and its propagation G * M and
+the inverse transform share one buffer.
+
+A Born order's source is zero outside the support box of its interaction
+(support_box), so it is stored on that box alone, and nudft_values sums
+over a box of nodes when given one.
 """
 
 import contextvars
@@ -47,6 +51,7 @@ __all__ = [
     "ifft_values",
     "nudft",
     "nudft_values",
+    "support_box",
     "sphere_directions",
     "unit_vector",
     "positive_number",
@@ -226,6 +231,15 @@ class SampledField:
         field = object.__new__(cls)
         field.grid, field.values, field.space = grid, values, space
         return field
+
+    @cached_property
+    def box(self):
+        """support_box of the values, read on first use and kept.
+
+        So the values must not be written once it has been read: a Born
+        step reads its interaction's box, and forms its source there only.
+        """
+        return support_box(self.values, self.grid.dim)
 
     def max_abs(self):
         return max_abs(self.values)
@@ -489,7 +503,8 @@ def fft_values(values, grid, out=None):
     """Continuum-normalized forward transform of raw values (trailing grid axes).
 
     The result goes into out, a new array by default, or a complex array of
-    values' shape that does not overlap values.
+    values' shape that is either values itself, which is then transformed
+    in place with the same bits, or does not overlap it.
     """
     values = np.asarray(values)
     if out is None:
@@ -527,17 +542,23 @@ def inverse_ft(field):
     return SampledField(field.grid, ifft_values(field.values, field.grid), Space.POSITION)
 
 
-def nudft_values(values, grid, points):
+def nudft_values(values, grid, points, box=None):
     """Direct Fourier sum of raw position values at arbitrary momenta.
 
     Evaluates sum_x exp(-i p.x) f(x) * prod(h_i) by exact per-axis phase
     contraction; no interpolation is involved.  `points` has shape (P, d) or (d,).
+    values covers the whole grid, or only the nodes of box, one slice per
+    grid axis as support_box returns it, when f is zero outside; the sum
+    then runs over the box alone.
     """
+    values = np.asarray(values)
     points = finite_rows(points, grid.dim, "points").reshape(-1, grid.dim)
-    phases = [
-        np.exp(-1j * np.outer(points[:, i], grid.position_axis(i)))
-        for i in range(grid.dim)
-    ]
+    box = (slice(None),) * grid.dim if box is None else box
+    axes = [grid.position_axis(i)[box[i]] for i in range(grid.dim)]
+    if values.shape != tuple(len(axis) for axis in axes):
+        raise ValueError(f"values of shape {values.shape} do not fill the box "
+                         f"{tuple(len(axis) for axis in axes)}")
+    phases = [np.exp(-1j * np.outer(points[:, i], axis)) for i, axis in enumerate(axes)]
     if grid.dim == 2:
         tmp = phases[0] @ values                      # (P, n2)
         out = np.einsum("pb,pb->p", tmp, phases[1])
@@ -546,6 +567,31 @@ def nudft_values(values, grid, points):
         tmp = np.einsum("pb,pbc->pc", phases[1], tmp)
         out = np.einsum("pc,pc->p", phases[2], tmp)
     return out * grid.cell_volume
+
+
+def support_box(values, dim):
+    """Index box of the nodes where some component of values is nonzero.
+
+    values has dim trailing grid axes, after any component axes.  Returns
+    one slice per grid axis, bounding every node at which a component
+    compares != 0 exactly, so the nodes outside hold only zeros: the whole
+    grid when no node is zero, and an empty box (every slice empty) when
+    every value is.
+    """
+    values = np.asarray(values)
+    grid_shape = values.shape[values.ndim - dim:]
+    # nonzero at a node: the component axes folded into one leading axis
+    nonzero = (values != 0).reshape((-1,) + grid_shape).any(axis=0)
+    box = []
+    for _ in range(dim):
+        # the leading axis's nodes hit, then that axis folded away: each
+        # reduction reads whole rows
+        hits = np.flatnonzero(nonzero.any(axis=tuple(range(1, nonzero.ndim))))
+        if hits.size == 0:
+            return (slice(0, 0),) * dim
+        box.append(slice(int(hits[0]), int(hits[-1]) + 1))
+        nonzero = nonzero.any(axis=0)
+    return tuple(box)
 
 
 def nudft(field, points):

@@ -281,7 +281,10 @@ def asymptotic_fit(psi, k_vec, fit_radius, directions, fit_wavenumber=None,
     grid = psi.grid
     dim = grid.dim
     k_vec = finite_vector(k_vec, dim, "k_vec")
-    k = positive_number(float(np.linalg.norm(k_vec)), "|k_vec|")
+    # |(1e308, 1e308)| overflows to inf, which positive_number reports, as
+    # the direction rows' check below does
+    with np.errstate(over="ignore"):
+        k = positive_number(float(np.linalg.norm(k_vec)), "|k_vec|")
     k_fit = complex(fit_wavenumber) if fit_wavenumber is not None else k
     if isinstance(directions, DirectionSet):
         directions = directions.unit_vectors

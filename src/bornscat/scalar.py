@@ -26,24 +26,28 @@ alike.  Both are grids.SampledField, with one value or one six-vector per
 node; the EM module supplies its material product, kernel and shell
 evaluation.
 
-A Born order allocates only the arrays its term keeps.  Once a step has
+A Born order allocates only the arrays its term keeps.  The interaction
+is exactly zero outside its support box (grids.support_box), and so is
+every source v * B_{n-1}, since born_orders guards every order and so each
+step reads a finite B: a step forms the source on that box alone, and the
+term keeps it there.  The numerator is built in a zero-filled array that
+the boxed source is copied into: the forward transform runs in place on
+it, and an EM step then applies its kernel there too.  Once a step has
 formed its source, the previous order's field is dead, so a step that
 born_orders drives builds the new field in that array: it first holds G (a
 one-value field) or G * M (a six-vector field, with G in one transient
 array of one value per node), and the inverse transform runs in place on
-G * M.  Such a step allocates only its source and its numerator; a step
-called directly allocates its field too and leaves its input as it is.
-The EM numerator is built in place as well: the source rows are
-transformed into the numerator's array and the kernel is applied there.
-The term's three fields skip SampledField's finiteness pass: a value that
+G * M.  Such a step allocates only its boxed source and its numerator; a
+step called directly allocates its field too and leaves its input as it
+is.  The term's fields skip SampledField's finiteness pass: a value that
 is not finite in the source or numerator reaches every node of the field
 through the transforms, so the one read of the field max in born_term
-covers all three.  A step called directly raises grids.NonFiniteError when
+covers them all.  A step called directly raises grids.NonFiniteError when
 that max is not finite; born_orders reports it as a DivergenceError.  The
 field is only the input to the next order, so born_orders drops it once
-that order is built: a held series keeps two arrays per order, the source
-and the numerator that the shell sums and node norms read, plus the last
-field.
+that order is built: a held series keeps per order its numerator, which
+the node norms read, and its boxed source, which the shell sums read over
+the box alone, plus the last field.
 """
 
 import csv
@@ -65,7 +69,7 @@ from .grids import (
     finite_vector,
     ifft_values,
     max_abs,
-    nudft,
+    nudft_values,
     plane_wave,
     positive_number,
     snap_to_momentum_lattice,
@@ -299,20 +303,24 @@ class BornTerm:
     """One order of the series.
 
     field is B_n(x) until born_orders builds order n + 1, and None after.
-    For n >= 1, source is v * B_{n-1} in position space and numerator is its
-    transform M_n(p); both are None at order 0, where the term is the bare
-    incident wave.  The fields are SampledFields, with one value per node
-    for scalar waves and a six-vector per node for EM waves.  field_max is
-    max |B_n| for n >= 1, read here unless the step that built the term
-    passes the value it read; it is None at order 0, and it outlives the
-    field.
+    For n >= 1, numerator is M_n(p), the transform of the position-space
+    source v * B_{n-1}, and source is the array of that source's values on
+    box: one slice per grid axis, outside which the source is zero, with
+    the EM components in front.  box None means the whole grid.  source and
+    numerator are None at order 0, where the term is the bare incident
+    wave.  The field and numerator are SampledFields, with one value per
+    node for scalar waves and a six-vector per node for EM waves.
+    field_max is max |B_n| for n >= 1, read here unless the step that built
+    the term passes the value it read; it is None at order 0, and it
+    outlives the field.
     """
 
     order: int
     field: SampledField
-    source: SampledField = None
+    source: np.ndarray = None
     numerator: SampledField = None
     field_max: float = None
+    box: tuple = None
 
     def __post_init__(self):
         if self.field.space is not Space.POSITION:
@@ -361,25 +369,31 @@ def propagate(numerator_values, config, out=None):
     return ifft_values(out, grid, out=out)
 
 
-def born_term(prev, config, source, transform, recycle=False):
-    """The term after prev, from its source field and the transform to its numerator.
+def born_term(prev, config, source, box, transform, recycle=False):
+    """The term after prev, from its source on box and the transform to its numerator.
 
-    With recycle, the new field is built in prev's field array, which the
-    source no longer needs (see born_orders).  Reads the new field's max
-    once and raises NonFiniteError when it is not finite; the term carries
-    it as field_max.
+    source holds the position-space source's values on box (one slice per
+    grid axis), outside which the source is zero, with any component axes
+    in front.  They are copied into a zero-filled array of the field's
+    shape, and transform(values) builds the numerator there in place and
+    returns it.  With recycle, the new field is built in prev's field
+    array, which the source no longer needs (see born_orders).  Reads the
+    new field's max once and raises NonFiniteError when it is not finite;
+    the term carries it as field_max.
     """
     grid = config.grid
+    values = np.zeros(source.shape[:source.ndim - grid.dim] + grid.shape, dtype=complex)
+    values[(Ellipsis,) + box] = source
     # the check below reports a value that is not finite, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
-        numerator = transform(source.values)
+        numerator = transform(values)
         field = propagate(numerator, config, out=prev.field.values if recycle else None)
         field_max = max_abs(field)
     if not math.isfinite(field_max):
         raise NonFiniteError("field values must be finite")
     return BornTerm(
         prev.order + 1, SampledField._unchecked(grid, field, Space.POSITION), source,
-        SampledField._unchecked(grid, numerator, Space.MOMENTUM), field_max,
+        SampledField._unchecked(grid, numerator, Space.MOMENTUM), field_max, box,
     )
 
 
@@ -396,20 +410,21 @@ def _step_input(prev, interaction, config):
 def born_step(prev, v_field, config, *, recycle=False):
     """Advance the series by one order.
 
-    recycle=True lets the step build the new field in prev's field array;
-    only born_orders, which then releases prev's field, passes it.
+    The source v * B is formed on v_field.box alone, the box outside which v
+    is zero.  That box is read once and kept, so v_field's values must not
+    be written once a step has read them.  recycle=True lets the step build
+    the new field in prev's field array; only born_orders, which then
+    releases prev's field, passes it.
     """
     grid = config.grid
     if v_field.space is not Space.POSITION:
         raise ValueError("v_field must be position-space")
     field = _step_input(prev, v_field, config)
-    source_values = blockwise(
-        np.multiply, np.empty(grid.shape, dtype=complex), v_field.values, field.values
-    )
-    return born_term(
-        prev, config, SampledField._unchecked(grid, source_values, Space.POSITION),
-        lambda source: fft_values(source, grid), recycle=recycle,
-    )
+    box = v_field.box
+    v = v_field.values[box]
+    source = blockwise(np.multiply, np.empty(v.shape, dtype=complex), v, field.values[box])
+    return born_term(prev, config, source, box,
+                     lambda values: fft_values(values, grid, out=values), recycle=recycle)
 
 
 def born_orders(first, step, *args):
@@ -425,7 +440,10 @@ def born_orders(first, step, *args):
     type: an order whose source, numerator or field is not finite has
     overflowed, and one whose field max exceeds DIVERGENCE_RATIO times the
     order-1 field max has run away; both raise DivergenceError there.  The
-    guard reads the max each term carries, so no field is read twice.
+    guard reads the max each term carries, so no field is read twice.  As
+    every order is guarded, each step reads a finite field, whose product
+    with the interaction's exact zeros is zero: that is why a step may form
+    its source on the interaction's support box alone.
     """
     term, reference = first, None
     yield term
@@ -486,10 +504,11 @@ class OnShellRecord:
 
 
 def shell_record(term, config, directions, evaluate):
-    """Shell record of evaluate(term.source, momenta) on the direction set.
+    """Shell record of evaluate(term.source, term.box, momenta) on the direction set.
 
     directions defaults to config.directions; evaluate maps the stored
-    position-space source to the order's numerator at the shell momenta.
+    position-space source, the values on its box, to the order's numerator
+    at the shell momenta.
     """
     if term.order < 1 or term.source is None:
         raise ValueError("on-shell evaluation needs a term of order >= 1")
@@ -500,17 +519,20 @@ def shell_record(term, config, directions, evaluate):
         order=term.order,
         k=dirs.k,
         directions=np.array(dirs.unit_vectors, copy=True),
-        values=evaluate(term.source, dirs.momenta),
+        values=evaluate(term.source, term.box, dirs.momenta),
     )
 
 
 def on_shell_numerator(term, config, directions=None):
     """Evaluate the order's numerator on the shell |p| = k.
 
-    Uses the exact direct Fourier sum of the stored position-space source, so
-    no interpolation touches the values.
+    Uses the exact direct Fourier sum of the stored position-space source,
+    over its box, so no interpolation touches the values.
     """
-    return shell_record(term, config, directions, nudft)
+    def evaluate(source, box, points):
+        return nudft_values(source, config.grid, points, box=box)
+
+    return shell_record(term, config, directions, evaluate)
 
 
 def amplitude_factor(dim, k):

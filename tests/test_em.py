@@ -1,6 +1,7 @@
 """Tests for the six-component electromagnetic engine."""
 
 import warnings
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -175,6 +176,18 @@ def whole_array_material_product(materials, six):
     return out
 
 
+def on_box(values, box):
+    """values on a grid box, component axes kept."""
+    return values[(slice(None),) + box]
+
+
+def assert_zero_off_box(values, box):
+    """Every component of values is exactly zero at the nodes outside box."""
+    outside = values.copy()
+    outside[(slice(None),) + box] = 0
+    assert not np.any(outside)
+
+
 class TestThreadedPasses:
     @pytest.mark.parametrize("counts", SIX_SHAPES)
     def test_kernel(self, pool_workers, counts):
@@ -201,8 +214,9 @@ class TestThreadedPasses:
         mats = medium(grid, seed=sum(counts))
         six = random_six(grid, seed=1 + sum(counts), space=Space.POSITION)
         before = six.values.copy()
-        assert_same_bits(apply_material(mats, six).values,
-                         whole_array_material_product(mats, six))
+        want = whole_array_material_product(mats, six)
+        assert_same_bits(apply_material(mats, six), on_box(want, mats.box))
+        assert_zero_off_box(want, mats.box)
         assert np.array_equal(six.values, before), "input was modified"
 
     @pytest.mark.parametrize("counts", SIX_SHAPES)
@@ -400,13 +414,14 @@ class TestApplyMaterial:
         mats = from_dense(grid, eps, mu)
         six = random_six(grid, seed=4, space=Space.POSITION)
         out = apply_material(mats, six)
+        assert out.shape == six.values.shape  # dense entries: the box is the whole grid
         node = (1, 2, 3)
         sel = (slice(None), slice(None)) + node
         want_e = eps[sel] @ six.values[(slice(0, 3),) + node]
         want_h = mu[sel] @ six.values[(slice(3, 6),) + node]
-        np.testing.assert_allclose(out.values[(slice(0, 3),) + node], want_e,
+        np.testing.assert_allclose(out[(slice(0, 3),) + node], want_e,
                                    rtol=1e-12)
-        np.testing.assert_allclose(out.values[(slice(3, 6),) + node], want_h,
+        np.testing.assert_allclose(out[(slice(3, 6),) + node], want_h,
                                    rtol=1e-12)
 
     @pytest.mark.parametrize("medium", MEDIA)
@@ -418,8 +433,11 @@ class TestApplyMaterial:
             np.einsum("ij...,j...->i...", dense(mats, 0), six.values[:3]),
             np.einsum("ij...,j...->i...", dense(mats, 1), six.values[3:]),
         ])
-        got = apply_material(mats, six).values
-        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        got = apply_material(mats, six)
+        assert_zero_off_box(want, mats.box)
+        want = on_box(want, mats.box)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-15 * np.max(np.abs(want), initial=0.0)
         if not mats.is_magnetic:
             assert not np.any(got[3:])
 
@@ -557,9 +575,14 @@ class TestEmBornSeries:
             mats = material_from_entries(grid, eps_entries={(0, 1): spec, (2, 2): spec})
         assert not mats.is_magnetic
         psi0 = incident_six_field(default_polarization(cfg.k_hat, cfg.u), cfg.k_hat)
-        first = em_born_step(incident_term(cfg, psi0), mats, cfg)
-        assert not np.any(first.source.values[3:])
-        w = fft_values(first.source.values, grid)
+        incident = incident_term(cfg, psi0)
+        dense = whole_array_material_product(mats, incident.field)
+        first = em_born_step(incident, mats, cfg)
+        assert first.box == mats.box
+        assert_same_bits(first.source, on_box(dense, first.box))
+        assert_zero_off_box(dense, first.box)
+        assert not np.any(dense[3:])
+        w = fft_values(dense, grid)
         axes = [grid.momentum_axis(i) for i in range(3)]
         got = first.numerator.values
         scale = np.max(np.abs(got))
@@ -576,6 +599,42 @@ class TestEmBornSeries:
         series = em_born_series(cfg, mats)
         for term in series[1:]:
             assert term.field_max == 0.0
+            assert term.box == (slice(0, 0),) * 3 and term.source.shape == (6, 0, 0, 0)
+            assert not np.any(term.numerator.values)
+        assert not np.any(series[-1].field.values)
+        assert not np.any(em_on_shell_numerator(series[-1], cfg).values)
+
+    @pytest.mark.parametrize("medium", ["isotropic", "anisotropic-magnetic"])
+    def test_a_boxed_source_gives_the_full_grid_numerator_and_field(self, pool_workers, medium):
+        # the medium is zero outside the union of its entries' slabs, and
+        # the step forms its product on that box alone: the numerator and
+        # field are those of the whole-grid product, bit for bit
+        grid, spec, cfg = setup(counts=(96, 48, 48))
+        if medium == "isotropic":
+            mats = material_from_scalar(spec, grid, which="eps")
+            box = (slice(0, 96), slice(16, 33), slice(16, 33))
+        else:
+            mats = material_from_entries(
+                grid,
+                eps_entries={(0, 0): spec, (0, 1): family(coupling=0.3 + 0.1j, ell_y=1.0)},
+                mu_entries={(1, 1): family(coupling=0.5, ell_z=3.0),
+                            (2, 1): family(coupling=0.2j)},
+            )
+            box = (slice(0, 96), slice(16, 33), slice(12, 37))
+        assert mats.box == box
+        psi0 = incident_six_field(default_polarization(cfg.k_hat, cfg.u), cfg.k_hat)
+        rows = slice(None) if mats.is_magnetic else slice(3)
+        orders = born_orders(incident_term(cfg, psi0), em_born_step, mats, cfg)
+        prev = next(orders).field.values.copy()
+        for term in islice(orders, 3):
+            dense = whole_array_material_product(mats, SampledField(grid, prev, Space.POSITION))
+            assert term.box == box
+            assert_same_bits(term.source, on_box(dense, box))
+            assert_zero_off_box(dense, box)
+            numerator = em_kernel_apply(fft_values(dense[rows], grid), grid, cfg.k)
+            assert_same_bits(term.numerator.values, numerator)
+            assert_same_bits(term.field.values, propagate(numerator, cfg))
+            prev = term.field.values.copy()
 
     def test_held_series_keeps_only_the_last_field(self):
         grid, spec, cfg = setup(counts=(16, 8, 8))
@@ -596,7 +655,8 @@ class TestEmBornSeries:
             default_polarization(cfg.k_hat, cfg.u), cfg.k_hat))
         for driven in series[1:]:
             term = em_born_step(term, mats, cfg)
-            assert_same_bits(driven.source.values, term.source.values)
+            assert driven.box == term.box
+            assert_same_bits(driven.source, term.source)
             assert_same_bits(driven.numerator.values, term.numerator.values)
         assert_same_bits(series[-1].field.values, term.field.values)
 

@@ -42,6 +42,7 @@ from bornscat.grids import (
     save_field,
     snap_to_momentum_lattice,
     sphere_directions,
+    support_box,
     transverse_basis,
 )
 from bornscat.oracle import asymptotic_fit, em_quad_second_order, quad_second_order, slow_dft
@@ -292,6 +293,24 @@ class TestThreadedTransforms:
         assert got is values
         assert_same_bits(got, want)
 
+    @pytest.mark.parametrize("lead", [(), (6,)], ids=["one", "six"])
+    @pytest.mark.parametrize("counts", GRID_SHAPES)
+    def test_forward_in_place_is_bit_identical(self, pool_workers, counts, lead):
+        # as a Born step transforms its numerator: in the array itself, or
+        # in the leading rows of a six-component array
+        grid = make_grid(len(counts), tuple(0.37 * n for n in counts), counts)
+        values = random_values(lead + counts, sum(counts))
+        want = fft_values(values, grid)
+        got = fft_values(values, grid, out=values)
+        assert got is values
+        assert_same_bits(got, want)
+        if lead:
+            values = random_values(lead + counts, 1 + sum(counts))
+            want = fft_values(values[:3], grid)
+            rows = values[:3]
+            assert fft_values(rows, grid, out=rows) is rows
+            assert_same_bits(values[:3], want)
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_gets_a_working_pool(self):
         # 512^2 is larger than one block, so the child needs the pool; a
@@ -538,6 +557,81 @@ class TestNudft:
             nudft(f, np.array([[0.1, 0.2, 0.3]]))
         with pytest.raises(ValueError):
             nudft(f, np.array([[np.inf, 0.0]]))
+
+    @pytest.mark.parametrize("counts,box", [
+        ((64, 48), (slice(0, 64), slice(20, 27))),
+        ((64, 48), (slice(5, 40), slice(0, 48))),
+        ((32, 16, 12), (slice(0, 32), slice(6, 11), slice(3, 9))),
+        ((32, 16, 12), (slice(30, 32), slice(0, 1), slice(11, 12))),
+    ])
+    def test_a_box_sum_agrees_with_the_whole_grid_sum(self, counts, box):
+        # f zero outside the box: the box's values alone give the same sum
+        grid = make_grid(len(counts), tuple(0.37 * n for n in counts), counts)
+        values = np.zeros(counts, dtype=complex)
+        values[box] = random_values(values[box].shape, sum(counts))
+        points = 1.3 * np.random.default_rng(3).standard_normal((17, len(counts)))
+        want = nudft_values(values, grid, points)
+        got = nudft_values(values[box], grid, points, box=box)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("counts", [(64, 48), (32, 16, 12)])
+    def test_the_whole_grid_as_a_box_gives_the_same_bits(self, counts):
+        grid = make_grid(len(counts), tuple(0.37 * n for n in counts), counts)
+        values = random_values(counts, 7)
+        points = np.random.default_rng(4).standard_normal((9, len(counts)))
+        whole = tuple(slice(0, n) for n in counts)
+        assert_same_bits(nudft_values(values, grid, points, box=whole),
+                         nudft_values(values, grid, points))
+
+    def test_an_empty_box_sums_to_zero(self):
+        grid = make_grid(3, (4.0, 4.0, 4.0), (8, 8, 8))
+        empty = (slice(0, 0),) * 3
+        out = nudft_values(np.zeros((0, 0, 0), dtype=complex), grid, [[0.1, 0.2, 0.3]], box=empty)
+        assert out.shape == (1,) and not np.any(out)
+
+    def test_rejects_values_that_do_not_fill_the_box(self):
+        grid = make_grid(2, (4.0, 4.0), (8, 8))
+        with pytest.raises(ValueError, match=r"do not fill the box \(3, 8\)"):
+            nudft_values(np.zeros((8, 8)), grid, [0.1, 0.2], box=(slice(2, 5), slice(0, 8)))
+        with pytest.raises(ValueError, match="do not fill the box"):
+            nudft_values(np.zeros((6, 8, 8)), grid, [0.1, 0.2])
+
+
+class TestSupportBox:
+    def test_only_exact_zeros_are_outside(self):
+        values = np.zeros((16, 10), dtype=complex)
+        values[3, 4] = 1e-300
+        values[9, 2] = 5e-324j  # the smallest subnormal
+        values[12, 7] = -0.0  # a zero all the same
+        assert support_box(values, 2) == (slice(3, 10), slice(2, 5))
+
+    def test_union_over_components(self):
+        values = np.zeros((6, 8, 10, 12), dtype=complex)
+        values[0, 2, 3, 4] = 1.0
+        values[5, 6, 1, 9] = -2.0j
+        assert support_box(values, 3) == (slice(2, 7), slice(1, 4), slice(4, 10))
+
+    def test_empty_for_an_all_zero_array(self):
+        assert support_box(np.zeros((6, 8, 8, 8), dtype=complex), 3) == (slice(0, 0),) * 3
+        assert support_box(np.full((8, 8), -0.0), 2) == (slice(0, 0),) * 2
+
+    def test_the_whole_grid_when_no_node_is_zero(self):
+        values = random_values((16, 10), 1)
+        assert support_box(values, 2) == (slice(0, 16), slice(0, 10))
+
+    def test_a_box_that_touches_the_grid_faces(self):
+        values = np.zeros((12, 10, 8))
+        values[0, 4, 7] = 1.0
+        values[11, 0, 3] = 1.0
+        assert support_box(values, 3) == (slice(0, 12), slice(0, 5), slice(3, 8))
+
+    def test_a_sampled_field_reads_its_box_once(self):
+        grid = make_grid(2, (4.0, 4.0), (8, 8))
+        values = np.zeros(grid.shape, dtype=complex)
+        values[2:5, 3] = 1.0
+        field = SampledField(grid, values, Space.POSITION)
+        assert field.box == (slice(2, 5), slice(3, 4))
+        assert field.box is field.box
 
 
 class TestDirections:

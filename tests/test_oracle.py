@@ -472,6 +472,14 @@ class TestAsymptoticFit:
                            match="^directions must be a nonzero vector of finite length$"):
             asymptotic_fit(psi, k_vec, 30.0, np.array([[1.0, 0.0], row]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_a_wave_vector_of_no_finite_length(self):
+        # |k_vec| overflows to inf: reported as such, with no overflow warning first
+        grid = self.grid()
+        psi = SampledField(grid, plane_wave(grid, np.array([-0.8, 0.0])), Space.POSITION)
+        with pytest.raises(ValueError, match=r"^\|k_vec\| = inf must be positive and finite$"):
+            asymptotic_fit(psi, np.array([1e308, 1e308]), 30.0, np.array([[1.0, 0.0]]))
+
     def test_validation(self):
         grid = self.grid()
         k_vec = np.array([-0.8, 0.0])

@@ -18,7 +18,7 @@ from hypothesis import event, given, settings, strategies as st
 from bit_identity import GRID_SHAPES, assert_same_bits, random_values
 
 from bornscat import grids, scalar
-from bornscat.em import MaterialTensors, em_born_series
+from bornscat.em import MaterialTensors, em_born_series, material_from_scalar
 from bornscat.grids import (
     NonFiniteError,
     SampledField,
@@ -150,7 +150,9 @@ class TestThreadedStep:
         v_before, prev_before = v.values.copy(), prev.field.values.copy()
         term = born_step(prev, v, cfg)
         source = v.values * prev.field.values
-        assert_same_bits(term.source.values, source)
+        # a random v has no zero node: its box is the whole grid
+        assert term.box == tuple(slice(0, n) for n in counts)
+        assert_same_bits(term.source, source)
         numerator = fft_values(source, grid)
         assert_same_bits(term.numerator.values, numerator)
         assert_same_bits(term.field.values, single_threaded_propagate(numerator, cfg))
@@ -193,12 +195,13 @@ class TestThreadedStep:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_numerator_diverges_at_order_one(self, pool_workers, bad):
         cfg = config_of((512, 512))
-        source = SampledField(cfg.grid, random_values(cfg.grid.shape), Space.POSITION)
+        source = random_values(cfg.grid.shape)
+        box = grids.support_box(source, cfg.grid.dim)
         numerator = random_values(cfg.grid.shape)
         numerator[-1, -1] = bad
 
         def step(prev, recycle):
-            return born_term(prev, cfg, source, lambda values: numerator, recycle=recycle)
+            return born_term(prev, cfg, source, box, lambda values: numerator, recycle=recycle)
 
         with pytest.raises(DivergenceError, match="not finite") as info:
             list(islice(born_orders(incident_term(cfg), step), 2))
@@ -268,6 +271,19 @@ class TestAllocations:
         assert held < (2 * n + 1.5) * array
         assert peak < (2 * n + 1.5) * array
 
+    def test_a_slab_born_series_keeps_its_numerators_and_boxed_sources(self):
+        # v is zero outside a slab of 5 of 1024 columns, and so is every
+        # source: n numerators, the last field and n sources of 5 columns
+        # each, where full-grid sources would hold 2n + 1 arrays
+        n = 3
+        cfg = config_of(self.counts, n_orders=n)
+        v = sample_potential(family(), cfg.grid)
+        assert v.box == (slice(0, 1024), slice(510, 515))
+        held, peak = self.traced_bytes(born_series, cfg, v)
+        array = v.values.nbytes
+        assert held < (n + 1.5) * array
+        assert peak < (n + 1.5) * array
+
     def test_a_streaming_sum_holds_no_order_behind(self):
         # the sum, the latest term's source, numerator and field, and the
         # next order's source and numerator: 6 arrays, none of an older order
@@ -295,6 +311,22 @@ class TestAllocations:
         array = values.nbytes
         assert held < (12 * n + 6.5) * array
         assert peak < (12 * n + 9) * array
+
+    @pytest.mark.filterwarnings("ignore:potential magnitude")
+    def test_a_slab_em_born_series_keeps_its_numerators_and_boxed_sources(self):
+        # delta-eps is zero outside a 96 x 5 x 5 box: 6n + 6 one-component
+        # arrays held (the numerators and the last field) plus the boxed
+        # sources, where full-grid sources would hold 12n + 6
+        n = 3
+        counts = (96, 48, 48)
+        cfg = config_of(counts, n_orders=n)
+        spec = family(3)
+        materials = material_from_scalar(spec, cfg.grid, scale=0.01)
+        assert materials.box == (slice(0, 96), slice(22, 27), slice(22, 27))
+        held, peak = self.traced_bytes(em_born_series, cfg, materials)
+        array = 16 * cfg.grid.size
+        assert held < (6 * n + 6.5) * array
+        assert peak < (6 * n + 9) * array
 
 
 class TestExactnessOrder:
@@ -479,6 +511,40 @@ class TestBornSeries:
         series = born_series(cfg, zero)
         assert series[1].field_max == 0.0
         assert series[2].numerator.max_abs() == 0.0
+        # every order is zero: an empty box, and nothing on it
+        for term in series[1:]:
+            assert term.box == (slice(0, 0),) * 2 and term.source.shape == (0, 0)
+            assert not np.any(term.numerator.values) and term.field_max == 0.0
+        assert not np.any(series[-1].field.values)
+        assert not np.any(on_shell_numerator(series[-1], cfg).values)
+
+    @pytest.mark.filterwarnings("ignore:potential magnitude")
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_a_boxed_source_gives_the_full_grid_numerator_and_field(self, pool_workers, dim):
+        # v is zero outside a transverse slab, and the step forms v * B on
+        # its box alone: the numerator and field are those of the whole-grid
+        # source, bit for bit
+        if dim == 2:
+            grid = make_grid(2, (60.0, 60.0), (512, 512))
+        else:
+            grid = make_grid(3, (14.0, 6.0, 6.0), (96, 48, 48))
+        spec = family(dim)
+        v = sample_potential(spec, grid)
+        cfg = make_scatter_config(grid, 0.8, spec, n_orders=3)
+        assert v.values[v.box].size < 0.2 * grid.size
+        orders = born_orders(incident_term(cfg), born_step, v, cfg)
+        prev = next(orders).field.values.copy()
+        for term in islice(orders, 3):
+            source = v.values * prev
+            assert term.box == v.box
+            assert_same_bits(term.source, source[v.box])
+            outside = source.copy()
+            outside[v.box] = 0
+            assert not np.any(outside)
+            numerator = fft_values(source, grid)
+            assert_same_bits(term.numerator.values, numerator)
+            assert_same_bits(term.field.values, propagate(numerator, cfg))
+            prev = term.field.values.copy()
 
     def test_held_series_keeps_only_the_last_field(self):
         spec, grid, v, cfg = standard_setup(n=64)
@@ -509,7 +575,8 @@ class TestBornSeries:
         term = incident_term(cfg)
         for driven in series[1:]:
             term = born_step(term, v, cfg)
-            assert_same_bits(driven.source.values, term.source.values)
+            assert driven.box == term.box
+            assert_same_bits(driven.source, term.source)
             assert_same_bits(driven.numerator.values, term.numerator.values)
         assert_same_bits(series[-1].field.values, term.field.values)
 
