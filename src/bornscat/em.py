@@ -310,15 +310,13 @@ def em_kernel_apply(w, grid, k, out=None):
     return blockwise(partial(_kernel, k), out, w, *grid.momentum_mesh(), axis=1)
 
 
-def em_born_step(prev, materials, config, *, recycle=False):
-    """Advance the six-component series by one order.
+def em_born_step(prev, materials, config):
+    """Advance the six-component series by one order, consuming prev's field.
 
     The source is formed on materials.box (see apply_material).  The
     numerator array, which holds the source on the whole grid, has its
     source rows transformed in place, and the kernel is applied there in
-    place.  recycle=True lets the step build G * M and the new field in
-    prev's field array; only born_orders, which then releases prev's field,
-    passes it.
+    place.
     """
     grid = config.grid
     field = _step_input(prev, materials, config)
@@ -329,8 +327,7 @@ def em_born_step(prev, materials, config, *, recycle=False):
         w = fft_values(numerator[rows], grid, out=numerator[rows])
         return em_kernel_apply(w, grid, config.k, out=numerator)
 
-    return born_term(prev, config, apply_material(materials, field), materials.box,
-                     transform, recycle=recycle)
+    return born_term(prev, config, apply_material(materials, field), materials.box, transform)
 
 
 def em_born_series(config, materials, e0=None):

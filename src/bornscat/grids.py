@@ -26,6 +26,7 @@ import contextvars
 import functools
 import json
 import math
+import numbers
 import os
 import queue
 import threading
@@ -55,6 +56,7 @@ __all__ = [
     "sphere_directions",
     "unit_vector",
     "positive_number",
+    "whole_number",
     "finite_vector",
     "finite_rows",
     "transverse_basis",
@@ -98,13 +100,12 @@ class Grid:
             raise ValueError("only 2- and 3-dimensional grids are supported")
         for L in self.extents:
             positive_number(L, "extent")
-        for n in self.counts:
-            if n != int(n) or n < 8:
-                raise ValueError(f"counts must be integers >= 8, got {n}")
+        counts = tuple(whole_number(n, "counts", 8) for n in self.counts)
+        for n in counts:
             if n % 2 != 0:
                 raise ValueError(f"counts must be even, got {n}")
         object.__setattr__(self, "extents", tuple(float(L) for L in self.extents))
-        object.__setattr__(self, "counts", tuple(int(n) for n in self.counts))
+        object.__setattr__(self, "counts", counts)
 
     @property
     def dim(self):
@@ -624,6 +625,22 @@ def positive_number(value, name):
     return value
 
 
+def whole_number(value, name, low, high=None):
+    """int(value), for an integral number in [low, high), or at least low with no high.
+
+    Integers, numpy integers and integral floats pass; a bool, a value that
+    is not integral or not finite, and one out of range are rejected.
+    """
+    integral = not isinstance(value, (bool, np.bool_)) and (
+        isinstance(value, numbers.Integral)
+        or isinstance(value, numbers.Real) and math.isfinite(value) and float(value).is_integer()
+    )
+    if not (integral and low <= value and (high is None or value < high)):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise ValueError(f"{name} = {value} must be an integer {bounds}")
+    return int(value)
+
+
 def _checked(array, shape, name, form):
     # the one message form of the vector rule below
     if array.shape != shape or not all_finite(array):
@@ -706,8 +723,7 @@ def sphere_directions(dim, k, count, incident_direction):
     """
     if dim not in (2, 3):
         raise ValueError("dim must be 2 or 3")
-    if count < 1:
-        raise ValueError(f"direction_count must be at least 1, got {count}")
+    count = whole_number(count, "direction_count", 1)
     inc = unit_vector(incident_direction, "incident direction")
     inc = finite_vector(inc, dim, "incident direction")
 

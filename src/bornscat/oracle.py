@@ -13,7 +13,7 @@ from itertools import islice
 import numpy as np
 
 from .grids import (DirectionSet, SampledField, Space, blockwise, finite_rows, finite_vector,
-                    plane_wave_at, positive_number)
+                    plane_wave_at, positive_number, whole_number)
 from .scalar import (
     DivergenceError,
     born_orders,
@@ -225,8 +225,7 @@ def converged_solution(config, v_field, series_tol=1e-8, order_cap=32):
     outright diverges; both point at strong coupling.
     """
     positive_number(series_tol, "series_tol")
-    if order_cap < 1:
-        raise ValueError("order_cap must be at least 1")
+    order_cap = whole_number(order_cap, "order_cap", 1)
     orders = born_orders(incident_term(config), born_step, v_field, config)
     total = np.array(next(orders).field.values, copy=True)
     increments = []
@@ -297,9 +296,10 @@ def asymptotic_fit(psi, k_vec, fit_radius, directions, fit_wavenumber=None,
     directions = directions / norms[:, None]
     if not 0 < radius_ratio < 1:
         raise ValueError("radius_ratio must lie in (0, 1)")
-    radii = (float(fit_radius), float(fit_radius) * radius_ratio)
+    fit_radius = float(positive_number(fit_radius, "fit_radius"))
+    radii = (fit_radius, fit_radius * radius_ratio)
     margin = max(grid.spacing)
-    if radii[0] <= 0 or radii[0] + margin > 0.5 * min(grid.extents):
+    if radii[0] + margin > 0.5 * min(grid.extents):
         raise ValueError(
             f"fit radius {radii[0]:g} does not fit inside the box "
             f"{grid.extents} with one-cell margin"

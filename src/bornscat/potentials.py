@@ -42,6 +42,7 @@ from .grids import (
     positive_number,
     transverse_basis,
     unit_vector,
+    whole_number,
 )
 from .jsonkind import array_of, complex_number, integer, kind_of, member, number, object_with
 
@@ -90,9 +91,7 @@ class PotentialSpec:
         object.__setattr__(self, "u", tuple(unit_vector(u, "u")))
         positive_number(self.alpha, "alpha")
         positive_number(self.a, "a")
-        if self.m != int(self.m) or self.m < 1:
-            raise ValueError("m must be an integer >= 1")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", whole_number(self.m, "m", 1))
         positive_number(self.ell_y, "ell_y")
         if self.dim == 3:
             positive_number(self.ell_z, "ell_z")

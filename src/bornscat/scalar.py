@@ -32,22 +32,23 @@ every source v * B_{n-1}, since born_orders guards every order and so each
 step reads a finite B: a step forms the source on that box alone, and the
 term keeps it there.  The numerator is built in a zero-filled array that
 the boxed source is copied into: the forward transform runs in place on
-it, and an EM step then applies its kernel there too.  Once a step has
-formed its source, the previous order's field is dead, so a step that
-born_orders drives builds the new field in that array: it first holds G (a
+it, and an EM step then applies its kernel there too.
+
+The one lifecycle rule: a step builds order n + 1 in order n's field
+array and releases order n's field (sets it to None).  Once the step has
+formed its source, that field is dead, so the array first holds G (a
 one-value field) or G * M (a six-vector field, with G in one transient
 array of one value per node), and the inverse transform runs in place on
-G * M.  Such a step allocates only its boxed source and its numerator; a
-step called directly allocates its field too and leaves its input as it
-is.  The term's fields skip SampledField's finiteness pass: a value that
-is not finite in the source or numerator reaches every node of the field
-through the transforms, so the one read of the field max in born_term
-covers them all.  A step called directly raises grids.NonFiniteError when
-that max is not finite; born_orders reports it as a DivergenceError.  The
-field is only the input to the next order, so born_orders drops it once
-that order is built: a held series keeps per order its numerator, which
-the node norms read, and its boxed source, which the shell sums read over
-the box alone, plus the last field.
+G * M.  A step allocates only its boxed source and its numerator, and it
+consumes the term it steps from: read a term's field before stepping from
+it, and step from a term only once.  The term's fields skip SampledField's
+finiteness pass: a value that is not finite in the source or numerator
+reaches every node of the field through the transforms, so the one read of
+the field max covers them all.  BornTerm is the one check of that max: it
+raises grids.NonFiniteError when the max is not finite, and born_orders
+reports it as a DivergenceError.  A held series keeps per order its
+numerator, which the node norms read, and its boxed source, which the
+shell sums read over the box alone, plus the last field.
 """
 
 import csv
@@ -75,6 +76,7 @@ from .grids import (
     snap_to_momentum_lattice,
     sphere_directions,
     unit_vector,
+    whole_number,
 )
 
 __all__ = [
@@ -190,8 +192,9 @@ class ScatterConfig:
         positive_number(self.k, "k")
         positive_number(self.epsilon, "epsilon")
         _check_below_band_edge(self.grid, self.k)
-        if not 0 <= self.n_orders < sys.maxsize:  # born_series slices n_orders + 1
-            raise ValueError(f"n_orders = {self.n_orders} must lie in [0, {sys.maxsize})")
+        # born_series slices n_orders + 1
+        n_orders = whole_number(self.n_orders, "n_orders", 0, sys.maxsize)
+        object.__setattr__(self, "n_orders", n_orders)
         finite_vector(self.k_vec, self.grid.dim, "k_vec")
         finite_vector(self.u, self.grid.dim, "u")
         # A grid cannot resolve, so cannot certify, a threshold finer than one
@@ -280,6 +283,7 @@ def make_scatter_config(
         epsilon = eps_cells * k_snapped * max(grid.momentum_spacing)
     if n_orders is None:
         n_orders = exactness_order(k_snapped, alpha) + _EXTRA_ORDERS
+    direction_count = whole_number(direction_count, "direction_count", 1)
     if direction_count > grid.size:  # so a shell record is no larger than a field
         raise ValueError(f"direction_count = {direction_count} exceeds the grid's "
                          f"node count, {grid.size}")
@@ -293,7 +297,7 @@ def make_scatter_config(
         u=tuple(float(c) for c in u),
         alpha=float(alpha),
         epsilon=float(epsilon),
-        n_orders=int(n_orders),
+        n_orders=n_orders,
         directions=directions,
     )
 
@@ -302,7 +306,7 @@ def make_scatter_config(
 class BornTerm:
     """One order of the series.
 
-    field is B_n(x) until born_orders builds order n + 1, and None after.
+    field is B_n(x) until a step builds order n + 1, and None after.
     For n >= 1, numerator is M_n(p), the transform of the position-space
     source v * B_{n-1}, and source is the array of that source's values on
     box: one slice per grid axis, outside which the source is zero, with
@@ -310,8 +314,8 @@ class BornTerm:
     numerator are None at order 0, where the term is the bare incident
     wave.  The field and numerator are SampledFields, with one value per
     node for scalar waves and a six-vector per node for EM waves.
-    field_max is max |B_n| for n >= 1, read here unless the step that built
-    the term passes the value it read; it is None at order 0, and it
+    field_max is max |B_n| for n >= 1, read here unless given; a max that
+    is not finite raises NonFiniteError.  It is None at order 0, and it
     outlives the field.
     """
 
@@ -332,8 +336,11 @@ class BornTerm:
                 raise ValueError("order 0 carries no source")
         elif self.source is None:
             raise ValueError("orders >= 1 need source and numerator")
-        elif self.field_max is None:
-            self.field_max = self.field.max_abs()
+        else:
+            if self.field_max is None:
+                self.field_max = self.field.max_abs()
+            if not math.isfinite(self.field_max):
+                raise NonFiniteError("field values must be finite")
 
 
 def incident_term(config, psi0=None):
@@ -349,18 +356,15 @@ def incident_term(config, psi0=None):
     return BornTerm(order=0, field=SampledField(grid, values, Space.POSITION))
 
 
-def propagate(numerator_values, config, out=None):
+def propagate(numerator_values, config, out):
     """Position values of the next order: inverse transform of G(p) * M_n(p).
 
     numerator_values may carry leading component axes, over which G
     broadcasts.  G * M goes into out, a complex array of the numerator's
-    shape (a new one by default), and the inverse transform runs in place
-    on it.  When M has one value per node, G itself is built in out first;
-    else G gets an array of its own.  numerator_values is left as it is.
+    shape, and the inverse transform runs in place on it (G is built in out
+    first for one value per node).  numerator_values is left as it is.
     """
     grid = config.grid
-    if out is None:
-        out = np.empty(numerator_values.shape, dtype=complex)
     one = numerator_values.shape == grid.shape
     propagator = green_factor(grid.momentum_sq, config.k, config.epsilon,
                               out=out if one else None)
@@ -369,28 +373,26 @@ def propagate(numerator_values, config, out=None):
     return ifft_values(out, grid, out=out)
 
 
-def born_term(prev, config, source, box, transform, recycle=False):
-    """The term after prev, from its source on box and the transform to its numerator.
+def born_term(prev, config, source, box, transform):
+    """The term after prev, built in prev's field array, which it releases.
 
     source holds the position-space source's values on box (one slice per
     grid axis), outside which the source is zero, with any component axes
     in front.  They are copied into a zero-filled array of the field's
     shape, and transform(values) builds the numerator there in place and
-    returns it.  With recycle, the new field is built in prev's field
-    array, which the source no longer needs (see born_orders).  Reads the
-    new field's max once and raises NonFiniteError when it is not finite;
-    the term carries it as field_max.
+    returns it.
     """
     grid = config.grid
     values = np.zeros(source.shape[:source.ndim - grid.dim] + grid.shape, dtype=complex)
     values[(Ellipsis,) + box] = source
-    # the check below reports a value that is not finite, so numpy need not warn of it
-    with np.errstate(over="ignore", invalid="ignore"):
-        numerator = transform(values)
-        field = propagate(numerator, config, out=prev.field.values if recycle else None)
-        field_max = max_abs(field)
-    if not math.isfinite(field_max):
-        raise NonFiniteError("field values must be finite")
+    try:
+        # BornTerm reports a value that is not finite, so numpy need not warn of it
+        with np.errstate(over="ignore", invalid="ignore"):
+            numerator = transform(values)
+            field = propagate(numerator, config, out=prev.field.values)
+            field_max = max_abs(field)
+    finally:
+        prev.field = None  # its array holds the new order, or part of it
     return BornTerm(
         prev.order + 1, SampledField._unchecked(grid, field, Space.POSITION), source,
         SampledField._unchecked(grid, numerator, Space.MOMENTUM), field_max, box,
@@ -407,14 +409,12 @@ def _step_input(prev, interaction, config):
     return prev.field
 
 
-def born_step(prev, v_field, config, *, recycle=False):
-    """Advance the series by one order.
+def born_step(prev, v_field, config):
+    """Advance the series by one order, consuming prev's field.
 
     The source v * B is formed on v_field.box alone, the box outside which v
     is zero.  That box is read once and kept, so v_field's values must not
-    be written once a step has read them.  recycle=True lets the step build
-    the new field in prev's field array; only born_orders, which then
-    releases prev's field, passes it.
+    be written once a step has read them.
     """
     grid = config.grid
     if v_field.space is not Space.POSITION:
@@ -424,26 +424,21 @@ def born_step(prev, v_field, config, *, recycle=False):
     v = v_field.values[box]
     source = blockwise(np.multiply, np.empty(v.shape, dtype=complex), v, field.values[box])
     return born_term(prev, config, source, box,
-                     lambda values: fft_values(values, grid, out=values), recycle=recycle)
+                     lambda values: fft_values(values, grid, out=values))
 
 
 def born_orders(first, step, *args):
     """The term `first`, then every later order, without end.
 
-    step(prev, *args, recycle=True) advances one order, and may build the
-    new field in prev's field array: once the step has formed its source,
-    that field is dead.  Only the latest term is kept alive here, and once
-    step has run, the term before it gives up its field (set to None).  So
-    read a term's field before asking for the next order: a caller that
-    keeps the field's array past that sees it overwritten by the next
-    order's field.  The iterator owns the divergence guard, for every wave
-    type: an order whose source, numerator or field is not finite has
-    overflowed, and one whose field max exceeds DIVERGENCE_RATIO times the
-    order-1 field max has run away; both raise DivergenceError there.  The
-    guard reads the max each term carries, so no field is read twice.  As
-    every order is guarded, each step reads a finite field, whose product
-    with the interaction's exact zeros is zero: that is why a step may form
-    its source on the interaction's support box alone.
+    step(prev, *args) advances one order and consumes prev's field (see the
+    module docstring), so read a term's field before asking for the next
+    order.  Only the latest term is kept alive here.  The iterator owns the
+    divergence guard, for every wave type: an order that overflowed
+    (NonFiniteError from BornTerm) or whose field max exceeds
+    DIVERGENCE_RATIO times the order-1 field max raises DivergenceError.
+    As every order is guarded, each step reads a finite field, whose
+    product with the interaction's exact zeros is zero: that is why a step
+    may form its source on the interaction's support box alone.
     """
     term, reference = first, None
     yield term
@@ -452,17 +447,11 @@ def born_orders(first, step, *args):
         try:
             # the guard reports the overflow, so numpy need not warn of it
             with np.errstate(over="ignore", invalid="ignore"):
-                built = step(term, *args, recycle=True)
+                term = step(term, *args)
         except NonFiniteError:
             raise DivergenceError(order, math.inf, reference) from None
-        finally:
-            term.field = None  # the step may have overwritten it, and no later order reads it
-        # no name here keeps the term before, so a streaming caller frees it now
-        term = built
         magnitude = term.field_max
-        if not math.isfinite(magnitude) or (
-            reference is not None and magnitude > DIVERGENCE_RATIO * reference
-        ):
+        if reference is not None and magnitude > DIVERGENCE_RATIO * reference:
             raise DivergenceError(order, magnitude, reference)
         if order == 1:
             reference = magnitude
@@ -691,8 +680,7 @@ def verify_convolution_support(
     edges, keeping the circular grid convolution faithful to the continuum
     statement.  One check per trial; empty effective bands come out vacuous.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    trials = whole_number(trials, "trials", 1)
     u = unit_vector(u, "u")
     p_par = grid.momentum_parallel(u)
     if width is None:

@@ -45,9 +45,15 @@ from bornscat.grids import (
     support_box,
     transverse_basis,
 )
-from bornscat.oracle import asymptotic_fit, em_quad_second_order, quad_second_order, slow_dft
+from bornscat.oracle import (
+    asymptotic_fit,
+    converged_solution,
+    em_quad_second_order,
+    quad_second_order,
+    slow_dft,
+)
 from bornscat.potentials import PotentialSpec, potential_spectrum, potential_value
-from bornscat.scalar import incident_term, make_scatter_config
+from bornscat.scalar import incident_term, make_scatter_config, verify_convolution_support
 
 
 def gaussian_field(grid):
@@ -856,3 +862,42 @@ class TestVectorRule:
         call(good)
         with pytest.raises(ValueError, match="^" + re.escape(message)):
             call(vector)
+
+
+ZERO2 = SampledField(GRID2, np.zeros(GRID2.shape), Space.POSITION)
+
+# (parameter, its lowest value, the public call that takes it)
+INTEGER_INPUTS = {
+    "make_grid": ("counts", 8, lambda n: make_grid(2, (1.0, 1.0), (n, 8))),
+    "make_scatter_config-n_orders": ("n_orders", 0, lambda n: make_scatter_config(
+        GRID2, 0.8, u=(1.0, 0.0), alpha=1.5, n_orders=n)),
+    "ScatterConfig-n_orders": ("n_orders", 0, lambda n: replace(CONFIG2, n_orders=n)),
+    "make_scatter_config-direction_count": ("direction_count", 1, lambda n: make_scatter_config(
+        GRID2, 0.8, u=(1.0, 0.0), alpha=1.5, direction_count=n)),
+    "sphere_directions": ("direction_count", 1,
+                          lambda n: sphere_directions(2, 1.0, n, (1.0, 0.0))),
+    "converged_solution": ("order_cap", 1,
+                           lambda n: converged_solution(CONFIG2, ZERO2, order_cap=n)),
+    "verify_convolution_support": ("trials", 1, lambda n: verify_convolution_support(
+        GRID2, (1.0, 0.0), 0.0, 0.0, trials=n)),
+    "PotentialSpec-m": ("m", 1, lambda n: replace(SPEC2, m=n)),
+}
+
+
+class TestIntegerRule:
+    @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, True, "below"])
+    @pytest.mark.parametrize("entry", INTEGER_INPUTS)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_every_count_input_is_checked_by_one_rule(self, entry, bad):
+        name, low, call = INTEGER_INPUTS[entry]
+        value = low - 1 if bad == "below" else bad
+        call(float(low))  # an integral float is a count
+        with pytest.raises(ValueError, match=f"^{name} = {re.escape(str(value))} must be "
+                                             f"an integer (>= {low}|in \\[{low}, )"):
+            call(value)
+
+    def test_a_count_comes_back_as_an_int(self):
+        assert make_grid(2, (1.0, 1.0), (np.int64(8), 8.0)).counts == (8, 8)
+        n_orders = replace(CONFIG2, n_orders=np.int64(3)).n_orders
+        assert type(n_orders) is int and n_orders == 3
+        assert sphere_directions(2, 1.0, np.int32(3), (1.0, 0.0)).count == 3

@@ -1,6 +1,7 @@
 """Tests for the brute-force reference implementations."""
 
 import cmath
+import math
 import warnings
 from itertools import islice
 
@@ -484,8 +485,12 @@ class TestAsymptoticFit:
         grid = self.grid()
         k_vec = np.array([-0.8, 0.0])
         psi = SampledField(grid, plane_wave(grid, k_vec), Space.POSITION)
-        with pytest.raises(ValueError, match="radius"):
+        with pytest.raises(ValueError, match="^fit radius 49.99 does not fit inside the box"):
             asymptotic_fit(psi, k_vec, 49.99, np.array([[1.0, 0.0]]))
+        for radius in (math.nan, math.inf, 0.0):
+            with pytest.raises(ValueError,
+                               match=f"^fit_radius = {radius} must be positive and finite$"):
+                asymptotic_fit(psi, k_vec, radius, np.array([[1.0, 0.0]]))
         with pytest.raises(ValueError, match="nonzero"):
             asymptotic_fit(psi, k_vec, 30.0, np.array([[0.0, 0.0]]))
         with pytest.raises(ValueError, match=r"k_vec must be a vector of 2 components, all "

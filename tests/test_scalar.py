@@ -149,7 +149,7 @@ class TestThreadedStep:
         prev = BornTerm(0, SampledField(grid, random_values(counts, 2), Space.POSITION))
         v_before, prev_before = v.values.copy(), prev.field.values.copy()
         term = born_step(prev, v, cfg)
-        source = v.values * prev.field.values
+        source = v.values * prev_before
         # a random v has no zero node: its box is the whole grid
         assert term.box == tuple(slice(0, n) for n in counts)
         assert_same_bits(term.source, source)
@@ -157,7 +157,7 @@ class TestThreadedStep:
         assert_same_bits(term.numerator.values, numerator)
         assert_same_bits(term.field.values, single_threaded_propagate(numerator, cfg))
         assert np.array_equal(v.values, v_before), "interaction was modified"
-        assert np.array_equal(prev.field.values, prev_before), "term was modified"
+        assert prev.field is None, "the step did not release its input"
 
     @staticmethod
     def diverge_at(order, bad):
@@ -166,7 +166,7 @@ class TestThreadedStep:
         in the last pool block."""
         grid = config_of((512, 512)).grid
 
-        def step(prev, recycle):
+        def step(prev):
             values = np.ones(grid.shape, dtype=complex)
             if prev.order + 1 == order:
                 values[-1, -1] = bad
@@ -179,7 +179,9 @@ class TestThreadedStep:
         assert info.value.order == order
         return info.value
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    # 1.5e308+1.5e308j has finite parts, so SampledField accepts it, but |value| = inf
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.5e308 + 1.5e308j],
+                             ids=["nan", "inf", "overflow"])
     @pytest.mark.parametrize("reference", [None, 1.0])
     def test_guard_sees_nonfinite_in_the_last_block(self, pool_workers, bad, reference):
         # no reference at order 1; at order 2 the order-1 field max, 1.0
@@ -192,6 +194,16 @@ class TestThreadedStep:
         assert err.reference == 1.0 and err.magnitude == 1e13
         assert "exceeds 1e+12 x first-order scale 1.000e+00" in str(err)
 
+    def test_a_term_checks_its_field_max(self):
+        grid = config_of((16, 10)).grid
+        values = np.ones(grid.shape, dtype=complex)
+        values[-1, -1] = 1.5e308 + 1.5e308j
+        field = SampledField(grid, values, Space.POSITION)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="must be finite"):
+            BornTerm(1, field, values, field)
+        with pytest.raises(NonFiniteError, match="must be finite"):
+            BornTerm(1, field, values, field, field_max=math.nan)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_numerator_diverges_at_order_one(self, pool_workers, bad):
         cfg = config_of((512, 512))
@@ -200,8 +212,8 @@ class TestThreadedStep:
         numerator = random_values(cfg.grid.shape)
         numerator[-1, -1] = bad
 
-        def step(prev, recycle):
-            return born_term(prev, cfg, source, box, lambda values: numerator, recycle=recycle)
+        def step(prev):
+            return born_term(prev, cfg, source, box, lambda values: numerator)
 
         with pytest.raises(DivergenceError, match="not finite") as info:
             list(islice(born_orders(incident_term(cfg), step), 2))
@@ -222,18 +234,22 @@ class TestAllocations:
 
     tracemalloc sees numpy's array buffers.  The peak counts what a call
     allocates and still holds on return (its result) as well as what it
-    frees before, so a direct step's peak is its three kept arrays (source,
-    numerator and field) plus block temporaries, and what it holds on
-    return is its result alone.  A step that born_orders drives builds its
-    field in the previous order's, so it allocates two arrays.
+    frees before.  A step keeps three arrays (source, numerator and field),
+    but builds the field in the one it steps from, so its peak is the two
+    it allocates plus block temporaries.
     """
 
     counts = (1024, 1024)
 
     @staticmethod
-    def traced_bytes(fn, *args):
-        """(held, peak): what a call's result keeps alive on return, and its peak."""
-        fn(*args)  # first use fills caches (momentum_sq, the pool) a call does not own
+    def traced_bytes(fn, make_args):
+        """(held, peak): what fn(*make_args()) keeps alive on return, and its peak.
+
+        Each call gets its own arguments, built before tracing starts: a
+        step consumes the term it steps from.
+        """
+        fn(*make_args())  # first use fills caches (momentum_sq, the pool) a call does not own
+        args = make_args()
         tracemalloc.start()
         try:
             result = fn(*args)  # held while the memory is read
@@ -241,8 +257,8 @@ class TestAllocations:
         finally:
             tracemalloc.stop()
 
-    def peak_bytes(self, fn, *args):
-        return self.traced_bytes(fn, *args)[1]
+    def peak_bytes(self, fn, make_args):
+        return self.traced_bytes(fn, make_args)[1]
 
     @pytest.mark.parametrize("lead,bound", [((), 2.0), ((6,), 1.5)], ids=["one", "six"])
     def test_propagate_reuses_the_propagator_buffer(self, lead, bound):
@@ -250,14 +266,23 @@ class TestAllocations:
         # inverse transform runs in place: no third full-size array
         cfg = config_of(self.counts)
         numerator = random_values(lead + self.counts)
-        assert self.peak_bytes(propagate, numerator, cfg) < bound * numerator.nbytes
+
+        def propagated(numerator, cfg):
+            return propagate(numerator, cfg, np.empty_like(numerator))
+
+        assert self.peak_bytes(propagated, lambda: (numerator, cfg)) < bound * numerator.nbytes
 
     def test_born_step_keeps_three_arrays(self):
+        # and allocates two: a peak of 3.1 arrays would mean a field of its own
         cfg = config_of(self.counts)
         grid = cfg.grid
         v = SampledField(grid, random_values(self.counts, 1), Space.POSITION)
-        prev = BornTerm(0, SampledField(grid, random_values(self.counts, 2), Space.POSITION))
-        assert self.peak_bytes(born_step, prev, v, cfg) < 4 * prev.field.values.nbytes
+
+        def fresh():
+            values = random_values(self.counts, 2)
+            return BornTerm(0, SampledField(grid, values, Space.POSITION)), v, cfg
+
+        assert self.peak_bytes(born_step, fresh) < 2.5 * v.values.nbytes
 
     def test_born_series_keeps_two_arrays_per_order(self):
         # each order's source and numerator, plus the last order's field:
@@ -266,7 +291,7 @@ class TestAllocations:
         n = 3
         cfg = config_of(self.counts, n_orders=n)
         v = SampledField(cfg.grid, random_values(self.counts, 1), Space.POSITION)
-        held, peak = self.traced_bytes(born_series, cfg, v)
+        held, peak = self.traced_bytes(born_series, lambda: (cfg, v))
         array = v.values.nbytes
         assert held < (2 * n + 1.5) * array
         assert peak < (2 * n + 1.5) * array
@@ -279,7 +304,7 @@ class TestAllocations:
         cfg = config_of(self.counts, n_orders=n)
         v = sample_potential(family(), cfg.grid)
         assert v.box == (slice(0, 1024), slice(510, 515))
-        held, peak = self.traced_bytes(born_series, cfg, v)
+        held, peak = self.traced_bytes(born_series, lambda: (cfg, v))
         array = v.values.nbytes
         assert held < (n + 1.5) * array
         assert peak < (n + 1.5) * array
@@ -297,7 +322,7 @@ class TestAllocations:
                 total += term.field.values
             return total
 
-        assert self.peak_bytes(summed, cfg, v) < 6.5 * v.values.nbytes
+        assert self.peak_bytes(summed, lambda: (cfg, v)) < 6.5 * v.values.nbytes
 
     def test_em_born_series_keeps_two_six_vectors_per_order(self):
         # 12n + 6 one-component arrays held; the last step adds its transient
@@ -307,7 +332,7 @@ class TestAllocations:
         cfg = config_of(counts, n_orders=n)
         values = 0.01 * random_values(counts, 1)
         materials = MaterialTensors.isotropic(cfg.grid, values)
-        held, peak = self.traced_bytes(em_born_series, cfg, materials)
+        held, peak = self.traced_bytes(em_born_series, lambda: (cfg, materials))
         array = values.nbytes
         assert held < (12 * n + 6.5) * array
         assert peak < (12 * n + 9) * array
@@ -323,7 +348,7 @@ class TestAllocations:
         spec = family(3)
         materials = material_from_scalar(spec, cfg.grid, scale=0.01)
         assert materials.box == (slice(0, 96), slice(22, 27), slice(22, 27))
-        held, peak = self.traced_bytes(em_born_series, cfg, materials)
+        held, peak = self.traced_bytes(em_born_series, lambda: (cfg, materials))
         array = 16 * cfg.grid.size
         assert held < (6 * n + 6.5) * array
         assert peak < (6 * n + 9) * array
@@ -543,7 +568,7 @@ class TestBornSeries:
             assert not np.any(outside)
             numerator = fft_values(source, grid)
             assert_same_bits(term.numerator.values, numerator)
-            assert_same_bits(term.field.values, propagate(numerator, cfg))
+            assert_same_bits(term.field.values, propagate(numerator, cfg, np.empty_like(numerator)))
             prev = term.field.values.copy()
 
     def test_held_series_keeps_only_the_last_field(self):
@@ -568,8 +593,7 @@ class TestBornSeries:
             assert not np.array_equal(kept, before)
 
     def test_driven_and_direct_steps_agree_bit_for_bit(self):
-        # a driven step builds its field in the previous one, a direct step
-        # in a new array: the same bits either way
+        # born_orders adds only the guard: stepping by hand gives the same bits
         spec, grid, v, cfg = standard_setup(n=64, n_orders=3)
         series = born_series(cfg, v)
         term = incident_term(cfg)
@@ -580,13 +604,16 @@ class TestBornSeries:
             assert_same_bits(driven.numerator.values, term.numerator.values)
         assert_same_bits(series[-1].field.values, term.field.values)
 
-    def test_a_direct_step_leaves_its_input_unchanged(self):
+    def test_a_direct_step_consumes_its_input(self):
         spec, grid, v, cfg = standard_setup(n=64)
         prev = born_series(replace(cfg, n_orders=1), v)[-1]
-        before = prev.field.values.copy()
+        kept = prev.field.values
         term = born_step(prev, v, cfg)
-        assert_same_bits(prev.field.values, before)
-        assert not np.shares_memory(term.field.values, prev.field.values)
+        assert prev.field is None
+        assert term.field.values is kept
+        with pytest.raises(ValueError, match="^the field of order 1 was released once "
+                                             "order 2 was built"):
+            born_step(prev, v, cfg)
 
     def test_a_step_from_a_released_field_names_it(self):
         spec, grid, v, cfg = standard_setup(n=64)
