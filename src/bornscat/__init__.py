@@ -11,11 +11,8 @@ from .grids import (
     Grid,
     SampledField,
     Space,
-    forward_ft,
-    inverse_ft,
     load_field,
     make_grid,
-    nudft,
     plane_wave,
     save_field,
     snap_to_momentum_lattice,

@@ -344,7 +344,7 @@ def em_born_series(config, materials, e0=None):
     return list(islice(orders, config.n_orders + 1))
 
 
-def em_on_shell_numerator(term, config, directions=None):
+def em_on_shell_numerator(term, config):
     """Kernel-applied shell values of the order's source, by direct sums.
 
     The stored source is the position-space tensor product on its box; its
@@ -358,7 +358,7 @@ def em_on_shell_numerator(term, config, directions=None):
         _kernel(config.k, w, *points.T, out=values)
         return values.T
 
-    return shell_record(term, config, directions, kernel_at_points)
+    return shell_record(term, config, None, kernel_at_points)
 
 
 def verify_em_exactness(config, series, tol=1e-2):

@@ -12,6 +12,8 @@ The transform pair is weighted to approximate the continuum integrals
     inverse:  f(x) = (2 pi)**-d * sum_p exp(i p.x) F(p) * prod(dp_i)
 
 which makes the two grid operations exactly inverse to each other.
+Every transform and direct sum (fft_values, ifft_values, nudft_values)
+takes raw values, whose trailing axes are the grid's, and the grid.
 Both transforms can write into a given array (out=), which may be their
 input itself: a Born order's numerator is transformed in place in the
 zero-filled array its source was copied into, and its propagation G * M and
@@ -46,11 +48,8 @@ __all__ = [
     "NonFiniteError",
     "DirectionSet",
     "make_grid",
-    "forward_ft",
-    "inverse_ft",
     "fft_values",
     "ifft_values",
-    "nudft",
     "nudft_values",
     "support_box",
     "sphere_directions",
@@ -529,20 +528,6 @@ def ifft_values(values, grid, out=None):
     return out
 
 
-def forward_ft(field):
-    """Grid approximation of F(p) = integral exp(-i p.x) f(x) dx."""
-    if field.space is not Space.POSITION:
-        raise ValueError("forward_ft expects a position-space field")
-    return SampledField(field.grid, fft_values(field.values, field.grid), Space.MOMENTUM)
-
-
-def inverse_ft(field):
-    """Grid approximation of f(x) = (2 pi)**-d integral exp(i p.x) F(p) dp."""
-    if field.space is not Space.MOMENTUM:
-        raise ValueError("inverse_ft expects a momentum-space field")
-    return SampledField(field.grid, ifft_values(field.values, field.grid), Space.POSITION)
-
-
 def nudft_values(values, grid, points, box=None):
     """Direct Fourier sum of raw position values at arbitrary momenta.
 
@@ -550,7 +535,9 @@ def nudft_values(values, grid, points, box=None):
     contraction; no interpolation is involved.  `points` has shape (P, d) or (d,).
     values covers the whole grid, or only the nodes of box, one slice per
     grid axis as support_box returns it, when f is zero outside; the sum
-    then runs over the box alone.
+    then runs over the box alone.  At the momentum nodes it equals
+    fft_values, and its periodic node phases wrap momenta as the circular
+    grid convolution does.
     """
     values = np.asarray(values)
     points = finite_rows(points, grid.dim, "points").reshape(-1, grid.dim)
@@ -593,18 +580,6 @@ def support_box(values, dim):
         box.append(slice(int(hits[0]), int(hits[-1]) + 1))
         nonzero = nonzero.any(axis=0)
     return tuple(box)
-
-
-def nudft(field, points):
-    """Direct Fourier sum of a position-space field at arbitrary momenta.
-
-    Agrees with forward_ft at momentum grid nodes and, through the
-    periodicity of the node phases, evaluates wrapped momentum differences
-    consistently with the circular grid convolution.
-    """
-    if field.space is not Space.POSITION:
-        raise ValueError("nudft expects a position-space field")
-    return nudft_values(field.values, field.grid, points)
 
 
 def unit_vector(vector, name):
@@ -764,11 +739,16 @@ def plane_wave(grid, k_vec):
 
 
 def plane_wave_at(grid, k_vec, nodes):
-    """plane_wave(grid, k_vec)[node] for each row of node indices, shape (M, dim)."""
+    """plane_wave(grid, k_vec)[node] for each row of node indices, shape (M, dim).
+
+    Each index is an integer in [0, n_i) along its axis i; no index wraps.
+    """
     waves = _axis_waves(grid, k_vec)
     nodes = np.asarray(nodes)
     if nodes.ndim != 2 or nodes.shape[1] != grid.dim:
         raise ValueError(f"nodes must have shape (M, {grid.dim})")
+    if not (np.issubdtype(nodes.dtype, np.integer) and np.all((nodes >= 0) & (nodes < grid.counts))):
+        raise ValueError(f"nodes must be integer indices in [0, n_i) for the counts {grid.counts}")
     return _product(*(wave[nodes[:, i]] for i, wave in enumerate(waves)))
 
 

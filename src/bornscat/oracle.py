@@ -6,6 +6,7 @@ and far-field amplitudes are read off position-space solutions instead of
 shell spectra.  Size caps keep the quadratic costs at toy scale.
 """
 
+import cmath
 import warnings
 from dataclasses import dataclass, field as dataclass_field
 from itertools import islice
@@ -38,15 +39,17 @@ __all__ = [
 QUAD_MAX_NODES_PER_AXIS = 16
 
 
-def slow_dft(field, points):
+def slow_dft(values, grid, points):
     """Literal nested-loop transform sum_x h^d exp(-i p.x) f(x).
 
-    Same contract as nudft, written as an explicit loop over grid nodes so
-    the two implementations share no code path.  Intended for small grids.
+    Same contract as nudft_values over the whole grid: raw position values
+    of shape grid.shape, the grid and a (P, d) or (d,) point set.  Written
+    as an explicit loop over grid nodes so the two implementations share no
+    code path.  Intended for small grids.
     """
-    if field.space is not Space.POSITION:
-        raise ValueError("slow_dft expects a position-space field")
-    grid = field.grid
+    values = np.asarray(values)
+    if values.shape != grid.shape:
+        raise ValueError(f"values of shape {values.shape} do not fill the box {grid.shape}")
     points = finite_rows(points, grid.dim, "points").reshape(-1, grid.dim)
     axes = [grid.position_axis(i) for i in range(grid.dim)]
     out = np.zeros(points.shape[0], dtype=complex)
@@ -57,7 +60,7 @@ def slow_dft(field, points):
             phase = 0.0
             for i in range(grid.dim):
                 phase += p[i] * axes[i][idx[i]]
-            total += field.values[idx] * np.exp(-1j * phase)
+            total += values[idx] * np.exp(-1j * phase)
         out[row] = total * grid.cell_volume
     return out
 
@@ -126,7 +129,7 @@ def _second_order(grid, entries, kernel, psi0, k_vec, points, eps):
         # sharing one array share one transform
         key = (id(values), pts.tobytes())
         if key not in cache:
-            cache[key] = slow_dft(SampledField(grid, values, Space.POSITION), pts)
+            cache[key] = slow_dft(values, grid, pts)
         return cache[key]
 
     # first order at every node q, the entries visited in their map's order
@@ -212,7 +215,6 @@ class ConvergedSolution:
 
     field: SampledField
     order: int
-    last_increment: float
     increments: tuple = dataclass_field(default_factory=tuple)
 
 
@@ -238,7 +240,6 @@ def converged_solution(config, v_field, series_tol=1e-8, order_cap=32):
                 return ConvergedSolution(
                     field=SampledField(config.grid, total, Space.POSITION),
                     order=term.order - 1,
-                    last_increment=increment,
                     increments=tuple(increments),
                 )
     except DivergenceError as err:
@@ -285,6 +286,8 @@ def asymptotic_fit(psi, k_vec, fit_radius, directions, fit_wavenumber=None,
     with np.errstate(over="ignore"):
         k = positive_number(float(np.linalg.norm(k_vec)), "|k_vec|")
     k_fit = complex(fit_wavenumber) if fit_wavenumber is not None else k
+    if not cmath.isfinite(k_fit):
+        raise ValueError(f"fit_wavenumber = {fit_wavenumber} must be finite")
     if isinstance(directions, DirectionSet):
         directions = directions.unit_vectors
     directions = finite_rows(directions, dim, "directions").reshape(-1, dim)

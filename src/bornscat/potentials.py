@@ -35,9 +35,9 @@ from .grids import (
     SampledField,
     Space,
     blockwise,
+    fft_values,
     finite_rows,
     finite_vector,
-    forward_ft,
     max_abs,
     positive_number,
     transverse_basis,
@@ -336,11 +336,12 @@ def verify_support(field, u, alpha, tol=1e-3):
     the largest magnitude over forbidden nodes is at most tol times the
     overall maximum.
     """
+    positive_number(tol, "tol")
     if field.space is not Space.POSITION:
         raise ValueError("verify_support expects a position-space field")
     u = unit_vector(u, "u")
     positive_number(alpha, "alpha")
-    spectrum = np.abs(forward_ft(field).values)
+    spectrum = np.abs(fft_values(field.values, field.grid))
     overall = float(np.max(spectrum))
     if overall == 0.0:
         raise ValueError("potential transform is identically zero; nothing to verify")

@@ -210,10 +210,6 @@ class ScatterConfig:
             raise ValueError("direction set wavenumber disagrees with config k")
 
     @property
-    def dim(self):
-        return self.grid.dim
-
-    @property
     def k_hat(self):
         return tuple(c / self.k for c in self.k_vec)
 
@@ -243,7 +239,6 @@ def make_scatter_config(
     *,
     u=None,
     alpha=None,
-    k_hat=None,
     epsilon=None,
     eps_cells=2.0,
     n_orders=None,
@@ -253,10 +248,10 @@ def make_scatter_config(
 
     The support axis u and threshold alpha are taken from `potential` when
     given (a PotentialSpec or PotentialSum), else must be passed explicitly.
-    The incident direction defaults to -u, so the wave travels into the
-    half-space where the interaction spectrum lives; the wave vector is then
-    snapped to the nearest momentum node and everything downstream (shell
-    radius, directions, default regulator) uses the snapped magnitude.
+    The incident direction is -u, so the wave travels into the half-space
+    where the interaction spectrum lives; the wave vector is then snapped
+    to the nearest momentum node and everything downstream (shell radius,
+    directions, default regulator) uses the snapped magnitude.
     eps defaults to eps_cells * k * max(dp): the propagator shell is smoothed
     over about eps_cells momentum cells.
     """
@@ -269,8 +264,7 @@ def make_scatter_config(
     # before snapping, so the message names the requested k and not an overflowed norm
     _check_below_band_edge(grid, k)
     u = finite_vector(unit_vector(u, "u"), grid.dim, "u")
-    k_hat = finite_vector(unit_vector(-u if k_hat is None else k_hat, "k_hat"), grid.dim, "k_hat")
-    k_vec = snap_to_momentum_lattice(grid, float(k) * k_hat)
+    k_vec = snap_to_momentum_lattice(grid, float(k) * unit_vector(-u, "u"))
     with np.errstate(over="ignore"):  # an inf here fails the band-edge check below
         k_snapped = float(np.linalg.norm(k_vec))
     if k_snapped == 0.0:
@@ -531,6 +525,7 @@ def amplitude_factor(dim, k):
     normalization.  Cross-validated against the asymptotic far-field fit; the
     vanishing checks never depend on it.
     """
+    positive_number(k, "k")
     if dim == 3:
         return -1.0 / (4.0 * np.pi)
     if dim == 2:
@@ -642,6 +637,7 @@ def verify_spectral_floor(series, u, k, tol=1e-3):
     lowest component of the incident wave).  Each check compares the max
     node magnitude below the floor with the order's global max.
     """
+    positive_number(tol, "tol")
     positive_number(k, "k")
 
     def band(order, p_par):
@@ -658,6 +654,7 @@ def verify_order_bands(series, u, k, alpha, tol=1e-3):
     spectral support up by at least alpha, so low orders cannot yet have
     fallen back down onto the shell band.  Empty bands are reported vacuous.
     """
+    positive_number(tol, "tol")
     n_exact = exactness_order(k, alpha)
 
     def band(order, p_par):
@@ -680,6 +677,7 @@ def verify_convolution_support(
     edges, keeping the circular grid convolution faithful to the continuum
     statement.  One check per trial; empty effective bands come out vacuous.
     """
+    positive_number(tol, "tol")
     trials = whole_number(trials, "trials", 1)
     u = unit_vector(u, "u")
     p_par = grid.momentum_parallel(u)
@@ -785,6 +783,7 @@ def verify_exactness(config, series, tol=1e-3, shell=None):
     on_shell_numerator) and its largest shell norm is compared, as a ratio,
     against the largest node norm of the numerator on the momentum grid.
     """
+    positive_number(tol, "tol")
     shell = on_shell_numerator if shell is None else shell
     n_exact = config.exact_order
     if series[-1].order < n_exact + 1:

@@ -29,13 +29,10 @@ from bornscat.grids import (
     all_finite,
     blockwise,
     fft_values,
-    forward_ft,
     ifft_values,
-    inverse_ft,
     load_field,
     make_grid,
     max_abs,
-    nudft,
     nudft_values,
     plane_wave,
     plane_wave_at,
@@ -56,11 +53,11 @@ from bornscat.potentials import PotentialSpec, potential_spectrum, potential_val
 from bornscat.scalar import incident_term, make_scatter_config, verify_convolution_support
 
 
-def gaussian_field(grid):
+def gaussian_values(grid):
     r2 = np.zeros(grid.shape)
     for x in grid.position_mesh():
         r2 = r2 + x * x
-    return SampledField(grid, np.exp(-0.5 * r2), Space.POSITION)
+    return np.exp(-0.5 * r2)
 
 
 class TestMakeGrid:
@@ -110,23 +107,22 @@ class TestMakeGrid:
 class TestForwardInverse:
     def test_zero_field(self):
         grid = make_grid(2, (10.0, 10.0), (16, 16))
-        out = forward_ft(SampledField(grid, np.zeros(grid.shape), Space.POSITION))
-        assert out.space is Space.MOMENTUM
-        assert out.max_abs() == 0.0
+        out = fft_values(np.zeros(grid.shape), grid)
+        assert max_abs(out) == 0.0
 
     def test_gaussian_closed_form_2d(self):
         grid = make_grid(2, (30.0, 30.0), (64, 64))
-        out = forward_ft(gaussian_field(grid))
+        out = fft_values(gaussian_values(grid), grid)
         p2 = grid.momentum_sq
         expected = 2.0 * np.pi * np.exp(-0.5 * p2)
-        err = np.max(np.abs(out.values - expected)) / (2.0 * np.pi)
+        err = np.max(np.abs(out - expected)) / (2.0 * np.pi)
         assert err < 1e-8
 
     def test_gaussian_closed_form_3d(self):
         grid = make_grid(3, (30.0, 30.0, 30.0), (64, 64, 64))
-        out = forward_ft(gaussian_field(grid))
+        out = fft_values(gaussian_values(grid), grid)
         expected = (2.0 * np.pi) ** 1.5 * np.exp(-0.5 * grid.momentum_sq)
-        err = np.max(np.abs(out.values - expected)) / (2.0 * np.pi) ** 1.5
+        err = np.max(np.abs(out - expected)) / (2.0 * np.pi) ** 1.5
         assert err < 1e-8
 
     @pytest.mark.parametrize("dim,counts", [(2, (32, 16)), (3, (16, 12, 10))])
@@ -134,20 +130,17 @@ class TestForwardInverse:
         rng = np.random.default_rng(7)
         grid = make_grid(dim, tuple(3.0 * n / 8 for n in counts), counts)
         values = rng.standard_normal(counts) + 1j * rng.standard_normal(counts)
-        f = SampledField(grid, values, Space.POSITION)
-        back = inverse_ft(forward_ft(f))
-        assert back.space is Space.POSITION
-        np.testing.assert_allclose(back.values, values, rtol=0, atol=1e-12 * np.max(np.abs(values)))
+        back = ifft_values(fft_values(values, grid), grid)
+        np.testing.assert_allclose(back, values, rtol=0, atol=1e-12 * np.max(np.abs(values)))
 
     def test_plancherel(self):
         rng = np.random.default_rng(11)
         grid = make_grid(2, (12.0, 9.0), (48, 36))
         values = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-        f = SampledField(grid, values, Space.POSITION)
-        ft = forward_ft(f)
+        ft = fft_values(values, grid)
         pos_norm = np.sum(np.abs(values) ** 2) * grid.cell_volume
         mom_norm = (
-            np.sum(np.abs(ft.values) ** 2)
+            np.sum(np.abs(ft) ** 2)
             * grid.momentum_cell_volume
             / (2.0 * np.pi) ** grid.dim
         )
@@ -158,10 +151,8 @@ class TestForwardInverse:
         rng = np.random.default_rng(3)
         grid = make_grid(2, (8.0, 8.0), (16, 16))
         values = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-        base = forward_ft(SampledField(grid, values, Space.POSITION)).values
-        shifted = forward_ft(
-            SampledField(grid, np.roll(values, 1, axis=0), Space.POSITION)
-        ).values
+        base = fft_values(values, grid)
+        shifted = fft_values(np.roll(values, 1, axis=0), grid)
         phase = np.exp(-1j * grid.momentum_mesh()[0] * grid.spacing[0])
         np.testing.assert_allclose(
             shifted, base * phase, atol=1e-12 * np.max(np.abs(base))
@@ -172,7 +163,7 @@ class TestForwardInverse:
         grid = make_grid(2, (4.0, 4.0), (8, 8))
         values = np.zeros(grid.shape, dtype=complex)
         values[3, 5] = 1.0
-        out = forward_ft(SampledField(grid, values, Space.POSITION)).values
+        out = fft_values(values, grid)
         xs = (grid.position_axis(0)[3], grid.position_axis(1)[5])
         pm = grid.momentum_mesh()
         expected = grid.cell_volume * np.exp(-1j * (pm[0] * xs[0] + pm[1] * xs[1]))
@@ -181,21 +172,11 @@ class TestForwardInverse:
     def test_inverse_of_constant_is_spike(self):
         grid = make_grid(2, (4.0, 4.0), (8, 8))
         c = 2.0 - 1.0j
-        out = inverse_ft(
-            SampledField(grid, np.full(grid.shape, c), Space.MOMENTUM)
-        ).values
+        out = ifft_values(np.full(grid.shape, c), grid)
         expected = np.zeros(grid.shape, dtype=complex)
         i0 = grid.counts[0] // 2  # index of x = 0
         expected[i0, i0] = c / grid.cell_volume
         np.testing.assert_allclose(out, expected, atol=1e-12 / grid.cell_volume)
-
-    def test_space_mismatch_raises(self):
-        grid = make_grid(2, (4.0, 4.0), (8, 8))
-        f = SampledField(grid, np.zeros(grid.shape), Space.MOMENTUM)
-        with pytest.raises(ValueError):
-            forward_ft(f)
-        with pytest.raises(ValueError):
-            inverse_ft(SampledField(grid, np.zeros(grid.shape), Space.POSITION))
 
     def test_rejects_nonfinite(self):
         grid = make_grid(2, (4.0, 4.0), (8, 8))
@@ -501,6 +482,17 @@ class TestThreadedPerNodePasses:
         with pytest.raises(ValueError, match="nodes"):
             plane_wave_at(grid, (1.0, 2.0), np.zeros(2, dtype=int))
 
+    @pytest.mark.parametrize("nodes", [[[-1, 0]], [[0, 32]], [[32, 0]], [[0.0, 1.0]],
+                                       [[0.5, 1.0]], [[True, False]]])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_plane_wave_at_rejects_an_index_off_the_grid(self, nodes):
+        # -1 would wrap to node 31, and a float would fail in numpy's indexing
+        grid = make_grid(2, (6.0, 6.0), (32, 32))
+        plane_wave_at(grid, (1.0, 2.0), [[0, 31], [31, 0]])
+        message = "nodes must be integer indices in [0, n_i) for the counts (32, 32)"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            plane_wave_at(grid, (1.0, 2.0), nodes)
+
     @pytest.mark.parametrize("k_vec", [(1.0, 2.0, 3.0), (1.0,)])
     def test_plane_wave_rejects_wave_vector_of_wrong_length(self, k_vec):
         grid = make_grid(2, (6.0, 6.0), (8, 8))
@@ -511,26 +503,24 @@ class TestThreadedPerNodePasses:
 
 
 class TestNudft:
-    def test_matches_forward_ft_at_nodes(self):
+    def test_matches_fft_values_at_nodes(self):
         rng = np.random.default_rng(5)
         grid = make_grid(2, (9.0, 7.0), (24, 16))
         values = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-        f = SampledField(grid, values, Space.POSITION)
-        ft = forward_ft(f).values
+        ft = fft_values(values, grid)
         idx = [(0, 0), (3, 5), (13, 2), (23, 15), (12, 8)]
         points = np.array(
             [[grid.momentum_axis(0)[i], grid.momentum_axis(1)[j]] for i, j in idx]
         )
-        direct = nudft(f, points)
+        direct = nudft_values(values, grid, points)
         expected = np.array([ft[i, j] for i, j in idx])
         np.testing.assert_allclose(direct, expected, rtol=0, atol=1e-12 * np.max(np.abs(ft)))
 
-    def test_matches_forward_ft_at_nodes_3d(self):
+    def test_matches_fft_values_at_nodes_3d(self):
         rng = np.random.default_rng(6)
         grid = make_grid(3, (6.0, 5.0, 4.0), (12, 10, 8))
         values = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-        f = SampledField(grid, values, Space.POSITION)
-        ft = forward_ft(f).values
+        ft = fft_values(values, grid)
         idx = [(0, 0, 0), (5, 2, 7), (11, 9, 3)]
         points = np.array(
             [
@@ -538,31 +528,29 @@ class TestNudft:
                 for i, j, l in idx
             ]
         )
-        direct = nudft(f, points)
+        direct = nudft_values(values, grid, points)
         expected = np.array([ft[i, j, l] for i, j, l in idx])
         np.testing.assert_allclose(direct, expected, rtol=0, atol=1e-12 * np.max(np.abs(ft)))
 
     def test_gaussian_off_grid_point(self):
         grid = make_grid(2, (30.0, 30.0), (64, 64))
-        f = gaussian_field(grid)
         p = np.array([[0.3, 0.7]])
         expected = 2.0 * np.pi * np.exp(-0.5 * (0.3**2 + 0.7**2))
-        got = nudft(f, p)[0]
+        got = nudft_values(gaussian_values(grid), grid, p)[0]
         assert abs(got - expected) / (2.0 * np.pi) < 1e-8
 
     def test_zero_field(self):
         grid = make_grid(2, (4.0, 4.0), (8, 8))
-        f = SampledField(grid, np.zeros(grid.shape), Space.POSITION)
-        out = nudft(f, np.array([[0.1, 0.2], [1.0, -1.0]]))
+        out = nudft_values(np.zeros(grid.shape), grid, np.array([[0.1, 0.2], [1.0, -1.0]]))
         np.testing.assert_array_equal(out, 0.0)
 
     def test_rejects_bad_points(self):
         grid = make_grid(2, (4.0, 4.0), (8, 8))
-        f = SampledField(grid, np.zeros(grid.shape), Space.POSITION)
+        values = np.zeros(grid.shape)
         with pytest.raises(ValueError):
-            nudft(f, np.array([[0.1, 0.2, 0.3]]))
+            nudft_values(values, grid, np.array([[0.1, 0.2, 0.3]]))
         with pytest.raises(ValueError):
-            nudft(f, np.array([[np.inf, 0.0]]))
+            nudft_values(values, grid, np.array([[np.inf, 0.0]]))
 
     @pytest.mark.parametrize("counts,box", [
         ((64, 48), (slice(0, 64), slice(20, 27))),
@@ -795,7 +783,6 @@ NO_MEDIUM = MaterialTensors(GRID3, {})
 VECTOR_INPUTS = {
     "nudft_values": ("points", "rows", (0.5, 0.0),
                      lambda v: nudft_values(FIELD2.values, GRID2, [v])),
-    "nudft": ("points", "rows", (0.5, 0.0), lambda v: nudft(FIELD2, [v])),
     "sphere_directions": ("incident direction", "unit", (1.0, 0.0),
                           lambda v: sphere_directions(2, 1.0, 4, v)),
     "plane_wave": ("k_vec", "a vector", (1.0, 0.0), lambda v: plane_wave(GRID2, v)),
@@ -809,8 +796,6 @@ VECTOR_INPUTS = {
     "ScatterConfig-u": ("u", "a vector", CONFIG2.u, lambda v: replace(CONFIG2, u=v)),
     "make_scatter_config-u": ("u", "unit", (1.0, 0.0), lambda v: make_scatter_config(
         GRID2, 0.8, u=v, alpha=1.5)),
-    "make_scatter_config-k_hat": ("k_hat", "unit", (-1.0, 0.0), lambda v: make_scatter_config(
-        GRID2, 0.8, u=(1.0, 0.0), alpha=1.5, k_hat=v)),
     "incident_term": ("psi0", "a vector", (1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
                       lambda v: incident_term(CONFIG2, v)),
     "incident_six_field-e0": ("e0", "a vector", (1.0, 0.0, 0.0),
@@ -821,7 +806,7 @@ VECTOR_INPUTS = {
                                    lambda v: default_polarization(v, (1.0, 0.0, 0.0))),
     "default_polarization-u": ("u", "unit", (1.0, 0.0, 0.0),
                                lambda v: default_polarization((0.0, 0.0, 1.0), v)),
-    "slow_dft": ("points", "rows", (0.5, 0.0), lambda v: slow_dft(FIELD2, [v])),
+    "slow_dft": ("points", "rows", (0.5, 0.0), lambda v: slow_dft(FIELD2.values, GRID2, [v])),
     "quad_second_order-k_vec": ("k_vec", "a vector", (-0.9, 0.0),
                                 lambda v: quad_second_order(FIELD2, v, [[0.0, 0.0]], 0.3)),
     "quad_second_order-points": ("points", "rows", (0.0, 0.0),

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import warnings
 from itertools import islice
 
@@ -72,38 +73,41 @@ def random_field(grid, seed=0):
 
 
 class TestSlowDft:
-    def test_matches_forward_ft_at_all_nodes(self):
+    def test_matches_fft_values_at_all_nodes(self):
         grid = toy_grid(2)
         field = random_field(grid)
         axes = [grid.momentum_axis(i) for i in range(2)]
         nodes = np.array([[axes[0][i], axes[1][j]] for i in range(8) for j in range(8)])
-        got = slow_dft(field, nodes).reshape(8, 8)
+        got = slow_dft(field.values, grid, nodes).reshape(8, 8)
         want = fft_values(field.values, grid)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_zero_field(self):
         grid = toy_grid(2)
-        field = SampledField(grid, np.zeros(grid.shape), Space.POSITION)
-        np.testing.assert_array_equal(slow_dft(field, [[0.3, -1.2]]), [0.0])
+        np.testing.assert_array_equal(slow_dft(np.zeros(grid.shape), grid, [[0.3, -1.2]]), [0.0])
 
     def test_random_points_match_nudft(self):
         grid = toy_grid(2)
         field = random_field(grid, seed=5)
         rng = np.random.default_rng(11)
         points = rng.uniform(-3.0, 3.0, size=(5, 2))
-        got = slow_dft(field, points)
+        got = slow_dft(field.values, grid, points)
         want = nudft_values(field.values, grid, points)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_rejects_momentum_space(self):
-        grid = toy_grid(2)
-        field = SampledField(grid, np.zeros(grid.shape), Space.MOMENTUM)
-        with pytest.raises(ValueError, match="position"):
-            slow_dft(field, [[0.0, 0.0]])
-
     def test_rejects_wrong_point_width(self):
+        grid = toy_grid(2)
         with pytest.raises(ValueError, match="components"):
-            slow_dft(random_field(toy_grid(2)), [[0.0, 0.0, 0.0]])
+            slow_dft(random_field(grid).values, grid, [[0.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("shape", [(8, 6), (8, 8, 8), (6, 8, 8)])
+    def test_rejects_values_that_do_not_fill_the_grid(self, shape):
+        # the message of nudft_values over the whole grid
+        message = f"values of shape {shape} do not fill the box (8, 8)"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            slow_dft(np.zeros(shape), toy_grid(2), [[0.0, 0.0]])
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            nudft_values(np.zeros(shape), toy_grid(2), [[0.0, 0.0]])
 
 
 def pipeline_second_order(grid, spec, k_req=0.9):
@@ -250,7 +254,7 @@ class TestConvergedSolution:
         zero = SampledField(grid, np.zeros(grid.shape), Space.POSITION)
         solution = converged_solution(cfg, zero, series_tol=1e-10)
         assert solution.order == 0
-        assert solution.last_increment == 0.0
+        assert solution.increments[-1] == 0.0
         np.testing.assert_array_equal(
             solution.field.values, plane_wave(grid, cfg.k_vec)
         )
@@ -266,7 +270,7 @@ class TestConvergedSolution:
         # increments shrink geometrically once the series settles
         inc = solution.increments
         assert all(b < a for a, b in zip(inc[1:], inc[2:]))
-        assert solution.last_increment < 1e-8
+        assert solution.increments[-1] < 1e-8
 
     def test_sum_equals_term_sum(self):
         grid = make_grid(2, (60.0, 60.0), (128, 128))
@@ -481,6 +485,7 @@ class TestAsymptoticFit:
         with pytest.raises(ValueError, match=r"^\|k_vec\| = inf must be positive and finite$"):
             asymptotic_fit(psi, np.array([1e308, 1e308]), 30.0, np.array([[1.0, 0.0]]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_validation(self):
         grid = self.grid()
         k_vec = np.array([-0.8, 0.0])
@@ -491,6 +496,11 @@ class TestAsymptoticFit:
             with pytest.raises(ValueError,
                                match=f"^fit_radius = {radius} must be positive and finite$"):
                 asymptotic_fit(psi, k_vec, radius, np.array([[1.0, 0.0]]))
+        for wavenumber in (math.nan, math.inf, complex(0.8, math.inf), complex(math.nan, 0.1)):
+            with pytest.raises(ValueError, match=f"^fit_wavenumber = {re.escape(str(wavenumber))} "
+                                                 "must be finite$"):
+                asymptotic_fit(psi, k_vec, 30.0, np.array([[1.0, 0.0]]),
+                               fit_wavenumber=wavenumber)
         with pytest.raises(ValueError, match="nonzero"):
             asymptotic_fit(psi, k_vec, 30.0, np.array([[0.0, 0.0]]))
         with pytest.raises(ValueError, match=r"k_vec must be a vector of 2 components, all "

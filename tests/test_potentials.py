@@ -16,7 +16,7 @@ import pytest
 from bit_identity import GRID_SHAPES, assert_same_bits
 
 from bornscat import potentials
-from bornscat.grids import Space, make_grid, nudft
+from bornscat.grids import Space, make_grid, nudft_values
 from bornscat.potentials import (
     PotentialSpec,
     PotentialSum,
@@ -150,7 +150,7 @@ class TestPotentialSpectrum:
             [rng.uniform(-1.0, 9.0, 50), rng.uniform(-4.5, 4.5, 50)]
         )
         closed = potential_spectrum(spec, points)
-        direct = nudft(f, points)
+        direct = nudft_values(f.values, grid, points)
         scale = np.max(np.abs(closed))
         assert np.max(np.abs(closed - direct)) / scale < 1e-3
 

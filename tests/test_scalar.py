@@ -18,16 +18,23 @@ from hypothesis import event, given, settings, strategies as st
 from bit_identity import GRID_SHAPES, assert_same_bits, random_values
 
 from bornscat import grids, scalar
-from bornscat.em import MaterialTensors, em_born_series, material_from_scalar
+from bornscat.em import (
+    MaterialTensors,
+    certify_materials,
+    em_born_series,
+    material_from_scalar,
+    verify_em_exactness,
+    verify_em_order_bands,
+    verify_em_spectral_floor,
+)
 from bornscat.grids import (
     NonFiniteError,
     SampledField,
     Space,
     fft_values,
-    forward_ft,
     ifft_values,
     make_grid,
-    nudft,
+    nudft_values,
     sphere_directions,
 )
 from bornscat.potentials import (
@@ -35,6 +42,7 @@ from bornscat.potentials import (
     PotentialSum,
     potential_spectrum,
     sample_potential,
+    verify_support,
 )
 from bornscat.scalar import (
     BornTerm,
@@ -484,19 +492,12 @@ class TestMakeConfig:
         with pytest.raises(ValueError, match=re.escape(f"k = {k:.4g} must lie below the momentum band edge")):
             make_scatter_config(grid, k, family(), n_orders=n_orders)
 
-    @pytest.mark.parametrize("axis", ["u", "k_hat"])
     @pytest.mark.parametrize("vector", [(1e308, 1e308), (0.0, 0.0), (np.nan, 1.0)])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_rejects_an_axis_of_no_finite_length(self, axis, vector):
+    def test_rejects_an_axis_of_no_finite_length(self, vector):
         grid = make_grid(2, (60.0, 60.0), (64, 64))
-        axes = {"u": (1.0, 0.0), "k_hat": None, axis: vector}
-        with pytest.raises(ValueError, match=f"{axis} must be a nonzero vector of finite length"):
-            make_scatter_config(grid, 0.8, alpha=1.0, **axes)
-
-    def test_incident_override(self):
-        grid = make_grid(2, (60.0, 60.0), (64, 64))
-        cfg = make_scatter_config(grid, 0.8, family(), k_hat=(1.0, 0.0))
-        np.testing.assert_allclose(cfg.k_hat, (1.0, 0.0), atol=1e-15)
+        with pytest.raises(ValueError, match="u must be a nonzero vector of finite length"):
+            make_scatter_config(grid, 0.8, u=vector, alpha=1.0)
 
     def test_direction_wavenumber_must_match(self):
         grid = make_grid(2, (60.0, 60.0), (64, 64))
@@ -524,7 +525,7 @@ class TestBornSeries:
         # shifts the interaction spectrum circularly by k/dp cells
         spec, grid, v, cfg = standard_setup(n=128)
         series = born_series(cfg, v)
-        vt = forward_ft(v).values
+        vt = fft_values(v.values, grid)
         shift = [int(round(c / dp)) for c, dp in zip(cfg.k_vec, grid.momentum_spacing)]
         expected = np.roll(vt, shift, axis=(0, 1))
         err = np.max(np.abs(series[1].numerator.values - expected))
@@ -695,7 +696,8 @@ class TestBornSeries:
         with pytest.raises(ValueError):
             BornTerm(order=1, field=wave)  # missing source/numerator
         with pytest.raises(ValueError):
-            BornTerm(order=0, field=wave, source=wave, numerator=forward_ft(wave))
+            BornTerm(order=0, field=wave, source=wave, numerator=SampledField(
+                grid, fft_values(wave.values, grid), Space.MOMENTUM))
 
 
 class TestOnShell:
@@ -706,7 +708,7 @@ class TestOnShell:
         series = born_series(cfg, v)
         record = on_shell_numerator(series[1], cfg)
         displaced = cfg.directions.momenta - np.asarray(cfg.k_vec)
-        expected = nudft(v, displaced)
+        expected = nudft_values(v.values, grid, displaced)
         np.testing.assert_allclose(record.values, expected, rtol=1e-12, atol=1e-14)
 
     def test_requires_interaction_order(self):
@@ -745,6 +747,13 @@ class TestAmplitudes:
         assert np.angle(c2) == pytest.approx(math.pi / 4 - math.pi)
         with pytest.raises(ValueError):
             amplitude_factor(4, 1.0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("k", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_k_not_positive_and_finite(self, dim, k):
+        with pytest.raises(ValueError, match=f"^k = {k} must be positive and finite$"):
+            amplitude_factor(dim, k)
 
     def test_offset_leaves_magnitude(self):
         # center offsets only rotate the phase of the first-order shell
@@ -870,6 +879,56 @@ class TestVanishingChecks:
         assert {"order", "shell", "max_ratio", "pass"} <= set(exact["checks"][0])
 
 
+def gaussian(grid):
+    """exp(-|x|^2) on the grid: an interaction whose spectrum is two-sided."""
+    r2 = sum(x * x for x in grid.position_mesh())
+    return np.exp(-r2)
+
+
+@pytest.fixture(scope="module")
+def two_sided_runs():
+    """Scalar and EM series of 3 orders driven by exp(-|x|^2), k = 0.8, u = x, alpha = 1."""
+    grid = make_grid(2, (30.0, 30.0), (128, 128))
+    v = SampledField(grid, gaussian(grid), Space.POSITION)
+    cfg = make_scatter_config(grid, 0.8, u=(1.0, 0.0), alpha=1.0, n_orders=3)
+    grid3 = make_grid(3, (16.0,) * 3, (16,) * 3)
+    medium = MaterialTensors.isotropic(grid3, gaussian(grid3))
+    cfg3 = make_scatter_config(grid3, 0.8, u=(1.0, 0.0, 0.0), alpha=1.0, n_orders=3)
+    return {"v": v, "cfg": cfg, "series": born_series(cfg, v), "medium": medium,
+            "cfg3": cfg3, "series3": em_born_series(cfg3, medium)}
+
+
+# Every library call that takes a tolerance, as (runs, tol) -> report.
+TOL_CALLS = {
+    "verify_exactness": lambda r, tol: verify_exactness(r["cfg"], r["series"], tol),
+    "verify_spectral_floor": lambda r, tol: verify_spectral_floor(
+        r["series"], r["cfg"].u, r["cfg"].k, tol),
+    "verify_order_bands": lambda r, tol: verify_order_bands(
+        r["series"], r["cfg"].u, r["cfg"].k, r["cfg"].alpha, tol),
+    "verify_convolution_support": lambda r, tol: verify_convolution_support(
+        r["v"].grid, (1.0, 0.0), 0.0, 0.0, tol=tol),
+    "verify_support": lambda r, tol: verify_support(r["v"], (1.0, 0.0), 1.0, tol),
+    "verify_em_exactness": lambda r, tol: verify_em_exactness(r["cfg3"], r["series3"], tol),
+    "verify_em_spectral_floor": lambda r, tol: verify_em_spectral_floor(
+        r["series3"], r["cfg3"].u, r["cfg3"].k, tol),
+    "verify_em_order_bands": lambda r, tol: verify_em_order_bands(
+        r["series3"], r["cfg3"].u, r["cfg3"].k, r["cfg3"].alpha, tol),
+    "certify_materials": lambda r, tol: certify_materials(r["medium"], (1.0, 0.0, 0.0), 1.0, tol),
+}
+
+
+class TestToleranceRule:
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("call", TOL_CALLS)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_every_tolerance_is_positive_and_finite(self, two_sided_runs, call, tol):
+        # tol = inf once passed every check of this two-sided interaction,
+        # and nan, 0 and -1 failed them without a word
+        TOL_CALLS[call](two_sided_runs, 1e-3)
+        with pytest.raises(ValueError, match=f"^tol = {tol} must be positive and finite$"):
+            TOL_CALLS[call](two_sided_runs, tol)
+
+
 @st.composite
 def one_sided_sums(draw):
     """Sums of 1-3 family members on u = (1, 0) whose smallest alpha is 1."""
@@ -878,6 +937,24 @@ def one_sided_sums(draw):
         family(alpha=alpha, a=draw(st.floats(0.6, 1.5)), m=draw(st.sampled_from([2, 3, 4])),
                ell_y=draw(st.floats(1.0, 8.0)),
                center=(draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0))))
+        for alpha in alphas
+    ))
+
+
+@st.composite
+def one_sided_sums_3d(draw):
+    """Sums of 1-3 family members on u = (1, 0, 0) whose smallest alpha is 1.
+
+    m stays at most 3 and the centers within 4 of the box's middle along u:
+    m = 4 lets an alpha claimed 1.7x too large pass now and then, and a
+    center nearer the box's faces can truncate a member with a = 1.5.
+    """
+    alphas = [1.0] + draw(st.lists(st.floats(1.0, 2.0), max_size=2))
+    return PotentialSum(tuple(
+        family(dim=3, alpha=alpha, a=draw(st.floats(0.6, 1.5)), m=draw(st.sampled_from([2, 3])),
+               ell_y=draw(st.floats(1.0, 6.0)), ell_z=draw(st.floats(1.0, 6.0)),
+               center=(draw(st.floats(-4.0, 4.0)), draw(st.floats(-1.5, 1.5)),
+                       draw(st.floats(-1.5, 1.5))))
         for alpha in alphas
     ))
 
@@ -895,23 +972,32 @@ def band_edge_headroom(v):
 HEADROOM_BOUND = 1e-2
 
 
+def check_theorem(grid, potential):
+    """At k = 0.8 (N = 1), order 2 vanishes on 64 shell directions within the headroom bound."""
+    v = sample_potential(potential, grid)
+    cfg = make_scatter_config(grid, 0.8, potential, n_orders=2)
+    series = born_series(cfg, v)
+    passed = verify_exactness(cfg, series, tol=1e-3).passed
+    within = band_edge_headroom(v) <= HEADROOM_BOUND
+    event(f"headroom {'within' if within else 'beyond'} the bound: "
+          f"{'pass' if passed else 'FAIL'}")
+    assert passed or not within
+    # alpha claimed 1.7x too large predicts N = 0, yet order 1 reaches the shell
+    claimed = replace(cfg, alpha=1.7 * cfg.alpha)
+    assert not verify_exactness(claimed, series, tol=1e-3).passed
+
+
 class TestTheorem:
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(potential=one_sided_sums())
     def test_one_sided_sums_vanish_above_n_within_the_headroom_bound(self, potential):
-        # 256^2 with L = 60 and k = 0.8, so N = 1: order 2 must vanish
-        grid = make_grid(2, (60.0, 60.0), (256, 256))
-        v = sample_potential(potential, grid)
-        cfg = make_scatter_config(grid, 0.8, potential, n_orders=2)
-        series = born_series(cfg, v)
-        passed = verify_exactness(cfg, series, tol=1e-3).passed
-        within = band_edge_headroom(v) <= HEADROOM_BOUND
-        event(f"headroom {'within' if within else 'beyond'} the bound: "
-              f"{'pass' if passed else 'FAIL'}")
-        assert passed or not within
-        # alpha claimed 1.7x too large predicts N = 0, yet order 1 reaches the shell
-        claimed = replace(cfg, alpha=1.7 * cfg.alpha)
-        assert not verify_exactness(claimed, series, tol=1e-3).passed
+        check_theorem(make_grid(2, (60.0, 60.0), (256, 256)), potential)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(potential=one_sided_sums_3d())
+    def test_one_sided_3d_sums_vanish_above_n_within_the_headroom_bound(self, potential):
+        # slabs of width at most 6 centered within 1.5 of u's axis stay inside the box
+        check_theorem(make_grid(3, (40.0, 12.0, 12.0), (256, 32, 32)), potential)
 
 
 class TestConvolutionSupport:
