@@ -1,7 +1,9 @@
 """Electromagnetic Born engine on six-component fields.
 
-A field is a SampledField holding the six-vector (E, H) at every node,
-shape (6,) + grid.shape, with three complex components per block.  The
+A field holds the raw values of the six-vector (E, H) at every node,
+shape (6,) + grid.shape, with three complex components per block; a Born
+term's field holds them on the medium's box, in the rows the medium reads
+(the E rows alone when delta-mu = 0).  The
 material deviation enters through two 3x3 tensor fields (delta-epsilon and
 delta-mu); one iteration multiplies the previous term blockwise by the
 tensors, transforms, applies the pointwise momentum kernel
@@ -38,6 +40,7 @@ from .grids import (
     fft_values,
     finite_vector,
     nudft_values,
+    positive_number,
     support_box,
     transverse_basis,
     unit_vector,
@@ -206,8 +209,11 @@ def certify_materials(materials, u, alpha, tol=1e-3):
     Returns a dict keyed like "eps[0,1]"; identically zero entries are
     skipped (nothing to certify), and entries sharing one array share one
     report.  All reports passing certifies the whole medium for the
-    half-space u.p >= alpha.
+    half-space u.p >= alpha; an empty result, for a medium with no nonzero
+    entry, certifies nothing.  tol must be positive and finite, checked
+    before any entry.
     """
+    tol = positive_number(tol, "tol")
     reports, by_array = {}, {}
     for (block, i, j), values in materials.entries.items():
         if id(values) not in by_array:
@@ -227,29 +233,32 @@ def _sum_of_products(*operands, out):
 def apply_material(materials, six):
     """Blockwise tensor product (delta-eps . E, delta-mu . H) in position space.
 
-    six is a six-vector field.  Returns the product's values on
-    materials.box, shape (6,) plus the box's shape; outside the box every
-    entry, and so the product of a finite field, is zero.  Each output row
-    is the sum, in ascending column, of its stored entries times the field
-    components they meet.  Rows without a stored entry, such as the whole H
-    block when delta-mu = 0, stay zero and are never written.  As the
-    source of a Born order, the product is not checked for finiteness: an
-    overflowed value reaches the order's field, whose max the engine reads.
+    six holds a six-vector field's raw values on materials.box, component
+    axis in front: all six rows, or the three E rows alone when
+    delta-mu = 0, since only the rows an entry meets are read.  Returns
+    the product's values on the same box, shape (6,) plus the box's shape;
+    outside the box every entry, and so the product of a finite field, is
+    zero.  Each output row is the sum, in ascending column, of its stored
+    entries times the field components they meet.  Rows without a stored
+    entry, such as the whole H block when delta-mu = 0, stay zero and are
+    never written.  As the source of a Born order, the product is not
+    checked for finiteness: an overflowed value reaches the order's field,
+    whose max the engine reads.
     """
-    if six.values.shape != (6,) + six.grid.shape:
-        raise ValueError("material product acts on six-vector fields")
-    if six.space is not Space.POSITION:
-        raise ValueError("material product acts on position-space fields")
-    if six.grid != materials.grid:
-        raise ValueError("field and materials must share one grid")
     box = materials.box
+    rows = 6 if materials.is_magnetic else 3
+    if six.ndim != 4 or six.shape[0] not in (rows, 6):
+        raise ValueError(f"material product acts on six-vector fields; got shape {six.shape}")
+    box_shape = tuple(s.stop - s.start for s in box)
+    if six.shape[1:] != box_shape:
+        raise ValueError(f"values of shape {six.shape[1:]} do not fill the box {box_shape}")
     # np.zeros leaves the rows no entry writes to the lazily zeroed pages.
-    out = np.zeros(six.values[(slice(None),) + box].shape, dtype=complex)
-    rows = groupby(materials.entries.items(), key=lambda item: item[0][:2])
-    for (block, i), terms in rows:
+    out = np.zeros((6,) + six.shape[1:], dtype=complex)
+    by_row = groupby(materials.entries.items(), key=lambda item: item[0][:2])
+    for (block, i), terms in by_row:
         operands = [
-            operand[box] for (_, _, j), values in terms
-            for operand in (values, six.values[3 * block + j])
+            operand for (_, _, j), values in terms
+            for operand in (values[box], six[3 * block + j])
         ]
         blockwise(_sum_of_products, out[3 * block + i], *operands)
     return out
@@ -316,18 +325,23 @@ def em_born_step(prev, materials, config):
     The source is formed on materials.box (see apply_material).  The
     numerator array, which holds the source on the whole grid, has its
     source rows transformed in place, and the kernel is applied there in
-    place.
+    place.  The next order's field is built on the box, in the rows the
+    medium reads: the E rows alone when delta-mu = 0, since the next source
+    is then delta-eps . E.
     """
     grid = config.grid
     field = _step_input(prev, materials, config)
+    box = materials.box
     # With delta-mu = 0 the source's H block is zero, and so is W_H.
     rows = slice(None) if materials.is_magnetic else slice(3)
 
     def transform(numerator):
-        w = fft_values(numerator[rows], grid, out=numerator[rows])
-        return em_kernel_apply(w, grid, config.k, out=numerator)
+        w = numerator[rows]
+        fft_values(w, grid, out=w, box=box)
+        em_kernel_apply(w, grid, config.k, out=numerator)
+        return numerator[rows]
 
-    return born_term(prev, config, apply_material(materials, field), materials.box, transform)
+    return born_term(prev, config, apply_material(materials, field), box, transform)
 
 
 def em_born_series(config, materials, e0=None):

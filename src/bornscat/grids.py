@@ -21,7 +21,11 @@ the inverse transform share one buffer.
 
 A Born order's source is zero outside the support box of its interaction
 (support_box), so it is stored on that box alone, and nudft_values sums
-over a box of nodes when given one.
+over a box of nodes when given one.  The next order reads its field on
+that box alone, so both transforms take a box too: fft_values skips the
+lines that are still all zero outside it, and ifft_values computes only
+the values on it.  Each pass skips whole 1-D lines and transforms the
+others as before, so every value computed keeps its bits.
 """
 
 import contextvars
@@ -224,9 +228,9 @@ class SampledField:
     def _unchecked(cls, grid, values, space):
         """A field of complex values of a valid shape, with no finiteness pass.
 
-        For the Born engine, whose guard reads each order's field max
-        instead: a value that is not finite in an order's source or
-        numerator always reaches its field.
+        For the Born engine's numerators, whose guard reads each order's
+        field max instead: a value that is not finite in the numerator rows
+        an order propagates always reaches its field.
         """
         field = object.__new__(cls)
         field.grid, field.values, field.space = grid, values, space
@@ -445,9 +449,12 @@ def _reduce(fn, values):
 
 
 def max_abs(values):
-    """float(np.max(np.abs(values))) on the grid thread pool; nan if any value is nan."""
+    """float(np.max(np.abs(values))) on the grid thread pool; nan if any value is nan.
+
+    No values at all give 0.0.
+    """
     # np.max, not the builtin max, over the blocks' maxima: max([1.0, nan]) is 1.0.
-    return float(np.max(_reduce(lambda block: np.max(np.abs(block)), values)))
+    return float(np.max(_reduce(lambda block: np.max(np.abs(block), initial=0.0), values)))
 
 
 def all_finite(values):
@@ -455,20 +462,33 @@ def all_finite(values):
     return bool(np.all(_reduce(lambda block: np.all(np.isfinite(block)), values)))
 
 
-def _passes(transform, src, out, grid):
+def _passes(transform, src, out, grid, box=None, forward=True):
     """fftn's 1-D passes of `transform`, last grid axis first, from src into out.
 
-    Each pass splits its lines along the largest other axis; the passes after
-    the first run in place on out.
+    With a box (one slice per grid axis), a pass along grid axis a runs only
+    on the lines whose indices lie in the box along the axes still
+    untransformed, those before a, for a forward transform, or along the
+    axes already transformed, those after a, for an inverse one.  Each pass
+    splits its lines along the largest other axis; the passes after the
+    first run in place on out.
     """
-    for axis in range(out.ndim - 1, out.ndim - 1 - grid.dim, -1):
-        split = max((a for a in range(out.ndim) if a != axis), key=lambda a: out.shape[a])
+    lead = out.ndim - grid.dim
+    for a in reversed(range(grid.dim)):
+        lines = (slice(None),) * lead + tuple(
+            box[i] if box is not None and (i < a if forward else i > a) else slice(None)
+            for i in range(grid.dim)
+        )
+        part_src, part_out = src[lines], out[lines]
+        axis = lead + a
+        split = max((x for x in range(out.ndim) if x != axis),
+                    key=lambda x: part_out.shape[x])
 
-        def task(block, src=src, axis=axis, split=split):
+        def task(block, part_src=part_src, part_out=part_out, axis=axis, split=split):
             index = (slice(None),) * split + (block,)
-            transform(src[index], axis=axis, out=out[index])
+            transform(part_src[index], axis=axis, out=part_out[index])
 
-        _row_blocks(task, out.shape[split], out.nbytes, _BLOCK_BYTES)
+        if part_out.size:
+            _row_blocks(task, part_out.shape[split], part_out.nbytes, _BLOCK_BYTES)
         src = out
 
 
@@ -499,32 +519,41 @@ def _weigh(values, grid, scale, out):
     return blockwise(_product, out, *_centering(grid, scale), values, axis=axis)
 
 
-def fft_values(values, grid, out=None):
+def fft_values(values, grid, out=None, box=None):
     """Continuum-normalized forward transform of raw values (trailing grid axes).
 
     The result goes into out, a new array by default, or a complex array of
-    values' shape that is either values itself, which is then transformed
-    in place with the same bits, or does not overlap it.
+    values' shape that is either values itself (or a view of the same
+    elements), which is then transformed in place with the same bits, or
+    does not overlap it.  A box, one slice per grid axis as support_box
+    returns it, says that the values are zero outside it, as nudft_values's
+    box does: the passes then skip the lines that are still all zero, and
+    the result has the same bits.
     """
     values = np.asarray(values)
     if out is None:
         out = np.empty(values.shape, dtype=complex)
-    _passes(np.fft.fft, values, out, grid)
+    if box is not None and not np.may_share_memory(out, values):
+        out.fill(0)  # the lines the passes skip
+    _passes(np.fft.fft, values, out, grid, box)
     return _weigh(out, grid, grid.cell_volume, out)
 
 
-def ifft_values(values, grid, out=None):
+def ifft_values(values, grid, out=None, box=None):
     """Inverse of :func:`fft_values` on raw values (trailing grid axes).
 
     The result goes into out, a new array by default; out may be values
     itself, a complex array, which is then transformed in place with the
-    same bits.
+    same bits.  A box, one slice per grid axis, says that only the values on
+    it are wanted: the passes then skip the lines no value on the box
+    needs.  Those values have the same bits, and the rest of out holds
+    partial transforms.
     """
     values = np.asarray(values)
     if out is None:
         out = np.empty(values.shape, dtype=complex)
     _weigh(values, grid, 1.0 / grid.cell_volume, out)
-    _passes(np.fft.ifft, out, out, grid)
+    _passes(np.fft.ifft, out, out, grid, box, forward=False)
     return out
 
 

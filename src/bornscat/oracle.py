@@ -7,8 +7,11 @@ shell spectra.  Size caps keep the quadratic costs at toy scale.
 """
 
 import cmath
+import math
+import sys
 import warnings
 from dataclasses import dataclass, field as dataclass_field
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -37,6 +40,9 @@ __all__ = [
 ]
 
 QUAD_MAX_NODES_PER_AXIS = 16
+
+# Both exp(i k r) and its reciprocal are normal floats while |Im k| r is at most this.
+_EXP_RANGE = -math.log(sys.float_info.min)
 
 
 def slow_dft(values, grid, points):
@@ -221,19 +227,22 @@ class ConvergedSolution:
 def converged_solution(config, v_field, series_tol=1e-8, order_cap=32):
     """Sum series terms until the max-norm increment drops below series_tol.
 
-    The reported order is the highest one whose increment still mattered,
-    so a zero interaction converges at order 0.  Raises
+    Each term's field is built on the whole grid (born_step's whole_grid),
+    and its increment is its max over the grid.  The reported order is the
+    highest one whose increment still mattered, so a zero interaction
+    converges at order 0.  Raises
     SeriesConvergenceError when order_cap is reached first, or when a term
     outright diverges; both point at strong coupling.
     """
     positive_number(series_tol, "series_tol")
     order_cap = whole_number(order_cap, "order_cap", 1)
-    orders = born_orders(incident_term(config), born_step, v_field, config)
-    total = np.array(next(orders).field.values, copy=True)
+    step = partial(born_step, whole_grid=True)
+    orders = born_orders(incident_term(config), step, v_field, config)
+    total = np.array(next(orders).field, copy=True)
     increments = []
     try:
         for term in islice(orders, order_cap):
-            blockwise(np.add, total, total, term.field.values)
+            blockwise(np.add, total, total, term.field)
             increment = term.field_max
             increments.append(increment)
             if increment < series_tol:
@@ -273,7 +282,9 @@ def asymptotic_fit(psi, k_vec, fit_radius, directions, fit_wavenumber=None,
     nodes nearest to radius*direction for two radii, and divides by the
     outgoing factor exp(i k r) / r^((d-1)/2) evaluated at the exact node
     radius.  A complex fit_wavenumber compensates the damping introduced by
-    the regularized propagator.  Warns when the two radii disagree by more
+    the regularized propagator; one whose |Im k| r at a fit node would take
+    exp(i k r) or its reciprocal out of the normal float range is
+    rejected.  Warns when the two radii disagree by more
     than 10% — the fit is then not yet in the far field.
     """
     if psi.space is not Space.POSITION:
@@ -327,6 +338,11 @@ def asymptotic_fit(psi, k_vec, fit_radius, directions, fit_wavenumber=None,
         x_node = np.array([axes[i][idx[i]] for i in range(dim)])
         r_node = float(np.linalg.norm(x_node))
         node_directions[row, col] = x_node / r_node
+        if abs(k_fit.imag) * r_node > _EXP_RANGE:
+            raise ValueError(
+                f"fit_wavenumber = {fit_wavenumber} takes exp(i k r) out of the float range "
+                f"at the fit node radius {r_node:g}: |Im k| r must be at most {_EXP_RANGE:.6g}"
+            )
         outgoing = np.exp(1j * k_fit * r_node) / r_node ** (0.5 * (dim - 1))
         per_radius[row, col] = (psi.values[idx] - incident[row, col]) / outgoing
 

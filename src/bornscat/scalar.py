@@ -22,33 +22,50 @@ This is the one engine for every wave type: the incident term, the order
 iterator with its divergence guard, every step's tail (propagation and the
 term), the term and record types, the verification reports and the CSV
 writer serve scalar fields and the six-component EM fields of bornscat.em
-alike.  Both are grids.SampledField, with one value or one six-vector per
-node; the EM module supplies its material product, kernel and shell
+alike.  Both are raw arrays of values, with one value or one six-vector
+per node; the EM module supplies its material product, kernel and shell
 evaluation.
 
-A Born order allocates only the arrays its term keeps.  The interaction
-is exactly zero outside its support box (grids.support_box), and so is
-every source v * B_{n-1}, since born_orders guards every order and so each
-step reads a finite B: a step forms the source on that box alone, and the
-term keeps it there.  The numerator is built in a zero-filled array that
-the boxed source is copied into: the forward transform runs in place on
-it, and an EM step then applies its kernel there too.
+A Born order allocates only the arrays its term keeps, and computes only
+what the next order reads.  The interaction is exactly zero outside its
+support box (grids.support_box), and so is every source v * B_{n-1},
+since born_orders guards every order and so each step reads a finite B: a
+step forms the source on that box alone, and the term keeps it there.
+The numerator is built in a zero-filled array that the boxed source is
+copied into: the forward transform runs in place on it, skipping the
+lines that are still all zero, and an EM step then applies its kernel
+there too.
 
-The one lifecycle rule: a step builds order n + 1 in order n's field
-array and releases order n's field (sets it to None).  Once the step has
-formed its source, that field is dead, so the array first holds G (a
-one-value field) or G * M (a six-vector field, with G in one transient
-array of one value per node), and the inverse transform runs in place on
-G * M.  A step allocates only its boxed source and its numerator, and it
-consumes the term it steps from: read a term's field before stepping from
-it, and step from a term only once.  The term's fields skip SampledField's
-finiteness pass: a value that is not finite in the source or numerator
-reaches every node of the field through the transforms, so the one read of
-the field max covers them all.  BornTerm is the one check of that max: it
-raises grids.NonFiniteError when the max is not finite, and born_orders
-reports it as a DivergenceError.  A held series keeps per order its
-numerator, which the node norms read, and its boxed source, which the
-shell sums read over the box alone, plus the last field.
+The field contract: the next source reads B_n only on the interaction's
+box and in the rows the interaction reads (the E rows of an EM field when
+delta-mu = 0).  So a step propagates only those rows of its numerator,
+its inverse transform runs only the lines the box needs, and the term's
+field holds B_n there alone, a raw array like its source, with the bits
+of the whole-grid field.  A caller that reads B_n off the box
+(oracle.converged_solution, which sums fields) asks the step for the
+whole grid instead (born_step's whole_grid).  The order-0 field is the
+incident wave on the whole grid.
+
+The one lifecycle rule: a step releases order n's field (sets it to None)
+once it has formed its source from it, since the field is then dead.  When
+the field's array has the numerator's shape (order 0, and every order of a
+whole-grid series) the step builds order n + 1's numerator in it.  G * M
+takes a new array, which first holds G for one value per node (a
+six-vector field has G in one transient array of one value per node), and
+the inverse transform runs in place on it; for a field on the box, the
+values on the box then move to the front of that array, which shrinks to
+them.  So no grid-sized array is freed while a series runs, and a term's
+field holds no value that is not B_n's.  A step consumes the term it steps
+from: read a term's field before stepping from it, and step from a term
+only once.
+The term's arrays skip SampledField's finiteness pass: a value that is not
+finite in the source, or in the numerator rows propagated, reaches every
+value of the field through the transforms, so the one read of the field
+max covers them all.  BornTerm is the one check of that max: it raises
+grids.NonFiniteError when the max is not finite, and born_orders reports
+it as a DivergenceError.  A held series keeps per order its numerator,
+which the node norms read, and its boxed source, which the shell sums
+read over the box alone, plus the last field on its box.
 """
 
 import csv
@@ -300,29 +317,32 @@ def make_scatter_config(
 class BornTerm:
     """One order of the series.
 
-    field is B_n(x) until a step builds order n + 1, and None after.
-    For n >= 1, numerator is M_n(p), the transform of the position-space
-    source v * B_{n-1}, and source is the array of that source's values on
-    box: one slice per grid axis, outside which the source is zero, with
-    the EM components in front.  box None means the whole grid.  source and
-    numerator are None at order 0, where the term is the bare incident
-    wave.  The field and numerator are SampledFields, with one value per
-    node for scalar waves and a six-vector per node for EM waves.
-    field_max is max |B_n| for n >= 1, read here unless given; a max that
-    is not finite raises NonFiniteError.  It is None at order 0, and it
+    field holds B_n(x) until a step builds order n + 1, and None after: the
+    raw values, with the EM components in front, on box and in the rows the
+    interaction reads (the three E rows of a six-vector when delta-mu = 0),
+    since that is all the next order reads.  At order 0, and for a step
+    asked for the whole grid (oracle.converged_solution), it holds every
+    row on the whole grid.  For n >= 1, numerator is M_n(p), the transform
+    of the position-space source v * B_{n-1}, and source is the array of
+    that source's values on box: one slice per grid axis, outside which
+    the source is zero, with the EM components in front.  box None means
+    the whole grid.  source and numerator are None at order 0, where the
+    term is the bare incident wave.  The numerator is a SampledField, with
+    one value per node for scalar waves and a six-vector per node for EM
+    waves.  field_max is max |B_n| over the values field holds, for
+    n >= 1, read here unless given (0.0 for an empty box); a max that is
+    not finite raises NonFiniteError.  It is None at order 0, and it
     outlives the field.
     """
 
     order: int
-    field: SampledField
+    field: np.ndarray
     source: np.ndarray = None
     numerator: SampledField = None
     field_max: float = None
     box: tuple = None
 
     def __post_init__(self):
-        if self.field.space is not Space.POSITION:
-            raise ValueError("term field must be position-space")
         if (self.source is None) != (self.numerator is None):
             raise ValueError("source and numerator must be set together")
         if self.order == 0:
@@ -332,7 +352,7 @@ class BornTerm:
             raise ValueError("orders >= 1 need source and numerator")
         else:
             if self.field_max is None:
-                self.field_max = self.field.max_abs()
+                self.field_max = max_abs(self.field)
             if not math.isfinite(self.field_max):
                 raise NonFiniteError("field values must be finite")
 
@@ -347,16 +367,18 @@ def incident_term(config, psi0=None):
             np.multiply, np.empty((6,) + grid.shape, dtype=complex),
             psi0.reshape((6,) + (1,) * grid.dim), values, axis=1,
         )
-    return BornTerm(order=0, field=SampledField(grid, values, Space.POSITION))
+    return BornTerm(order=0, field=values)
 
 
-def propagate(numerator_values, config, out):
+def propagate(numerator_values, config, out, box=None):
     """Position values of the next order: inverse transform of G(p) * M_n(p).
 
     numerator_values may carry leading component axes, over which G
     broadcasts.  G * M goes into out, a complex array of the numerator's
     shape, and the inverse transform runs in place on it (G is built in out
-    first for one value per node).  numerator_values is left as it is.
+    first for one value per node).  With a box, one slice per grid axis,
+    only out's values on the box are the next order's (see ifft_values).
+    numerator_values is left as it is.
     """
     grid = config.grid
     one = numerator_values.shape == grid.shape
@@ -364,51 +386,99 @@ def propagate(numerator_values, config, out):
                               out=out if one else None)
     blockwise(np.multiply, out, propagator, numerator_values,
               axis=numerator_values.ndim - grid.dim)
-    return ifft_values(out, grid, out=out)
+    return ifft_values(out, grid, out=out, box=box)
 
 
-def born_term(prev, config, source, box, transform):
-    """The term after prev, built in prev's field array, which it releases.
+def born_term(prev, config, source, box, transform, *, whole_grid=False):
+    """The term after prev, whose field it releases.
 
     source holds the position-space source's values on box (one slice per
     grid axis), outside which the source is zero, with any component axes
-    in front.  They are copied into a zero-filled array of the field's
-    shape, and transform(values) builds the numerator there in place and
-    returns it.
+    in front.  They are copied into a zero-filled array of the numerator's
+    shape: prev's field array when it has that shape (order 0, and a
+    whole-grid field), which is dead once the source is formed, else a new
+    one.  transform(values) builds the numerator there in place and
+    returns the rows of it that the next order reads (all of it for one
+    value per node).  Those rows are propagated in a new array, which is
+    the field: on the whole grid if whole_grid, else shrunk to the field's
+    values on box (_shrink_to_box).
     """
     grid = config.grid
-    values = np.zeros(source.shape[:source.ndim - grid.dim] + grid.shape, dtype=complex)
+    shape = source.shape[:source.ndim - grid.dim] + grid.shape
+    values, prev.field = prev.field, None
+    if values.shape == shape and values.dtype == complex:
+        values.fill(0)
+    else:
+        values = np.zeros(shape, dtype=complex)
     values[(Ellipsis,) + box] = source
-    try:
-        # BornTerm reports a value that is not finite, so numpy need not warn of it
-        with np.errstate(over="ignore", invalid="ignore"):
-            numerator = transform(values)
-            field = propagate(numerator, config, out=prev.field.values)
-            field_max = max_abs(field)
-    finally:
-        prev.field = None  # its array holds the new order, or part of it
+    # BornTerm reports a value that is not finite, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        read = transform(values)
+        if whole_grid:
+            field = propagate(read, config, np.empty_like(read))
+        else:
+            # no other name may hold the propagated array, which shrinks
+            field = _shrink_to_box(propagate(read, config, np.empty_like(read), box), box)
+        field_max = max_abs(field)
     return BornTerm(
-        prev.order + 1, SampledField._unchecked(grid, field, Space.POSITION), source,
-        SampledField._unchecked(grid, numerator, Space.MOMENTUM), field_max, box,
+        prev.order + 1, field, source,
+        SampledField._unchecked(grid, values, Space.MOMENTUM), field_max, box,
     )
 
 
+def _shrink_to_box(values, box):
+    """values' entries on box, kept in values' own memory, which shrinks to them.
+
+    They move to the front of values, a new C-contiguous array, which is
+    then resized (a realloc) to hold them alone; if some other name holds
+    values, the resize is refused and they are copied out instead.  A
+    step so frees no grid-sized array: freeing one while a series runs
+    raises glibc's mmap threshold, and the later orders' numerators then
+    come from the heap and stay resident after the series (em3d_aniso's
+    peak RSS rose by 10% so).
+    """
+    shape = values.shape[:values.ndim - len(box)] + tuple(s.stop - s.start for s in box)
+    if shape == values.shape:
+        return values
+    size = math.prod(shape)
+    np.copyto(values.reshape(-1)[:size].reshape(shape), values[(Ellipsis,) + box])
+    try:
+        values.resize(size)
+    except ValueError:
+        values = values.reshape(-1)[:size].copy()
+    values.shape = shape
+    return values
+
+
 def _step_input(prev, interaction, config):
-    """prev's field, the input of every step: not yet released, and on the config's grid."""
+    """prev's field on the interaction's box, the input of every step.
+
+    The field must not be released yet, and must cover the grid or be the
+    field of a step with an interaction of the same box.
+    """
     if prev.field is None:
         raise ValueError(f"the field of order {prev.order} was released once order "
                          f"{prev.order + 1} was built; step from the last term of a series")
-    if prev.field.grid != config.grid or interaction.grid != config.grid:
+    grid, box = config.grid, interaction.box
+    if interaction.grid != grid:
         raise ValueError("term, interaction and config must share one grid")
-    return prev.field
+    field = prev.field
+    if field.shape[field.ndim - grid.dim:] == grid.shape:
+        return field[(Ellipsis,) + box]
+    if prev.box != box:
+        raise ValueError(f"the field of order {prev.order} covers neither the grid nor "
+                         f"the interaction's box {box}")
+    return field
 
 
-def born_step(prev, v_field, config):
+def born_step(prev, v_field, config, *, whole_grid=False):
     """Advance the series by one order, consuming prev's field.
 
     The source v * B is formed on v_field.box alone, the box outside which v
     is zero.  That box is read once and kept, so v_field's values must not
-    be written once a step has read them.
+    be written once a step has read them.  The next order's field is built
+    on that box too, as the next step reads it there; whole_grid asks for
+    it on the whole grid, for a caller that reads it off the box.
     """
     grid = config.grid
     if v_field.space is not Space.POSITION:
@@ -416,9 +486,10 @@ def born_step(prev, v_field, config):
     field = _step_input(prev, v_field, config)
     box = v_field.box
     v = v_field.values[box]
-    source = blockwise(np.multiply, np.empty(v.shape, dtype=complex), v, field.values[box])
+    source = blockwise(np.multiply, np.empty(v.shape, dtype=complex), v, field)
     return born_term(prev, config, source, box,
-                     lambda values: fft_values(values, grid, out=values))
+                     lambda values: fft_values(values, grid, out=values, box=box),
+                     whole_grid=whole_grid)
 
 
 def born_orders(first, step, *args):

@@ -1,5 +1,6 @@
 """Tests for the six-component electromagnetic engine."""
 
+import re
 import warnings
 from itertools import islice
 
@@ -163,14 +164,15 @@ MEDIA = [dense_medium, isotropic_medium, magnetic_medium, zero_medium]
 
 
 def whole_array_material_product(materials, six):
-    # apply_material as whole-array expressions: each row's stored entries
-    # times the components they meet, summed left to right in ascending column
+    # apply_material as whole-array expressions on the six-vector values on
+    # the grid: each row's stored entries times the components they meet,
+    # summed left to right in ascending column
     rows = {}
     for (block, i, j), values in materials.entries.items():
-        product = values * six.values[3 * block + j]
+        product = values * six[3 * block + j]
         row = 3 * block + i
         rows[row] = rows[row] + product if row in rows else product
-    out = np.zeros_like(six.values)
+    out = np.zeros_like(six)
     for row, values in rows.items():
         out[row] = values
     return out
@@ -212,12 +214,16 @@ class TestThreadedPasses:
     def test_material_product(self, pool_workers, counts, medium):
         grid = make_grid(3, tuple(0.37 * n for n in counts), counts)
         mats = medium(grid, seed=sum(counts))
-        six = random_six(grid, seed=1 + sum(counts), space=Space.POSITION)
-        before = six.values.copy()
+        six = random_six(grid, seed=1 + sum(counts), space=Space.POSITION).values
+        before = six.copy()
         want = whole_array_material_product(mats, six)
-        assert_same_bits(apply_material(mats, six), on_box(want, mats.box))
+        assert_same_bits(apply_material(mats, on_box(six, mats.box)), on_box(want, mats.box))
+        if not mats.is_magnetic:
+            # the E rows alone give the same product
+            assert_same_bits(apply_material(mats, on_box(six[:3], mats.box)),
+                             on_box(want, mats.box))
         assert_zero_off_box(want, mats.box)
-        assert np.array_equal(six.values, before), "input was modified"
+        assert np.array_equal(six, before), "input was modified"
 
     @pytest.mark.parametrize("counts", SIX_SHAPES)
     def test_norms_and_max(self, pool_workers, counts):
@@ -246,7 +252,7 @@ class TestThreadedPasses:
         cfg = make_scatter_config(grid, 2.0, u=(1.0, 0.0, 0.0), alpha=2.5, n_orders=2)
         psi0 = incident_six_field(default_polarization(cfg.k_hat, cfg.u), cfg.k_hat)
         want = psi0.reshape((6, 1, 1, 1)) * plane_wave(grid, cfg.k_vec)
-        assert_same_bits(incident_term(cfg, psi0).field.values, want)
+        assert_same_bits(incident_term(cfg, psi0).field, want)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_in_the_last_block(self, pool_workers, bad):
@@ -413,7 +419,7 @@ class TestApplyMaterial:
         mu = rng.standard_normal((3, 3) + grid.shape) * (1 + 0j)
         mats = from_dense(grid, eps, mu)
         six = random_six(grid, seed=4, space=Space.POSITION)
-        out = apply_material(mats, six)
+        out = apply_material(mats, on_box(six.values, mats.box))
         assert out.shape == six.values.shape  # dense entries: the box is the whole grid
         node = (1, 2, 3)
         sel = (slice(None), slice(None)) + node
@@ -433,7 +439,7 @@ class TestApplyMaterial:
             np.einsum("ij...,j...->i...", dense(mats, 0), six.values[:3]),
             np.einsum("ij...,j...->i...", dense(mats, 1), six.values[3:]),
         ])
-        got = apply_material(mats, six)
+        got = apply_material(mats, on_box(six.values, mats.box))
         assert_zero_off_box(want, mats.box)
         want = on_box(want, mats.box)
         assert got.shape == want.shape
@@ -441,21 +447,23 @@ class TestApplyMaterial:
         if not mats.is_magnetic:
             assert not np.any(got[3:])
 
-    def test_space_and_grid_validation(self):
+    def test_rejects_values_that_do_not_fill_the_box(self):
+        # the whole grid's values, where the medium's box is a slab
         grid = make_grid(3, (4.0, 4.0, 4.0), (8, 8, 8))
-        mats = MaterialTensors(grid, {})
-        with pytest.raises(ValueError, match="position"):
-            apply_material(mats, random_six(grid, space=Space.MOMENTUM))
-        other = make_grid(3, (5.0, 4.0, 4.0), (8, 8, 8))
-        with pytest.raises(ValueError, match="grid"):
-            apply_material(mats, random_six(other, space=Space.POSITION))
+        slab = np.zeros(grid.shape)
+        slab[2:5] = 1.0
+        mats = MaterialTensors.isotropic(grid, slab)
+        with pytest.raises(ValueError, match=re.escape(
+                "values of shape (8, 8, 8) do not fill the box (3, 8, 8)")):
+            apply_material(mats, random_six(grid).values)
 
     def test_rejects_a_one_component_field(self):
+        # and three rows, where a magnetic medium reads the H rows too
         grid = make_grid(3, (4.0, 4.0, 4.0), (8, 8, 8))
-        mats = MaterialTensors.isotropic(grid, np.ones(grid.shape))
-        one = SampledField(grid, np.ones(grid.shape), Space.POSITION)
-        with pytest.raises(ValueError, match="six-vector"):
-            apply_material(mats, one)
+        for which, lead in [("eps", ()), ("eps", (4,)), ("both", ()), ("both", (3,))]:
+            mats = MaterialTensors.isotropic(grid, np.ones(grid.shape), which)
+            with pytest.raises(ValueError, match="six-vector"):
+                apply_material(mats, np.ones(lead + grid.shape))
 
 
 def literal_kernel_matrix(p, k):
@@ -522,7 +530,7 @@ class TestEmBornSeries:
         term = incident_term(cfg, psi0)
         wave = plane_wave(grid, cfg.k_vec)
         for c in range(6):
-            np.testing.assert_allclose(term.field.values[c], psi0[c] * wave,
+            np.testing.assert_allclose(term.field[c], psi0[c] * wave,
                                        rtol=1e-14, atol=1e-14)
         assert term.order == 0 and term.source is None
 
@@ -601,14 +609,16 @@ class TestEmBornSeries:
             assert term.field_max == 0.0
             assert term.box == (slice(0, 0),) * 3 and term.source.shape == (6, 0, 0, 0)
             assert not np.any(term.numerator.values)
-        assert not np.any(series[-1].field.values)
+        # and the last field holds the E rows on that box: no values
+        assert series[-1].field.shape == (3, 0, 0, 0)
         assert not np.any(em_on_shell_numerator(series[-1], cfg).values)
 
     @pytest.mark.parametrize("medium", ["isotropic", "anisotropic-magnetic"])
     def test_a_boxed_source_gives_the_full_grid_numerator_and_field(self, pool_workers, medium):
         # the medium is zero outside the union of its entries' slabs, and
-        # the step forms its product on that box alone: the numerator and
-        # field are those of the whole-grid product, bit for bit
+        # the step forms its product on that box alone: the numerator is
+        # that of the whole-grid product, and the field is the whole-grid
+        # field on the box, in the rows the medium reads, bit for bit
         grid, spec, cfg = setup(counts=(96, 48, 48))
         if medium == "isotropic":
             mats = material_from_scalar(spec, grid, which="eps")
@@ -625,23 +635,27 @@ class TestEmBornSeries:
         psi0 = incident_six_field(default_polarization(cfg.k_hat, cfg.u), cfg.k_hat)
         rows = slice(None) if mats.is_magnetic else slice(3)
         orders = born_orders(incident_term(cfg, psi0), em_born_step, mats, cfg)
-        prev = next(orders).field.values.copy()
+        prev = next(orders).field.copy()
         for term in islice(orders, 3):
-            dense = whole_array_material_product(mats, SampledField(grid, prev, Space.POSITION))
+            dense = whole_array_material_product(mats, prev)
             assert term.box == box
             assert_same_bits(term.source, on_box(dense, box))
             assert_zero_off_box(dense, box)
             numerator = em_kernel_apply(fft_values(dense[rows], grid), grid, cfg.k)
             assert_same_bits(term.numerator.values, numerator)
-            assert_same_bits(term.field.values, propagate(numerator, cfg, np.empty_like(numerator)))
-            prev = term.field.values.copy()
+            prev = propagate(numerator, cfg, np.empty_like(numerator))
+            assert_same_bits(term.field, on_box(prev[rows], box))
+            assert term.field_max == float(np.max(np.abs(on_box(prev[rows], box))))
 
     def test_held_series_keeps_only_the_last_field(self):
         grid, spec, cfg = setup(counts=(16, 8, 8))
-        series = em_born_series(cfg, material_from_scalar(spec, grid, which="eps"))
+        mats = material_from_scalar(spec, grid, which="eps")
+        series = em_born_series(cfg, mats)
         assert all(term.field is None for term in series[:-1])
         last = series[-1]
-        assert last.field_max == last.field.max_abs()
+        # the last field is held on the medium's box, in its E rows alone
+        assert last.field.shape == on_box(np.empty((3,) + grid.shape), mats.box).shape
+        assert last.field_max == float(np.max(np.abs(last.field)))
         assert all(term.numerator is not None for term in series[1:])
 
     @pytest.mark.parametrize("which", ["eps", "both"])
@@ -657,29 +671,32 @@ class TestEmBornSeries:
             assert driven.box == term.box
             assert_same_bits(driven.source, term.source)
             assert_same_bits(driven.numerator.values, term.numerator.values)
-        assert_same_bits(series[-1].field.values, term.field.values)
+        assert_same_bits(series[-1].field, term.field)
 
     @pytest.mark.parametrize("which", ["eps", "both"])
-    def test_a_driven_step_builds_its_field_in_the_released_one(self, which):
+    def test_a_driven_step_builds_its_numerator_in_the_released_field(self, which):
+        # order 1's six-row numerator is built in the incident field's
+        # array; each order keeps the rows the medium reads on the box, in
+        # an array of its own
         grid, spec, cfg = setup(counts=(16, 8, 8))
         mats = material_from_scalar(spec, grid, which=which)
+        rows = 6 if mats.is_magnetic else 3
         psi0 = incident_six_field(default_polarization(cfg.k_hat, cfg.u), cfg.k_hat)
         orders = born_orders(incident_term(cfg, psi0), em_born_step, mats, cfg)
+        kept = next(orders).field
         term = next(orders)
+        assert term.numerator.values is kept
         for _ in range(3):
-            kept = term.field.values
-            prev, term = term, next(orders)
-            assert prev.field is None
-            assert np.shares_memory(term.field.values, kept)
+            assert term.field.shape == on_box(np.empty((rows,) + grid.shape), mats.box).shape
+            assert term.field.base is None and term.field.flags.owndata
+            term = next(orders)
 
     def test_a_direct_step_consumes_its_input(self):
         grid, spec, cfg = setup(counts=(16, 8, 8))
         mats = material_from_scalar(spec, grid, which="both")
         prev = em_born_series(cfg, mats)[-1]
-        kept = prev.field.values
-        term = em_born_step(prev, mats, cfg)
+        em_born_step(prev, mats, cfg)
         assert prev.field is None
-        assert term.field.values is kept
         with pytest.raises(ValueError, match=f"^the field of order {prev.order} was released "
                                              f"once order {prev.order + 1} was built"):
             em_born_step(prev, mats, cfg)
@@ -738,8 +755,7 @@ class TestEmBornSeries:
         auto = em_born_series(cfg, mats)
         explicit = em_born_series(
             cfg, mats, e0=default_polarization(cfg.k_hat, cfg.u))
-        np.testing.assert_array_equal(auto[1].field.values,
-                                      explicit[1].field.values)
+        np.testing.assert_array_equal(auto[1].field, explicit[1].field)
 
 
 class TestOnShell:

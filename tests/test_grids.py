@@ -388,6 +388,98 @@ class TestPool:
 
 
 # Every grid shape alone and six-component stacks.
+def boxes_of(counts):
+    """Boxes, one slice per axis, inside a grid, on its faces, and degenerate."""
+    return {
+        "interior": tuple(slice(n // 4, n // 2 + 1) for n in counts),
+        "faces": tuple(slice(0, n // 3) if i % 2 == 0 else slice(n - n // 3, n)
+                       for i, n in enumerate(counts)),
+        "whole": tuple(slice(0, n) for n in counts),
+        "node": tuple(slice(n // 2, n // 2 + 1) for n in counts),
+        "empty": (slice(0, 0),) * len(counts),
+    }
+
+
+# Scalars on every grid, and the three E rows and six rows of an EM field
+# on a 2-D grid and the two 3-D ones.
+PRUNED_STACKS = [((), counts) for counts in GRID_SHAPES] + [
+    (lead, counts) for counts in ((16, 10), (16, 128, 96), (144, 48, 48)) for lead in ((3,), (6,))
+]
+PRUNED_IDS = ["x".join(map(str, lead + counts)) for lead, counts in PRUNED_STACKS]
+
+
+class TestPrunedTransforms:
+    """A transform given a box keeps the bits of the whole-grid transform."""
+
+    @pytest.mark.parametrize("lead,counts", PRUNED_STACKS, ids=PRUNED_IDS)
+    def test_forward_of_values_zero_off_the_box(self, pool_workers, lead, counts):
+        grid = grid_of(counts)
+        for name, box in boxes_of(counts).items():
+            on = (Ellipsis,) + box
+            values = np.zeros(lead + counts, dtype=complex)
+            values[on] = random_values(values[on].shape, sum(counts))
+            before = values.copy()
+            want = fft_values(values, grid)
+            # into an array that is not values: the lines skipped read as zero there
+            out = np.full_like(values, np.nan)
+            assert fft_values(values, grid, out=out, box=box) is out
+            assert_same_bits(out, want)
+            assert_same_bits(values, before)
+            # in place, as a Born step transforms its numerator, or its E rows
+            rows = values[:3] if lead == (6,) else values
+            assert fft_values(rows, grid, out=rows, box=box) is rows
+            assert_same_bits(rows, want[:3] if lead == (6,) else want)
+            if lead == (6,):
+                assert_same_bits(values[3:], before[3:])
+
+    @pytest.mark.parametrize("lead,counts", PRUNED_STACKS, ids=PRUNED_IDS)
+    def test_inverse_on_the_box(self, pool_workers, lead, counts):
+        grid = grid_of(counts)
+        values = random_values(lead + counts, sum(counts))
+        before = values.copy()
+        want = ifft_values(values, grid)
+        for name, box in boxes_of(counts).items():
+            on = (Ellipsis,) + box
+            got = ifft_values(values, grid, box=box)
+            assert_same_bits(got[on], want[on])
+            assert_same_bits(values, before)
+            in_place = values.copy()
+            assert ifft_values(in_place, grid, out=in_place, box=box) is in_place
+            assert_same_bits(in_place[on], want[on])
+
+    def test_the_passes_run_only_the_lines_the_box_needs(self, monkeypatch):
+        # last axis first; forward: the lines whose untransformed indices lie
+        # in the box, inverse: those whose transformed indices do
+        counts = (16, 128, 96)
+        box = (slice(2, 5), slice(10, 20), slice(30, 33))
+        grid = grid_of(counts)
+        values = np.zeros(counts, dtype=complex)
+        values[box] = 1.0
+        lines = []
+
+        def counted(transform):
+            def run(block, axis, out):
+                lines.append((axis, block.size // block.shape[axis]))
+                return transform(block, axis=axis, out=out)
+            return run
+
+        def per_axis():
+            total = {}
+            for axis, n in lines:
+                total[axis] = total.get(axis, 0) + n
+            lines.clear()
+            return total
+
+        monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
+        monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft))
+        fft_values(values, grid, box=box)
+        assert per_axis() == {2: 3 * 10, 1: 3 * 96, 0: 128 * 96}
+        ifft_values(values, grid, box=box)
+        assert per_axis() == {2: 16 * 128, 1: 16 * 3, 0: 10 * 3}
+        ifft_values(values, grid)
+        assert per_axis() == {2: 16 * 128, 1: 16 * 96, 0: 128 * 96}
+
+
 STACKS = [((), counts) for counts in GRID_SHAPES] + [((6,), (8, 8, 8)), ((6,), (32, 32, 32))]
 
 

@@ -4,6 +4,7 @@ import cmath
 import math
 import re
 import warnings
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -49,8 +50,10 @@ pytestmark = pytest.mark.filterwarnings("ignore:potential magnitude")
 
 
 def replay_orders(config, v_field):
-    """Orders 0..n_orders as born_series computes them, one term at a time."""
-    orders = born_orders(incident_term(config), born_step, v_field, config)
+    """Orders 0..n_orders as converged_solution computes them, one term at a
+    time: each field on the whole grid."""
+    step = partial(born_step, whole_grid=True)
+    orders = born_orders(incident_term(config), step, v_field, config)
     return islice(orders, config.n_orders + 1)
 
 
@@ -282,7 +285,7 @@ class TestConvergedSolution:
         replay = make_scatter_config(grid, 0.8, spec,
                                      n_orders=solution.order + 1)
         # each field is read as it arrives, before the next order drops it
-        total = sum(t.field.values for t in replay_orders(replay, v))
+        total = sum(t.field for t in replay_orders(replay, v))
         np.testing.assert_allclose(solution.field.values, total,
                                    rtol=1e-13, atol=1e-13)
 
@@ -296,9 +299,9 @@ class TestConvergedSolution:
         solution = converged_solution(cfg, v, series_tol=1e-6)
         replay = make_scatter_config(grid, 0.8, spec, n_orders=solution.order + 1)
         orders = replay_orders(replay, v)
-        total = np.array(next(orders).field.values, copy=True)
+        total = np.array(next(orders).field, copy=True)
         for term in orders:
-            total += term.field.values
+            total += term.field
         assert solution.field.values.tobytes() == total.tobytes()
 
     def test_strong_coupling_raises(self):
@@ -484,6 +487,24 @@ class TestAsymptoticFit:
         psi = SampledField(grid, plane_wave(grid, np.array([-0.8, 0.0])), Space.POSITION)
         with pytest.raises(ValueError, match=r"^\|k_vec\| = inf must be positive and finite$"):
             asymptotic_fit(psi, np.array([1e308, 1e308]), 30.0, np.array([[1.0, 0.0]]))
+
+    @pytest.mark.parametrize("wavenumber", [1000j, -1000j, 0.8 + 35.5j, 0.8 - 35.5j])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_a_wavenumber_whose_outgoing_factor_leaves_the_float_range(self, wavenumber):
+        # exp(i k r) at r = 20 overflows for -1000j and underflows to zero for
+        # 1000j, a nan amplitude; |Im k| r = 710 is just beyond the range
+        grid = make_grid(2, (64.0, 64.0), (64, 64))
+        k_vec = np.array([-0.8, 0.0])
+        psi = SampledField(grid, plane_wave(grid, k_vec), Space.POSITION)
+        with pytest.raises(ValueError, match=f"^fit_wavenumber = {re.escape(str(wavenumber))} "
+                                             r"takes exp\(i k r\) out of the float range "
+                                             r"at the fit node radius 20: \|Im k\| r must "
+                                             r"be at most 708.396$"):
+            asymptotic_fit(psi, k_vec, 20.0, np.array([[1.0, 0.0]]), fit_wavenumber=wavenumber)
+        # within the range the fit runs, and the zero residual gives zero amplitudes
+        inside = complex(wavenumber.real, wavenumber.imag * 700 / abs(wavenumber.imag) / 20)
+        fit = asymptotic_fit(psi, k_vec, 20.0, np.array([[1.0, 0.0]]), fit_wavenumber=inside)
+        np.testing.assert_array_equal(fit.values, 0.0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_validation(self):
