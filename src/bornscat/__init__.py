@@ -10,7 +10,6 @@ from .grids import (
     DirectionSet,
     Grid,
     SampledField,
-    Space,
     load_field,
     make_grid,
     plane_wave,

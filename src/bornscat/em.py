@@ -34,7 +34,6 @@ import numpy as np
 
 from .grids import (
     SampledField,
-    Space,
     all_finite,
     blockwise,
     fft_values,
@@ -217,7 +216,7 @@ def certify_materials(materials, u, alpha, tol=1e-3):
     reports, by_array = {}, {}
     for (block, i, j), values in materials.entries.items():
         if id(values) not in by_array:
-            field = SampledField(materials.grid, values, Space.POSITION)
+            field = SampledField(materials.grid, values)
             by_array[id(values)] = verify_support(field, u=u, alpha=alpha, tol=tol)
         reports[f"{_TENSORS[block]}[{i},{j}]"] = by_array[id(values)]
     return reports

@@ -37,7 +37,6 @@ import os
 import queue
 import threading
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 from pathlib import Path
 
@@ -46,7 +45,6 @@ import numpy as np
 from .jsonkind import array_of, decode, integer, member, number, object_with, string
 
 __all__ = [
-    "Space",
     "Grid",
     "SampledField",
     "NonFiniteError",
@@ -72,13 +70,6 @@ __all__ = [
     "save_field",
     "load_field",
 ]
-
-
-class Space(Enum):
-    """Which representation a sampled field lives in."""
-
-    POSITION = "position"
-    MOMENTUM = "momentum"
 
 
 @dataclass(frozen=True)
@@ -203,15 +194,16 @@ class NonFiniteError(ValueError):
 
 @dataclass
 class SampledField:
-    """Complex field values sampled on a grid, in position or momentum space.
+    """Complex field values sampled on a grid, in position space.
 
-    values holds one value per node, shape grid.shape, or the six-vector of
-    an EM field, E stacked over H, per node, shape (6,) + grid.shape.
+    The one exception is a Born term's numerator, which the engine builds
+    in momentum space itself (_unchecked).  values holds one value per
+    node, shape grid.shape, or the six-vector of an EM field, E stacked
+    over H, per node, shape (6,) + grid.shape.
     """
 
     grid: Grid
     values: np.ndarray
-    space: Space
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
@@ -225,7 +217,7 @@ class SampledField:
         self.values = values
 
     @classmethod
-    def _unchecked(cls, grid, values, space):
+    def _unchecked(cls, grid, values):
         """A field of complex values of a valid shape, with no finiteness pass.
 
         For the Born engine's numerators, whose guard reads each order's
@@ -233,7 +225,7 @@ class SampledField:
         an order propagates always reaches its field.
         """
         field = object.__new__(cls)
-        field.grid, field.values, field.space = grid, values, space
+        field.grid, field.values = grid, values
         return field
 
     @cached_property
@@ -697,8 +689,9 @@ class DirectionSet:
 
     def __post_init__(self):
         vecs = np.atleast_2d(np.asarray(self.unit_vectors, dtype=float))
-        if vecs.shape[1] not in (2, 3):
-            raise ValueError("directions must have 2 or 3 components")
+        if vecs.ndim != 2 or vecs.shape[1] not in (2, 3):
+            raise ValueError("directions must be one row of 2 or 3 components per "
+                             f"direction; got shape {vecs.shape}")
         norms = np.linalg.norm(vecs, axis=1)
         if not np.all(np.abs(norms - 1.0) <= 1e-12):  # a nan row fails too
             raise ValueError("direction vectors must have unit norm")
@@ -794,6 +787,7 @@ def save_field(path, sampled):
     """Write a field as a JSON header line plus little-endian (re, im) float64 pairs.
 
     The header has no component count, so a six-vector field is rejected.
+    Its "space" is always "position": every stored field is a position sample.
     """
     if sampled.values.shape != sampled.grid.shape:
         raise ValueError("a field file holds one value per node, not a six-vector field")
@@ -801,7 +795,7 @@ def save_field(path, sampled):
         "dim": sampled.grid.dim,
         "counts": list(sampled.grid.counts),
         "extents": list(sampled.grid.extents),
-        "space": sampled.space.value,
+        "space": "position",
     }
     payload = np.ascontiguousarray(sampled.values).astype("<c16")
     with open(path, "wb") as fh:
@@ -813,7 +807,8 @@ def save_field(path, sampled):
 def load_field(path):
     """Read a field written by :func:`save_field`; a malformed file raises ValueError.
 
-    The header is read by the JSON-kind rule of bornscat.jsonkind.
+    The header is read by the JSON-kind rule of bornscat.jsonkind, and its
+    "space" must be "position".
     """
     line, _, payload = Path(path).read_bytes().partition(b"\n")
     header = object_with(decode(line), "dim", "extents", "counts", "space")
@@ -822,11 +817,12 @@ def load_field(path):
         member(header, "extents", array_of(number)),
         member(header, "counts", array_of(integer)),
     )
-    space = member(header, "space", lambda value: Space(string(value)))
+    if member(header, "space", string) != "position":
+        raise ValueError(f'space: expected "position", got {json.dumps(header["space"])}')
     values = np.frombuffer(payload, dtype="<c16")
     if values.size != grid.size:
         raise ValueError(
             f"payload holds {values.size} values, expected {grid.size}"
         )
     values = values.astype(complex).reshape(grid.shape)
-    return SampledField(grid, values, space)
+    return SampledField(grid, values)

@@ -16,7 +16,7 @@ from itertools import islice
 
 import numpy as np
 
-from .grids import (DirectionSet, SampledField, Space, blockwise, finite_rows, finite_vector,
+from .grids import (DirectionSet, SampledField, blockwise, finite_rows, finite_vector,
                     plane_wave_at, positive_number, whole_number)
 from .scalar import (
     DivergenceError,
@@ -166,8 +166,6 @@ def quad_second_order(v_field, k_vec, points, eps):
     kernel and a 0-d unit amplitude, so each value is 0-d.  Matches the
     transform of the pipeline's order-2 position term at any momentum node p.
     """
-    if v_field.space is not Space.POSITION:
-        raise ValueError("the interaction must be sampled in position space")
     return _second_order(
         v_field.grid, {(0, 0): v_field.values}, lambda k, p: np.eye(1),
         np.ones((), dtype=complex), k_vec, points, eps,
@@ -247,7 +245,7 @@ def converged_solution(config, v_field, series_tol=1e-8, order_cap=32):
             increments.append(increment)
             if increment < series_tol:
                 return ConvergedSolution(
-                    field=SampledField(config.grid, total, Space.POSITION),
+                    field=SampledField(config.grid, total),
                     order=term.order - 1,
                     increments=tuple(increments),
                 )
@@ -287,10 +285,11 @@ def asymptotic_fit(psi, k_vec, fit_radius, directions, fit_wavenumber=None,
     rejected.  Warns when the two radii disagree by more
     than 10% — the fit is then not yet in the far field.
     """
-    if psi.space is not Space.POSITION:
-        raise ValueError("asymptotic_fit expects a position-space solution")
     grid = psi.grid
     dim = grid.dim
+    if psi.values.shape != grid.shape:
+        raise ValueError(f"psi must hold one value per node, shape {grid.shape}; "
+                         f"got shape {psi.values.shape}")
     k_vec = finite_vector(k_vec, dim, "k_vec")
     # |(1e308, 1e308)| overflows to inf, which positive_number reports, as
     # the direction rows' check below does
@@ -337,6 +336,9 @@ def asymptotic_fit(psi, k_vec, fit_radius, directions, fit_wavenumber=None,
         idx = tuple(nodes[row, col])
         x_node = np.array([axes[i][idx[i]] for i in range(dim)])
         r_node = float(np.linalg.norm(x_node))
+        if r_node == 0.0:
+            raise ValueError(f"fit_radius = {fit_radius:g} with radius_ratio = {radius_ratio:g} "
+                             "puts a fit node at the origin, where r = 0")
         node_directions[row, col] = x_node / r_node
         if abs(k_fit.imag) * r_node > _EXP_RANGE:
             raise ValueError(

@@ -33,7 +33,6 @@ import numpy as np
 
 from .grids import (
     SampledField,
-    Space,
     blockwise,
     fft_values,
     finite_rows,
@@ -296,7 +295,7 @@ def sample_potential(subject, grid):
                 "enlarge the box to reduce truncation",
                 stacklevel=2,
             )
-    return SampledField(grid, values, Space.POSITION)
+    return SampledField(grid, values)
 
 
 @dataclass
@@ -337,8 +336,6 @@ def verify_support(field, u, alpha, tol=1e-3):
     overall maximum.
     """
     positive_number(tol, "tol")
-    if field.space is not Space.POSITION:
-        raise ValueError("verify_support expects a position-space field")
     u = unit_vector(u, "u")
     positive_number(alpha, "alpha")
     spectrum = np.abs(fft_values(field.values, field.grid))

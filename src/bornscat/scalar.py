@@ -81,7 +81,6 @@ from .grids import (
     Grid,
     NonFiniteError,
     SampledField,
-    Space,
     blockwise,
     fft_values,
     finite_vector,
@@ -422,7 +421,7 @@ def born_term(prev, config, source, box, transform, *, whole_grid=False):
         field_max = max_abs(field)
     return BornTerm(
         prev.order + 1, field, source,
-        SampledField._unchecked(grid, values, Space.MOMENTUM), field_max, box,
+        SampledField._unchecked(grid, values), field_max, box,
     )
 
 
@@ -481,8 +480,6 @@ def born_step(prev, v_field, config, *, whole_grid=False):
     it on the whole grid, for a caller that reads it off the box.
     """
     grid = config.grid
-    if v_field.space is not Space.POSITION:
-        raise ValueError("v_field must be position-space")
     field = _step_input(prev, v_field, config)
     box = v_field.box
     v = v_field.values[box]

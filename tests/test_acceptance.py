@@ -29,7 +29,6 @@ from bornscat.em import (
 from bornscat.grids import (
     DirectionSet,
     SampledField,
-    Space,
     make_grid,
     nudft_values,
 )
@@ -216,7 +215,7 @@ def test_05_one_sided_spectral_bands(capsys, scalar_run):
     r2 = np.zeros(grid.shape)
     for x in grid.position_mesh():
         r2 = r2 + x * x
-    control = SampledField(grid, np.exp(-r2), Space.POSITION)
+    control = SampledField(grid, np.exp(-r2))
     ctrl_cfg = make_scatter_config(grid, 0.8, u=(1.0, 0.0), alpha=1.0, n_orders=2)
     ctrl_series = born_series(ctrl_cfg, control)
     ctrl_floor = verify_spectral_floor(ctrl_series, ctrl_cfg.u, ctrl_cfg.k, tol=1e-3)
@@ -432,7 +431,7 @@ def test_10_homogeneity_and_determinism(capsys, tmp_path):
     v = sample_potential(FAMILY2D, grid)
     base = born_series(cfg, v)
     c = 1.3 - 0.7j
-    scaled = born_series(cfg, SampledField(grid, c * v.values, Space.POSITION))
+    scaled = born_series(cfg, SampledField(grid, c * v.values))
     homogeneity = 0.0
     for n in (1, 2, 3):
         ref = float(np.max(np.abs(base[n].numerator.values)))

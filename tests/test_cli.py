@@ -9,7 +9,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from bornscat import cli
-from bornscat.grids import SampledField, Space, make_grid, save_field
+from bornscat.grids import SampledField, make_grid, save_field
 from bornscat.potentials import sample_potential, spec_from_dict
 
 FAMILY3D = {
@@ -463,7 +463,7 @@ class TestInvalidConfigs:
         path = base_config(tmp_path, k_sweep=[0.8], field_file=str(stored),
                            grid={"extents": [60.0, 60.0], "counts": [32, 32]})
         grid = make_grid(2, (60.0, 60.0), (32, 32))
-        save_field(stored, SampledField(grid, np.ones(grid.shape), Space.POSITION))
+        save_field(stored, SampledField(grid, np.ones(grid.shape)))
         head, payload = edit(*stored.read_bytes().split(b"\n", 1))
         stored.write_bytes(head + b"\n" + payload)
         assert cli.main(["verify", "--config", str(path)]) == 2

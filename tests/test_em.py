@@ -26,7 +26,7 @@ from bornscat.em import (
     write_em_on_shell_csv,
 )
 from bornscat.grids import (
-    SampledField, Space, fft_values, ifft_values, make_grid, plane_wave
+    SampledField, fft_values, ifft_values, make_grid, plane_wave
 )
 from bornscat.potentials import PotentialSpec, sample_potential
 from bornscat.scalar import (
@@ -59,11 +59,11 @@ def setup(counts=(48, 16, 16), extents=(14.0, 6.0, 6.0), k=0.8, n_orders=3):
     return grid, spec, cfg
 
 
-def random_six(grid, seed=0, space=Space.MOMENTUM):
+def random_six(grid, seed=0):
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal((6,) + grid.shape) \
         + 1j * rng.standard_normal((6,) + grid.shape)
-    return SampledField(grid, vals, space)
+    return SampledField(grid, vals)
 
 
 class TestSixField:
@@ -89,13 +89,13 @@ class TestSixVectorField:
         # (6,) + 32^3 complex values are 3 MiB: more than one block for every pool
         grid = make_grid(3, (12.0, 12.0, 12.0), (32, 32, 32))
         values = np.ones((6,) + grid.shape, dtype=complex)
-        assert np.array_equal(SampledField(grid, values, Space.POSITION).values, values)
+        assert np.array_equal(SampledField(grid, values).values, values)
 
     @pytest.mark.parametrize("lead", [(6, 6), (3,)], ids=["6x6", "3"])
     def test_rejects_other_component_counts(self, lead):
         grid = make_grid(3, (4.0, 4.0, 4.0), (8, 8, 8))
         with pytest.raises(ValueError, match="shape"):
-            SampledField(grid, np.zeros(lead + grid.shape), Space.POSITION)
+            SampledField(grid, np.zeros(lead + grid.shape))
 
 
 # Six-component stacks the threaded passes are checked on.
@@ -214,7 +214,7 @@ class TestThreadedPasses:
     def test_material_product(self, pool_workers, counts, medium):
         grid = make_grid(3, tuple(0.37 * n for n in counts), counts)
         mats = medium(grid, seed=sum(counts))
-        six = random_six(grid, seed=1 + sum(counts), space=Space.POSITION).values
+        six = random_six(grid, seed=1 + sum(counts)).values
         before = six.copy()
         want = whole_array_material_product(mats, six)
         assert_same_bits(apply_material(mats, on_box(six, mats.box)), on_box(want, mats.box))
@@ -261,7 +261,7 @@ class TestThreadedPasses:
         values = np.ones((6,) + grid.shape, dtype=complex)
         values[-1, -1, -1, -1] = bad
         with pytest.raises(ValueError, match="finite"):
-            SampledField(grid, values, Space.POSITION)
+            SampledField(grid, values)
 
 
 class TestMaterialTensors:
@@ -418,7 +418,7 @@ class TestApplyMaterial:
         eps = rng.standard_normal((3, 3) + grid.shape) * (1 + 0j)
         mu = rng.standard_normal((3, 3) + grid.shape) * (1 + 0j)
         mats = from_dense(grid, eps, mu)
-        six = random_six(grid, seed=4, space=Space.POSITION)
+        six = random_six(grid, seed=4)
         out = apply_material(mats, on_box(six.values, mats.box))
         assert out.shape == six.values.shape  # dense entries: the box is the whole grid
         node = (1, 2, 3)
@@ -434,7 +434,7 @@ class TestApplyMaterial:
     def test_matches_dense_einsum(self, medium):
         grid = make_grid(3, (4.0, 5.0, 6.0), (16, 8, 12))
         mats = medium(grid, seed=5)
-        six = random_six(grid, seed=6, space=Space.POSITION)
+        six = random_six(grid, seed=6)
         want = np.concatenate([
             np.einsum("ij...,j...->i...", dense(mats, 0), six.values[:3]),
             np.einsum("ij...,j...->i...", dense(mats, 1), six.values[3:]),
@@ -479,7 +479,7 @@ def literal_kernel_matrix(p, k):
 class TestKernel:
     def test_zero_input(self):
         grid = make_grid(3, (4.0, 4.0, 4.0), (8, 8, 8))
-        zero = SampledField(grid, np.zeros((6,) + grid.shape), Space.MOMENTUM)
+        zero = SampledField(grid, np.zeros((6,) + grid.shape))
         out = em_kernel_apply(zero.values, grid, 0.9)
         assert not np.any(out)
 
@@ -541,10 +541,10 @@ class TestEmBornSeries:
 
     def test_term_invariants(self):
         grid, spec, cfg = setup(counts=(16, 8, 8))
-        zero = SampledField(grid, np.zeros((6,) + grid.shape), Space.POSITION)
+        zero = SampledField(grid, np.zeros((6,) + grid.shape))
         with pytest.raises(ValueError, match="source"):
             BornTerm(order=0, field=zero, source=zero,
-                       numerator=SampledField(grid, zero.values, Space.MOMENTUM))
+                       numerator=SampledField(grid, zero.values))
         with pytest.raises(ValueError, match="source"):
             BornTerm(order=1, field=zero)
 

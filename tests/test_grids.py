@@ -5,6 +5,7 @@ F(p) = (2 pi)^(d/2) exp(-|p|^2/2); on a box that is wide enough the grid
 transform must reproduce it to high accuracy.
 """
 
+import hashlib
 import math
 import multiprocessing
 import os
@@ -25,7 +26,6 @@ from bornscat.em import MaterialTensors, default_polarization, incident_six_fiel
 from bornscat.grids import (
     DirectionSet,
     SampledField,
-    Space,
     all_finite,
     blockwise,
     fft_values,
@@ -183,7 +183,7 @@ class TestForwardInverse:
         values = np.zeros(grid.shape, dtype=complex)
         values[0, 0] = np.nan
         with pytest.raises(ValueError):
-            SampledField(grid, values, Space.POSITION)
+            SampledField(grid, values)
 
 
 def centering_sign(grid):
@@ -523,7 +523,7 @@ class TestThreadedPerNodePasses:
         grid = grid_of(counts)
         values = random_values(counts, sum(counts))
         before = values.copy()
-        field = SampledField(grid, values, Space.POSITION)
+        field = SampledField(grid, values)
         assert_same_bits(field.node_norms(), np.abs(values))
         assert field.max_abs() == float(np.max(np.abs(values)))
         assert np.array_equal(values, before), "input was modified"
@@ -538,7 +538,7 @@ class TestThreadedPerNodePasses:
         assert math.isnan(got) if math.isnan(bad) else got == math.inf
         assert all_finite(values) is False
         with pytest.raises(ValueError, match="finite"):
-            SampledField(grid, values, Space.POSITION)
+            SampledField(grid, values)
 
     def test_nan_wins_over_inf_in_an_earlier_block(self, pool_workers):
         values = np.ones((512, 512), dtype=complex)
@@ -715,7 +715,7 @@ class TestSupportBox:
         grid = make_grid(2, (4.0, 4.0), (8, 8))
         values = np.zeros(grid.shape, dtype=complex)
         values[2:5, 3] = 1.0
-        field = SampledField(grid, values, Space.POSITION)
+        field = SampledField(grid, values)
         assert field.box == (slice(2, 5), slice(3, 4))
         assert field.box is field.box
 
@@ -755,6 +755,8 @@ class TestDirections:
             sphere_directions(2, 1.0, 4, (0.0, 0.0))
         with pytest.raises(ValueError):
             DirectionSet(k=1.0, unit_vectors=np.array([[2.0, 0.0]]))
+        with pytest.raises(ValueError, match=r"one row .* per direction; got shape \(2, 2, 2\)"):
+            DirectionSet(k=1.0, unit_vectors=np.full((2, 2, 2), np.sqrt(0.5)))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # |(1e308, 1e308)| overflows
     def test_rejects_an_incident_direction_of_no_finite_length(self):
@@ -806,35 +808,43 @@ class TestHelpers:
 
 
 class TestFieldIO:
-    def test_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("extents,counts", [((5.0, 4.0), (16, 8)),
+                                                ((4.0, 4.0, 6.0), (8, 8, 10))])
+    def test_round_trip(self, tmp_path, extents, counts):
         rng = np.random.default_rng(9)
-        grid = make_grid(2, (5.0, 4.0), (16, 8))
+        grid = make_grid(len(counts), extents, counts)
         values = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-        f = SampledField(grid, values, Space.MOMENTUM)
         path = tmp_path / "field.bin"
-        save_field(path, f)
+        save_field(path, SampledField(grid, values))
         back = load_field(path)
         assert back.grid == grid
-        assert back.space is Space.MOMENTUM
         np.testing.assert_array_equal(back.values, values)
 
-    def test_header_is_json_line(self, tmp_path):
-        import json
-
-        grid = make_grid(3, (4.0, 4.0, 4.0), (8, 8, 8))
-        f = SampledField(grid, np.zeros(grid.shape), Space.POSITION)
+    def test_the_file_bytes_are_pinned(self, tmp_path):
+        # a JSON header line with sorted keys, then the values as
+        # little-endian (re, im) float64 pairs in C order
+        grid = make_grid(2, (5.0, 4.0), (16, 8))
         path = tmp_path / "field.bin"
-        save_field(path, f)
-        first = path.read_bytes().split(b"\n", 1)[0]
-        header = json.loads(first)
-        assert header["dim"] == 3
-        assert header["space"] == "position"
-        assert header["counts"] == [8, 8, 8]
+        save_field(path, SampledField(grid, np.arange(128).reshape(grid.shape) * (0.25 - 0.5j)))
+        header, payload = path.read_bytes().split(b"\n", 1)
+        assert header == (b'{"counts": [16, 8], "dim": 2, "extents": [5.0, 4.0], '
+                          b'"space": "position"}')
+        assert len(payload) == 128 * 16
+        assert hashlib.sha256(payload).hexdigest() == (
+            "585814627e8fd26bc98f8a5b13a0ec851f15bafc4498c3c6a9e9d5de234f7eb4")
+
+    def test_rejects_a_momentum_space_header(self, tmp_path):
+        grid = make_grid(2, (4.0, 4.0), (8, 8))
+        path = tmp_path / "f.field"
+        save_field(path, SampledField(grid, np.ones(grid.shape)))
+        path.write_bytes(path.read_bytes().replace(b'"position"', b'"momentum"', 1))
+        with pytest.raises(ValueError, match='^space: expected "position", got "momentum"$'):
+            load_field(path)
 
     def test_rejects_a_six_vector_field(self, tmp_path):
         # the header has no component count to read the payload back by
         grid = make_grid(3, (4.0, 4.0, 4.0), (8, 8, 8))
-        f = SampledField(grid, np.ones((6,) + grid.shape), Space.POSITION)
+        f = SampledField(grid, np.ones((6,) + grid.shape))
         path = tmp_path / "field.bin"
         with pytest.raises(ValueError, match="six-vector"):
             save_field(path, f)
@@ -843,14 +853,14 @@ class TestFieldIO:
     def test_rejects_an_unknown_header_key(self, tmp_path):
         grid = make_grid(2, (4.0, 4.0), (8, 8))
         path = tmp_path / "f.field"
-        save_field(path, SampledField(grid, np.ones(grid.shape), Space.POSITION))
+        save_field(path, SampledField(grid, np.ones(grid.shape)))
         path.write_bytes(path.read_bytes().replace(b"{", b'{"spacing": 0.5, ', 1))
         with pytest.raises(ValueError, match='unknown key "spacing"'):
             load_field(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
         grid = make_grid(2, (4.0, 4.0), (8, 8))
-        f = SampledField(grid, np.ones(grid.shape), Space.POSITION)
+        f = SampledField(grid, np.ones(grid.shape))
         path = tmp_path / "field.bin"
         save_field(path, f)
         data = path.read_bytes()
@@ -862,8 +872,8 @@ class TestFieldIO:
 # Inputs of the vector rule.  GRID2 is small enough for the quadrature oracle.
 GRID2 = make_grid(2, (6.0, 6.0), (8, 8))
 GRID3 = make_grid(3, (4.0, 4.0, 4.0), (8, 8, 8))
-FIELD2 = SampledField(GRID2, np.ones(GRID2.shape), Space.POSITION)
-WAVE2 = SampledField(GRID2, plane_wave(GRID2, (-0.8, 0.0)), Space.POSITION)
+FIELD2 = SampledField(GRID2, np.ones(GRID2.shape))
+WAVE2 = SampledField(GRID2, plane_wave(GRID2, (-0.8, 0.0)))
 CONFIG2 = make_scatter_config(GRID2, 0.8, u=(1.0, 0.0), alpha=1.5, direction_count=4)
 SPEC2 = PotentialSpec(alpha=1.0, u=(1.0, 0.0), a=1.0, m=2, coupling=1.0, ell_y=2.0)
 NO_MEDIUM = MaterialTensors(GRID3, {})
@@ -941,7 +951,7 @@ class TestVectorRule:
             call(vector)
 
 
-ZERO2 = SampledField(GRID2, np.zeros(GRID2.shape), Space.POSITION)
+ZERO2 = SampledField(GRID2, np.zeros(GRID2.shape))
 
 # (parameter, its lowest value, the public call that takes it)
 INTEGER_INPUTS = {

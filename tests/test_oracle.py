@@ -20,7 +20,6 @@ from bornscat.em import (
 from bornscat.grids import (
     DirectionSet,
     SampledField,
-    Space,
     fft_values,
     make_grid,
     nudft_values,
@@ -72,7 +71,7 @@ def toy_spec(dim, coupling=1.0):
 def random_field(grid, seed=0):
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    return SampledField(grid, vals, Space.POSITION)
+    return SampledField(grid, vals)
 
 
 class TestSlowDft:
@@ -124,7 +123,7 @@ def pipeline_second_order(grid, spec, k_req=0.9):
 class TestQuadSecondOrder:
     def test_zero_interaction(self):
         grid = toy_grid(2)
-        zero = SampledField(grid, np.zeros(grid.shape), Space.POSITION)
+        zero = SampledField(grid, np.zeros(grid.shape))
         results = quad_second_order(zero, np.array([-0.9, 0.0]), [[0.5, 0.5]], 0.3)
         assert results[0].value == 0.0
 
@@ -149,7 +148,7 @@ class TestQuadSecondOrder:
         grid = toy_grid(2)
         spec = toy_spec(2)
         v = sample_potential(spec, grid)
-        v2 = SampledField(grid, 2.0 * v.values, Space.POSITION)
+        v2 = SampledField(grid, 2.0 * v.values)
         k_vec = np.array([-0.9, 0.0])
         point = [[0.785, -0.785]]
         single = quad_second_order(v, k_vec, point, 0.3)[0].value
@@ -158,14 +157,14 @@ class TestQuadSecondOrder:
 
     def test_refuses_large_grids(self):
         grid = make_grid(2, (8.0, 8.0), (18, 18))
-        zero = SampledField(grid, np.zeros(grid.shape), Space.POSITION)
+        zero = SampledField(grid, np.zeros(grid.shape))
         with pytest.raises(ValueError, match="capped"):
             quad_second_order(zero, np.array([-0.9, 0.0]), [[0.0, 0.0]], 0.3)
         assert QUAD_MAX_NODES_PER_AXIS == 16
 
     def test_rejects_bad_eps_and_k(self):
         grid = toy_grid(2)
-        zero = SampledField(grid, np.zeros(grid.shape), Space.POSITION)
+        zero = SampledField(grid, np.zeros(grid.shape))
         with pytest.raises(ValueError, match="eps"):
             quad_second_order(zero, np.array([-0.9, 0.0]), [[0.0, 0.0]], 0.0)
         with pytest.raises(ValueError, match="components"):
@@ -254,7 +253,7 @@ class TestConvergedSolution:
         grid = make_grid(2, (24.0, 24.0), (64, 64))
         spec = toy_spec(2)
         cfg = make_scatter_config(grid, 0.8, spec, n_orders=1)
-        zero = SampledField(grid, np.zeros(grid.shape), Space.POSITION)
+        zero = SampledField(grid, np.zeros(grid.shape))
         solution = converged_solution(cfg, zero, series_tol=1e-10)
         assert solution.order == 0
         assert solution.increments[-1] == 0.0
@@ -323,7 +322,7 @@ class TestConvergedSolution:
     def test_validation(self):
         grid = make_grid(2, (24.0, 24.0), (64, 64))
         cfg = make_scatter_config(grid, 0.8, toy_spec(2), n_orders=1)
-        zero = SampledField(grid, np.zeros(grid.shape), Space.POSITION)
+        zero = SampledField(grid, np.zeros(grid.shape))
         with pytest.raises(ValueError, match="series_tol"):
             converged_solution(cfg, zero, series_tol=0.0)
         with pytest.raises(ValueError, match="order_cap"):
@@ -334,7 +333,7 @@ class TestConvergedSolution:
         # no increment is below nan, so the sum would run to the order cap
         grid = make_grid(2, (24.0, 24.0), (64, 64))
         cfg = make_scatter_config(grid, 0.8, toy_spec(2), n_orders=1)
-        zero = SampledField(grid, np.zeros(grid.shape), Space.POSITION)
+        zero = SampledField(grid, np.zeros(grid.shape))
         with pytest.raises(ValueError, match="series_tol = nan must be positive and finite"):
             converged_solution(cfg, zero, series_tol=np.nan)
 
@@ -347,7 +346,7 @@ def synthetic_outgoing(grid, k_vec, pattern, wavenumber):
     angle = np.arctan2(np.broadcast_to(mesh[1], grid.shape),
                        np.broadcast_to(mesh[0], grid.shape))
     out = pattern(angle) * np.exp(1j * wavenumber * radius) / np.sqrt(radius)
-    return SampledField(grid, plane_wave(grid, k_vec) + out, Space.POSITION)
+    return SampledField(grid, plane_wave(grid, k_vec) + out)
 
 
 def whole_grid_per_radius(psi, k_vec, radii, directions):
@@ -420,7 +419,7 @@ class TestAsymptoticFit:
     def test_zero_interaction_gives_zero_amplitudes(self):
         grid = make_grid(2, (60.0, 60.0), (128, 128))
         cfg = make_scatter_config(grid, 0.8, toy_spec(2), n_orders=1)
-        zero = SampledField(grid, np.zeros(grid.shape), Space.POSITION)
+        zero = SampledField(grid, np.zeros(grid.shape))
         solution = converged_solution(cfg, zero, series_tol=1e-10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -450,7 +449,7 @@ class TestAsymptoticFit:
 
         mesh = grid.position_mesh()
         r_sq = sum(x * x for x in mesh)
-        gauss = SampledField(grid, zeta * np.exp(-r_sq / 4.5), Space.POSITION)
+        gauss = SampledField(grid, zeta * np.exp(-r_sq / 4.5))
         sol_g = converged_solution(cfg, gauss, series_tol=1e-9, order_cap=16)
         fit_g = asymptotic_fit(sol_g.field, cfg.k_vec, 48.0, cfg.directions,
                                fit_wavenumber=k_eps)
@@ -464,8 +463,7 @@ class TestAsymptoticFit:
         k_vec = np.array([-0.8, 0.0])
         mesh = grid.position_mesh()
         radius = np.maximum(np.sqrt(sum(x * x for x in mesh)), 1e-9)
-        near = SampledField(grid, plane_wave(grid, k_vec) + 1.0 / radius**2,
-                            Space.POSITION)
+        near = SampledField(grid, plane_wave(grid, k_vec) + 1.0 / radius**2)
         with pytest.warns(UserWarning, match="far field"):
             asymptotic_fit(near, k_vec, 30.0, np.array([[1.0, 0.0]]))
 
@@ -475,7 +473,7 @@ class TestAsymptoticFit:
         # a norm that overflows to inf would normalize the row to zero
         grid = self.grid()
         k_vec = np.array([-0.8, 0.0])
-        psi = SampledField(grid, plane_wave(grid, k_vec), Space.POSITION)
+        psi = SampledField(grid, plane_wave(grid, k_vec))
         with pytest.raises(ValueError,
                            match="^directions must be a nonzero vector of finite length$"):
             asymptotic_fit(psi, k_vec, 30.0, np.array([[1.0, 0.0], row]))
@@ -484,7 +482,7 @@ class TestAsymptoticFit:
     def test_rejects_a_wave_vector_of_no_finite_length(self):
         # |k_vec| overflows to inf: reported as such, with no overflow warning first
         grid = self.grid()
-        psi = SampledField(grid, plane_wave(grid, np.array([-0.8, 0.0])), Space.POSITION)
+        psi = SampledField(grid, plane_wave(grid, np.array([-0.8, 0.0])))
         with pytest.raises(ValueError, match=r"^\|k_vec\| = inf must be positive and finite$"):
             asymptotic_fit(psi, np.array([1e308, 1e308]), 30.0, np.array([[1.0, 0.0]]))
 
@@ -495,7 +493,7 @@ class TestAsymptoticFit:
         # 1000j, a nan amplitude; |Im k| r = 710 is just beyond the range
         grid = make_grid(2, (64.0, 64.0), (64, 64))
         k_vec = np.array([-0.8, 0.0])
-        psi = SampledField(grid, plane_wave(grid, k_vec), Space.POSITION)
+        psi = SampledField(grid, plane_wave(grid, k_vec))
         with pytest.raises(ValueError, match=f"^fit_wavenumber = {re.escape(str(wavenumber))} "
                                              r"takes exp\(i k r\) out of the float range "
                                              r"at the fit node radius 20: \|Im k\| r must "
@@ -510,7 +508,7 @@ class TestAsymptoticFit:
     def test_validation(self):
         grid = self.grid()
         k_vec = np.array([-0.8, 0.0])
-        psi = SampledField(grid, plane_wave(grid, k_vec), Space.POSITION)
+        psi = SampledField(grid, plane_wave(grid, k_vec))
         with pytest.raises(ValueError, match="^fit radius 49.99 does not fit inside the box"):
             asymptotic_fit(psi, k_vec, 49.99, np.array([[1.0, 0.0]]))
         for radius in (math.nan, math.inf, 0.0):
@@ -533,6 +531,22 @@ class TestAsymptoticFit:
         with pytest.raises(ValueError, match="components"):
             asymptotic_fit(psi, np.array([-0.8, 0.0, 0.0]), 30.0,
                            np.array([[1.0, 0.0]]))
-        with pytest.raises(ValueError, match="position"):
-            asymptotic_fit(SampledField(grid, psi.values, Space.MOMENTUM),
-                           k_vec, 30.0, np.array([[1.0, 0.0]]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_a_six_vector_field(self):
+        grid = make_grid(2, (16.0, 16.0), (16, 16))
+        six = SampledField(grid, np.ones((6,) + grid.shape))
+        with pytest.raises(ValueError, match=r"^psi must hold one value per node, shape "
+                                             r"\(16, 16\); got shape \(6, 16, 16\)$"):
+            asymptotic_fit(six, np.array([-0.8, 0.0]), 4.0, np.array([[1.0, 0.0]]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_a_fit_node_at_the_origin(self):
+        # 0.3 and 0.27 both round to the center node of a 16-cell, 16-long box,
+        # where the outgoing factor's 1 / r would turn every amplitude to nan
+        grid = make_grid(2, (16.0, 16.0), (16, 16))
+        k_vec = np.array([-0.8, 0.0])
+        psi = SampledField(grid, plane_wave(grid, k_vec))
+        with pytest.raises(ValueError, match="^fit_radius = 0.3 with radius_ratio = 0.9 puts "
+                                             "a fit node at the origin, where r = 0$"):
+            asymptotic_fit(psi, k_vec, 0.3, np.array([[1.0, 0.0], [0.0, 1.0]]))

@@ -16,7 +16,7 @@ import pytest
 from bit_identity import GRID_SHAPES, assert_same_bits
 
 from bornscat import potentials
-from bornscat.grids import Space, make_grid, nudft_values
+from bornscat.grids import make_grid, nudft_values
 from bornscat.potentials import (
     PotentialSpec,
     PotentialSum,
@@ -198,7 +198,6 @@ class TestSamplePotential:
         spec = family_2d()
         grid = make_grid(2, (40.0, 40.0), (64, 64))
         f = sample_potential(spec, grid)
-        assert f.space is Space.POSITION
         i, j = 33, 40
         x = np.array([grid.position_axis(0)[i], grid.position_axis(1)[j]])
         assert f.values[i, j] == potential_value(spec, x)
@@ -356,7 +355,7 @@ class TestVerifySupport:
             r2 = r2 + x * x
         from bornscat.grids import SampledField
 
-        gauss = SampledField(grid, np.exp(-r2), Space.POSITION)
+        gauss = SampledField(grid, np.exp(-r2))
         report = verify_support(gauss, u=(1.0, 0.0), alpha=1.0, tol=1e-3)
         assert not report.passed
         assert report.ratio > 1e-1
@@ -365,7 +364,7 @@ class TestVerifySupport:
         grid = make_grid(2, (30.0, 30.0), (32, 32))
         from bornscat.grids import SampledField
 
-        zero = SampledField(grid, np.zeros(grid.shape), Space.POSITION)
+        zero = SampledField(grid, np.zeros(grid.shape))
         with pytest.raises(ValueError, match="zero"):
             verify_support(zero, u=(1.0, 0.0), alpha=1.0)
 

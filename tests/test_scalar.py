@@ -31,7 +31,6 @@ from bornscat.em import (
 from bornscat.grids import (
     NonFiniteError,
     SampledField,
-    Space,
     fft_values,
     ifft_values,
     make_grid,
@@ -154,7 +153,7 @@ class TestThreadedStep:
     def test_born_step(self, pool_workers, counts):
         cfg = config_of(counts)
         grid = cfg.grid
-        v = SampledField(grid, random_values(counts, 1), Space.POSITION)
+        v = SampledField(grid, random_values(counts, 1))
         prev = BornTerm(0, random_values(counts, 2))
         v_before, prev_before = v.values.copy(), prev.field.copy()
         term = born_step(prev, v, cfg)
@@ -229,7 +228,7 @@ class TestThreadedStep:
 
     def test_a_step_called_directly_raises_nonfinite_error(self):
         cfg = config_of((16, 10))
-        v = SampledField(cfg.grid, np.full(cfg.grid.shape, 1e300), Space.POSITION)
+        v = SampledField(cfg.grid, np.full(cfg.grid.shape, 1e300))
         prev = BornTerm(0, v.values)
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
             born_step(prev, v, cfg)
@@ -284,7 +283,7 @@ class TestAllocations:
         # and allocates two: a peak of 3.1 arrays would mean a numerator of its own
         cfg = config_of(self.counts)
         grid = cfg.grid
-        v = SampledField(grid, random_values(self.counts, 1), Space.POSITION)
+        v = SampledField(grid, random_values(self.counts, 1))
 
         def fresh():
             values = random_values(self.counts, 2)
@@ -299,7 +298,7 @@ class TestAllocations:
         # dying field.
         n = 3
         cfg = config_of(self.counts, n_orders=n)
-        v = SampledField(cfg.grid, random_values(self.counts, 1), Space.POSITION)
+        v = SampledField(cfg.grid, random_values(self.counts, 1))
         held, peak = self.traced_bytes(born_series, lambda: (cfg, v))
         array = v.values.nbytes
         assert held < (2 * n + 1.5) * array
@@ -323,7 +322,7 @@ class TestAllocations:
         # the sum, the latest term's source, numerator and field, and the
         # next order's source and numerator: 6 arrays, none of an older order
         cfg = config_of(self.counts, n_orders=4)
-        v = SampledField(cfg.grid, random_values(self.counts, 1), Space.POSITION)
+        v = SampledField(cfg.grid, random_values(self.counts, 1))
 
         def summed(cfg, v):
             orders = born_orders(incident_term(cfg), born_step, v, cfg)
@@ -538,7 +537,7 @@ class TestBornSeries:
 
     def test_zero_interaction(self):
         spec, grid, v, cfg = standard_setup(n=64)
-        zero = SampledField(grid, np.zeros(grid.shape), Space.POSITION)
+        zero = SampledField(grid, np.zeros(grid.shape))
         series = born_series(cfg, zero)
         assert series[1].field_max == 0.0
         assert series[2].numerator.max_abs() == 0.0
@@ -697,7 +696,7 @@ class TestBornSeries:
         base = born_series(cfg, v)
         c = 2.0 - 0.5j
         scaled = born_series(
-            cfg, SampledField(grid, c * v.values, Space.POSITION)
+            cfg, SampledField(grid, c * v.values)
         )
         for n in (1, 2, 3):
             want = c**n * base[n].numerator.values
@@ -761,7 +760,7 @@ class TestBornSeries:
             BornTerm(order=1, field=wave)  # missing source/numerator
         with pytest.raises(ValueError):
             BornTerm(order=0, field=wave, source=wave, numerator=SampledField(
-                grid, fft_values(wave, grid), Space.MOMENTUM))
+                grid, fft_values(wave, grid)))
 
 
 class TestOnShell:
@@ -871,7 +870,7 @@ class TestVanishingChecks:
         r2 = np.zeros(grid.shape)
         for x in grid.position_mesh():
             r2 = r2 + x * x
-        control = SampledField(grid, np.exp(-r2), Space.POSITION)
+        control = SampledField(grid, np.exp(-r2))
         cfg = make_scatter_config(grid, 0.8, u=(1.0, 0.0), alpha=1.0, n_orders=2)
         series = born_series(cfg, control)
         assert not verify_spectral_floor(series, cfg.u, cfg.k).passed
@@ -918,7 +917,7 @@ class TestVanishingChecks:
 
     def test_zero_interaction_is_vacuous(self):
         spec, grid, v, cfg = standard_setup(n=64)
-        zero = SampledField(grid, np.zeros(grid.shape), Space.POSITION)
+        zero = SampledField(grid, np.zeros(grid.shape))
         series = born_series(cfg, zero)
         floor = verify_spectral_floor(series, cfg.u, cfg.k)
         assert floor.passed
@@ -953,7 +952,7 @@ def gaussian(grid):
 def two_sided_runs():
     """Scalar and EM series of 3 orders driven by exp(-|x|^2), k = 0.8, u = x, alpha = 1."""
     grid = make_grid(2, (30.0, 30.0), (128, 128))
-    v = SampledField(grid, gaussian(grid), Space.POSITION)
+    v = SampledField(grid, gaussian(grid))
     cfg = make_scatter_config(grid, 0.8, u=(1.0, 0.0), alpha=1.0, n_orders=3)
     grid3 = make_grid(3, (16.0,) * 3, (16,) * 3)
     medium = MaterialTensors.isotropic(grid3, gaussian(grid3))
