@@ -374,8 +374,8 @@ def _sweep_point(config, cfg, interaction, k_req):
     payload["exactness"] = report.to_dict()
     passed = report.passed
     if config.spectral_checks:
-        floor = floor_check(series, cfg.u, cfg.k, tol=config.tol)
-        bands = band_check(series, cfg.u, cfg.k, cfg.alpha, tol=config.tol)
+        floor = floor_check(cfg, series, tol=config.tol)
+        bands = band_check(cfg, series, tol=config.tol)
         payload["spectral_floor"] = floor.to_dict()
         payload["order_bands"] = bands.to_dict()
         passed = passed and floor.passed and bands.passed

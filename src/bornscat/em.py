@@ -384,14 +384,14 @@ def verify_em_exactness(config, series, tol=1e-2):
     return verify_exactness(config, series, tol, shell=em_on_shell_numerator)
 
 
-def verify_em_spectral_floor(series, u, k, tol=1e-2):
-    """Six-component version of the u.p < -k floor check."""
-    return verify_spectral_floor(series, u, k, tol)
+def verify_em_spectral_floor(config, series, tol=1e-2):
+    """Six-component version of the u.p < -k floor check, with config's u and k."""
+    return verify_spectral_floor(config, series, tol)
 
 
-def verify_em_order_bands(series, u, k, alpha, tol=1e-2):
-    """Six-component version of the per-order band check."""
-    return verify_order_bands(series, u, k, alpha, tol)
+def verify_em_order_bands(config, series, tol=1e-2):
+    """Six-component version of the per-order band check, with config's u, k and alpha."""
+    return verify_order_bands(config, series, tol)
 
 
 def write_em_on_shell_csv(path, records):

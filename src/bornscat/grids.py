@@ -680,8 +680,8 @@ def transverse_basis(axis_vector):
 class DirectionSet:
     """Unit scattering directions sharing one on-shell wavenumber.
 
-    The first direction is always the incident one; `momenta` are the
-    on-shell momenta k * unit_vectors.
+    The one direction-row rule: at least one row of 2 or 3 components, each
+    of unit norm.  `momenta` are the on-shell momenta k * unit_vectors.
     """
 
     k: float
@@ -689,10 +689,12 @@ class DirectionSet:
 
     def __post_init__(self):
         vecs = np.atleast_2d(np.asarray(self.unit_vectors, dtype=float))
-        if vecs.ndim != 2 or vecs.shape[1] not in (2, 3):
-            raise ValueError("directions must be one row of 2 or 3 components per "
-                             f"direction; got shape {vecs.shape}")
-        norms = np.linalg.norm(vecs, axis=1)
+        if vecs.ndim != 2 or vecs.shape[0] == 0 or vecs.shape[1] not in (2, 3):
+            raise ValueError("directions must be at least one row of 2 or 3 components "
+                             f"per direction; got shape {vecs.shape}")
+        # |(1e308, 1e308)| overflows to inf, which the check below reports
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(vecs, axis=1)
         if not np.all(np.abs(norms - 1.0) <= 1e-12):  # a nan row fails too
             raise ValueError("direction vectors must have unit norm")
         positive_number(self.k, "k")

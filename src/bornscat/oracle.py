@@ -16,8 +16,8 @@ from itertools import islice
 
 import numpy as np
 
-from .grids import (DirectionSet, SampledField, blockwise, finite_rows, finite_vector,
-                    plane_wave_at, positive_number, whole_number)
+from .grids import (SampledField, blockwise, finite_rows, finite_vector, plane_wave_at,
+                    positive_number, whole_number)
 from .scalar import (
     DivergenceError,
     born_orders,
@@ -277,13 +277,14 @@ def asymptotic_fit(psi, k_vec, fit_radius, directions, fit_wavenumber=None,
     """Amplitude estimates from the outgoing part of a summed solution.
 
     Subtracts the incident plane wave, samples the residual at the grid
-    nodes nearest to radius*direction for two radii, and divides by the
-    outgoing factor exp(i k r) / r^((d-1)/2) evaluated at the exact node
+    nodes nearest to radius*direction for two radii, one direction per row
+    of the DirectionSet `directions` (of psi's dimension), and divides by
+    the outgoing factor exp(i k r) / r^((d-1)/2) evaluated at the exact node
     radius.  A complex fit_wavenumber compensates the damping introduced by
     the regularized propagator; one whose |Im k| r at a fit node would take
-    exp(i k r) or its reciprocal out of the normal float range is
-    rejected.  Warns when the two radii disagree by more
-    than 10% — the fit is then not yet in the far field.
+    exp(i k r) or its reciprocal out of the normal float range is rejected.
+    Warns when the two radii disagree by more than 10% — the fit is then
+    not yet in the far field.
     """
     grid = psi.grid
     dim = grid.dim
@@ -291,22 +292,15 @@ def asymptotic_fit(psi, k_vec, fit_radius, directions, fit_wavenumber=None,
         raise ValueError(f"psi must hold one value per node, shape {grid.shape}; "
                          f"got shape {psi.values.shape}")
     k_vec = finite_vector(k_vec, dim, "k_vec")
-    # |(1e308, 1e308)| overflows to inf, which positive_number reports, as
-    # the direction rows' check below does
+    # |(1e308, 1e308)| overflows to inf, which positive_number reports
     with np.errstate(over="ignore"):
         k = positive_number(float(np.linalg.norm(k_vec)), "|k_vec|")
     k_fit = complex(fit_wavenumber) if fit_wavenumber is not None else k
     if not cmath.isfinite(k_fit):
         raise ValueError(f"fit_wavenumber = {fit_wavenumber} must be finite")
-    if isinstance(directions, DirectionSet):
-        directions = directions.unit_vectors
-    directions = finite_rows(directions, dim, "directions").reshape(-1, dim)
-    # |(1e308, 1e308)| overflows to inf, which the check below reports
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(directions, axis=1)
-    if not np.all((norms > 0) & np.isfinite(norms)):
-        raise ValueError("directions must be a nonzero vector of finite length")
-    directions = directions / norms[:, None]
+    if directions.dim != dim:
+        raise ValueError(f"directions must be rows of {dim} components, psi's grid's")
+    directions = directions.unit_vectors
     if not 0 < radius_ratio < 1:
         raise ValueError("radius_ratio must lie in (0, 1)")
     fit_radius = float(positive_number(fit_radius, "fit_radius"))

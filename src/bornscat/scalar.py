@@ -191,8 +191,9 @@ class ScatterConfig:
 
     k is the magnitude of the snapped incident wave vector k_vec (always a
     momentum-lattice node, so the incident plane wave is exactly periodic on
-    the box).  u and alpha describe the interaction's spectral half-space
-    u.p >= alpha; directions are the on-shell sample set at |p| = k.
+    the box).  u (stored normalized) and alpha describe the interaction's
+    spectral half-space u.p >= alpha; directions are the on-shell sample set
+    at |p| = k.  The verify_* checks read k, u and alpha from here alone.
     """
 
     grid: Grid
@@ -212,7 +213,8 @@ class ScatterConfig:
         n_orders = whole_number(self.n_orders, "n_orders", 0, sys.maxsize)
         object.__setattr__(self, "n_orders", n_orders)
         finite_vector(self.k_vec, self.grid.dim, "k_vec")
-        finite_vector(self.u, self.grid.dim, "u")
+        u = finite_vector(unit_vector(self.u, "u"), self.grid.dim, "u")
+        object.__setattr__(self, "u", tuple(float(c) for c in u))
         # A grid cannot resolve, so cannot certify, a threshold finer than one
         # of its momentum cells; this also bounds N = floor(2k/alpha) below
         # the node count along an axis-aligned u.
@@ -224,6 +226,8 @@ class ScatterConfig:
             )
         if abs(self.directions.k - self.k) > 1e-9 * self.k:
             raise ValueError("direction set wavenumber disagrees with config k")
+        if self.directions.dim != self.grid.dim:
+            raise ValueError(f"directions must be rows of {self.grid.dim} components, the grid's")
 
     @property
     def k_hat(self):
@@ -680,16 +684,17 @@ def _numerator_terms(series):
     return terms
 
 
-def _band_report(series, u, tol, name, band):
-    """One band check per order; band(order, p_par) gives its mask and label.
+def _band_report(config, series, tol, name, band):
+    """One band check per order along config.u; band(order, p_par) gives its mask and label.
 
     The report is named em-<name> for six-vector numerators, else <name>.
     """
+    positive_number(tol, "tol")
     terms = _numerator_terms(series)
     numerator = terms[0].numerator
     if numerator.values.ndim > numerator.grid.dim:
         name = f"em-{name}"
-    p_par = numerator.grid.momentum_parallel(unit_vector(u, "u"))
+    p_par = config.grid.momentum_parallel(config.u)
     checks = []
     for term in terms:
         mask, label = band(term.order, p_par)
@@ -697,39 +702,36 @@ def _band_report(series, u, tol, name, band):
     return VerificationReport(name, float(tol), tuple(checks))
 
 
-def verify_spectral_floor(series, u, k, tol=1e-3):
+def verify_spectral_floor(config, series, tol=1e-3):
     """Check that every order's spectrum avoids the floor u.p < -k.
 
-    Interactions supported in u.p >= alpha with alpha > 0 can only push
-    spectral weight toward larger u.p, so no order reaches below -k (the
-    lowest component of the incident wave).  Each check compares the max
-    node magnitude below the floor with the order's global max.
+    u and k are config's.  Interactions supported in u.p >= alpha > 0 can
+    only push spectral weight toward larger u.p, so no order reaches below
+    -k (the lowest component of the incident wave).  Each check compares the
+    max node magnitude below the floor with the order's global max.
     """
-    positive_number(tol, "tol")
-    positive_number(k, "k")
 
     def band(order, p_par):
-        return p_par < -k, f"u.p < {-k:.6g}"
+        return p_par < -config.k, f"u.p < {-config.k:.6g}"
 
-    return _band_report(series, u, tol, "spectral-floor", band)
+    return _band_report(config, series, tol, "spectral-floor", band)
 
 
-def verify_order_bands(series, u, k, alpha, tol=1e-3):
+def verify_order_bands(config, series, tol=1e-3):
     """Check the per-order forbidden bands around the shell.
 
-    With N = floor(2k/alpha), the order-m spectrum must vanish on
-    -k <= u.p <= k - (N - m + 1)*alpha: each interaction factor shifts the
+    With config's u, k, alpha and N = floor(2k/alpha), the order-m spectrum
+    must vanish on -k <= u.p <= k - (N - m + 1)*alpha: each factor shifts the
     spectral support up by at least alpha, so low orders cannot yet have
     fallen back down onto the shell band.  Empty bands are reported vacuous.
     """
-    positive_number(tol, "tol")
-    n_exact = exactness_order(k, alpha)
+    k, alpha, n_exact = config.k, config.alpha, config.exact_order
 
     def band(order, p_par):
         upper = k - (n_exact - order + 1) * alpha
         return (p_par >= -k) & (p_par <= upper), f"{-k:.6g} <= u.p <= {upper:.6g}"
 
-    return _band_report(series, u, tol, "order-bands", band)
+    return _band_report(config, series, tol, "order-bands", band)
 
 
 def verify_convolution_support(
@@ -854,15 +856,16 @@ def verify_exactness(config, series, tol=1e-3, shell=None):
     positive_number(tol, "tol")
     shell = on_shell_numerator if shell is None else shell
     n_exact = config.exact_order
-    if series[-1].order < n_exact + 1:
+    terms = _numerator_terms(series)
+    if terms[-1].order < n_exact + 1:
         raise ValueError(
-            f"series reaches order {series[-1].order} but testing exactness at "
+            f"series reaches order {terms[-1].order} but testing exactness at "
             f"N = {n_exact} needs at least order {n_exact + 1}"
         )
     shell_label = f"|p| = {config.k:.6g}"
     checks = []
     records = []
-    for term in _numerator_terms(series):
+    for term in terms:
         record = shell(term, config)
         records.append(record)
         checks.append(

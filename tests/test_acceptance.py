@@ -207,8 +207,8 @@ def test_05_one_sided_spectral_bands(capsys, scalar_run):
     worst = 0.0
     for name in SCALAR_RUNS:
         cfg, series = scalar_run(name)
-        floor = verify_spectral_floor(series, cfg.u, cfg.k, tol=1e-3)
-        bands = verify_order_bands(series, cfg.u, cfg.k, cfg.alpha, tol=1e-3)
+        floor = verify_spectral_floor(cfg, series, tol=1e-3)
+        bands = verify_order_bands(cfg, series, tol=1e-3)
         assert floor.passed and bands.passed, (name, floor.to_dict())
         worst = max(worst, floor.worst_ratio, bands.worst_ratio)
     grid = make_grid(2, (60.0, 60.0), (512, 512))
@@ -218,10 +218,8 @@ def test_05_one_sided_spectral_bands(capsys, scalar_run):
     control = SampledField(grid, np.exp(-r2))
     ctrl_cfg = make_scatter_config(grid, 0.8, u=(1.0, 0.0), alpha=1.0, n_orders=2)
     ctrl_series = born_series(ctrl_cfg, control)
-    ctrl_floor = verify_spectral_floor(ctrl_series, ctrl_cfg.u, ctrl_cfg.k, tol=1e-3)
-    ctrl_bands = verify_order_bands(
-        ctrl_series, ctrl_cfg.u, ctrl_cfg.k, ctrl_cfg.alpha, tol=1e-3
-    )
+    ctrl_floor = verify_spectral_floor(ctrl_cfg, ctrl_series, tol=1e-3)
+    ctrl_bands = verify_order_bands(ctrl_cfg, ctrl_series, tol=1e-3)
     ctrl_worst = max(ctrl_floor.worst_ratio, ctrl_bands.worst_ratio)
     passed = worst <= 1e-3 and not ctrl_floor.passed and ctrl_worst >= 1e-1
     report_line(

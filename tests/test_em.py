@@ -2,6 +2,7 @@
 
 import re
 import warnings
+from dataclasses import replace
 from itertools import islice
 
 import numpy as np
@@ -844,6 +845,26 @@ class TestVerification:
         with pytest.raises(ValueError, match="exactness"):
             verify_em_exactness(cfg, series)
 
+    @pytest.mark.parametrize("check", [verify_em_exactness, verify_em_spectral_floor,
+                                       verify_em_order_bands],
+                             ids=["exactness", "floor", "bands"])
+    def test_an_empty_series_is_rejected(self, check):
+        grid, spec, cfg = setup(counts=(16, 8, 8), n_orders=1)
+        with pytest.raises(ValueError, match="^series holds no terms beyond the incident wave$"):
+            check(cfg, [])
+
+    @pytest.mark.parametrize("check", [verify_em_spectral_floor, verify_em_order_bands],
+                             ids=["floor", "bands"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_band_checks_read_the_config_axis(self, check):
+        # the config normalizes u; with u as given, a half-length axis would
+        # halve u.p and move every band
+        grid, spec, cfg = setup(counts=(16, 8, 8), n_orders=1)
+        series = em_born_series(cfg, material_from_scalar(spec, grid, which="eps"))
+        half = replace(cfg, u=tuple(0.5 * c for c in cfg.u))
+        assert half.u == cfg.u
+        assert check(half, series).to_dict() == check(cfg, series).to_dict()
+
     def test_floor_and_bands_first_order_on_coarse_grid(self):
         # beyond first order the coarse longitudinal Nyquist range wraps
         # genuine high-momentum content into the floor region; the checks
@@ -851,29 +872,17 @@ class TestVerification:
         grid, spec, cfg = setup(counts=(48, 48, 48), n_orders=1)
         mats = material_from_scalar(spec, grid, which="eps")
         series = em_born_series(cfg, mats)
-        floor = verify_em_spectral_floor(series, cfg.u, cfg.k, tol=1e-2)
-        bands = verify_em_order_bands(series, cfg.u, cfg.k, cfg.alpha, tol=1e-2)
+        floor = verify_em_spectral_floor(cfg, series, tol=1e-2)
+        bands = verify_em_order_bands(cfg, series, tol=1e-2)
         assert floor.passed and bands.passed
         assert floor.worst_ratio <= 1e-2
-
-    @pytest.mark.parametrize("check", [
-        lambda series, u, cfg: verify_em_spectral_floor(series, u, cfg.k),
-        lambda series, u, cfg: verify_em_order_bands(series, u, cfg.k, cfg.alpha),
-    ], ids=["floor", "bands"])
-    @pytest.mark.parametrize("u", [(np.nan, 0.0, 0.0), (0.0, 0.0, 0.0)], ids=["nan", "zero"])
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_band_checks_reject_an_axis_of_no_finite_length(self, check, u):
-        grid, spec, cfg = setup(counts=(16, 8, 8), n_orders=1)
-        series = em_born_series(cfg, material_from_scalar(spec, grid, which="eps"))
-        with pytest.raises(ValueError, match="^u must be a nonzero vector of finite length$"):
-            check(series, u, cfg)
 
     def test_floor_and_bands_all_orders_with_longitudinal_headroom(self):
         grid, spec, cfg = setup(counts=(144, 48, 48))
         mats = material_from_scalar(spec, grid, which="eps")
         series = em_born_series(cfg, mats)
-        floor = verify_em_spectral_floor(series, cfg.u, cfg.k, tol=1e-2)
-        bands = verify_em_order_bands(series, cfg.u, cfg.k, cfg.alpha, tol=1e-2)
+        floor = verify_em_spectral_floor(cfg, series, tol=1e-2)
+        bands = verify_em_order_bands(cfg, series, tol=1e-2)
         assert floor.passed and bands.passed
         assert {c.order for c in floor.checks} == {1, 2, 3}
         report = floor.to_dict()

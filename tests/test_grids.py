@@ -753,10 +753,22 @@ class TestDirections:
             sphere_directions(2, 1.0, 0, (1.0, 0.0))
         with pytest.raises(ValueError):
             sphere_directions(2, 1.0, 4, (0.0, 0.0))
-        with pytest.raises(ValueError):
-            DirectionSet(k=1.0, unit_vectors=np.array([[2.0, 0.0]]))
-        with pytest.raises(ValueError, match=r"one row .* per direction; got shape \(2, 2, 2\)"):
-            DirectionSet(k=1.0, unit_vectors=np.full((2, 2, 2), np.sqrt(0.5)))
+
+    @pytest.mark.parametrize("row", [[2.0, 0.0], [0.0, 0.0], [math.inf, 0.0], [1e308, 1e308]],
+                             ids=["long", "zero", "inf", "overflow"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # |(1e308, 1e308)| overflows
+    def test_rejects_a_row_that_is_not_a_unit_vector(self, row):
+        with pytest.raises(ValueError, match="^direction vectors must have unit norm$"):
+            DirectionSet(k=1.0, unit_vectors=np.array([[1.0, 0.0], row]))
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (0, 2), (1, 1), (1, 4)],
+                             ids=["3d", "empty", "narrow", "wide"])
+    def test_rejects_a_set_that_is_not_rows_of_directions(self, shape):
+        # zero rows once made an empty set, on which asymptotic_fit failed unrelatedly
+        with pytest.raises(ValueError, match=r"^directions must be at least one row of 2 "
+                                             r"or 3 components per direction; got shape "
+                                             + re.escape(str(shape)) + "$"):
+            DirectionSet(k=1.0, unit_vectors=np.full(shape, 1.0))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # |(1e308, 1e308)| overflows
     def test_rejects_an_incident_direction_of_no_finite_length(self):
@@ -895,7 +907,7 @@ VECTOR_INPUTS = {
     "momentum_parallel": ("u", "a vector", (1.0, 0.0), GRID2.momentum_parallel),
     "ScatterConfig-k_vec": ("k_vec", "a vector", CONFIG2.k_vec,
                             lambda v: replace(CONFIG2, k_vec=v)),
-    "ScatterConfig-u": ("u", "a vector", CONFIG2.u, lambda v: replace(CONFIG2, u=v)),
+    "ScatterConfig-u": ("u", "unit", CONFIG2.u, lambda v: replace(CONFIG2, u=v)),
     "make_scatter_config-u": ("u", "unit", (1.0, 0.0), lambda v: make_scatter_config(
         GRID2, 0.8, u=v, alpha=1.5)),
     "incident_term": ("psi0", "a vector", (1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
@@ -916,10 +928,8 @@ VECTOR_INPUTS = {
     "em_quad_second_order": ("psi0", "a vector", (1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
                              lambda v: em_quad_second_order(
                                  NO_MEDIUM, (-0.9, 0.0, 0.0), v, [[0.0, 0.0, 0.0]], 0.3)),
-    "asymptotic_fit-k_vec": ("k_vec", "a vector", (-0.8, 0.0),
-                             lambda v: asymptotic_fit(WAVE2, v, 2.0, [[1.0, 0.0]])),
-    "asymptotic_fit-directions": ("directions", "rows", (1.0, 0.0),
-                                  lambda v: asymptotic_fit(WAVE2, (-0.8, 0.0), 2.0, [v])),
+    "asymptotic_fit-k_vec": ("k_vec", "a vector", (-0.8, 0.0), lambda v: asymptotic_fit(
+        WAVE2, v, 2.0, DirectionSet(k=0.8, unit_vectors=[[1.0, 0.0]]))),
     "potential_value": ("x", "rows", (0.0, 0.0), lambda v: potential_value(SPEC2, [v])),
     "potential_spectrum": ("p", "rows", (1.5, 0.0), lambda v: potential_spectrum(SPEC2, [v])),
     "PotentialSpec-center": ("center", "a vector", (0.0, 0.0),

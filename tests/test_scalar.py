@@ -502,6 +502,9 @@ class TestMakeConfig:
         grid = make_grid(2, (60.0, 60.0), (64, 64))
         with pytest.raises(ValueError, match="u must be a nonzero vector of finite length"):
             make_scatter_config(grid, 0.8, u=vector, alpha=1.0)
+        # the config checks its own axis, which the band checks read
+        with pytest.raises(ValueError, match="^u must be a nonzero vector of finite length$"):
+            replace(make_scatter_config(grid, 0.8, family()), u=vector)
 
     def test_direction_wavenumber_must_match(self):
         grid = make_grid(2, (60.0, 60.0), (64, 64))
@@ -512,6 +515,35 @@ class TestMakeConfig:
                 grid=grid, k=cfg.k, k_vec=cfg.k_vec, u=cfg.u, alpha=cfg.alpha,
                 epsilon=cfg.epsilon, n_orders=2, directions=bad,
             )
+
+    def test_direction_dimension_must_match(self):
+        # a 3-D set on a 2-D grid once ran every order and failed in the first shell sum
+        grid = make_grid(2, (60.0, 60.0), (64, 64))
+        cfg = make_scatter_config(grid, 0.8, family())
+        other = sphere_directions(3, cfg.k, 4, (1.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="^directions must be rows of 2 components, "
+                                             "the grid's$"):
+            replace(cfg, directions=other)
+
+    def test_config_normalizes_its_axis(self):
+        # the band checks read config.u; with u as given, (0.5, 0) would halve
+        # u.p and move every band
+        spec, grid, v, cfg = standard_setup(n=512, k=0.8, n_orders=3)
+        half = replace(cfg, u=(0.5, 0.0))
+        assert half.u == cfg.u == (1.0, 0.0)
+        series = born_series(cfg, v)
+        for check in (verify_spectral_floor, verify_order_bands):
+            report = check(half, series, tol=1e-2)
+            assert report.passed
+            assert report.to_dict() == check(cfg, series, tol=1e-2).to_dict()
+
+    @pytest.mark.parametrize("k", [np.nan, np.inf, 0.0, -1.0])
+    def test_config_rejects_a_wavenumber_that_is_not_positive(self, k):
+        # with k = nan no node lies below the spectral floor: every check would be vacuous
+        grid = make_grid(2, (60.0, 60.0), (64, 64))
+        cfg = make_scatter_config(grid, 0.8, family())
+        with pytest.raises(ValueError, match=f"^k = {k} must be positive and finite$"):
+            replace(cfg, k=k)
 
 
 class TestBornSeries:
@@ -857,11 +889,19 @@ class TestVanishingChecks:
         with pytest.raises(ValueError, match="exactness"):
             verify_exactness(cfg, born_series(cfg, v))
 
+    @pytest.mark.parametrize("check", [verify_exactness, verify_spectral_floor,
+                                       verify_order_bands], ids=["exactness", "floor", "bands"])
+    def test_an_empty_series_is_rejected(self, check):
+        # verify_exactness once raised IndexError on it
+        spec, grid, v, cfg = standard_setup(n=64, k=0.8, n_orders=1)
+        with pytest.raises(ValueError, match="^series holds no terms beyond the incident wave$"):
+            check(cfg, [])
+
     def test_floor_and_bands_pass_for_family(self):
         spec, grid, v, cfg = standard_setup(n=512, k=0.8, n_orders=2)
         series = born_series(cfg, v)
-        floor = verify_spectral_floor(series, cfg.u, cfg.k)
-        bands = verify_order_bands(series, cfg.u, cfg.k, cfg.alpha)
+        floor = verify_spectral_floor(cfg, series)
+        bands = verify_order_bands(cfg, series)
         assert floor.passed and floor.worst_ratio <= 1e-3
         assert bands.passed and bands.worst_ratio <= 1e-3
 
@@ -873,9 +913,9 @@ class TestVanishingChecks:
         control = SampledField(grid, np.exp(-r2))
         cfg = make_scatter_config(grid, 0.8, u=(1.0, 0.0), alpha=1.0, n_orders=2)
         series = born_series(cfg, control)
-        assert not verify_spectral_floor(series, cfg.u, cfg.k).passed
-        assert verify_spectral_floor(series, cfg.u, cfg.k).worst_ratio >= 1e-1
-        assert not verify_order_bands(series, cfg.u, cfg.k, cfg.alpha).passed
+        assert not verify_spectral_floor(cfg, series).passed
+        assert verify_spectral_floor(cfg, series).worst_ratio >= 1e-1
+        assert not verify_order_bands(cfg, series).passed
         assert not verify_exactness(cfg, series).passed
 
     def test_one_sided_control_with_overclaimed_alpha_fails(self):
@@ -892,49 +932,18 @@ class TestVanishingChecks:
         truth = verify_exactness(cfg, series)
         assert truth.passed and truth.check_for(2).ratio <= 1e-5
 
-    def test_band_checks_normalize_their_axis(self):
-        # with u as given, (0.5, 0) would halve u.p and move every band
-        spec, grid, v, cfg = standard_setup(n=512, k=0.8, n_orders=3)
-        series = born_series(cfg, v)
-        for report in (
-            lambda u: verify_spectral_floor(series, u, cfg.k, tol=1e-2),
-            lambda u: verify_order_bands(series, u, cfg.k, cfg.alpha, tol=1e-2),
-        ):
-            half = report((0.5, 0.0))
-            assert half.passed
-            assert half.to_dict() == report((1.0, 0.0)).to_dict()
-
-    @pytest.mark.parametrize("u", [(math.nan, 0.0), (0.0, 0.0)], ids=["nan", "zero"])
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_band_checks_reject_an_axis_of_no_finite_length(self, u):
-        spec, grid, v, cfg = standard_setup(n=64)
-        series = born_series(cfg, v)
-        message = "^u must be a nonzero vector of finite length$"
-        with pytest.raises(ValueError, match=message):
-            verify_spectral_floor(series, u, cfg.k)
-        with pytest.raises(ValueError, match=message):
-            verify_order_bands(series, u, cfg.k, cfg.alpha)
-
     def test_zero_interaction_is_vacuous(self):
         spec, grid, v, cfg = standard_setup(n=64)
         zero = SampledField(grid, np.zeros(grid.shape))
         series = born_series(cfg, zero)
-        floor = verify_spectral_floor(series, cfg.u, cfg.k)
+        floor = verify_spectral_floor(cfg, series)
         assert floor.passed
         assert all(c.vacuous for c in floor.checks)
-
-    @pytest.mark.parametrize("k", [np.nan, np.inf, 0.0, -1.0])
-    def test_floor_rejects_a_wavenumber_that_is_not_positive(self, k):
-        # with k = nan no node lies below the floor: every check would be vacuous
-        spec, grid, v, cfg = standard_setup(n=64)
-        series = born_series(cfg, v)
-        with pytest.raises(ValueError, match=f"^k = {k} must be positive and finite$"):
-            verify_spectral_floor(series, cfg.u, k)
 
     def test_report_serialization(self):
         spec, grid, v, cfg = standard_setup(n=64)
         series = born_series(cfg, v)
-        floor = verify_spectral_floor(series, cfg.u, cfg.k).to_dict()
+        floor = verify_spectral_floor(cfg, series).to_dict()
         assert set(floor) == {"name", "tol", "pass", "checks"}
         assert {"order", "band", "max_ratio", "tol", "pass"} <= set(floor["checks"][0])
         exact = verify_exactness(cfg, series).to_dict()
@@ -964,18 +973,15 @@ def two_sided_runs():
 # Every library call that takes a tolerance, as (runs, tol) -> report.
 TOL_CALLS = {
     "verify_exactness": lambda r, tol: verify_exactness(r["cfg"], r["series"], tol),
-    "verify_spectral_floor": lambda r, tol: verify_spectral_floor(
-        r["series"], r["cfg"].u, r["cfg"].k, tol),
-    "verify_order_bands": lambda r, tol: verify_order_bands(
-        r["series"], r["cfg"].u, r["cfg"].k, r["cfg"].alpha, tol),
+    "verify_spectral_floor": lambda r, tol: verify_spectral_floor(r["cfg"], r["series"], tol),
+    "verify_order_bands": lambda r, tol: verify_order_bands(r["cfg"], r["series"], tol),
     "verify_convolution_support": lambda r, tol: verify_convolution_support(
         r["v"].grid, (1.0, 0.0), 0.0, 0.0, tol=tol),
     "verify_support": lambda r, tol: verify_support(r["v"], (1.0, 0.0), 1.0, tol),
     "verify_em_exactness": lambda r, tol: verify_em_exactness(r["cfg3"], r["series3"], tol),
     "verify_em_spectral_floor": lambda r, tol: verify_em_spectral_floor(
-        r["series3"], r["cfg3"].u, r["cfg3"].k, tol),
-    "verify_em_order_bands": lambda r, tol: verify_em_order_bands(
-        r["series3"], r["cfg3"].u, r["cfg3"].k, r["cfg3"].alpha, tol),
+        r["cfg3"], r["series3"], tol),
+    "verify_em_order_bands": lambda r, tol: verify_em_order_bands(r["cfg3"], r["series3"], tol),
     "certify_materials": lambda r, tol: certify_materials(r["medium"], (1.0, 0.0, 0.0), 1.0, tol),
     # no entry, so no support report, to check tol
     "certify_materials-empty": lambda r, tol: certify_materials(
