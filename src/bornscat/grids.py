@@ -24,8 +24,12 @@ A Born order's source is zero outside the support box of its interaction
 over a box of nodes when given one.  The next order reads its field on
 that box alone, so both transforms take a box too: fft_values skips the
 lines that are still all zero outside it, and ifft_values computes only
-the values on it.  Each pass skips whole 1-D lines and transforms the
-others as before, so every value computed keeps its bits.
+the values on it.  The box sets the order of the 1-D passes too
+(_pass_order): a forward transform starts on the axis the box covers the
+largest share of, an inverse one on the smallest.  Each pass skips whole
+1-D lines and transforms the others as numpy does, so a transform with a
+box gives the bits of numpy.fft.fftn with its axes in the box's pass
+order, and one without a box (or with the whole grid's) those of fftn.
 """
 
 import contextvars
@@ -256,11 +260,15 @@ def _six_norms(values, out):
 # ifft_values compute, bit for bit, what the single-threaded
 #     np.fft.fftn(values, axes) * (cell_volume * sign)
 #     np.fft.ifftn(values * (sign / cell_volume), axes)
-# compute, but on every usable CPU.  fftn is a chain of 1-D passes, last axis
-# first; each pass transforms every line on its own and releases the GIL.  So
-# each pass here runs the same 1-D transform on disjoint blocks of lines in a
-# thread pool.  Every line passes through the same numpy kernel whatever the
-# blocking, so the result does not depend on the number of threads.
+# compute, but on every usable CPU, with axes the grid axes in the box's pass
+# order (_pass_order; fftn runs the last of its axes first).  Without a box,
+# or with a box of equal shares such as the whole grid, that is fftn's own
+# order, last axis first.  fftn is a chain of 1-D passes; each pass
+# transforms every line on its own and releases the GIL.  So each pass here
+# runs the same 1-D transform on disjoint blocks of lines in a thread pool,
+# and skips the lines a box makes zero or unread.  Every line passes through
+# the same numpy kernel whatever the blocking, so the result does not depend
+# on the number of threads.
 #
 # The per-node passes of a Born order (the elementwise factors, products and
 # reductions) run on the same pool through blockwise and _reduce: each
@@ -454,20 +462,43 @@ def all_finite(values):
     return bool(np.all(_reduce(lambda block: np.all(np.isfinite(block)), values)))
 
 
-def _passes(transform, src, out, grid, box=None, forward=True):
-    """fftn's 1-D passes of `transform`, last grid axis first, from src into out.
+def _pass_order(grid, box, forward):
+    """The grid axes in the order the 1-D passes of a transform with this box run.
 
-    With a box (one slice per grid axis), a pass along grid axis a runs only
-    on the lines whose indices lie in the box along the axes still
-    untransformed, those before a, for a forward transform, or along the
-    axes already transformed, those after a, for an inverse one.  Each pass
-    splits its lines along the largest other axis; the passes after the
-    first run in place on out.
+    Without a box, last axis first, as numpy.fft.fftn runs them.  With one,
+    by the share of its axis the box covers: a forward transform starts on
+    the largest share, so each later pass skips the lines still all zero
+    outside the box; an inverse one on the smallest, so each later pass
+    runs only the lines the box needs.  Equal shares keep the last-axis-first
+    order, so a whole-grid box runs as no box does.  The transform then has
+    the bits of np.fft.fftn (or ifftn) with axes this order reversed, since
+    fftn runs the last of its axes first.
+    """
+    order = list(reversed(range(grid.dim)))
+    if box is None:
+        return order
+    # the box's length along each axis times the other axes' node counts:
+    # the share it covers, times the grid size, in exact integers
+    share = [len(range(n)[s]) * (grid.size // n) for n, s in zip(grid.counts, box)]
+    # a stable sort: ties stay last axis first
+    return sorted(order, key=lambda a: -share[a] if forward else share[a])
+
+
+def _passes(transform, src, out, grid, box=None, forward=True):
+    """fftn's 1-D passes of `transform` in _pass_order, from src into out.
+
+    With a box (one slice per grid axis), a pass runs only on the lines
+    whose indices lie in the box along the axes still untransformed, for a
+    forward transform, or along the axes already transformed, for an
+    inverse one.  Each pass splits its lines along the largest other axis;
+    the passes after the first run in place on out.
     """
     lead = out.ndim - grid.dim
-    for a in reversed(range(grid.dim)):
+    passed = set()
+    for a in _pass_order(grid, box, forward):
         lines = (slice(None),) * lead + tuple(
-            box[i] if box is not None and (i < a if forward else i > a) else slice(None)
+            box[i] if box is not None and i != a and (i not in passed if forward else i in passed)
+            else slice(None)
             for i in range(grid.dim)
         )
         part_src, part_out = src[lines], out[lines]
@@ -482,6 +513,7 @@ def _passes(transform, src, out, grid, box=None, forward=True):
         if part_out.size:
             _row_blocks(task, part_out.shape[split], part_out.nbytes, _BLOCK_BYTES)
         src = out
+        passed.add(a)
 
 
 def _product(*factors, out=None):
@@ -519,8 +551,11 @@ def fft_values(values, grid, out=None, box=None):
     elements), which is then transformed in place with the same bits, or
     does not overlap it.  A box, one slice per grid axis as support_box
     returns it, says that the values are zero outside it, as nudft_values's
-    box does: the passes then skip the lines that are still all zero, and
-    the result has the same bits.
+    box does: the passes then start on the axis the box covers the largest
+    share of and skip the lines that are still all zero.  The result has
+    the bits of np.fft.fftn with its axes in that pass order (_pass_order),
+    times cell_volume * (-1)^m; without a box, or with the whole grid's,
+    those of fftn's own order.
     """
     values = np.asarray(values)
     if out is None:
@@ -537,9 +572,12 @@ def ifft_values(values, grid, out=None, box=None):
     The result goes into out, a new array by default; out may be values
     itself, a complex array, which is then transformed in place with the
     same bits.  A box, one slice per grid axis, says that only the values on
-    it are wanted: the passes then skip the lines no value on the box
-    needs.  Those values have the same bits, and the rest of out holds
-    partial transforms.
+    it are wanted: the passes then start on the axis the box covers the
+    smallest share of and skip the lines no value on the box needs.  Those
+    values have the bits of np.fft.ifftn with its axes in that pass order
+    (_pass_order), of the values times (-1)^m / cell_volume, and the rest
+    of out holds partial transforms.  Without a box, or with the whole
+    grid's, every value has the bits of ifftn's own order.
     """
     values = np.asarray(values)
     if out is None:

@@ -226,9 +226,11 @@ def converged_solution(config, v_field, series_tol=1e-8, order_cap=32):
     """Sum series terms until the max-norm increment drops below series_tol.
 
     Each term's field is built on the whole grid (born_step's whole_grid),
-    and its increment is its max over the grid.  The reported order is the
-    highest one whose increment still mattered, so a zero interaction
-    converges at order 0.  Raises
+    and its increment is its max over the grid.  Its inverse transform runs
+    in numpy's order, so where the interaction's box inverts in another
+    (see scalar's field contract) the terms differ from born_series' in
+    the last bits.  The reported order is the highest one whose increment
+    still mattered, so a zero interaction converges at order 0.  Raises
     SeriesConvergenceError when order_cap is reached first, or when a term
     outright diverges; both point at strong coupling.
     """

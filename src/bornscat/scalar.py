@@ -34,17 +34,26 @@ step forms the source on that box alone, and the term keeps it there.
 The numerator is built in a zero-filled array that the boxed source is
 copied into: the forward transform runs in place on it, skipping the
 lines that are still all zero, and an EM step then applies its kernel
-there too.
+there too.  The transform takes its pass order from the box (see
+grids.fft_values): the numerator has the bits of numpy.fft.fftn of the
+whole-grid source with its axes in the box's pass order.  So the order
+follows the interaction, not the array layout: on a square grid, the
+numerators and fields of an interaction along u = (0, 1) are the
+transposes of those of its transpose along u = (1, 0), bit for bit.
 
 The field contract: the next source reads B_n only on the interaction's
 box and in the rows the interaction reads (the E rows of an EM field when
 delta-mu = 0).  So a step propagates only those rows of its numerator,
 its inverse transform runs only the lines the box needs, and the term's
 field holds B_n there alone, a raw array like its source, with the bits
-of the whole-grid field.  A caller that reads B_n off the box
-(oracle.converged_solution, which sums fields) asks the step for the
-whole grid instead (born_step's whole_grid).  The order-0 field is the
-incident wave on the whole grid.
+of the inverse transform in the box's pass order.  A caller that reads
+B_n off the box (oracle.converged_solution, which sums fields) asks the
+step for the whole grid instead (born_step's whole_grid); no box prunes
+that inverse transform, so it runs in numpy's order.  Where the box's
+inverse order is not numpy's (a 2D slab across u = (0, 1), or a 3D box of
+unequal transverse shares), its fields, and from order 2 on its sources
+and numerators, differ from the boxed series' in the last bits.  The
+order-0 field is the incident wave on the whole grid.
 
 The one lifecycle rule: a step releases order n's field (sets it to None)
 once it has formed its source from it, since the field is then dead.  When
@@ -215,6 +224,7 @@ class ScatterConfig:
         finite_vector(self.k_vec, self.grid.dim, "k_vec")
         u = finite_vector(unit_vector(self.u, "u"), self.grid.dim, "u")
         object.__setattr__(self, "u", tuple(float(c) for c in u))
+        positive_number(self.alpha, "alpha")
         # A grid cannot resolve, so cannot certify, a threshold finer than one
         # of its momentum cells; this also bounds N = floor(2k/alpha) below
         # the node count along an axis-aligned u.
@@ -481,7 +491,8 @@ def born_step(prev, v_field, config, *, whole_grid=False):
     is zero.  That box is read once and kept, so v_field's values must not
     be written once a step has read them.  The next order's field is built
     on that box too, as the next step reads it there; whole_grid asks for
-    it on the whole grid, for a caller that reads it off the box.
+    it on the whole grid, for a caller that reads it off the box, with the
+    inverse transform in numpy's order (see the module docstring).
     """
     grid = config.grid
     field = _step_input(prev, v_field, config)

@@ -74,3 +74,19 @@ def test_main_reports_every_file_and_fails_on_one_sided(tmp_path, capsys):
     assert artifact_diff.main([str(old_dir), str(new_dir)]) == 1
     out = capsys.readouterr().out
     assert "b.json  only in OLD_DIR" in out and "notes.txt" not in out
+
+
+def test_a_file_that_moved_more_than_max_scaled_fails(tmp_path, capsys):
+    # 1 -> 1 + 2^-45 is a scaled change of 2.8e-14, within MAX_SCALED;
+    # 1 -> 1 + 2^-30 one of 9.3e-10, above it
+    assert artifact_diff.MAX_SCALED == 1e-12
+    old_dir, new_dir = (path.parent for path in
+                        write_pair(tmp_path, "a.csv", "re\n1.0\n0.5\n", f"re\n{1 + 2 ** -45!r}\n0.5\n"))
+    write_pair(tmp_path, "b.csv", "re\n2.0\n", "re\n2.0\n")
+    assert artifact_diff.main([str(old_dir), str(new_dir)]) == 0
+    assert "above" not in capsys.readouterr().out
+    (new_dir / "a.csv").write_text(f"re\n{1 + 2 ** -30!r}\n0.5\n")
+    assert artifact_diff.main([str(old_dir), str(new_dir)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("a.csv") and lines[0].endswith("above 1e-12")
+    assert lines[1].startswith("b.csv") and "above" not in lines[1]

@@ -615,11 +615,12 @@ class TestEmBornSeries:
         assert not np.any(em_on_shell_numerator(series[-1], cfg).values)
 
     @pytest.mark.parametrize("medium", ["isotropic", "anisotropic-magnetic"])
-    def test_a_boxed_source_gives_the_full_grid_numerator_and_field(self, pool_workers, medium):
+    def test_a_boxed_step_is_the_boxed_transform_of_the_whole_grid_source(self, pool_workers, medium):
         # the medium is zero outside the union of its entries' slabs, and
         # the step forms its product on that box alone: the numerator is
-        # that of the whole-grid product, and the field is the whole-grid
-        # field on the box, in the rows the medium reads, bit for bit
+        # the transform of the whole-grid product with that box, and the
+        # field its propagation on the box, in the rows the medium reads,
+        # bit for bit
         grid, spec, cfg = setup(counts=(96, 48, 48))
         if medium == "isotropic":
             mats = material_from_scalar(spec, grid, which="eps")
@@ -642,9 +643,9 @@ class TestEmBornSeries:
             assert term.box == box
             assert_same_bits(term.source, on_box(dense, box))
             assert_zero_off_box(dense, box)
-            numerator = em_kernel_apply(fft_values(dense[rows], grid), grid, cfg.k)
+            numerator = em_kernel_apply(fft_values(dense[rows], grid, box=box), grid, cfg.k)
             assert_same_bits(term.numerator.values, numerator)
-            prev = propagate(numerator, cfg, np.empty_like(numerator))
+            prev = propagate(numerator, cfg, np.empty_like(numerator), box=box)
             assert_same_bits(term.field, on_box(prev[rows], box))
             assert term.field_max == float(np.max(np.abs(on_box(prev[rows], box))))
 

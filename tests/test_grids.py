@@ -191,14 +191,22 @@ def centering_sign(grid):
     return (-1.0) ** np.indices(grid.shape).sum(axis=0)
 
 
-def numpy_fft_values(values, grid):
+def numpy_axes(grid, order):
+    # fftn runs the last of its axes first: the axes, counted from the end,
+    # whose passes run in the given order of grid axes (numpy's own, last
+    # axis first, by default)
+    order = reversed(range(grid.dim)) if order is None else order
+    return tuple(a - grid.dim for a in reversed(list(order)))
+
+
+def numpy_fft_values(values, grid, order=None):
     # The single-threaded numpy form the transforms must match bit for bit.
-    axes = tuple(range(-grid.dim, 0))
+    axes = numpy_axes(grid, order)
     return np.fft.fftn(values, axes=axes) * (grid.cell_volume * centering_sign(grid))
 
 
-def numpy_ifft_values(values, grid):
-    axes = tuple(range(-grid.dim, 0))
+def numpy_ifft_values(values, grid, order=None):
+    axes = numpy_axes(grid, order)
     return np.fft.ifftn(values * (centering_sign(grid) / grid.cell_volume), axes=axes)
 
 
@@ -409,7 +417,7 @@ PRUNED_IDS = ["x".join(map(str, lead + counts)) for lead, counts in PRUNED_STACK
 
 
 class TestPrunedTransforms:
-    """A transform given a box keeps the bits of the whole-grid transform."""
+    """A transform given a box is numpy's, its passes in the box's order."""
 
     @pytest.mark.parametrize("lead,counts", PRUNED_STACKS, ids=PRUNED_IDS)
     def test_forward_of_values_zero_off_the_box(self, pool_workers, lead, counts):
@@ -419,7 +427,7 @@ class TestPrunedTransforms:
             values = np.zeros(lead + counts, dtype=complex)
             values[on] = random_values(values[on].shape, sum(counts))
             before = values.copy()
-            want = fft_values(values, grid)
+            want = numpy_fft_values(values, grid, grids._pass_order(grid, box, True))
             # into an array that is not values: the lines skipped read as zero there
             out = np.full_like(values, np.nan)
             assert fft_values(values, grid, out=out, box=box) is out
@@ -437,9 +445,9 @@ class TestPrunedTransforms:
         grid = grid_of(counts)
         values = random_values(lead + counts, sum(counts))
         before = values.copy()
-        want = ifft_values(values, grid)
         for name, box in boxes_of(counts).items():
             on = (Ellipsis,) + box
+            want = numpy_ifft_values(values, grid, grids._pass_order(grid, box, False))
             got = ifft_values(values, grid, box=box)
             assert_same_bits(got[on], want[on])
             assert_same_bits(values, before)
@@ -447,37 +455,86 @@ class TestPrunedTransforms:
             assert ifft_values(in_place, grid, out=in_place, box=box) is in_place
             assert_same_bits(in_place[on], want[on])
 
-    def test_the_passes_run_only_the_lines_the_box_needs(self, monkeypatch):
-        # last axis first; forward: the lines whose untransformed indices lie
-        # in the box, inverse: those whose transformed indices do
-        counts = (16, 128, 96)
-        box = (slice(2, 5), slice(10, 20), slice(30, 33))
-        grid = grid_of(counts)
-        values = np.zeros(counts, dtype=complex)
-        values[box] = 1.0
+    @staticmethod
+    def passes_run(monkeypatch, run):
+        """([(grid axis, lines)] per pass, in the order they ran, run()) for a scalar."""
         lines = []
 
         def counted(transform):
-            def run(block, axis, out):
+            def counting(block, axis, out):
                 lines.append((axis, block.size // block.shape[axis]))
                 return transform(block, axis=axis, out=out)
-            return run
+            return counting
 
-        def per_axis():
-            total = {}
-            for axis, n in lines:
-                total[axis] = total.get(axis, 0) + n
-            lines.clear()
-            return total
+        with monkeypatch.context() as patch:
+            patch.setattr(np.fft, "fft", counted(np.fft.fft))
+            patch.setattr(np.fft, "ifft", counted(np.fft.ifft))
+            result = run()
+        total = {}
+        for axis, n in lines:
+            total[axis] = total.get(axis, 0) + n
+        return list(total.items()), result
 
-        monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
-        monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft))
-        fft_values(values, grid, box=box)
-        assert per_axis() == {2: 3 * 10, 1: 3 * 96, 0: 128 * 96}
-        ifft_values(values, grid, box=box)
-        assert per_axis() == {2: 16 * 128, 1: 16 * 3, 0: 10 * 3}
-        ifft_values(values, grid)
-        assert per_axis() == {2: 16 * 128, 1: 16 * 96, 0: 128 * 96}
+    def passes_of(self, monkeypatch, box):
+        """The passes of fft_values and of ifft_values with box on a 16x128x96 grid."""
+        counts = (16, 128, 96)
+        grid = grid_of(counts)
+        values = np.zeros(counts, dtype=complex)
+        values[box] = 1.0
+        return tuple(self.passes_run(monkeypatch, lambda: transform(values, grid, box=box))[0]
+                     for transform in (fft_values, ifft_values))
+
+    def test_the_passes_run_only_the_lines_the_box_needs(self, monkeypatch):
+        # forward: the widest share first (3/16, then 10/128, then 3/96),
+        # and the lines whose untransformed indices lie in the box; inverse:
+        # the narrowest share first, and the lines whose transformed
+        # indices do
+        box = (slice(2, 5), slice(10, 20), slice(30, 33))
+        assert self.passes_of(monkeypatch, box) == (
+            [(0, 10 * 3), (1, 16 * 3), (2, 16 * 128)],
+            [(2, 16 * 128), (1, 16 * 3), (0, 10 * 3)],
+        )
+
+    @pytest.mark.parametrize("box,forward,inverse", [
+        # a slab across u = (1, 0, 0), of equal shares across it, as on the
+        # EM workloads: the forward passes start on axis 0, where last axis
+        # first runs its every line; the inverse ones keep numpy's order
+        ((slice(0, 16), slice(60, 72), slice(45, 54)),
+         [(0, 12 * 9), (2, 16 * 12), (1, 16 * 96)], [(2, 16 * 128), (1, 16 * 9), (0, 12 * 9)]),
+        # narrow along axis 0, which last axis first serves worst when
+        # inverting: the inverse passes start there
+        ((slice(7, 9), slice(0, 128), slice(10, 70)),
+         [(1, 2 * 60), (2, 2 * 128), (0, 128 * 96)], [(0, 128 * 96), (2, 2 * 128), (1, 2 * 60)]),
+    ], ids=["slab-across-axis-0", "narrow-along-axis-0"])
+    def test_the_passes_start_on_the_share_the_box_prunes_most(self, monkeypatch, box,
+                                                                forward, inverse):
+        assert self.passes_of(monkeypatch, box) == (forward, inverse)
+
+    @pytest.mark.parametrize("counts", [(3072, 64), (16, 128, 96)], ids=["3072x64", "16x128x96"])
+    def test_no_box_and_the_whole_box_run_numpys_order(self, monkeypatch, counts):
+        # every line, last axis first, and the same bits
+        grid = grid_of(counts)
+        values = random_values(counts, sum(counts))
+        whole = tuple(slice(0, n) for n in counts)
+        numpys = [(a, grid.size // n) for a, n in reversed(list(enumerate(counts)))]
+        for transform in (fft_values, ifft_values):
+            want = transform(values, grid)
+            for box in (None, whole):
+                passes, got = self.passes_run(monkeypatch, lambda: transform(values, grid, box=box))
+                assert passes == numpys
+                assert_same_bits(got, want)
+
+    def test_the_order_follows_the_shares_the_box_covers(self):
+        # shares, not lengths: 32 of 64 nodes is wider than 40 of 128
+        grid = grid_of((64, 128, 16))
+        box = (slice(0, 32), slice(0, 40), slice(4, 10))
+        assert grids._pass_order(grid, box, True) == [0, 2, 1]
+        assert grids._pass_order(grid, box, False) == [1, 2, 0]
+        # equal shares keep last axis first, as in an empty box
+        assert grids._pass_order(grid, (slice(0, 32), slice(0, 64), slice(0, 4)), True) == [1, 0, 2]
+        for forward in (True, False):
+            assert grids._pass_order(grid, (slice(0, 0),) * 3, forward) == [2, 1, 0]
+            assert grids._pass_order(grid, None, forward) == [2, 1, 0]
 
 
 STACKS = [((), counts) for counts in GRID_SHAPES] + [((6,), (8, 8, 8)), ((6,), (32, 32, 32))]

@@ -78,6 +78,11 @@ def family(dim=2, **overrides):
     return PotentialSpec(**params)
 
 
+def assert_last_bits(got, want):
+    # the same values but for rounding: within 1e-13 of want's largest value
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+
 def standard_setup(n=256, k=0.8, n_orders=None, L=60.0):
     spec = family()
     grid = make_grid(2, (L, L), (n, n))
@@ -457,6 +462,18 @@ class TestMakeConfig:
         with pytest.raises(ValueError, match="momentum cell"):
             replace(cfg, alpha=0.1)  # the constructor's own check
 
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    def test_rejects_an_alpha_that_is_not_finite(self, alpha):
+        # inf passes the momentum-cell check, and would fail only when
+        # exact_order is read
+        grid = make_grid(2, (60.0, 60.0), (64, 64))
+        cfg = make_scatter_config(grid, 0.8, family(), n_orders=3)
+        for build in (lambda: replace(cfg, alpha=alpha),
+                      lambda: make_scatter_config(grid, 0.8, u=(1.0, 0.0), alpha=alpha,
+                                                  n_orders=3)):
+            with pytest.raises(ValueError, match=f"alpha = {alpha} must be positive and finite"):
+                build()
+
     def test_momentum_cell_along_an_oblique_u(self):
         # min(dp_x, dp_y) * sqrt(2) = (2 pi / 60) * sqrt(2) = 0.1481
         grid = make_grid(2, (60.0, 30.0), (64, 64))
@@ -583,10 +600,11 @@ class TestBornSeries:
 
     @pytest.mark.filterwarnings("ignore:potential magnitude")
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_a_boxed_source_gives_the_full_grid_numerator_and_field(self, pool_workers, dim):
+    def test_a_boxed_step_is_the_boxed_transform_of_the_whole_grid_source(self, pool_workers, dim):
         # v is zero outside a transverse slab, and the step forms v * B on
-        # its box alone: the numerator is that of the whole-grid source, and
-        # the field is the whole-grid field on the box, bit for bit
+        # its box alone: the numerator is the transform of the whole-grid
+        # source with that box, and the field its propagation on the box,
+        # bit for bit
         if dim == 2:
             grid = make_grid(2, (60.0, 60.0), (512, 512))
         else:
@@ -604,31 +622,69 @@ class TestBornSeries:
             outside = source.copy()
             outside[v.box] = 0
             assert not np.any(outside)
-            numerator = fft_values(source, grid)
+            numerator = fft_values(source, grid, box=v.box)
             assert_same_bits(term.numerator.values, numerator)
-            prev = propagate(numerator, cfg, np.empty_like(numerator))
+            prev = propagate(numerator, cfg, np.empty_like(numerator), box=v.box)
             assert_same_bits(term.field, prev[v.box])
             assert term.field_max == grids.max_abs(prev[v.box])
 
     @pytest.mark.filterwarnings("ignore:potential magnitude")
-    def test_a_whole_grid_step_gives_the_whole_grid_field(self, pool_workers):
+    @pytest.mark.parametrize("dim,u", [(3, (1.0, 0.0, 0.0)), (2, (0.0, 1.0))],
+                             ids=["3d-along-x", "2d-along-y"])
+    def test_a_whole_grid_step_gives_the_whole_grid_field(self, pool_workers, dim, u):
         # the request converged_solution makes: every field on the whole
-        # grid, bit for bit, and the boxed series' sources and numerators
-        grid = make_grid(3, (14.0, 6.0, 6.0), (96, 48, 48))
-        spec = family(3)
+        # grid, its inverse transform in numpy's order, as no box prunes it.
+        # The boxed series inverts in the box's order: where that is numpy's
+        # (a 3D slab of equal transverse shares), its fields are those on
+        # the box, bit for bit, and so are all its sources and numerators;
+        # where it is not (a 2D slab across u = (0, 1), narrow along axis
+        # 0), they differ in the last bits from order 2 on
+        if dim == 2:
+            grid = make_grid(2, (60.0, 60.0), (512, 512))
+        else:
+            grid = make_grid(3, (14.0, 6.0, 6.0), (96, 48, 48))
+        spec = family(dim, u=u)
         v = sample_potential(spec, grid)
         cfg = make_scatter_config(grid, 0.8, spec, n_orders=3)
+        numpys = grids._pass_order(grid, v.box, False) == grids._pass_order(grid, None, False)
+        assert numpys == (dim == 3)
         boxed = born_series(cfg, v)
         orders = born_orders(incident_term(cfg), partial(born_step, whole_grid=True), v, cfg)
         prev = next(orders).field.copy()
         for term, pruned in zip(islice(orders, 3), boxed[1:]):
-            assert_same_bits(term.source, pruned.source)
-            assert_same_bits(term.numerator.values, pruned.numerator.values)
-            numerator = fft_values(v.values * prev, grid)
+            if numpys or term.order == 1:
+                assert_same_bits(term.source, pruned.source)
+                assert_same_bits(term.numerator.values, pruned.numerator.values)
+            else:
+                assert not np.array_equal(term.source, pruned.source)
+                assert_last_bits(term.source, pruned.source)
+                assert_last_bits(term.numerator.values, pruned.numerator.values)
+            numerator = fft_values(v.values * prev, grid, box=v.box)
             prev = propagate(numerator, cfg, np.empty_like(numerator))
             assert_same_bits(term.field, prev)
             assert term.field_max == grids.max_abs(prev)
-        assert_same_bits(boxed[-1].field, prev[v.box])
+        if numpys:
+            assert_same_bits(boxed[-1].field, prev[v.box])
+        else:
+            assert not np.array_equal(boxed[-1].field, prev[v.box])
+            assert_last_bits(boxed[-1].field, prev[v.box])
+
+    def test_the_problem_along_y_is_the_transpose_of_the_one_along_x(self, pool_workers):
+        # on a square grid of equal extents, the transform passes follow the
+        # interaction's slab, not the array layout: every numerator and field
+        # of u = (0, 1) is the transpose of u = (1, 0)'s, bit for bit
+        grid = make_grid(2, (60.0, 60.0), (512, 512))
+        runs = []
+        for u in ((1.0, 0.0), (0.0, 1.0)):
+            spec = family(u=u)
+            v = sample_potential(spec, grid)
+            cfg = make_scatter_config(grid, 0.8, spec, n_orders=3)
+            orders = born_orders(incident_term(cfg), born_step, v, cfg)
+            incident = next(orders).field.copy()
+            runs.append([incident] + [array for term in islice(orders, 3)
+                                      for array in (term.numerator.values, term.field.copy())])
+        for along_x, along_y in zip(*runs):
+            assert_same_bits(np.ascontiguousarray(along_x.T), along_y)
 
     def test_held_series_keeps_only_the_last_field(self):
         spec, grid, v, cfg = standard_setup(n=64)

@@ -11,7 +11,8 @@ order, and one line per file gives
 
 A file whose numbers do not pair up, because their count or any text
 between them changed, or that exists on one side only, is reported as such.
-The exit status is 0 when every file paired up and 1 otherwise.
+A file whose scaled change exceeds MAX_SCALED fails too.  The exit status
+is 0 when every file paired up within that limit and 1 otherwise.
 
 Standard library only, so it runs wherever the artifacts are.
 """
@@ -23,6 +24,9 @@ import sys
 from pathlib import Path
 
 SUFFIXES = (".csv", ".json")
+# the largest scaled change a re-base may make (ROADMAP item 1a): a few
+# thousand ulps of the largest number, far below any physical change
+MAX_SCALED = 1e-12
 
 
 def _number(text):
@@ -130,11 +134,13 @@ def main(argv=None):
         if isinstance(result, str):
             ok = False
             print(f"{name:<{width}}  {result}")
-        else:
-            print(
-                f"{name:<{width}}  {result['count']:>6d} numbers  "
-                f"scaled {result['scaled']:.2e}  rel {result['rel']:.2e}"
-            )
+            continue
+        line = (f"{name:<{width}}  {result['count']:>6d} numbers  "
+                f"scaled {result['scaled']:.2e}  rel {result['rel']:.2e}")
+        if result["scaled"] > MAX_SCALED:
+            ok = False
+            line += f"  above {MAX_SCALED:g}"
+        print(line)
     paired = [result["scaled"] for _, result in rows if not isinstance(result, str)]
     if paired:
         print(f"largest scaled change: {max(paired):.2e}")
