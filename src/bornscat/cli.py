@@ -244,10 +244,17 @@ def _build_materials(config, grid):
 
 
 def _interaction(config, grid):
-    """The interaction a mode runs on: the em3d medium, else the sampled potential."""
+    """The interaction a mode runs on: the em3d medium, else the sampled potential.
+
+    One whose support box is empty scatters nothing, so it is rejected.
+    """
     if config.mode == "em3d":
-        return _build_materials(config, grid)
-    return sample_potential(config.potential, grid)
+        interaction = _build_materials(config, grid)
+    else:
+        interaction = sample_potential(config.potential, grid)
+    if interaction.box == (slice(0, 0),) * grid.dim:
+        raise ValueError("the sampled interaction is zero at every node, so nothing scatters")
+    return interaction
 
 
 def _support_axis(config):
@@ -520,7 +527,7 @@ def verify(config):
         return _reject(f"stored field {field_path}: {exc}")
     interaction = sampled
     if config.mode == "em3d":
-        interaction = MaterialTensors.isotropic(sampled.grid, sampled.values)
+        interaction = MaterialTensors.isotropic(sampled.grid, sampled)
     points = _sweep(config, built, interaction)
     if points is None:
         return EXIT_DIVERGENCE

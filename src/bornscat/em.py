@@ -33,15 +33,18 @@ from itertools import groupby, islice
 import numpy as np
 
 from .grids import (
+    NonFiniteError,
     SampledField,
-    all_finite,
     blockwise,
+    box_shape,
     fft_values,
     finite_vector,
     nudft_values,
+    on_box,
     positive_number,
     support_box,
     transverse_basis,
+    union_box,
     unit_vector,
 )
 from .potentials import sample_potential, verify_support
@@ -103,38 +106,50 @@ class MaterialTensors:
     """3x3 complex tensor fields delta-eps and delta-mu on one 3D grid.
 
     Built from a {(block, i, j): values} map, with block 0 for delta-eps and
-    1 for delta-mu; absent entries are zero.  Only the nonzero entries are
-    stored: `entries` maps each key to that entry's values on the grid, in
-    ascending key order.  Entries may share one array, as the three
-    diagonal entries of an isotropic medium do.  `box` is the union of the
-    stored entries' support boxes (grids.support_box), outside which every
-    entry is zero; the Born step forms its source there only.  So the
-    entries' values must not be written once the medium is built.
+    1 for delta-mu; absent entries are zero.  Each value is a SampledField
+    of one value per node (as sample_potential returns) or an array of the
+    grid's shape.  Only the nonzero entries are stored: `box` is the union
+    of their support boxes (grids.support_box), outside which every entry
+    is zero, and `entries` maps each key to that entry's values on box
+    alone, in ascending key order.  Entries given as one object share one
+    stored array, as the three diagonal entries of an isotropic medium do.
+    The Born step forms its source on the box, so the stored values must
+    not be written once the medium is built; grids.on_box builds an entry
+    on the whole grid on demand.
     """
 
     def __init__(self, grid, entries):
-        # Reads each distinct array's support box once and drops the all-zero ones.
+        # Reads each distinct value's support box once and drops the all-zero ones.
         if grid.dim != 3:
             raise ValueError("material tensors need a 3D grid")
-        arrays, boxes = {}, {}
+        fields, boxes = {}, {}
         for (block, i, j), values in entries.items():
             check_entry_index(block, i, j)
-            if id(values) in arrays:
+            if id(values) in fields:
                 continue
-            array = np.asarray(values, dtype=complex)
-            if array.shape != grid.shape:
-                raise ValueError(
-                    f"{_TENSORS[block]}[{i},{j}] must have shape {grid.shape}"
-                )
-            if not all_finite(array):
-                raise ValueError(f"{_TENSORS[block]} entries must be finite")
-            arrays[id(values)], boxes[id(values)] = array, support_box(array, 3)
+            name = f"{_TENSORS[block]}[{i},{j}]"
+            field = values
+            if not isinstance(values, SampledField):
+                array = np.asarray(values, dtype=complex)
+                if array.shape != grid.shape:
+                    raise ValueError(f"{name} must have shape {grid.shape}")
+                field = _entry_field(grid, block, array)
+            elif field.grid != grid or field.values.ndim != 3:
+                raise ValueError(f"{name} must be sampled with one value per node on {grid}")
+            fields[id(values)] = field
+            # exact, for a field whose box holds zeros at its faces too
+            boxes[id(values)] = support_box(field.values, 3, field.box)
         # an all-zero entry, whose box is empty, is not stored
         kept = {key: values for key, values in sorted(entries.items())
                 if boxes[id(values)] != _EMPTY_BOX}
         self.grid = grid
-        self.entries = {key: arrays[id(values)] for key, values in kept.items()}
-        self.box = _union([boxes[id(values)] for values in kept.values()])
+        self.box = union_box([boxes[id(values)] for values in kept.values()], 3)
+        stored = {}
+        for values in kept.values():
+            if id(values) not in stored:
+                field = fields[id(values)]
+                stored[id(values)] = on_box(field.values, field.box, self.box)
+        self.entries = {key: stored[id(values)] for key, values in kept.items()}
 
     @classmethod
     def isotropic(cls, grid, values, which="eps"):
@@ -148,14 +163,12 @@ class MaterialTensors:
         return any(block == 1 for block, _, _ in self.entries)
 
 
-def _union(boxes):
-    """The smallest box holding every box of a list of nonempty ones; empty for none."""
-    if not boxes:
-        return _EMPTY_BOX
-    return tuple(
-        slice(min(box[axis].start for box in boxes), max(box[axis].stop for box in boxes))
-        for axis in range(3)
-    )
+def _entry_field(grid, block, values, box=None):
+    """SampledField(grid, values, box) for an entry of block; its values must be finite."""
+    try:
+        return SampledField(grid, values, box)
+    except NonFiniteError:
+        raise ValueError(f"{_TENSORS[block]} entries must be finite") from None
 
 
 def incident_six_field(e0, k_hat):
@@ -184,9 +197,14 @@ def default_polarization(k_hat, u):
 
 
 def material_from_scalar(potential, grid, which="eps", scale=1.0):
-    """Isotropic tensors scale * v(x) * identity from a scalar family spec."""
-    v = sample_potential(potential, grid).values * scale
-    return MaterialTensors.isotropic(grid, v, which)
+    """Isotropic tensors scale * v(x) * identity from a scalar family spec.
+
+    The product is formed on the sample's support box alone.
+    """
+    v = sample_potential(potential, grid)
+    block = which_blocks(which)[0]
+    return MaterialTensors.isotropic(grid, _entry_field(grid, block, v.values * scale, v.box),
+                                     which)
 
 
 def material_from_entries(grid, eps_entries=None, mu_entries=None):
@@ -198,7 +216,7 @@ def material_from_entries(grid, eps_entries=None, mu_entries=None):
     entries = {}
     for block, chosen in enumerate((eps_entries, mu_entries)):
         for (i, j), potential in (chosen or {}).items():
-            entries[(block, i, j)] = sample_potential(potential, grid).values
+            entries[(block, i, j)] = sample_potential(potential, grid)
     return MaterialTensors(grid, entries)
 
 
@@ -216,7 +234,7 @@ def certify_materials(materials, u, alpha, tol=1e-3):
     reports, by_array = {}, {}
     for (block, i, j), values in materials.entries.items():
         if id(values) not in by_array:
-            field = SampledField(materials.grid, values)
+            field = SampledField(materials.grid, values, materials.box)
             by_array[id(values)] = verify_support(field, u=u, alpha=alpha, tol=tol)
         reports[f"{_TENSORS[block]}[{i},{j}]"] = by_array[id(values)]
     return reports
@@ -244,20 +262,20 @@ def apply_material(materials, six):
     checked for finiteness: an overflowed value reaches the order's field,
     whose max the engine reads.
     """
-    box = materials.box
     rows = 6 if materials.is_magnetic else 3
     if six.ndim != 4 or six.shape[0] not in (rows, 6):
         raise ValueError(f"material product acts on six-vector fields; got shape {six.shape}")
-    box_shape = tuple(s.stop - s.start for s in box)
-    if six.shape[1:] != box_shape:
-        raise ValueError(f"values of shape {six.shape[1:]} do not fill the box {box_shape}")
+    if six.shape[1:] != box_shape(materials.box):
+        raise ValueError(
+            f"values of shape {six.shape[1:]} do not fill the box {box_shape(materials.box)}"
+        )
     # np.zeros leaves the rows no entry writes to the lazily zeroed pages.
     out = np.zeros((6,) + six.shape[1:], dtype=complex)
     by_row = groupby(materials.entries.items(), key=lambda item: item[0][:2])
     for (block, i), terms in by_row:
         operands = [
             operand for (_, _, j), values in terms
-            for operand in (values[box], six[3 * block + j])
+            for operand in (values, six[3 * block + j])
         ]
         blockwise(_sum_of_products, out[3 * block + i], *operands)
     return out

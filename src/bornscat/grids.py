@@ -58,6 +58,9 @@ __all__ = [
     "ifft_values",
     "nudft_values",
     "support_box",
+    "box_shape",
+    "union_box",
+    "on_box",
     "sphere_directions",
     "unit_vector",
     "positive_number",
@@ -164,8 +167,17 @@ class Grid:
         return [self._bcast(self.momentum_axis(i), i) for i in range(self.dim)]
 
     @cached_property
+    def whole_box(self):
+        """The box of every node: one slice per axis, as support_box returns a box."""
+        return tuple(slice(0, n) for n in self.counts)
+
+    @property
     def momentum_sq(self):
-        """|p|^2 on the momentum grid (full array, FFT order)."""
+        """|p|^2 on the momentum grid (a new full array, FFT order).
+
+        The squares add from zero in axis order; scalar.green_factor forms
+        the same sums block by block instead of reading this array.
+        """
         out = np.zeros(self.shape)
         for p in self.momentum_mesh():
             out = out + p * p
@@ -198,56 +210,72 @@ class NonFiniteError(ValueError):
 
 @dataclass
 class SampledField:
-    """Complex field values sampled on a grid, in position space.
+    """Complex field values sampled on a grid, in position space, kept on a box.
 
     The one exception is a Born term's numerator, which the engine builds
-    in momentum space itself (_unchecked).  values holds one value per
-    node, shape grid.shape, or the six-vector of an EM field, E stacked
-    over H, per node, shape (6,) + grid.shape.
+    in momentum space itself (_unchecked).  box is one slice per grid axis
+    outside which every value is zero, and values holds the values on it:
+    one value per node, shape the box's, or the six-vector of an EM field,
+    E stacked over H, per node, shape (6,) + the box's.  Given without a
+    box, values cover the grid, and the field keeps them on their
+    support_box alone (a copy when that is smaller than the grid), so a
+    sampled interaction holds no value outside its support.  grid_values()
+    builds the values on the whole grid on demand.  A Born step forms its
+    source on the box alone, so the values must not be written once a step
+    has read them.
     """
 
     grid: Grid
     values: np.ndarray
+    box: tuple = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
-        if values.shape not in (self.grid.shape, (6,) + self.grid.shape):
+        box, shape = self.box, self.grid.shape
+        if box is not None:
+            box = tuple(box)
+            if len(box) != self.grid.dim or not all(
+                    0 <= s.start <= s.stop <= n for s, n in zip(box, self.grid.counts)):
+                raise ValueError(f"box {box} does not lie in the grid's {self.grid.counts} nodes")
+            shape = box_shape(box)
+        if values.shape not in (shape, (6,) + shape):
             raise ValueError(
-                f"field shape {values.shape} is neither the grid's {self.grid.shape} "
-                f"nor (6,) + {self.grid.shape}"
+                f"field shape {values.shape} is neither the {'box' if box else 'grid'}'s "
+                f"{shape} nor (6,) + {shape}"
             )
+        if box is None:
+            box = support_box(values, self.grid.dim)
+            values = on_box(values, self.grid.whole_box, box)
         if not all_finite(values):
             raise NonFiniteError("field values must be finite")
-        self.values = values
+        self.values, self.box = values, tuple(box)
 
     @classmethod
     def _unchecked(cls, grid, values):
-        """A field of complex values of a valid shape, with no finiteness pass.
+        """A field of complex values on the whole grid, with no finiteness pass.
 
         For the Born engine's numerators, whose guard reads each order's
         field max instead: a value that is not finite in the numerator rows
         an order propagates always reaches its field.
         """
         field = object.__new__(cls)
-        field.grid, field.values = grid, values
+        field.grid, field.values, field.box = grid, values, grid.whole_box
         return field
 
-    @cached_property
-    def box(self):
-        """support_box of the values, read on first use and kept.
+    def grid_values(self):
+        """The values on the whole grid, zero off the box.
 
-        So the values must not be written once it has been read: a Born
-        step reads its interaction's box, and forms its source there only.
+        values itself when the box is the whole grid, else a new array.
         """
-        return support_box(self.values, self.grid.dim)
+        return on_box(self.values, self.box, self.grid.whole_box)
 
     def max_abs(self):
         return max_abs(self.values)
 
     def node_norms(self):
-        """Magnitude at every node: |value|, or the six-vector's Euclidean length."""
-        norms = np.absolute if self.values.shape == self.grid.shape else _six_norms
-        return blockwise(norms, np.empty(self.grid.shape), self.values)
+        """Magnitude at every node of the box: |value|, or the six-vector's Euclidean length."""
+        norms = np.absolute if self.values.ndim == self.grid.dim else _six_norms
+        return blockwise(norms, np.empty(self.values.shape[-self.grid.dim:]), self.values)
 
 
 def _six_norms(values, out):
@@ -616,19 +644,25 @@ def nudft_values(values, grid, points, box=None):
     return out * grid.cell_volume
 
 
-def support_box(values, dim):
+def support_box(values, dim, box=None):
     """Index box of the nodes where some component of values is nonzero.
 
     values has dim trailing grid axes, after any component axes.  Returns
     one slice per grid axis, bounding every node at which a component
     compares != 0 exactly, so the nodes outside hold only zeros: the whole
     grid when no node is zero, and an empty box (every slice empty) when
-    every value is.
+    every value is.  With a box, one slice per grid axis, values hold the
+    values on it alone, and the box returned is in the grid's indices.
     """
     values = np.asarray(values)
-    grid_shape = values.shape[values.ndim - dim:]
+    if box is not None:
+        inner = support_box(values, dim)
+        if inner == (slice(0, 0),) * dim:
+            return inner
+        return tuple(slice(b.start + s.start, b.start + s.stop) for b, s in zip(box, inner))
+    lead, grid_shape = values.shape[:values.ndim - dim], values.shape[values.ndim - dim:]
     # nonzero at a node: the component axes folded into one leading axis
-    nonzero = (values != 0).reshape((-1,) + grid_shape).any(axis=0)
+    nonzero = (values != 0).reshape((math.prod(lead),) + grid_shape).any(axis=0)
     box = []
     for _ in range(dim):
         # the leading axis's nodes hit, then that axis folded away: each
@@ -639,6 +673,50 @@ def support_box(values, dim):
         box.append(slice(int(hits[0]), int(hits[-1]) + 1))
         nonzero = nonzero.any(axis=0)
     return tuple(box)
+
+
+def box_shape(box):
+    """The shape of the values on a box: one length per slice."""
+    return tuple(s.stop - s.start for s in box)
+
+
+def union_box(boxes, dim):
+    """The smallest box holding every nonempty box of a list; empty when none is.
+
+    Empty boxes take no part, so the result is support_box's empty box,
+    every slice empty, exactly when every box is empty.
+    """
+    boxes = [box for box in boxes if all(s.stop > s.start for s in box)]
+    if not boxes:
+        return (slice(0, 0),) * dim
+    return tuple(
+        slice(min(box[axis].start for box in boxes), max(box[axis].stop for box in boxes))
+        for axis in range(dim)
+    )
+
+
+def on_box(values, box, target):
+    """Values given on box (trailing axes, component axes in front) as values on target.
+
+    A new zero-filled array of target's shape holds the values where the
+    two boxes meet; values outside target are dropped, so target must hold
+    every nonzero value.  When the boxes are the same, values itself.
+    Both boxes are given as support_box gives them, each slice from start
+    to stop.
+    """
+    target = tuple(target)
+    if tuple(box) == target:
+        return values
+    lead = values.shape[:values.ndim - len(target)]
+    out = np.zeros(lead + box_shape(target), dtype=values.dtype)
+    start = [max(b.start, t.start) for b, t in zip(box, target)]
+    stop = [min(b.stop, t.stop) for b, t in zip(box, target)]
+    if all(hi > lo for lo, hi in zip(start, stop)):
+        out[(Ellipsis,) + tuple(slice(lo - t.start, hi - t.start)
+                                for lo, hi, t in zip(start, stop, target))] = \
+            values[(Ellipsis,) + tuple(slice(lo - b.start, hi - b.start)
+                                       for lo, hi, b in zip(start, stop, box))]
+    return out
 
 
 def unit_vector(vector, name):
@@ -828,8 +906,9 @@ def save_field(path, sampled):
 
     The header has no component count, so a six-vector field is rejected.
     Its "space" is always "position": every stored field is a position sample.
+    The values are written on the whole grid, built from the box on demand.
     """
-    if sampled.values.shape != sampled.grid.shape:
+    if sampled.values.ndim != sampled.grid.dim:
         raise ValueError("a field file holds one value per node, not a six-vector field")
     header = {
         "dim": sampled.grid.dim,
@@ -837,7 +916,7 @@ def save_field(path, sampled):
         "extents": list(sampled.grid.extents),
         "space": "position",
     }
-    payload = np.ascontiguousarray(sampled.values).astype("<c16")
+    payload = np.ascontiguousarray(sampled.grid_values()).astype("<c16")
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("ascii"))
         fh.write(b"\n")
@@ -848,7 +927,8 @@ def load_field(path):
     """Read a field written by :func:`save_field`; a malformed file raises ValueError.
 
     The header is read by the JSON-kind rule of bornscat.jsonkind, and its
-    "space" must be "position".
+    "space" must be "position".  The field keeps the values on their
+    support box (see SampledField).
     """
     line, _, payload = Path(path).read_bytes().partition(b"\n")
     header = object_with(decode(line), "dim", "extents", "counts", "space")

@@ -16,8 +16,8 @@ from itertools import islice
 
 import numpy as np
 
-from .grids import (SampledField, blockwise, finite_rows, finite_vector, plane_wave_at,
-                    positive_number, whole_number)
+from .grids import (SampledField, blockwise, finite_rows, finite_vector, on_box,
+                    plane_wave_at, positive_number, whole_number)
 from .scalar import (
     DivergenceError,
     born_orders,
@@ -167,7 +167,7 @@ def quad_second_order(v_field, k_vec, points, eps):
     transform of the pipeline's order-2 position term at any momentum node p.
     """
     return _second_order(
-        v_field.grid, {(0, 0): v_field.values}, lambda k, p: np.eye(1),
+        v_field.grid, {(0, 0): v_field.grid_values()}, lambda k, p: np.eye(1),
         np.ones((), dtype=complex), k_vec, points, eps,
     )
 
@@ -193,11 +193,17 @@ def em_quad_second_order(materials, k_vec, psi0, points, eps):
     each node.
     """
     psi0 = finite_vector(psi0, 6, "psi0", dtype=complex)
+    grid, box = materials.grid, materials.box
+    # each stored array on the whole grid once, so shared entries stay shared
+    whole = {}
+    for values in materials.entries.values():
+        if id(values) not in whole:
+            whole[id(values)] = on_box(values, box, grid.whole_box)
     entries = {
-        (3 * block + i, 3 * block + j): values
+        (3 * block + i, 3 * block + j): whole[id(values)]
         for (block, i, j), values in materials.entries.items()
     }
-    return _second_order(materials.grid, entries, _em_kernel_matrix, psi0, k_vec, points, eps)
+    return _second_order(grid, entries, _em_kernel_matrix, psi0, k_vec, points, eps)
 
 
 class SeriesConvergenceError(RuntimeError):
@@ -247,7 +253,7 @@ def converged_solution(config, v_field, series_tol=1e-8, order_cap=32):
             increments.append(increment)
             if increment < series_tol:
                 return ConvergedSolution(
-                    field=SampledField(config.grid, total),
+                    field=SampledField(config.grid, total, config.grid.whole_box),
                     order=term.order - 1,
                     increments=tuple(increments),
                 )
@@ -290,9 +296,10 @@ def asymptotic_fit(psi, k_vec, fit_radius, directions, fit_wavenumber=None,
     """
     grid = psi.grid
     dim = grid.dim
-    if psi.values.shape != grid.shape:
+    if psi.values.ndim != dim:
         raise ValueError(f"psi must hold one value per node, shape {grid.shape}; "
-                         f"got shape {psi.values.shape}")
+                         f"got shape {psi.values.shape[:1] + grid.shape}")
+    values = psi.grid_values()
     k_vec = finite_vector(k_vec, dim, "k_vec")
     # |(1e308, 1e308)| overflows to inf, which positive_number reports
     with np.errstate(over="ignore"):
@@ -342,7 +349,7 @@ def asymptotic_fit(psi, k_vec, fit_radius, directions, fit_wavenumber=None,
                 f"at the fit node radius {r_node:g}: |Im k| r must be at most {_EXP_RANGE:.6g}"
             )
         outgoing = np.exp(1j * k_fit * r_node) / r_node ** (0.5 * (dim - 1))
-        per_radius[row, col] = (psi.values[idx] - incident[row, col]) / outgoing
+        per_radius[row, col] = (values[idx] - incident[row, col]) / outgoing
 
     values = per_radius.mean(axis=0)
     scale = float(np.max(np.abs(values)))

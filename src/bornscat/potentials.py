@@ -34,12 +34,16 @@ import numpy as np
 from .grids import (
     SampledField,
     blockwise,
+    box_shape,
     fft_values,
     finite_rows,
     finite_vector,
     max_abs,
+    on_box,
     positive_number,
+    support_box,
     transverse_basis,
+    union_box,
     unit_vector,
     whole_number,
 )
@@ -181,29 +185,74 @@ def _select(inside, values, out):
     np.copyto(out, values, where=inside)
 
 
-def _sample_member(spec, grid):
-    """One member's values on the grid, bit for bit _single_value's.
+def _factors(spec, grid):
+    """An axis-aligned member's 1-D factors on the grid; None for an oblique u.
 
     When every frame vector lies along a grid axis, the member is a 1-D
-    profile along u's axis times one 1-D slab mask per transverse axis, and
-    is built from those factors: rel @ axis is then exactly +-rel along that
-    axis.  Each slab width goes with its frame vector, which need not follow
-    the grid axes' order (u = -y puts ell_y along z).  An oblique u takes the
-    whole-grid expression.
+    profile along u's axis times one 1-D slab mask per transverse axis:
+    rel @ axis is then exactly +-rel along that axis.  Each slab width goes
+    with its frame vector, which need not follow the grid axes' order
+    (u = -y puts ell_y along z).  The factors are shaped to broadcast
+    against the grid, the profile first.
     """
     axes = [_grid_axis(vector) for vector in _frame(spec)]
     if None in axes:
-        mesh = np.broadcast_arrays(*grid.position_mesh())
-        return _single_value(spec, np.stack(mesh, axis=-1))
-    # first: a grid too large to hold fails before any factor is built
-    out = np.empty(grid.shape, dtype=complex)
+        return None
     rel = [x - c for x, c in zip(grid.position_mesh(), spec.center)]
     (axis, sign), *slabs = axes
-    profile = _profile(spec, sign * rel[axis])
+    masks = [np.abs(rel[slab_axis]) <= 0.5 * ell
+             for (slab_axis, _), ell in zip(slabs, (spec.ell_y, spec.ell_z))]
+    return [_profile(spec, sign * rel[axis])] + masks
+
+
+def _slab_box(masks, grid):
+    """The box outside which some slab mask is False: each mask's True span."""
+    box = list(grid.whole_box)
+    for mask in masks:
+        axis = int(np.argmax(mask.shape))
+        hits = np.flatnonzero(mask)
+        if hits.size == 0:
+            return (slice(0, 0),) * grid.dim
+        box[axis] = slice(int(hits[0]), int(hits[-1]) + 1)
+    return tuple(box)
+
+
+def _on(factor, box):
+    """The part of a broadcast 1-D factor that meets box."""
+    return factor[tuple(s if n > 1 else slice(None) for s, n in zip(box, factor.shape))]
+
+
+def _member_on_box(factors, box):
+    """np.where(all masks, profile, 0) on box, bit for bit _single_value's there."""
+    # first: a box too large to hold fails before the masks' product is built
+    out = np.empty(box_shape(box), dtype=complex)
+    profile, *masks = (_on(factor, box) for factor in factors)
     inside = True
-    for (slab_axis, _), ell in zip(slabs, (spec.ell_y, spec.ell_z)):
-        inside = inside & (np.abs(rel[slab_axis]) <= 0.5 * ell)
+    for mask in masks:
+        inside = inside & mask
     return blockwise(_select, out, inside, profile)
+
+
+def _sum_on_box(members, grid):
+    """(box, the members' sum on it), outside which the sum is zero.
+
+    With u along a grid axis, every member is zero off its slab masks' box,
+    so the sum is formed on the union of those boxes from the 1-D factors,
+    each member added there as sample_potential adds it on the grid.  An
+    oblique u takes the whole-grid expression.
+    """
+    factors = [_factors(spec, grid) for spec in members]
+    if None in factors:  # the members share u, so every member is oblique
+        mesh = np.stack(np.broadcast_arrays(*grid.position_mesh()), axis=-1)
+        values = _single_value(members[0], mesh)
+        for spec in members[1:]:
+            values += _single_value(spec, mesh)
+        return grid.whole_box, values
+    box = union_box([_slab_box(member[1:], grid) for member in factors], grid.dim)
+    values = _member_on_box(factors[0], box)
+    for member in factors[1:]:
+        values += _member_on_box(member, box)
+    return box, values
 
 
 def _sinc(t):
@@ -268,26 +317,32 @@ def potential_spectrum(subject, p):
 
 
 def sample_potential(subject, grid):
-    """Sample the potential on a grid, warning when the box truncates it visibly.
+    """Sample the potential on its support box, warning when the grid truncates it visibly.
 
-    The values are bit for bit potential_value's at the grid nodes; members
-    are added in order, as there.
+    Returns a SampledField that holds the values on their support box
+    (grids.support_box) alone; grid_values() builds them on the whole grid
+    on demand.  Those values are bit for bit potential_value's at the grid
+    nodes, members added in order, as there.  With u along a grid axis they
+    are formed on the box from the members' 1-D factors, and no whole-grid
+    array is made; an oblique u evaluates every node, then keeps the box.
     """
     members = _members(subject)
     if members[0].dim != grid.dim:
         raise ValueError("potential and grid dimensions differ")
     # SampledField reports a sample that is not finite, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _sample_member(members[0], grid)
-        for spec in members[1:]:
-            values += _sample_member(spec, grid)
+        box, values = _sum_on_box(members, grid)
+    support = support_box(values, grid.dim, box)
+    box, values = support, on_box(values, box, support)
     overall = max_abs(values)
     if overall > 0:
         edge = 0.0
-        for axis in range(grid.dim):
-            for index in (0, -1):
-                face = np.abs(np.take(values, index, axis=axis))
-                edge = max(edge, float(np.max(face)))
+        for axis, n in enumerate(grid.counts):
+            # a face of the grid that the box reaches
+            for index, reached in ((0, box[axis].start == 0), (-1, box[axis].stop == n)):
+                if reached:
+                    face = np.abs(np.take(values, index, axis=axis))
+                    edge = max(edge, float(np.max(face)))
         if edge > BOUNDARY_WARN_RATIO * overall:
             warnings.warn(
                 f"potential magnitude at the box boundary is {edge:.3e}, "
@@ -295,7 +350,7 @@ def sample_potential(subject, grid):
                 "enlarge the box to reduce truncation",
                 stacklevel=2,
             )
-    return SampledField(grid, values)
+    return SampledField(grid, values, box)
 
 
 @dataclass
@@ -338,7 +393,7 @@ def verify_support(field, u, alpha, tol=1e-3):
     positive_number(tol, "tol")
     u = unit_vector(u, "u")
     positive_number(alpha, "alpha")
-    spectrum = np.abs(fft_values(field.values, field.grid))
+    spectrum = np.abs(fft_values(field.grid_values(), field.grid))
     overall = float(np.max(spectrum))
     if overall == 0.0:
         raise ValueError("potential transform is identically zero; nothing to verify")

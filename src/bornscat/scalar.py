@@ -31,6 +31,12 @@ what the next order reads.  The interaction is exactly zero outside its
 support box (grids.support_box), and so is every source v * B_{n-1},
 since born_orders guards every order and so each step reads a finite B: a
 step forms the source on that box alone, and the term keeps it there.
+The interaction itself holds only its values on that box (a SampledField
+from sample_potential, or MaterialTensors' entries), which the step reads
+directly; whole-grid values are built on demand only by the readers of a
+whole grid (verify_support, save_field and the oracles).  The propagator
+G is formed block by block from the grid's per-axis momenta
+(green_factor of the grid), so no grid-sized |p|^2 array is kept.
 The numerator is built in a zero-filled array that the boxed source is
 copied into: the forward transform runs in place on it, skipping the
 lines that are still all zero, and an EM step then applies its kernel
@@ -81,6 +87,7 @@ import csv
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -91,6 +98,7 @@ from .grids import (
     NonFiniteError,
     SampledField,
     blockwise,
+    box_shape,
     fft_values,
     finite_vector,
     ifft_values,
@@ -163,10 +171,18 @@ class DivergenceError(RuntimeError):
 def green_factor(p_sq, k, eps, out=None):
     """Regularized free propagator 1/(k^2 - p_sq + i*eps).
 
-    For an array p_sq the values go into out, a new complex array of p_sq's
-    shape by default.
+    p_sq is |p|^2: a number, an array, or a Grid, for |p|^2 at its
+    momentum nodes.  For an array or a grid the values go into out, a new
+    complex array of its shape by default.  A grid's |p|^2 is formed block
+    by block from its per-axis momenta, the squares added from zero in axis
+    order as Grid.momentum_sq adds them, so G has the bits of
+    green_factor(grid.momentum_sq, ...) and no grid-sized |p|^2 is made.
     """
     positive_number(eps, "eps")
+    if isinstance(p_sq, Grid):
+        if out is None:
+            out = np.empty(p_sq.shape, dtype=complex)
+        return blockwise(partial(_green_of_momenta, k, eps), out, *p_sq.momentum_mesh())
     p_sq = np.asarray(p_sq)
     if p_sq.ndim == 0:
         return 1.0 / (k * k - p_sq + 1j * eps)
@@ -177,6 +193,25 @@ def green_factor(p_sq, k, eps, out=None):
     if out is None:
         out = np.empty(p_sq.shape, dtype=complex)
     return blockwise(factor, out, p_sq)
+
+
+def _green_of_momenta(k, eps, *momenta, out):
+    """green_factor of sum(p * p) over the per-axis momenta, into out.
+
+    |p|^2, then k^2 - |p|^2, is formed in out's real parts, so no
+    block-sized temporary is made; only the sum over the leading axes is
+    (1/n_last of the block).  Setting the imaginary parts to eps gives the
+    bits of adding 1j * eps: k^2 - |p|^2 is never -0.0, so adding 0.0
+    leaves it as it is.
+    """
+    leading = 0.0
+    for p in momenta[:-1]:
+        leading = leading + p * p
+    p_sq = out.real
+    np.add(leading, momenta[-1] * momenta[-1], out=p_sq)
+    np.subtract(k * k, p_sq, out=p_sq)
+    out.imag = eps
+    np.divide(1.0, out, out=out)
 
 
 def exactness_order(k, alpha):
@@ -395,8 +430,7 @@ def propagate(numerator_values, config, out, box=None):
     """
     grid = config.grid
     one = numerator_values.shape == grid.shape
-    propagator = green_factor(grid.momentum_sq, config.k, config.epsilon,
-                              out=out if one else None)
+    propagator = green_factor(grid, config.k, config.epsilon, out=out if one else None)
     blockwise(np.multiply, out, propagator, numerator_values,
               axis=numerator_values.ndim - grid.dim)
     return ifft_values(out, grid, out=out, box=box)
@@ -450,7 +484,7 @@ def _shrink_to_box(values, box):
     come from the heap and stay resident after the series (em3d_aniso's
     peak RSS rose by 10% so).
     """
-    shape = values.shape[:values.ndim - len(box)] + tuple(s.stop - s.start for s in box)
+    shape = values.shape[:values.ndim - len(box)] + box_shape(box)
     if shape == values.shape:
         return values
     size = math.prod(shape)
@@ -497,7 +531,7 @@ def born_step(prev, v_field, config, *, whole_grid=False):
     grid = config.grid
     field = _step_input(prev, v_field, config)
     box = v_field.box
-    v = v_field.values[box]
+    v = v_field.values
     source = blockwise(np.multiply, np.empty(v.shape, dtype=complex), v, field)
     return born_term(prev, config, source, box,
                      lambda values: fft_values(values, grid, out=values, box=box),

@@ -106,7 +106,7 @@ def test_01_support_certification(capsys):
     points = np.column_stack(
         [rng.uniform(-1.0, 9.0, 100), rng.uniform(-4.5, 4.5, 100)]
     )
-    approx = nudft_values(sampled.values, vgrid, points)
+    approx = nudft_values(sampled.values, vgrid, points, box=sampled.box)
     exact = potential_spectrum(FAMILY2D, points)
     agreement = float(np.max(np.abs(approx - exact)) / np.max(np.abs(exact)))
     elapsed = time.monotonic() - t0
@@ -429,7 +429,7 @@ def test_10_homogeneity_and_determinism(capsys, tmp_path):
     v = sample_potential(FAMILY2D, grid)
     base = born_series(cfg, v)
     c = 1.3 - 0.7j
-    scaled = born_series(cfg, SampledField(grid, c * v.values))
+    scaled = born_series(cfg, SampledField(grid, c * v.values, v.box))
     homogeneity = 0.0
     for n in (1, 2, 3):
         ref = float(np.max(np.abs(base[n].numerator.values)))

@@ -387,6 +387,14 @@ class TestInvalidConfigs:
         ({"command": "make-potential",
           "potential": dict(POTENTIAL2D, coupling={"re": 0})},
          "config error: potential: potential transform is identically zero"),
+        # an interaction that is zero at every node scatters nothing
+        ({"potential": dict(POTENTIAL2D, coupling={"re": 0})},
+         "config error: interaction: the sampled interaction is zero at every node, "
+         "so nothing scatters\n"),
+        (dict(EM3D_ENTRIES, materials={"eps_entries": [
+            {"i": 0, "j": 0, "spec": dict(FAMILY3D, coupling={"re": 0})}]}),
+         "config error: interaction: the sampled interaction is zero at every node, "
+         "so nothing scatters\n"),
         # one sweep point: a problem keeps the point's index
         ({"n_orders": 10**20, "k_sweep": [0.8]},
          "k sweep point 0: n_orders = 100000000000000000000"),
@@ -716,7 +724,20 @@ class TestOracle:
         assert not (tmp_path / "out").exists()
 
     def test_a_zero_order_two_term_exits_2(self, tmp_path, capsys):
+        # a zero coupling leaves an interaction that is zero at every node
         path = base_config(tmp_path, potential=dict(POTENTIAL2D, coupling=0))
+        assert cli.main(["oracle", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: oracle grid (8, 8): the sampled interaction is zero at "
+            "every node, so nothing scatters\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore:potential magnitude")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_order_two_term_that_underflows_exits_2(self, tmp_path, capsys):
+        # v ~ 1e-200 is nonzero, but v * B_1 ~ 1e-400 underflows to zero
+        path = base_config(tmp_path, potential=dict(POTENTIAL2D, coupling=1e-200))
         assert cli.main(["oracle", "--config", str(path)]) == 2
         assert capsys.readouterr().err == (
             "config error: oracle: the order-2 term is zero on the oracle grid, "

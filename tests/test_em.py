@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from bit_identity import assert_same_bits
 
+from bornscat import grids
 from bornscat.em import (
     MaterialTensors,
     apply_material,
@@ -129,12 +130,17 @@ def from_dense(grid, eps, mu):
     })
 
 
+def entry_on_grid(materials, values):
+    """A stored entry, given on the medium's box, on the whole grid."""
+    return grids.on_box(values, materials.box, materials.grid.whole_box)
+
+
 def dense(materials, block):
     """delta-eps (block 0) or delta-mu (block 1) as a dense (3, 3) + grid.shape array."""
     tensor = np.zeros((3, 3) + materials.grid.shape, dtype=complex)
     for (b, i, j), values in materials.entries.items():
         if b == block:
-            tensor[i, j] = values
+            tensor[i, j] = entry_on_grid(materials, values)
     return tensor
 
 
@@ -170,7 +176,7 @@ def whole_array_material_product(materials, six):
     # summed left to right in ascending column
     rows = {}
     for (block, i, j), values in materials.entries.items():
-        product = values * six[3 * block + j]
+        product = entry_on_grid(materials, values) * six[3 * block + j]
         row = 3 * block + i
         rows[row] = rows[row] + product if row in rows else product
     out = np.zeros_like(six)
@@ -333,7 +339,7 @@ class TestMaterials:
         grid = make_grid(3, (14.0, 6.0, 6.0), (16, 8, 8))
         spec = family()
         mats = material_from_scalar(spec, grid, which="eps", scale=2.0 - 1.0j)
-        v = sample_potential(spec, grid).values
+        v = sample_potential(spec, grid).grid_values()
         for i in range(3):
             np.testing.assert_allclose(dense(mats, 0)[i, i], (2.0 - 1.0j) * v,
                                        rtol=1e-15)
@@ -360,9 +366,9 @@ class TestMaterials:
         assert list(mats.entries) == [(b, i, i) for b in (0, 1) for i in range(3)]
         shared = mats.entries[(0, 0, 0)]
         assert all(values is shared for values in mats.entries.values())
-        assert shared.shape == grid.shape
-        np.testing.assert_array_equal(
-            shared, 0.5 * sample_potential(family(), grid).values)
+        v = sample_potential(family(), grid)
+        assert mats.box == v.box and shared.shape == v.values.shape
+        np.testing.assert_array_equal(shared, 0.5 * v.values)
 
     def test_map_constructor_keeps_nonzero_entries(self):
         grid = make_grid(3, (4.0, 4.0, 4.0), (8, 8, 8))
@@ -377,6 +383,14 @@ class TestMaterials:
         assert mats.is_magnetic
         np.testing.assert_array_equal(dense(mats, 0), eps)
         np.testing.assert_array_equal(dense(mats, 1), mu)
+
+    @pytest.mark.parametrize("which,name", [("eps", "eps"), ("mu", "mu"), ("both", "eps")])
+    def test_a_scaled_sample_that_overflows_names_its_tensor(self, which, name):
+        # 1e10 * 1e300 overflows on the sample's box
+        grid = make_grid(3, (14.0, 6.0, 6.0), (16, 8, 8))
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match=f"^{name} entries must be finite$"):
+            material_from_scalar(family(coupling=1e10), grid, which=which, scale=1e300)
 
     def test_entry_map_validation(self):
         grid = make_grid(3, (4.0, 4.0, 4.0), (8, 8, 8))
@@ -395,11 +409,39 @@ class TestMaterials:
         grid = make_grid(3, (14.0, 6.0, 6.0), (16, 8, 8))
         spec = family()
         mats = material_from_entries(grid, eps_entries={(0, 1): spec})
-        v = sample_potential(spec, grid).values
+        v = sample_potential(spec, grid).grid_values()
         np.testing.assert_array_equal(dense(mats, 0)[0, 1], v)
         assert not np.any(dense(mats, 0)[1, 0])
         with pytest.raises(ValueError, match="index"):
             material_from_entries(grid, eps_entries={(0, 3): spec})
+
+    @pytest.mark.filterwarnings("ignore:potential magnitude")
+    def test_a_medium_of_samples_is_the_medium_of_their_grid_values(self, pool_workers):
+        # each sample keeps its own box; the medium stores every entry on the
+        # union of those boxes, as it does from the whole-grid arrays
+        grid = make_grid(3, (14.0, 6.0, 6.0), (48, 16, 16))
+        samples = {
+            (0, 0, 0): sample_potential(family(), grid),
+            (0, 1, 2): sample_potential(family(center=(0.5, 1.0, -0.5), coupling=0.3j), grid),
+            (1, 2, 1): sample_potential(family(ell_y=1.0, ell_z=3.0), grid),
+        }
+        assert len({str(v.box) for v in samples.values()}) == 3
+        boxed = MaterialTensors(grid, samples)
+        whole = MaterialTensors(grid, {key: v.grid_values() for key, v in samples.items()})
+        assert boxed.box == whole.box
+        assert list(boxed.entries) == list(whole.entries) == list(samples)
+        for key in samples:
+            assert_same_bits(boxed.entries[key], whole.entries[key])
+        six = random_six(grid).values[(slice(None),) + boxed.box]
+        assert_same_bits(apply_material(boxed, six), apply_material(whole, six))
+
+    def test_a_sampled_entry_must_hold_one_value_per_node_of_the_grid(self):
+        grid = make_grid(3, (14.0, 6.0, 6.0), (16, 8, 8))
+        other = make_grid(3, (14.0, 6.0, 6.0), (16, 8, 10))
+        with pytest.raises(ValueError, match=r"eps\[0,0\] must be sampled with one value"):
+            MaterialTensors(grid, {(0, 0, 0): sample_potential(family(), other)})
+        with pytest.raises(ValueError, match=r"mu\[1,1\] must be sampled with one value"):
+            MaterialTensors(grid, {(1, 1, 1): random_six(grid)})
 
     def test_certification_covers_nonzero_entries(self):
         # transverse extents hug the exact slab support, so all leakage
@@ -480,8 +522,7 @@ def literal_kernel_matrix(p, k):
 class TestKernel:
     def test_zero_input(self):
         grid = make_grid(3, (4.0, 4.0, 4.0), (8, 8, 8))
-        zero = SampledField(grid, np.zeros((6,) + grid.shape))
-        out = em_kernel_apply(zero.values, grid, 0.9)
+        out = em_kernel_apply(np.zeros((6,) + grid.shape, dtype=complex), grid, 0.9)
         assert not np.any(out)
 
     def test_matches_literal_matrix_nodewise(self):
@@ -542,10 +583,10 @@ class TestEmBornSeries:
 
     def test_term_invariants(self):
         grid, spec, cfg = setup(counts=(16, 8, 8))
-        zero = SampledField(grid, np.zeros((6,) + grid.shape))
+        zero = SampledField(grid, np.zeros((6,) + grid.shape), grid.whole_box)
         with pytest.raises(ValueError, match="source"):
             BornTerm(order=0, field=zero, source=zero,
-                       numerator=SampledField(grid, zero.values))
+                       numerator=SampledField(grid, zero.values, zero.box))
         with pytest.raises(ValueError, match="source"):
             BornTerm(order=1, field=zero)
 

@@ -768,13 +768,61 @@ class TestSupportBox:
         values[11, 0, 3] = 1.0
         assert support_box(values, 3) == (slice(0, 12), slice(0, 5), slice(3, 8))
 
-    def test_a_sampled_field_reads_its_box_once(self):
+    def test_a_box_given_is_the_origin_of_the_values(self):
+        values = np.zeros((4, 6), dtype=complex)
+        values[1, 2:4] = 1.0
+        box = (slice(3, 7), slice(10, 16))
+        assert support_box(values, 2, box) == (slice(4, 5), slice(12, 14))
+        assert support_box(np.zeros((4, 6)), 2, box) == (slice(0, 0),) * 2
+
+    def test_a_sampled_field_keeps_the_values_on_their_box(self):
         grid = make_grid(2, (4.0, 4.0), (8, 8))
         values = np.zeros(grid.shape, dtype=complex)
-        values[2:5, 3] = 1.0
+        values[2:5, 3] = 1.0 - 2.0j
         field = SampledField(grid, values)
         assert field.box == (slice(2, 5), slice(3, 4))
-        assert field.box is field.box
+        assert_same_bits(field.values, values[2:5, 3:4])
+        assert_same_bits(field.grid_values(), values)
+        whole = SampledField(grid, random_values(grid.shape, 1))
+        assert whole.box == grid.whole_box
+        assert whole.grid_values() is whole.values
+
+    def test_a_sampled_field_given_its_box_holds_the_values_on_it(self):
+        grid = make_grid(3, (4.0, 4.0, 4.0), (8, 8, 8))
+        box = (slice(0, 8), slice(2, 5), slice(7, 8))
+        six = SampledField(grid, np.ones((6, 8, 3, 1)), box)
+        assert six.box == box and six.node_norms().shape == (8, 3, 1)
+        assert_same_bits(six.grid_values()[:, :, 2:5, 7:], np.ones((6, 8, 3, 1), dtype=complex))
+        assert not six.grid_values()[:, :, :2].any() and not six.grid_values()[..., :7].any()
+        with pytest.raises(ValueError, match=r"neither the box's \(8, 3, 1\)"):
+            SampledField(grid, np.ones(grid.shape), box)
+        for bad in [(slice(0, 8), slice(2, 5)), (slice(0, 9), slice(2, 5), slice(7, 8)),
+                    (slice(-1, 8), slice(2, 5), slice(7, 8)), (slice(0, 8), slice(5, 2), slice(7, 8))]:
+            with pytest.raises(ValueError, match="does not lie in the grid's"):
+                SampledField(grid, np.ones((6, 8, 3, 1)), bad)
+
+    def test_the_union_of_boxes_leaves_the_empty_ones_out(self):
+        empty = (slice(0, 0),) * 2
+        a, b = (slice(2, 5), slice(0, 3)), (slice(4, 9), slice(6, 7))
+        assert grids.union_box([a, empty, b], 2) == (slice(2, 9), slice(0, 7))
+        assert grids.union_box([empty, empty], 2) == grids.union_box([], 2) == empty
+
+    def test_values_on_one_box_given_on_another(self):
+        values = random_values((6, 4, 5), 2)
+        box = (slice(3, 7), slice(10, 15))
+        same = grids.on_box(values, box, box)
+        assert same is values
+        wider = grids.on_box(values, box, (slice(0, 8), slice(8, 16)))
+        assert wider.shape == (6, 8, 8)
+        assert_same_bits(wider[:, 3:7, 2:7], values)
+        assert not wider[:, :3].any() and not wider[:, 7:].any()
+        assert not wider[..., :2].any() and not wider[..., 7:].any()
+        # the nodes where the boxes meet, the rest zero
+        shifted = grids.on_box(values, box, (slice(5, 9), slice(12, 14)))
+        assert_same_bits(shifted[:, :2], values[:, 2:, 2:4])
+        assert not shifted[:, 2:].any()
+        apart = grids.on_box(values, box, (slice(0, 2), slice(0, 3)))
+        assert apart.shape == (6, 2, 3) and not apart.any()
 
 
 class TestDirections:

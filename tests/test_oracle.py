@@ -148,7 +148,7 @@ class TestQuadSecondOrder:
         grid = toy_grid(2)
         spec = toy_spec(2)
         v = sample_potential(spec, grid)
-        v2 = SampledField(grid, 2.0 * v.values)
+        v2 = SampledField(grid, 2.0 * v.values, v.box)
         k_vec = np.array([-0.9, 0.0])
         point = [[0.785, -0.785]]
         single = quad_second_order(v, k_vec, point, 0.3)[0].value

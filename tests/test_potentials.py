@@ -16,7 +16,7 @@ import pytest
 from bit_identity import GRID_SHAPES, assert_same_bits
 
 from bornscat import potentials
-from bornscat.grids import make_grid, nudft_values
+from bornscat.grids import load_field, make_grid, nudft_values, save_field, support_box
 from bornscat.potentials import (
     PotentialSpec,
     PotentialSum,
@@ -150,7 +150,7 @@ class TestPotentialSpectrum:
             [rng.uniform(-1.0, 9.0, 50), rng.uniform(-4.5, 4.5, 50)]
         )
         closed = potential_spectrum(spec, points)
-        direct = nudft_values(f.values, grid, points)
+        direct = nudft_values(f.values, grid, points, box=f.box)
         scale = np.max(np.abs(closed))
         assert np.max(np.abs(closed - direct)) / scale < 1e-3
 
@@ -200,7 +200,7 @@ class TestSamplePotential:
         f = sample_potential(spec, grid)
         i, j = 33, 40
         x = np.array([grid.position_axis(0)[i], grid.position_axis(1)[j]])
-        assert f.values[i, j] == potential_value(spec, x)
+        assert f.grid_values()[i, j] == potential_value(spec, x)
 
     def test_no_warning_on_adequate_box(self):
         spec = family_2d()
@@ -209,7 +209,7 @@ class TestSamplePotential:
             warnings.simplefilter("error")
             f = sample_potential(spec, grid)
         # boundary magnitude for m=2, L=40a: (1 + 20^2)^(-3/2) of the peak
-        edge = np.max(np.abs(f.values[0, :]))
+        edge = np.max(np.abs(f.grid_values()[0, :]))
         assert edge / np.max(np.abs(f.values)) == pytest.approx(
             (1.0 + 400.0) ** -1.5, rel=1e-6
         )
@@ -225,16 +225,18 @@ class TestSamplePotential:
         with pytest.raises(ValueError):
             sample_potential(family_2d(), grid)
 
-    def test_a_grid_too_large_to_hold_fails_before_any_factor(self, monkeypatch):
-        # 32768^3 complex nodes take 512 TiB, beyond the 128 TiB user address
-        # space, so the output allocation fails at once; its 1 GiB slab mask
-        # must not be built first
-        def profile(spec, xl):
-            raise AssertionError("a factor was built before the output")
+    def test_a_box_too_large_to_hold_fails_before_the_masks_product(self, monkeypatch):
+        # slabs as wide as the grid put every node of 32768^3 in the box:
+        # 512 TiB of complex values, beyond the 128 TiB user address space,
+        # so the box's allocation fails at once; the factors before it are
+        # 1-D, and the 1 GiB product of the two slab masks on the box must
+        # not be built first
+        def on(factor, box):
+            raise AssertionError("a factor was cut to the box before the box was allocated")
 
-        monkeypatch.setattr(potentials, "_profile", profile)
+        monkeypatch.setattr(potentials, "_on", on)
         spec = PotentialSpec(alpha=1.0, u=(1.0, 0.0, 0.0), a=1.0, m=2, coupling=1.0,
-                             ell_y=2.0, ell_z=2.0)
+                             ell_y=60.0, ell_z=60.0)
         grid = make_grid(3, (60.0, 60.0, 60.0), (32768, 32768, 32768))
         with pytest.raises(MemoryError):
             sample_potential(spec, grid)
@@ -253,13 +255,15 @@ def spec_along(u, dim, center=(), coupling=1.0, **overrides):
     return PotentialSpec(**params)
 
 
-# u along +x, -x, +y and -y; two of them with a nonzero center, two with a
-# complex coupling.
+# u along +x, -x, +y and -y, and +z and -z in 3D; some with a nonzero
+# center, some with a complex coupling.
 AXIS_CASES = {
     "+x": dict(u=(1.0, 0.0, 0.0), center=(0.3, -1.1, 0.7), coupling=0.7 - 0.4j),
     "-x": dict(u=(-1.0, 0.0, 0.0), center=(0.3, -1.1, 0.7)),
     "+y": dict(u=(0.0, 1.0, 0.0), coupling=-0.2 + 1.3j),
     "-y": dict(u=(0.0, -1.0, 0.0)),
+    "+z": dict(u=(0.0, 0.0, 1.0), center=(-0.6, 0.4, 0.2)),
+    "-z": dict(u=(0.0, 0.0, -1.0), coupling=1.1 + 0.3j),
 }
 # Every case on the shared grids and 96^3; 3072^2 (the far-field grid) on +x
 # only, since its whole-grid reference takes seconds.
@@ -267,7 +271,43 @@ SEPARABLE_CASES = [
     pytest.param(shape, axis, id=f"{'x'.join(map(str, shape))}-{axis}")
     for shape in GRID_SHAPES + [(96, 96, 96)]
     for axis in AXIS_CASES
+    if len(shape) == 3 or "z" not in axis
 ] + [pytest.param((3072, 3072), "+x", id="3072x3072-+x")]
+
+
+def truncation_warnings(values):
+    """The warnings sample_potential's rule gives for these whole-grid values."""
+    overall = float(np.max(np.abs(values), initial=0.0))
+    if overall == 0.0:
+        return []
+    edge = max(float(np.max(np.abs(np.take(values, index, axis=face_axis))))
+               for face_axis in range(values.ndim) for index in (0, -1))
+    if edge <= 1e-3 * overall:
+        return []
+    return [f"potential magnitude at the box boundary is {edge:.3e}, "
+            f"more than 0.001 of its maximum {overall:.3e}; "
+            "enlarge the box to reduce truncation"]
+
+
+def assert_samples_the_whole_mesh(subject, grid):
+    """sample_potential keeps exactly what _single_value gives on the whole mesh.
+
+    The same support box, the same values bit for bit on it, and the same
+    truncation warning or none.
+    """
+    mesh = np.stack(np.broadcast_arrays(*grid.position_mesh()), axis=-1)
+    members = subject.members if isinstance(subject, PotentialSum) else (subject,)
+    whole = potentials._single_value(members[0], mesh)
+    for spec in members[1:]:
+        whole += potentials._single_value(spec, mesh)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sampled = sample_potential(subject, grid)
+    box = support_box(whole, grid.dim)
+    assert sampled.box == box
+    assert_same_bits(sampled.values, whole[box])
+    assert [str(w.message) for w in caught] == truncation_warnings(whole)
+    return sampled
 
 
 def node_grid(shape):
@@ -284,7 +324,10 @@ class TestSeparableSampling:
     def test_axis_aligned_member(self, pool_workers, shape, axis):
         grid = node_grid(shape)
         spec = spec_along(dim=grid.dim, **AXIS_CASES[axis])
-        assert_same_bits(sample_potential(spec, grid).values, whole_grid_value(spec, grid))
+        sampled = assert_samples_the_whole_mesh(spec, grid)
+        # the slab leaves most of the grid out, and the box only the nodes it holds
+        assert 0 < sampled.values.size < grid.size
+        assert_same_bits(sampled.grid_values(), whole_grid_value(spec, grid))
 
     @pytest.mark.parametrize("shape", [(128, 128), (16, 128, 96)], ids=str)
     def test_sum_adds_members_in_order(self, pool_workers, shape):
@@ -295,20 +338,54 @@ class TestSeparableSampling:
             spec_along((0.0, -1.0, 0.0), dim, center=(1.0, 0.25, -0.5), alpha=1.7, m=1),
             spec_along((0.0, -1.0, 0.0), dim, coupling=-1.0, a=0.6, ell_y=1.0),
         ))
-        assert_same_bits(sample_potential(total, grid).values, whole_grid_value(total, grid))
+        assert_samples_the_whole_mesh(total, grid)
+        boxes = [sample_potential(spec, grid).box for spec in total.members]
+        assert boxes[0] != boxes[1] != boxes[2] != boxes[0]  # the members' boxes differ
+
+    @pytest.mark.parametrize("shape", [(64, 48), (16, 40, 24)], ids=str)
+    def test_a_sum_of_disjoint_slabs_keeps_the_gap_between_them(self, pool_workers, shape):
+        grid = node_grid(shape)
+        dim = grid.dim
+        total = PotentialSum((
+            spec_along((1.0, 0.0, 0.0), dim, center=(0.0, -3.0, 0.0), ell_y=1.0),
+            spec_along((1.0, 0.0, 0.0), dim, center=(0.0, 2.5, 0.0), ell_y=0.5,
+                       coupling=0.3j),
+        ))
+        sampled = assert_samples_the_whole_mesh(total, grid)
+        # the union box spans both slabs, y from -3.5 to 2.75, and the gap
+        assert sampled.box[1] == slice(shape[1] // 2 - 14, shape[1] // 2 + 12)
+        assert not sampled.values[:, 5:17].any()
+
+    @pytest.mark.parametrize("shape,u", [((32, 24), (0.0, 1.0)), ((16, 24, 20), (0.0, 0.0, -1.0))],
+                             ids=["2d", "3d"])
+    def test_a_slab_that_misses_every_node_has_an_empty_box(self, shape, u):
+        # slab width 0.1 centred between two nodes 0.25 apart
+        grid = node_grid(shape)
+        spec = spec_along(u, len(shape), center=(0.125,) * 3, ell_y=0.1, ell_z=0.1)
+        sampled = assert_samples_the_whole_mesh(spec, grid)
+        assert sampled.box == (slice(0, 0),) * grid.dim
+        assert sampled.values.shape == (0,) * grid.dim
+        assert not sampled.grid_values().any()
 
     @pytest.mark.parametrize("u", [(1.0, 1.0, 0.0), (0.6, 0.0, 0.8), (1.0, 1e-9, 0.0)],
                              ids=["xy", "xz", "nearly-x"])
     def test_oblique_axis_takes_the_whole_grid_path(self, pool_workers, u):
         grid = node_grid((32, 24, 16))
         spec = spec_along(u, 3, center=(0.1, 0.2, 0.3), coupling=1.0 - 2.0j)
-        assert_same_bits(sample_potential(spec, grid).values, whole_grid_value(spec, grid))
+        sampled = assert_samples_the_whole_mesh(spec, grid)
+        assert_same_bits(sampled.grid_values(), whole_grid_value(spec, grid))
+
+    @pytest.mark.parametrize("u", [(1.0, 1.0), (0.6, -0.8)], ids=["xy", "x-y"])
+    def test_oblique_axis_in_2d_keeps_its_box(self, pool_workers, u):
+        grid = node_grid((40, 32))
+        sampled = assert_samples_the_whole_mesh(spec_along(u, 2, ell_y=1.0), grid)
+        assert 0 < sampled.values.size < grid.size
 
     def test_slab_widths_follow_the_frame(self):
         # u = -y puts ell_y along z and ell_z along -x.
         grid = node_grid((32, 32, 32))
         spec = spec_along((0.0, -1.0, 0.0), 3, ell_y=1.0, ell_z=3.0)
-        support = np.abs(sample_potential(spec, grid).values) > 0
+        support = np.abs(sample_potential(spec, grid).grid_values()) > 0
         x, _, z = (axis.ravel() for axis in grid.position_mesh())
         assert np.array_equal(support.any(axis=(1, 2)), np.abs(x) <= 1.5)
         assert np.array_equal(support.any(axis=(0, 1)), np.abs(z) <= 0.5)
@@ -336,6 +413,22 @@ class TestSeparableSampling:
             warnings.simplefilter("always")
             sample_potential(spec, grid)
         assert [str(w.message) for w in caught] == expected
+
+
+@pytest.mark.filterwarnings("ignore:potential magnitude")
+def test_the_field_file_holds_the_whole_grid_sample(tmp_path):
+    # written from the box, the payload is the whole-grid sample, and a
+    # loaded field keeps the same box and values
+    grid = node_grid((64, 48))
+    spec = spec_along((1.0, 0.0, 0.0), 2, center=(0.3, -1.1))
+    sampled = sample_potential(spec, grid)
+    path = tmp_path / "v.field"
+    save_field(path, sampled)
+    _, _, payload = path.read_bytes().partition(b"\n")
+    assert payload == whole_grid_value(spec, grid).astype("<c16").tobytes()
+    loaded = load_field(path)
+    assert loaded.box == sampled.box
+    assert_same_bits(loaded.values, sampled.values)
 
 
 class TestVerifySupport:

@@ -149,6 +149,17 @@ class TestThreadedStep:
         )
         assert np.array_equal(p_sq, before), "input was modified"
 
+    @pytest.mark.parametrize("counts", GRID_SHAPES)
+    def test_green_factor_of_a_grid_forms_its_momentum_sq(self, pool_workers, counts):
+        # |p|^2 block by block from the per-axis momenta: the bits of the
+        # whole-grid |p|^2 table, into out when given
+        cfg = config_of(counts)
+        want = single_threaded_green_factor(cfg.grid.momentum_sq, cfg.k, cfg.epsilon)
+        assert_same_bits(green_factor(cfg.grid, cfg.k, cfg.epsilon), want)
+        out = np.empty(counts, dtype=complex)
+        assert green_factor(cfg.grid, cfg.k, cfg.epsilon, out=out) is out
+        assert_same_bits(out, want)
+
     def test_green_factor_of_a_scalar_stays_a_scalar(self):
         got = green_factor(np.float64(0.3), 1.0, 0.01)
         want = single_threaded_green_factor(np.float64(0.3), 1.0, 0.01)
@@ -241,7 +252,8 @@ class TestThreadedStep:
 
 class TestAllocations:
     """Traced memory of one propagation, one step and one series on a 1024^2
-    grid, and of one six-component series on a 96 x 48 x 48 grid.
+    grid, and of one six-component series on a 96 x 48 x 48 grid; and of
+    sampling a slab and forming G on a 2048 x 64 grid.
 
     tracemalloc sees numpy's array buffers.  The peak counts what a call
     allocates and still holds on return (its result) as well as what it
@@ -260,7 +272,7 @@ class TestAllocations:
         Each call gets its own arguments, built before tracing starts: a
         step consumes the term it steps from.
         """
-        fn(*make_args())  # first use fills caches (momentum_sq, the pool) a call does not own
+        fn(*make_args())  # first use fills caches (the pool) a call does not own
         args = make_args()
         tracemalloc.start()
         try:
@@ -271,6 +283,43 @@ class TestAllocations:
 
     def peak_bytes(self, fn, make_args):
         return self.traced_bytes(fn, make_args)[1]
+
+    def test_sampling_a_slab_holds_its_box_alone(self):
+        # v is zero outside 5 of 64 columns: the sample is formed on that
+        # box from the member's 1-D factors, and no whole-grid array is made
+        grid = make_grid(2, (480.0, 30.0), (2048, 64))
+        held, peak = self.traced_bytes(sample_potential, lambda: (family(), grid))
+        box_bytes = 16 * 2048 * 5
+        factor_bytes = 16 * 16 * sum(grid.counts)  # sixteen 1-D complex arrays
+        assert sample_potential(family(), grid).box == (slice(0, 2048), slice(30, 35))
+        assert held < box_bytes + factor_bytes
+        assert peak < 2 * box_bytes + factor_bytes
+
+    @pytest.mark.parametrize("counts", [(2048, 64), (2048, 512)], ids=["one-block", "blocks"])
+    def test_green_factor_on_a_grid_holds_g_and_block_temporaries(self, counts):
+        # |p|^2 is formed in G's real parts, block by block (up to
+        # _BLOCK_BYTES of G, the grid is one block), from the 1-D momenta:
+        # no |p|^2 array of the grid or of a block is made or kept, and the
+        # temporaries are 1-D
+        grid = make_grid(2, (480.0, 30.0), counts)
+        g_bytes = 16 * grid.size
+        factor_bytes = 16 * 16 * sum(counts)
+        held, peak = self.traced_bytes(green_factor, lambda: (grid, 0.8, 0.01))
+        assert held < g_bytes + factor_bytes
+        assert peak < g_bytes + factor_bytes
+
+    def test_propagating_on_a_new_grid_keeps_no_momentum_table(self):
+        # G goes into out, formed from the new grid's 1-D momenta: nothing
+        # grid-sized outlives the call, where a cached |p|^2 table would
+        # keep 8 bytes a node
+        counts = (2048, 64)
+        numerator = random_values(counts)
+
+        def fresh():
+            return numerator, config_of(counts), np.empty_like(numerator)
+
+        held, _ = self.traced_bytes(propagate, fresh)
+        assert held < numerator.nbytes / 8
 
     @pytest.mark.parametrize("lead,bound", [((), 2.0), ((6,), 1.5)], ids=["one", "six"])
     def test_propagate_reuses_the_propagator_buffer(self, lead, bound):
@@ -319,7 +368,7 @@ class TestAllocations:
         v = sample_potential(family(), cfg.grid)
         assert v.box == (slice(0, 1024), slice(510, 515))
         held, peak = self.traced_bytes(born_series, lambda: (cfg, v))
-        array = v.values.nbytes
+        array = 16 * cfg.grid.size
         assert held < (n + 0.5) * array
         assert peak < (n + 1.5) * array
 
@@ -578,7 +627,7 @@ class TestBornSeries:
         # shifts the interaction spectrum circularly by k/dp cells
         spec, grid, v, cfg = standard_setup(n=128)
         series = born_series(cfg, v)
-        vt = fft_values(v.values, grid)
+        vt = fft_values(v.grid_values(), grid)
         shift = [int(round(c / dp)) for c, dp in zip(cfg.k_vec, grid.momentum_spacing)]
         expected = np.roll(vt, shift, axis=(0, 1))
         err = np.max(np.abs(series[1].numerator.values - expected))
@@ -612,11 +661,11 @@ class TestBornSeries:
         spec = family(dim)
         v = sample_potential(spec, grid)
         cfg = make_scatter_config(grid, 0.8, spec, n_orders=3)
-        assert v.values[v.box].size < 0.2 * grid.size
+        assert v.values.size < 0.2 * grid.size
         orders = born_orders(incident_term(cfg), born_step, v, cfg)
         prev = next(orders).field.copy()
         for term in islice(orders, 3):
-            source = v.values * prev
+            source = v.grid_values() * prev
             assert term.box == v.box
             assert_same_bits(term.source, source[v.box])
             outside = source.copy()
@@ -659,7 +708,7 @@ class TestBornSeries:
                 assert not np.array_equal(term.source, pruned.source)
                 assert_last_bits(term.source, pruned.source)
                 assert_last_bits(term.numerator.values, pruned.numerator.values)
-            numerator = fft_values(v.values * prev, grid, box=v.box)
+            numerator = fft_values(v.grid_values() * prev, grid, box=v.box)
             prev = propagate(numerator, cfg, np.empty_like(numerator))
             assert_same_bits(term.field, prev)
             assert term.field_max == grids.max_abs(prev)
@@ -692,7 +741,7 @@ class TestBornSeries:
         assert all(term.field is None for term in series[:-1])
         last = series[-1]
         # the last field is held on the interaction's box alone
-        assert last.field.shape == v.values[v.box].shape
+        assert last.field.shape == v.values.shape
         assert last.field_max == float(np.max(np.abs(last.field)))
         assert all(term.source is not None for term in series[1:])
         assert all(term.numerator is not None for term in series[1:])
@@ -721,9 +770,9 @@ class TestBornSeries:
         term = next(orders)
         assert term.numerator.values is kept
         for _ in range(3):
-            assert term.field.shape == v.values[v.box].shape
+            assert term.field.shape == v.values.shape
             assert term.field.base is None and term.field.flags.owndata
-            assert term.field.nbytes == v.values[v.box].size * 16
+            assert term.field.nbytes == v.values.size * 16
             term = next(orders)
 
     def test_shrinking_to_a_box_keeps_the_values_on_it(self):
@@ -784,7 +833,7 @@ class TestBornSeries:
         base = born_series(cfg, v)
         c = 2.0 - 0.5j
         scaled = born_series(
-            cfg, SampledField(grid, c * v.values)
+            cfg, SampledField(grid, c * v.values, v.box)
         )
         for n in (1, 2, 3):
             want = c**n * base[n].numerator.values
@@ -832,7 +881,7 @@ class TestBornSeries:
         monkeypatch.setattr(grids, "max_abs", counted)
         monkeypatch.setattr(scalar, "max_abs", counted, raising=False)
         born_series(cfg, v)
-        assert reads == [v.values[v.box].shape] * 3
+        assert reads == [v.values.shape] * 3
 
     def test_grid_mismatch(self):
         spec, grid, v, cfg = standard_setup(n=64)
@@ -859,7 +908,7 @@ class TestOnShell:
         series = born_series(cfg, v)
         record = on_shell_numerator(series[1], cfg)
         displaced = cfg.directions.momenta - np.asarray(cfg.k_vec)
-        expected = nudft_values(v.values, grid, displaced)
+        expected = nudft_values(v.values, grid, displaced, box=v.box)
         np.testing.assert_allclose(record.values, expected, rtol=1e-12, atol=1e-14)
 
     def test_requires_interaction_order(self):
@@ -1089,7 +1138,7 @@ def one_sided_sums_3d(draw):
 
 def band_edge_headroom(v):
     """max |v~| over the two longitudinal momentum cells at the band edge, over max |v~|."""
-    magnitudes = np.abs(fft_values(v.values, v.grid))
+    magnitudes = np.abs(fft_values(v.grid_values(), v.grid))
     edge = v.grid.counts[0] // 2  # the cells -n/2 and n/2 - 1 along u = (1, 0)
     return float(np.max(magnitudes[edge - 1:edge + 1]) / np.max(magnitudes))
 
