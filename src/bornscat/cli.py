@@ -37,7 +37,7 @@ from .em import (
     verify_em_spectral_floor,
     which_blocks,
 )
-from .grids import load_field, make_grid, nudft_values, save_field
+from .grids import empty_box, load_field, make_grid, nudft_values, save_field
 from .jsonkind import (
     array_of, complex_number, decode, flag, integer, kind_of, member, number,
     object_with, string, within,
@@ -252,7 +252,7 @@ def _interaction(config, grid):
         interaction = _build_materials(config, grid)
     else:
         interaction = sample_potential(config.potential, grid)
-    if interaction.box == (slice(0, 0),) * grid.dim:
+    if interaction.box == empty_box(grid.dim):
         raise ValueError("the sampled interaction is zero at every node, so nothing scatters")
     return interaction
 

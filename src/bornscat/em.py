@@ -37,6 +37,7 @@ from .grids import (
     SampledField,
     blockwise,
     box_shape,
+    empty_box,
     fft_values,
     finite_vector,
     nudft_values,
@@ -83,9 +84,6 @@ __all__ = [
 
 # Names of the two tensors, indexed by the block of a material entry key.
 _TENSORS = ("eps", "mu")
-
-# The support box of an all-zero array on a 3D grid.
-_EMPTY_BOX = (slice(0, 0),) * 3
 
 
 def which_blocks(which):
@@ -141,7 +139,7 @@ class MaterialTensors:
             boxes[id(values)] = support_box(field.values, 3, field.box)
         # an all-zero entry, whose box is empty, is not stored
         kept = {key: values for key, values in sorted(entries.items())
-                if boxes[id(values)] != _EMPTY_BOX}
+                if boxes[id(values)] != empty_box(3)}
         self.grid = grid
         self.box = union_box([boxes[id(values)] for values in kept.values()], 3)
         stored = {}

@@ -58,6 +58,7 @@ __all__ = [
     "ifft_values",
     "nudft_values",
     "support_box",
+    "empty_box",
     "box_shape",
     "union_box",
     "on_box",
@@ -139,10 +140,6 @@ class Grid:
     def cell_volume(self):
         return float(np.prod(self.spacing))
 
-    @property
-    def momentum_cell_volume(self):
-        return float(np.prod(self.momentum_spacing))
-
     def position_axis(self, axis):
         """Node coordinates -L/2 + j*h along one axis."""
         n = self.counts[axis]
@@ -170,18 +167,6 @@ class Grid:
     def whole_box(self):
         """The box of every node: one slice per axis, as support_box returns a box."""
         return tuple(slice(0, n) for n in self.counts)
-
-    @property
-    def momentum_sq(self):
-        """|p|^2 on the momentum grid (a new full array, FFT order).
-
-        The squares add from zero in axis order; scalar.green_factor forms
-        the same sums block by block instead of reading this array.
-        """
-        out = np.zeros(self.shape)
-        for p in self.momentum_mesh():
-            out = out + p * p
-        return out
 
     def momentum_parallel(self, u):
         """u.p on the momentum grid for a unit vector u."""
@@ -657,22 +642,25 @@ def support_box(values, dim, box=None):
     values = np.asarray(values)
     if box is not None:
         inner = support_box(values, dim)
-        if inner == (slice(0, 0),) * dim:
+        if inner == empty_box(dim):
             return inner
         return tuple(slice(b.start + s.start, b.start + s.stop) for b, s in zip(box, inner))
-    lead, grid_shape = values.shape[:values.ndim - dim], values.shape[values.ndim - dim:]
-    # nonzero at a node: the component axes folded into one leading axis
-    nonzero = (values != 0).reshape((math.prod(lead),) + grid_shape).any(axis=0)
-    box = []
+    # any() reads each value as != 0 does, and makes no mask of the values' size
+    nonzero, lead, box = values, values.ndim - dim, []
     for _ in range(dim):
-        # the leading axis's nodes hit, then that axis folded away: each
-        # reduction reads whole rows
-        hits = np.flatnonzero(nonzero.any(axis=tuple(range(1, nonzero.ndim))))
+        # the leading grid axis's nodes hit, then that axis folded away with
+        # the component axes: each reduction reads whole rows
+        hits = np.flatnonzero(nonzero.any(axis=tuple(a for a in range(nonzero.ndim) if a != lead)))
         if hits.size == 0:
-            return (slice(0, 0),) * dim
+            return empty_box(dim)
         box.append(slice(int(hits[0]), int(hits[-1]) + 1))
-        nonzero = nonzero.any(axis=0)
+        nonzero, lead = nonzero.any(axis=tuple(range(lead + 1))), 0
     return tuple(box)
+
+
+def empty_box(dim):
+    """The box of no node, every slice empty: support_box's box of all-zero values."""
+    return (slice(0, 0),) * dim
 
 
 def box_shape(box):
@@ -688,7 +676,7 @@ def union_box(boxes, dim):
     """
     boxes = [box for box in boxes if all(s.stop > s.start for s in box)]
     if not boxes:
-        return (slice(0, 0),) * dim
+        return empty_box(dim)
     return tuple(
         slice(min(box[axis].start for box in boxes), max(box[axis].stop for box in boxes))
         for axis in range(dim)
@@ -821,10 +809,6 @@ class DirectionSet:
         return self.unit_vectors.shape[1]
 
     @property
-    def count(self):
-        return self.unit_vectors.shape[0]
-
-    @property
     def momenta(self):
         return self.k * self.unit_vectors
 
@@ -927,11 +911,15 @@ def load_field(path):
     """Read a field written by :func:`save_field`; a malformed file raises ValueError.
 
     The header is read by the JSON-kind rule of bornscat.jsonkind, and its
-    "space" must be "position".  The field keeps the values on their
-    support box (see SampledField).
+    "space" must be "position".  The values are decoded in the bytes read,
+    and only those on their support box are copied out of them, so the
+    field keeps that box alone (see SampledField) and no view of the file.
     """
-    line, _, payload = Path(path).read_bytes().partition(b"\n")
-    header = object_with(decode(line), "dim", "extents", "counts", "space")
+    data = Path(path).read_bytes()
+    end = data.find(b"\n")
+    if end < 0:  # no payload: the header is all there is
+        end = len(data)
+    header = object_with(decode(data[:end]), "dim", "extents", "counts", "space")
     grid = make_grid(
         member(header, "dim", integer),
         member(header, "extents", array_of(number)),
@@ -939,10 +927,11 @@ def load_field(path):
     )
     if member(header, "space", string) != "position":
         raise ValueError(f'space: expected "position", got {json.dumps(header["space"])}')
-    values = np.frombuffer(payload, dtype="<c16")
+    values = np.frombuffer(data, dtype="<c16", offset=min(end + 1, len(data)))
     if values.size != grid.size:
         raise ValueError(
             f"payload holds {values.size} values, expected {grid.size}"
         )
-    values = values.astype(complex).reshape(grid.shape)
-    return SampledField(grid, values)
+    values = values.reshape(grid.shape)
+    box = support_box(values, grid.dim)
+    return SampledField(grid, values[box].astype(complex), box)

@@ -35,6 +35,7 @@ from .grids import (
     SampledField,
     blockwise,
     box_shape,
+    empty_box,
     fft_values,
     finite_rows,
     finite_vector,
@@ -212,7 +213,7 @@ def _slab_box(masks, grid):
         axis = int(np.argmax(mask.shape))
         hits = np.flatnonzero(mask)
         if hits.size == 0:
-            return (slice(0, 0),) * grid.dim
+            return empty_box(grid.dim)
         box[axis] = slice(int(hits[0]), int(hits[-1]) + 1)
     return tuple(box)
 

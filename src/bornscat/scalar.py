@@ -69,10 +69,10 @@ takes a new array, which first holds G for one value per node (a
 six-vector field has G in one transient array of one value per node), and
 the inverse transform runs in place on it; for a field on the box, the
 values on the box then move to the front of that array, which shrinks to
-them.  So no grid-sized array is freed while a series runs, and a term's
-field holds no value that is not B_n's.  A step consumes the term it steps
-from: read a term's field before stepping from it, and step from a term
-only once.
+them.  So while a series runs a scalar step frees no grid-sized array,
+an EM step frees one (its transient G), and a term's field holds no value
+that is not B_n's.  A step consumes the term it steps from: read a term's
+field before stepping from it, and step from a term only once.
 The term's arrays skip SampledField's finiteness pass: a value that is not
 finite in the source, or in the numerator rows propagated, reaches every
 value of the field through the transforms, so the one read of the field
@@ -171,28 +171,18 @@ class DivergenceError(RuntimeError):
 def green_factor(p_sq, k, eps, out=None):
     """Regularized free propagator 1/(k^2 - p_sq + i*eps).
 
-    p_sq is |p|^2: a number, an array, or a Grid, for |p|^2 at its
-    momentum nodes.  For an array or a grid the values go into out, a new
-    complex array of its shape by default.  A grid's |p|^2 is formed block
-    by block from its per-axis momenta, the squares added from zero in axis
-    order as Grid.momentum_sq adds them, so G has the bits of
-    green_factor(grid.momentum_sq, ...) and no grid-sized |p|^2 is made.
+    p_sq is |p|^2: a number or an array, for which G is one numpy
+    expression, or a Grid, for |p|^2 at its momentum nodes.  A grid's G goes
+    into out, a new complex array of the grid's shape by default, block by
+    block: each block's |p|^2 is formed from the per-axis momenta, the
+    squares added from zero in axis order, so no grid-sized |p|^2 is made.
     """
     positive_number(eps, "eps")
     if isinstance(p_sq, Grid):
         if out is None:
             out = np.empty(p_sq.shape, dtype=complex)
         return blockwise(partial(_green_of_momenta, k, eps), out, *p_sq.momentum_mesh())
-    p_sq = np.asarray(p_sq)
-    if p_sq.ndim == 0:
-        return 1.0 / (k * k - p_sq + 1j * eps)
-
-    def factor(p_sq, out):
-        np.divide(1.0, k * k - p_sq + 1j * eps, out=out)
-
-    if out is None:
-        out = np.empty(p_sq.shape, dtype=complex)
-    return blockwise(factor, out, p_sq)
+    return 1.0 / (k * k - np.asarray(p_sq) + 1j * eps)
 
 
 def _green_of_momenta(k, eps, *momenta, out):
@@ -479,7 +469,7 @@ def _shrink_to_box(values, box):
     They move to the front of values, a new C-contiguous array, which is
     then resized (a realloc) to hold them alone; if some other name holds
     values, the resize is refused and they are copied out instead.  A
-    step so frees no grid-sized array: freeing one while a series runs
+    step so frees no field-sized array: freeing one while a series runs
     raises glibc's mmap threshold, and the later orders' numerators then
     come from the heap and stay resident after the series (em3d_aniso's
     peak RSS rose by 10% so).
@@ -698,11 +688,6 @@ class VerificationReport:
     def passed(self):
         return all(c.passed(self.tol) for c in self.checks)
 
-    @property
-    def worst_ratio(self):
-        live = [c.ratio for c in self.checks if not c.vacuous]
-        return max(live) if live else 0.0
-
     def to_dict(self):
         return {
             "name": self.name,
@@ -872,12 +857,6 @@ class ExactnessReport:
     @property
     def passed(self):
         return all(c.passed(self.tol) for c in self.checks)
-
-    def check_for(self, order):
-        for c in self.checks:
-            if c.order == order:
-                return c
-        raise KeyError(f"no order-{order} check in this report")
 
     def to_dict(self):
         return {

@@ -12,6 +12,14 @@ def random_values(shape, seed=0):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def momentum_sq(grid):
+    """|p|^2 at the grid's momentum nodes (FFT order), the squares added from zero in axis order."""
+    out = np.zeros(grid.shape)
+    for p in grid.momentum_mesh():
+        out = out + p * p
+    return out
+
+
 def assert_same_bits(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)

@@ -17,6 +17,7 @@ import time
 
 import numpy as np
 import pytest
+from bit_identity import momentum_sq
 
 from bornscat import cli
 from bornscat.em import (
@@ -151,7 +152,8 @@ def test_03_first_order_exactness_window(capsys, scalar_run):
     t0 = time.monotonic()
     cfg, series = scalar_run("k080")
     report = verify_exactness(cfg, series, tol=1e-3)
-    first = report.check_for(1).ratio
+    ratios = {c.order: c.ratio for c in report.checks}
+    first = ratios[1]
     elapsed = time.monotonic() - t0
     passed = (
         report.exact_order == 1
@@ -162,7 +164,7 @@ def test_03_first_order_exactness_window(capsys, scalar_run):
     report_line(
         capsys, 3, "first-order exactness window", passed,
         f"order-1 signal {first:.2e} >= 1e-1, orders 2..4 worst "
-        f"{max(report.check_for(n).ratio for n in (2, 3, 4)):.2e}, "
+        f"{max(ratios[n] for n in (2, 3, 4)):.2e}, "
         f"{elapsed:.1f}s",
     )
     assert report.exact_order == 1
@@ -174,7 +176,8 @@ def test_03_first_order_exactness_window(capsys, scalar_run):
 def test_04_second_order_staircase_step(capsys, scalar_run):
     cfg, series = scalar_run("k130")
     report = verify_exactness(cfg, series, tol=1e-3)
-    second = report.check_for(2).ratio
+    ratios = {c.order: c.ratio for c in report.checks}
+    second = ratios[2]
     refinement = []
     for n in (256, 512):
         grid = make_grid(2, (60.0, 60.0), (n, n))
@@ -183,7 +186,7 @@ def test_04_second_order_staircase_step(capsys, scalar_run):
             sub_cfg, born_series(sub_cfg, sample_potential(FAMILY2D, grid)),
             tol=1e-3,
         )
-        refinement.append(sub.check_for(3).ratio)
+        refinement.append(sub.checks[2].ratio)  # order 3
     gain = refinement[0] / refinement[1]
     passed = (
         report.exact_order == 2
@@ -194,7 +197,7 @@ def test_04_second_order_staircase_step(capsys, scalar_run):
     report_line(
         capsys, 4, "second-order staircase step", passed,
         f"order-2 signal {second:.2e} >= 1e-3, orders 3..5 worst "
-        f"{max(report.check_for(n).ratio for n in (3, 4, 5)):.2e}, "
+        f"{max(ratios[n] for n in (3, 4, 5)):.2e}, "
         f"refinement gain {gain:.1f}x",
     )
     assert report.exact_order == 2
@@ -210,7 +213,7 @@ def test_05_one_sided_spectral_bands(capsys, scalar_run):
         floor = verify_spectral_floor(cfg, series, tol=1e-3)
         bands = verify_order_bands(cfg, series, tol=1e-3)
         assert floor.passed and bands.passed, (name, floor.to_dict())
-        worst = max(worst, floor.worst_ratio, bands.worst_ratio)
+        worst = max(worst, *(c.ratio for c in floor.checks + bands.checks))
     grid = make_grid(2, (60.0, 60.0), (512, 512))
     r2 = np.zeros(grid.shape)
     for x in grid.position_mesh():
@@ -220,7 +223,7 @@ def test_05_one_sided_spectral_bands(capsys, scalar_run):
     ctrl_series = born_series(ctrl_cfg, control)
     ctrl_floor = verify_spectral_floor(ctrl_cfg, ctrl_series, tol=1e-3)
     ctrl_bands = verify_order_bands(ctrl_cfg, ctrl_series, tol=1e-3)
-    ctrl_worst = max(ctrl_floor.worst_ratio, ctrl_bands.worst_ratio)
+    ctrl_worst = max(c.ratio for c in ctrl_floor.checks + ctrl_bands.checks)
     passed = worst <= 1e-3 and not ctrl_floor.passed and ctrl_worst >= 1e-1
     report_line(
         capsys, 5, "one-sided spectral bands", passed,
@@ -238,7 +241,8 @@ def test_06_three_dimensional_replication(capsys):
     cfg = make_scatter_config(grid, 0.8, FAMILY3D, n_orders=3)
     series = born_series(cfg, sample_potential(FAMILY3D, grid))
     report = verify_exactness(cfg, series, tol=1e-2)
-    first = report.check_for(1).ratio
+    ratios = {c.order: c.ratio for c in report.checks}
+    first = ratios[1]
     elapsed = time.monotonic() - t0
     passed = (
         report.exact_order == 1
@@ -249,7 +253,7 @@ def test_06_three_dimensional_replication(capsys):
     report_line(
         capsys, 6, "three-dimensional replication", passed,
         f"order-1 signal {first:.2e}, orders 2..3 worst "
-        f"{max(report.check_for(n).ratio for n in (2, 3)):.2e}, {elapsed:.1f}s",
+        f"{max(ratios[n] for n in (2, 3)):.2e}, {elapsed:.1f}s",
     )
     assert report.exact_order == 1
     assert first >= 1e-1
@@ -271,7 +275,7 @@ def test_07_oracle_agreement(capsys):
         cfg = make_scatter_config(grid, 0.9, spec, n_orders=2)
         v = sample_potential(spec, grid)
         series = born_series(cfg, v)
-        full = green_factor(grid.momentum_sq, cfg.k, cfg.epsilon) \
+        full = green_factor(momentum_sq(grid), cfg.k, cfg.epsilon) \
             * series[2].numerator.values
         rng = np.random.default_rng(21 + dim)
         indices = [tuple(row) for row in rng.integers(0, 8, size=(5, dim))]
@@ -362,7 +366,8 @@ def test_09_electromagnetic_exactness(capsys):
     low = verify_em_exactness(low_cfg, em_born_series(low_cfg, materials), tol=1e-2)
     high_cfg = make_scatter_config(grid, 0.8, FAMILY3D, n_orders=3)
     high = verify_em_exactness(high_cfg, em_born_series(high_cfg, materials), tol=1e-2)
-    first = high.check_for(1).ratio
+    ratios = {c.order: c.ratio for c in high.checks}
+    first = ratios[1]
     # kernel orthogonality: the curl part of the output is orthogonal to p
     kgrid = make_grid(3, (8.0, 8.0, 8.0), (8, 8, 8))
     rng = np.random.default_rng(5)
@@ -412,7 +417,7 @@ def test_09_electromagnetic_exactness(capsys):
         capsys, 9, "electromagnetic exactness", passed,
         f"below-threshold worst {max(c.ratio for c in low.checks):.2e}, "
         f"order-1 signal {first:.2e}, orders 2..3 worst "
-        f"{max(high.check_for(n).ratio for n in (2, 3)):.2e}, kernel "
+        f"{max(ratios[n] for n in (2, 3)):.2e}, kernel "
         f"orthogonality {ortho:.1e}, blockwise {blockwise:.1e}, {elapsed:.1f}s",
     )
     assert low.exact_order == 0 and low.passed, low.to_dict()

@@ -9,6 +9,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from bit_identity import momentum_sq
 
 from bornscat.em import (
     default_polarization,
@@ -116,7 +117,7 @@ def pipeline_second_order(grid, spec, k_req=0.9):
     """Transform of the order-2 term at every momentum node."""
     cfg = make_scatter_config(grid, k_req, spec, n_orders=2)
     series = born_series(cfg, sample_potential(spec, grid))
-    propagator = green_factor(grid.momentum_sq, cfg.k, cfg.epsilon)
+    propagator = green_factor(momentum_sq(grid), cfg.k, cfg.epsilon)
     return cfg, propagator * series[2].numerator.values
 
 
@@ -195,7 +196,7 @@ def em_oracle_errors(materials, cfg, nodes):
     grid = materials.grid
     e0 = default_polarization(cfg.k_hat, cfg.u)
     series = em_born_series(cfg, materials, e0=e0)
-    propagator = green_factor(grid.momentum_sq, cfg.k, cfg.epsilon)
+    propagator = green_factor(momentum_sq(grid), cfg.k, cfg.epsilon)
     axes = [grid.momentum_axis(i) for i in range(3)]
     points = np.array([[axes[i][n[i]] for i in range(3)] for n in nodes])
     results = em_quad_second_order(
