@@ -975,13 +975,22 @@ class TestFieldIO:
         with pytest.raises(ValueError, match='unknown key "spacing"'):
             load_field(path)
 
+    def test_truncated_payload_rejected(self, tmp_path):
+        grid = make_grid(2, (4.0, 4.0), (8, 8))
+        f = SampledField(grid, np.ones(grid.shape))
+        path = tmp_path / "field.bin"
+        save_field(path, f)
+        data = path.read_bytes()
+        path.write_bytes(data[:-16])
+        with pytest.raises(ValueError, match="payload holds 63 values, expected 64"):
+            load_field(path)
+
     @pytest.mark.parametrize("damage,message", [
-        (lambda data: data[:-16], "payload holds 63 values, expected 64"),
         (lambda data: data + bytes(16), "payload holds 65 values, expected 64"),
         (lambda data: data[:-3], "buffer size must be a multiple of element size"),
         (lambda data: data.partition(b"\n")[0], "payload holds 0 values, expected 64"),
         (lambda data: b"{" + data, "Expecting property name enclosed in double quotes"),
-    ], ids=["short", "long", "not-whole-values", "no-newline", "bad-header"])
+    ], ids=["long", "not-whole-values", "no-newline", "bad-header"])
     def test_a_malformed_file_is_rejected(self, tmp_path, damage, message):
         grid = make_grid(2, (4.0, 4.0), (8, 8))
         path = tmp_path / "field.bin"

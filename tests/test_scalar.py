@@ -136,6 +136,18 @@ def single_threaded_propagate(numerator_values, config):
 
 
 class TestThreadedStep:
+    @pytest.mark.parametrize("counts", GRID_SHAPES)
+    def test_green_factor(self, pool_workers, counts):
+        # the array form on a grid-sized |p|^2 takes no part of the pool
+        cfg = config_of(counts)
+        p_sq = momentum_sq(cfg.grid)
+        before = p_sq.copy()
+        assert_same_bits(
+            green_factor(p_sq, cfg.k, cfg.epsilon),
+            single_threaded_green_factor(p_sq, cfg.k, cfg.epsilon),
+        )
+        assert np.array_equal(p_sq, before), "input was modified"
+
     @pytest.mark.parametrize("p_sq", [
         np.array([0.0, 4.0, 9.5]),
         np.sum(oracle._momentum_nodes(make_grid(3, (6.0, 6.0, 6.0), (16, 16, 16))) ** 2, axis=1),
